@@ -14,8 +14,9 @@ to die:
   recorded, never verified from data.
 
 The asymptotic residual bound itself is obtained numerically by
-iterating the per-step triangle bound to relative stagnation; the
-closed-form limit pieces are reported alongside for inspection.
+scanning the triangle-bound sequence (the same one the threshold tables
+use) for relative stagnation; the closed-form limit pieces are reported
+alongside for inspection.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .decomposition import ModeDecomposition
 from .errors import SigmaMinUndefinedError
 from .gains import ObserverGains
 from .observer import radius_sequence
-from .residuals import build_coefficients
+from .residuals import build_coefficients, triangle_sequence
 from .system import SwitchedSystem, jacobian_hessian_data
 
 T2_DISTINCT_TOL = 1e-9
@@ -57,26 +58,22 @@ def steady_tri(
     rel_tol: float = 1e-8,
     k_cap: int = 2000,
 ) -> SteadyTriReport:
-    """Iterate the triangle bound until relative stagnation or blow-up."""
-    coeffs = build_coefficients(gains, dec, k_cap)
-    seq = radius_sequence(gains, delta0, k_cap)
+    """Scan the triangle bound until relative stagnation or blow-up."""
     lf = gains.lipschitz
-    j_terms = (
-        (gains.eta_v / math.sqrt(2.0)) * (coeffs.j_v_norms + coeffs.j_v_next_norms)
-        + gains.eta_w * coeffs.j_w_norms
+    tri_seq = triangle_sequence(
+        build_coefficients(gains, dec, k_cap),
+        lf,
+        delta0,
+        gains.eta_v,
+        gains.eta_w,
+        radius_sequence(gains, delta0, k_cap),
     )
-    j_cum = np.cumsum(j_terms)
 
     converged = False
     value = math.inf
     prev = None
     iterations = 0
-    for k in range(1, k_cap + 1):
-        tri = (
-            lf * float(np.dot(coeffs.f_norms[: k - 1], seq[k - 1 : 0 : -1]))
-            + float(j_cum[k - 1])
-            + (coeffs.a_norms[k - 1] + lf * coeffs.f_norms[k - 1]) * delta0
-        )
+    for k, tri in enumerate(tri_seq.tolist(), start=1):
         iterations = k
         if not math.isfinite(tri) or tri > 1e100:
             break

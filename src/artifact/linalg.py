@@ -141,14 +141,20 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     return res.v[:, :k] @ np.diag(inv) @ res.u[:, :k].T
 
 
+def spectral_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., rows, cols) stack,
+    from one batched SVD; 0.0 for matrices with a zero dimension."""
+    a = np.asarray(stack, dtype=float)
+    if a.ndim < 2:
+        raise ValueError(f"stack must be at least 2-D, got shape {a.shape}")
+    if a.shape[-2] == 0 or a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
 def spectral_norm(m) -> float:
     """Largest singular value; 0.0 for matrices with a zero dimension."""
-    a = as_matrix(m)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0.0
-    if not np.any(a):
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(spectral_norms(as_matrix(m)))
 
 
 def sigma_min(m) -> float:

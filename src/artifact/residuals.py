@@ -10,10 +10,14 @@ The coefficient matrix is built from a first-step block and a one-step
 downdate applied repeatedly, so all blocks for a whole horizon come out
 of a single recursion.  Two computable residual-norm bounds follow:
 
-* a triangle bound (block norms times per-block radii), cheap at any k;
+* a triangle bound (block norms times per-block radii).  The block norms
+  come from one batched SVD per block family, and the bound for every
+  k = 1..k_max comes out of one convolution and one cumulative sum; the
+  threshold table and `check-detectability` share that one sequence;
 * the exact maximum of the linear image over the hypercube of radii,
   by vertex enumeration, exponential in the word length and therefore
-  capped.
+  capped.  The box and the dense word matrix are built only for the
+  steps within the vertex budget.
 
 Their minimum is the elimination threshold.
 """
@@ -26,6 +30,8 @@ import numpy as np
 
 from .decomposition import ModeDecomposition
 from .gains import ObserverGains
+from .linalg import spectral_norms
+from .observer import radius_sequence
 
 INV_RT2 = 1.0 / math.sqrt(2.0)
 
@@ -65,12 +71,6 @@ class ResidualCoefficients:
     j_v_next_norms: np.ndarray
 
 
-def _snorm(m: np.ndarray) -> float:
-    if m.size == 0 or not np.any(m):
-        return 0.0
-    return float(np.linalg.norm(m, 2))
-
-
 def build_coefficients(
     gains: ObserverGains, dec: ModeDecomposition, k_max: int
 ) -> ResidualCoefficients:
@@ -92,6 +92,7 @@ def build_coefficients(
             j_mats.append(prefix @ gains.w_cal)
         prefix = -prefix @ ephipsi
 
+    j_stack = np.stack(j_mats)
     return ResidualCoefficients(
         k_max=k_max,
         n=n,
@@ -99,11 +100,11 @@ def build_coefficients(
         a_mats=tuple(a_mats),
         f_mats=tuple(f_mats),
         j_mats=tuple(j_mats),
-        a_norms=np.array([_snorm(m) for m in a_mats]),
-        f_norms=np.array([_snorm(m) for m in f_mats]),
-        j_v_norms=np.array([_snorm(m[:, :l]) for m in j_mats]),
-        j_w_norms=np.array([_snorm(m[:, l : l + n]) for m in j_mats]),
-        j_v_next_norms=np.array([_snorm(m[:, l + n :]) for m in j_mats]),
+        a_norms=spectral_norms(np.stack(a_mats)),
+        f_norms=spectral_norms(np.stack(f_mats)),
+        j_v_norms=spectral_norms(j_stack[:, :, :l]),
+        j_w_norms=spectral_norms(j_stack[:, :, l : l + n]),
+        j_v_next_norms=spectral_norms(j_stack[:, :, l + n :]),
     )
 
 
@@ -147,41 +148,48 @@ def box_radii(
     radius_seq holds the a-priori state radii [delta_0, delta_1, ...];
     the drift-mismatch group for step j gets radius lipschitz * delta_j.
     """
-    parts = [
-        np.full(n, float(delta0)),
-        np.full(l * (k + 1), float(eta_v)),
-        np.full(n * k, float(eta_w)),
-    ]
-    for j in range(k):
-        parts.append(np.full(n, lipschitz * float(radius_seq[j])))
-    return np.concatenate(parts)
+    return np.concatenate(
+        [
+            np.full(n, float(delta0)),
+            np.full(l * (k + 1), float(eta_v)),
+            np.full(n * k, float(eta_w)),
+            np.repeat(lipschitz * np.asarray(radius_seq[:k], dtype=float), n),
+        ]
+    )
 
 
-def delta_tri(
+def triangle_sequence(
     coeffs: ResidualCoefficients,
-    k: int,
     lipschitz: float,
     delta0: float,
     eta_v: float,
     eta_w: float,
     radius_seq: np.ndarray,
-) -> float:
-    """Triangle-inequality residual bound at step k."""
-    if not 1 <= k <= coeffs.k_max:
-        raise ValueError(f"k must be in 1..{coeffs.k_max}")
+) -> np.ndarray:
+    """Triangle-inequality residual bounds for k = 1..coeffs.k_max.
 
-    def j_term(i: int) -> float:
-        return (
-            INV_RT2 * eta_v * (coeffs.j_v_norms[i] + coeffs.j_v_next_norms[i])
-            + eta_w * coeffs.j_w_norms[i]
+    Entry k-1 is
+
+        sum_{i=0}^{k-2} lipschitz |f_i| delta_{k-1-i}
+        + (|a_{k-1}| + lipschitz |f_{k-1}|) delta0
+        + sum_{i=0}^{k-1} j_i
+
+    with j_i the noise-block term; the drift sum is empty at k = 1.
+    radius_seq holds the a-priori radii [delta_0, delta_1, ...] and needs
+    at least k_max entries.  An overflowing uncertified mode saturates
+    to +inf.
+    """
+    k_max = coeffs.k_max
+    drift = np.zeros(k_max)
+    with np.errstate(over="ignore"):
+        lf_f = lipschitz * coeffs.f_norms
+        if k_max > 1:
+            radii = np.asarray(radius_seq[1:k_max], dtype=float)
+            drift[1:] = np.convolve(lf_f[:-1], radii)[: k_max - 1]
+        j_terms = INV_RT2 * eta_v * (coeffs.j_v_norms + coeffs.j_v_next_norms) + (
+            eta_w * coeffs.j_w_norms
         )
-
-    total = 0.0
-    for i in range(k - 1):
-        total += lipschitz * coeffs.f_norms[i] * float(radius_seq[k - 1 - i]) + j_term(i)
-    total += (coeffs.a_norms[k - 1] + lipschitz * coeffs.f_norms[k - 1]) * float(delta0)
-    total += j_term(k - 1)
-    return float(total)
+        return drift + np.cumsum(j_terms) + (coeffs.a_norms + lf_f) * float(delta0)
 
 
 def delta_inf(
@@ -250,33 +258,6 @@ class ThresholdReport:
     capped: bool
 
 
-def threshold_at(
-    coeffs: ResidualCoefficients,
-    k: int,
-    lipschitz: float,
-    delta0: float,
-    eta_v: float,
-    eta_w: float,
-    radius_seq: np.ndarray,
-    max_vertices: int,
-) -> ThresholdReport:
-    tri = delta_tri(coeffs, k, lipschitz, delta0, eta_v, eta_w, radius_seq)
-    box = box_radii(k, coeffs.n, coeffs.l, lipschitz, delta0, eta_v, eta_w, radius_seq)
-    dim = box.size
-    if (1 << (dim - 1)) > max_vertices:
-        inf_val, count, capped = math.inf, 0, True
-    else:
-        inf_val, count, capped = delta_inf(assemble_matrix(coeffs, k), box, max_vertices)
-    return ThresholdReport(
-        k=k,
-        delta_tri=tri,
-        delta_inf=inf_val,
-        delta_hat=min(tri, inf_val),
-        vertices_enumerated=count,
-        capped=capped,
-    )
-
-
 def build_threshold_table(
     gains: ObserverGains,
     dec: ModeDecomposition,
@@ -285,22 +266,35 @@ def build_threshold_table(
     max_vertices: int,
     radius_seq: np.ndarray | None = None,
 ) -> list[ThresholdReport]:
-    """Thresholds for k = 1..k_max, sharing one coefficient recursion."""
-    from .observer import radius_sequence
+    """Thresholds for k = 1..k_max, sharing one coefficient recursion.
 
+    The word grows with k, so the steps within the vertex budget are a
+    prefix; only those get a box and a dense matrix.
+    """
     if radius_seq is None:
         radius_seq = radius_sequence(gains, delta0, k_max)
     coeffs = build_coefficients(gains, dec, k_max)
-    return [
-        threshold_at(
-            coeffs,
-            k,
-            gains.lipschitz,
-            delta0,
-            gains.eta_v,
-            gains.eta_w,
-            radius_seq,
-            max_vertices,
+    lf, eta_v, eta_w = gains.lipschitz, gains.eta_v, gains.eta_w
+    tri = triangle_sequence(coeffs, lf, delta0, eta_v, eta_w, radius_seq)
+    n, l = coeffs.n, coeffs.l
+    enumerable = 0
+    while enumerable < k_max and 1 << (word_dim(enumerable + 1, n, l) - 1) <= max_vertices:
+        enumerable += 1
+    table: list[ThresholdReport] = []
+    for k, tri_k in enumerate(tri.tolist(), start=1):
+        if k <= enumerable:
+            box = box_radii(k, n, l, lf, delta0, eta_v, eta_w, radius_seq)
+            inf_val, count, capped = delta_inf(assemble_matrix(coeffs, k), box, max_vertices)
+        else:
+            inf_val, count, capped = math.inf, 0, True
+        table.append(
+            ThresholdReport(
+                k=k,
+                delta_tri=tri_k,
+                delta_inf=inf_val,
+                delta_hat=min(tri_k, inf_val),
+                vertices_enumerated=count,
+                capped=capped,
+            )
         )
-        for k in range(1, k_max + 1)
-    ]
+    return table

@@ -165,15 +165,13 @@ def gain_bank(
     for q, mode in enumerate(system.modes):
         dec = decompose(mode)
         eta_w, eta_v = system.eta_w[q], system.eta_v[q]
-        gains = synthesize_gains(mode, dec, eta_w=eta_w, eta_v=eta_v)
         spec = config.gains
+        user_gain = spec.matrices[q] if spec.kind == "user" else None
+        gains = synthesize_gains(mode, dec, eta_w=eta_w, eta_v=eta_v, user_gain=user_gain)
         if spec.kind == "scaled":
+            # the scaled gain is a multiple of the heuristic one
             gains = synthesize_gains(
                 mode, dec, eta_w=eta_w, eta_v=eta_v, user_gain=spec.factor * gains.l_gain
-            )
-        elif spec.kind == "user" and spec.matrices[q] is not None:
-            gains = synthesize_gains(
-                mode, dec, eta_w=eta_w, eta_v=eta_v, user_gain=spec.matrices[q]
             )
         bank.append((dec, gains))
     return bank

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import full_pipeline_mode, invertible_channel_mode, scalar_channel_mode
 
+from artifact import runner
+from artifact.config import load_config
 from artifact.decomposition import decompose
 from artifact.detectability import (
     check_condition_i,
@@ -17,7 +20,8 @@ from artifact.detectability import (
 )
 from artifact.gains import synthesize_gains
 from artifact.observer import radius_sequence
-from artifact.residuals import build_coefficients, delta_tri
+from artifact.residuals import build_coefficients, triangle_sequence
+from artifact.scenarios import scenario_path
 from artifact.system import LinearField, ModeModel, SwitchedSystem
 
 
@@ -59,8 +63,8 @@ def test_steady_tri_converges_and_agrees_with_pointwise_bound() -> None:
     assert report.iterations < 100
     coeffs = build_coefficients(gains, dec, report.iterations)
     seq = radius_sequence(gains, 0.3, report.iterations)
-    direct = delta_tri(coeffs, report.iterations, gains.lipschitz, 0.3, 0.05, 0.05, seq)
-    assert report.value == pytest.approx(direct, rel=1e-12)
+    direct = triangle_sequence(coeffs, gains.lipschitz, 0.3, 0.05, 0.05, seq)
+    assert report.value == pytest.approx(direct[-1], rel=1e-12)
 
 
 def test_steady_tri_flags_divergence_with_infinite_value() -> None:
@@ -243,3 +247,16 @@ def test_full_pipeline_mode_reports_finite_constants() -> None:
     assert math.isfinite(report.s_const)
     if gains.meas_contraction < 1.0:
         assert math.isfinite(report.analytic_limit)
+
+
+def test_threshold_tables_and_steady_bounds_raise_no_runtime_warning() -> None:
+    # scenario1's uncertified radii overflow to +inf inside the k = 2000
+    # recursion; that saturation is the intended value, not an error
+    config = load_config(scenario_path("scenario1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        prepared = runner.prepare_modes(config)
+        report = report_detectability(
+            config.system, [pm.dec for pm in prepared], [pm.gains for pm in prepared]
+        )
+    assert len(report.steady) == config.system.mode_count

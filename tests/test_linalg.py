@@ -15,6 +15,7 @@ from artifact.linalg import (
     rank,
     sigma_min,
     spectral_norm,
+    spectral_norms,
     svd,
 )
 
@@ -131,6 +132,20 @@ def test_spectral_norm_random_cross_check_against_gram_eigenvalues() -> None:
         a = rng.normal(size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
         lam = np.max(np.linalg.eigvalsh(a.T @ a))
         assert spectral_norm(a) == pytest.approx(np.sqrt(max(lam, 0.0)), abs=1e-10)
+
+
+def test_batched_spectral_norms_match_one_at_a_time() -> None:
+    rng = np.random.default_rng(6)
+    stack = rng.normal(size=(40, 3, 5))
+    stack[7] = 0.0
+    norms = spectral_norms(stack)
+    assert norms.shape == (40,)
+    assert norms[7] == 0.0
+    for a, nrm in zip(stack, norms):
+        assert nrm == spectral_norm(a)
+    # a mode without a feedthrough-free channel stacks 0-row blocks
+    np.testing.assert_array_equal(spectral_norms(np.zeros((4, 0, 2))), np.zeros(4))
+    np.testing.assert_array_equal(spectral_norms(np.zeros((4, 2, 0))), np.zeros(4))
 
 
 def test_rank_and_sigma_min_share_the_cutoff() -> None:

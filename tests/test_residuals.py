@@ -33,9 +33,8 @@ from artifact.residuals import (
     build_threshold_table,
     compute_residual,
     delta_inf,
-    delta_tri,
     eta_t,
-    threshold_at,
+    triangle_sequence,
     word_dim,
 )
 
@@ -100,28 +99,49 @@ def test_first_step_coefficients_match_hand_derivation() -> None:
 
 
 def test_triangle_bound_matches_hand_sum_at_small_k() -> None:
+    sn = lambda m: float(np.linalg.norm(m, 2)) if m.size else 0.0
+
+    def jt(coeffs, i: int, eta: float) -> float:
+        j, n, l = coeffs.j_mats[i], coeffs.n, coeffs.l
+        return (eta / math.sqrt(2)) * (sn(j[:, :l]) + sn(j[:, l + n :])) + eta * sn(j[:, l : l + n])
+
+    def hand_sum(coeffs, k: int, lf: float, delta0: float, eta: float, seq) -> float:
+        total = 0.0
+        for i in range(k - 1):  # the drift sum is empty at k = 1
+            total += lf * sn(coeffs.f_mats[i]) * seq[k - 1 - i] + jt(coeffs, i, eta)
+        init = (sn(coeffs.a_mats[k - 1]) + lf * sn(coeffs.f_mats[k - 1])) * delta0
+        return total + init + jt(coeffs, k - 1, eta)
+
     mode = scalar_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
     coeffs = build_coefficients(gains, dec, 2)
     seq = radius_sequence(gains, 0.5, 2)
     lf = gains.lipschitz
-    sn = lambda m: float(np.linalg.norm(m, 2)) if m.size else 0.0
-    l = 2
-
-    def jt(i: int) -> float:
-        j = coeffs.j_mats[i]
-        return (0.02 / math.sqrt(2)) * (sn(j[:, :l]) + sn(j[:, l + 2 :])) + 0.02 * sn(j[:, l : l + 2])
-
-    expected_k1 = (sn(coeffs.a_mats[0]) + lf * sn(coeffs.f_mats[0])) * 0.5 + jt(0)
-    assert delta_tri(coeffs, 1, lf, 0.5, 0.02, 0.02, seq) == pytest.approx(expected_k1, rel=1e-12)
+    tri = triangle_sequence(coeffs, lf, 0.5, 0.02, 0.02, seq)
+    assert tri.shape == (2,)
+    expected_k1 = (sn(coeffs.a_mats[0]) + lf * sn(coeffs.f_mats[0])) * 0.5 + jt(coeffs, 0, 0.02)
+    assert tri[0] == pytest.approx(expected_k1, rel=1e-12)
     expected_k2 = (
         lf * sn(coeffs.f_mats[0]) * seq[1]
-        + jt(0)
+        + jt(coeffs, 0, 0.02)
         + (sn(coeffs.a_mats[1]) + lf * sn(coeffs.f_mats[1])) * 0.5
-        + jt(1)
+        + jt(coeffs, 1, 0.02)
     )
-    assert delta_tri(coeffs, 2, lf, 0.5, 0.02, 0.02, seq) == pytest.approx(expected_k2, rel=1e-12)
+    assert tri[1] == pytest.approx(expected_k2, rel=1e-12)
+
+    # every entry of the sequence, on one certified and one uncertified mode
+    for mode, certified in ((invertible_channel_mode(), True), (scalar_channel_mode(), False)):
+        dec = decompose(mode)
+        gains = synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)
+        assert gains.certified == certified
+        coeffs = build_coefficients(gains, dec, 30)
+        seq = radius_sequence(gains, 0.4, 30)
+        tri = triangle_sequence(coeffs, gains.lipschitz, 0.4, 0.03, 0.03, seq)
+        assert tri.shape == (30,)
+        for k in range(1, 31):
+            expected = hand_sum(coeffs, k, gains.lipschitz, 0.4, 0.03, seq)
+            assert tri[k - 1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_triangle_bound_dominates_residuals_on_certified_mode() -> None:
@@ -130,9 +150,9 @@ def test_triangle_bound_dominates_residuals_on_certified_mode() -> None:
         trace = run_closed_loop(mode, steps=20, seed=seed, eta_w=0.05, eta_v=0.05, delta0=0.3)
         coeffs = build_coefficients(trace.gains, trace.dec, 20)
         seq = radius_sequence(trace.gains, 0.3, 20)
+        bounds = triangle_sequence(coeffs, trace.gains.lipschitz, 0.3, 0.05, 0.05, seq)
         for k in range(1, 21):
-            bound = delta_tri(coeffs, k, trace.gains.lipschitz, 0.3, 0.05, 0.05, seq)
-            assert np.linalg.norm(trace.residuals[k - 1]) <= bound + 1e-12
+            assert np.linalg.norm(trace.residuals[k - 1]) <= bounds[k - 1] + 1e-12
 
 
 def _naive_vertex_max(matrix: np.ndarray, box: np.ndarray) -> float:
@@ -187,12 +207,10 @@ def test_threshold_takes_the_smaller_bound_and_respects_the_cap() -> None:
     mode = scalar_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
-    coeffs = build_coefficients(gains, dec, 4)
-    seq = radius_sequence(gains, 0.5, 4)
-    rep = threshold_at(coeffs, 1, gains.lipschitz, 0.5, 0.02, 0.02, seq, max_vertices=1 << 20)
+    rep = build_threshold_table(gains, dec, 0.5, 4, max_vertices=1 << 20)[0]
     assert not rep.capped and rep.vertices_enumerated == 1 << (word_dim(1, 2, 2) - 1)
     assert rep.delta_hat == min(rep.delta_tri, rep.delta_inf)
-    capped = threshold_at(coeffs, 4, gains.lipschitz, 0.5, 0.02, 0.02, seq, max_vertices=4)
+    capped = build_threshold_table(gains, dec, 0.5, 4, max_vertices=4)[3]
     assert capped.capped and math.isinf(capped.delta_inf)
     assert capped.delta_hat == capped.delta_tri and capped.vertices_enumerated == 0
 
@@ -205,13 +223,16 @@ def test_threshold_table_is_consistent_with_pointwise_queries() -> None:
     assert [rep.k for rep in table] == list(range(1, 7))
     coeffs = build_coefficients(gains, dec, 6)
     seq = radius_sequence(gains, 0.3, 6)
+    tri = triangle_sequence(coeffs, gains.lipschitz, 0.3, gains.eta_v, gains.eta_w, seq)
+    assert any(rep.capped for rep in table) and not all(rep.capped for rep in table)
     for rep in table:
-        again = threshold_at(
-            coeffs, rep.k, gains.lipschitz, 0.3, gains.eta_v, gains.eta_w, seq, 1 << 16
-        )
-        assert again.delta_tri == pytest.approx(rep.delta_tri, rel=1e-14)
-        assert again.delta_hat == pytest.approx(rep.delta_hat, rel=1e-14)
-        assert again.capped == rep.capped
+        assert rep.delta_tri == pytest.approx(tri[rep.k - 1], rel=1e-14)
+        box = box_radii(rep.k, 2, 3, gains.lipschitz, 0.3, gains.eta_v, gains.eta_w, seq)
+        again, count, capped = delta_inf(assemble_matrix(coeffs, rep.k), box, 1 << 16)
+        assert capped == rep.capped and count == rep.vertices_enumerated
+        if not capped:
+            assert again == pytest.approx(rep.delta_inf, rel=1e-14)
+        assert rep.delta_hat == min(rep.delta_tri, rep.delta_inf)
 
 
 def test_full_feedthrough_mode_has_empty_residual_channel() -> None:
@@ -230,5 +251,9 @@ def test_full_feedthrough_mode_has_empty_residual_channel() -> None:
     r = compute_residual(dec, np.zeros(2), np.zeros(1), np.array([1.0, 2.0]))
     assert r.shape == (0,)
     coeffs = build_coefficients(gains, dec, 3)
+    assert all(m.shape[0] == 0 for m in coeffs.a_mats + coeffs.f_mats + coeffs.j_mats)
     seq = radius_sequence(gains, 0.3, 3)
-    assert delta_tri(coeffs, 2, gains.lipschitz, 0.3, 0.05, 0.05, seq) == 0.0
+    tri = triangle_sequence(coeffs, gains.lipschitz, 0.3, 0.05, 0.05, seq)
+    np.testing.assert_array_equal(tri, np.zeros(3))
+    for rep in build_threshold_table(gains, dec, 0.3, 3, max_vertices=1 << 16):
+        assert rep.delta_hat == 0.0

@@ -10,7 +10,9 @@ import pytest
 
 from artifact import cli, runner
 from artifact.config import GainsSpec, ZeroInput, load_config, parse_config
+from artifact.decomposition import decompose
 from artifact.errors import ConfigurationError, NumericalFailure
+from artifact.gains import synthesize_gains
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.sdpa import SdpLayout, parse_sdpa
 
@@ -94,6 +96,25 @@ def test_gains_file_kind_reads_matrices_relative_to_config(tmp_path) -> None:
     config = parse_config(data, base_dir=tmp_path)
     assert config.gains.kind == "user"
     assert config.gains.matrices[0].shape == (2, 2)
+
+
+def test_gain_bank_user_gains_match_direct_synthesis() -> None:
+    data = _minimal_config_data()
+    first = data["system"]["modes"][0]
+    second = dict(first, field={"kind": "linear", "a": [[0.2, 0.0], [0.1, 0.3]]})
+    data["system"]["modes"] = [first, second]
+    user = [[0.3, 0.1], [-0.2, 0.4]]
+    data["gains"] = {"kind": "user", "matrices": [user, None]}
+    config = parse_config(data)
+    bank = runner.gain_bank(config)
+    assert len(bank) == 2
+    for mode, (dec, gains), user_gain in zip(config.system.modes, bank, (user, None)):
+        direct = synthesize_gains(mode, decompose(mode), 0.05, 0.05, user_gain=user_gain)
+        for field in dataclasses.fields(direct):
+            np.testing.assert_array_equal(
+                getattr(gains, field.name), getattr(direct, field.name), err_msg=field.name
+            )
+    np.testing.assert_array_equal(bank[0][1].l_gain, np.array(user))
 
 
 def test_bundled_scenarios_all_parse() -> None:
