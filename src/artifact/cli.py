@@ -30,7 +30,6 @@ from .errors import (
     NumericalFailure,
     SynthesisError,
 )
-from .observer import radius_sequence
 from .residuals import build_threshold_table
 from .runner import gain_bank, run, write_threshold_csv
 from .scenarios import list_scenarios, scenario_path
@@ -148,14 +147,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     if args.kmax < 1:
         raise ConfigurationError("--kmax must be >= 1")
     dec, gains = gain_bank(config)[args.mode - 1]
-    delta0 = config.system.delta_x0
     table = build_threshold_table(
-        gains,
-        dec,
-        delta0,
-        args.kmax,
-        config.max_vertices,
-        radius_seq=radius_sequence(gains, delta0, args.kmax),
+        gains, dec, config.system.delta_x0, args.kmax, config.max_vertices
     )
     out = _out_dir(args, config)
     path = out / f"thresholds_q{args.mode}.csv"

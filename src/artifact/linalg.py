@@ -143,13 +143,17 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
 
 def spectral_norms(stack) -> np.ndarray:
     """Largest singular value of each matrix in a (..., rows, cols) stack,
-    from one batched SVD; 0.0 for matrices with a zero dimension."""
+    from one batched SVD; 0.0 for matrices with a zero dimension and +inf
+    for matrices holding inf or nan (an overflowed product)."""
     a = np.asarray(stack, dtype=float)
     if a.ndim < 2:
         raise ValueError(f"stack must be at least 2-D, got shape {a.shape}")
     if a.shape[-2] == 0 or a.shape[-1] == 0:
         return np.zeros(a.shape[:-2])
-    return np.linalg.svd(a, compute_uv=False)[..., 0]
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    norms = np.full(a.shape[:-2], np.inf)
+    norms[finite] = np.linalg.svd(a[finite], compute_uv=False)[..., 0]
+    return norms
 
 
 def spectral_norm(m) -> float:

@@ -37,11 +37,9 @@ class ObserverState:
     """
 
     k: int
-    x_pred: np.ndarray
     x_star: np.ndarray
     x_hat: np.ndarray
     d1_hat: np.ndarray
-    d2_hat_prev: np.ndarray | None
     d_hat_prev: np.ndarray | None
     delta_x: float
     delta_d_prev: float | None
@@ -60,11 +58,9 @@ def init_observer(
     d1_hat = gains.m1 @ (z1 - dec.c1 @ x_hat0 - dec.d1 @ np.asarray(u0, dtype=float))
     return ObserverState(
         k=0,
-        x_pred=x_hat0.copy(),
         x_star=x_hat0.copy(),
         x_hat=x_hat0,
         d1_hat=d1_hat,
-        d2_hat_prev=None,
         d_hat_prev=None,
         delta_x=float(delta0),
         delta_d_prev=None,
@@ -102,11 +98,9 @@ def step_observer(
         raise DivergentRadiusError(f"state radius overflowed at step {k}")
     return ObserverState(
         k=k,
-        x_pred=x_pred,
         x_star=x_star,
         x_hat=x_hat,
         d1_hat=d1_hat,
-        d2_hat_prev=d2_prev,
         d_hat_prev=d_prev,
         delta_x=delta_x,
         delta_d_prev=delta_d_prev,

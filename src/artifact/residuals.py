@@ -85,12 +85,14 @@ def build_coefficients(
     f_mats: list[np.ndarray] = [c2phi]
     j_mats: list[np.ndarray] = [gains.y_cal]
     prefix = -c2phi @ gains.psi  # the i = 1 downdate prefix
-    for i in range(1, k_max + 1):
-        a_mats.append(prefix)
-        if i < k_max:
-            f_mats.append(prefix @ gains.e @ gains.phi)
-            j_mats.append(prefix @ gains.w_cal)
-        prefix = -prefix @ ephipsi
+    # past an overflow (uncertified modes) blocks hold inf/nan; their norms read +inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, k_max + 1):
+            a_mats.append(prefix)
+            if i < k_max:
+                f_mats.append(prefix @ gains.e @ gains.phi)
+                j_mats.append(prefix @ gains.w_cal)
+            prefix = -prefix @ ephipsi
 
     j_stack = np.stack(j_mats)
     return ResidualCoefficients(
@@ -177,19 +179,32 @@ def triangle_sequence(
     with j_i the noise-block term; the drift sum is empty at k = 1.
     radius_seq holds the a-priori radii [delta_0, delta_1, ...] and needs
     at least k_max entries.  An overflowing uncertified mode saturates
-    to +inf.
+    to +inf; a zero block times an infinite radius adds 0, never nan.
     """
     k_max = coeffs.k_max
     drift = np.zeros(k_max)
     with np.errstate(over="ignore"):
-        lf_f = lipschitz * coeffs.f_norms
+        # a linear mode's drift blocks add 0, even where their norms overflowed
+        lf_f = lipschitz * coeffs.f_norms if lipschitz else np.zeros(k_max)
         if k_max > 1:
             radii = np.asarray(radius_seq[1:k_max], dtype=float)
-            drift[1:] = np.convolve(lf_f[:-1], radii)[: k_max - 1]
+            drift[1:] = _convolve(lf_f[:-1], radii)[: k_max - 1]
         j_terms = INV_RT2 * eta_v * (coeffs.j_v_norms + coeffs.j_v_next_norms) + (
             eta_w * coeffs.j_w_norms
         )
         return drift + np.cumsum(j_terms) + (coeffs.a_norms + lf_f) * float(delta0)
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full convolution of non-negative sequences in which 0 * inf is 0."""
+    a_inf, b_inf = np.isinf(a), np.isinf(b)
+    out = np.convolve(np.where(a_inf, 0.0, a), np.where(b_inf, 0.0, b))
+    if a_inf.any() or b_inf.any():
+        # count infinite-times-nonzero pairs; integer counts survive FFT rounding
+        n, f = 1 << out.size.bit_length(), np.fft.rfft
+        pairs = f(a_inf, n) * f(b != 0.0, n) + f(a != 0.0, n) * f(b_inf, n)
+        out[np.fft.irfft(pairs, n)[: out.size] > 0.5] = np.inf
+    return out
 
 
 def delta_inf(

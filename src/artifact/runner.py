@@ -3,8 +3,12 @@
 A run follows one loop: simulate the true plant for the whole horizon,
 then per step feed every surviving mode hypothesis its observer update,
 compare residual norms against precomputed thresholds, and eliminate.
-Everything downstream of the master seed is deterministic, so a config
-plus a seed reproduces its CSV outputs byte for byte.
+That loop is written once, as the generator ``iter_bank``: it yields a
+``BankRecord`` (step, surviving set, every mode's latest observer state,
+residual norms of the modes stepped) for k = 0 and after every step, and
+``run`` only formats those records.  Everything downstream of the master
+seed is deterministic, so a config plus a seed reproduces its CSV outputs
+byte for byte.
 
 Output files (see README for the column-by-column schema):
 
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,15 +132,12 @@ def simulate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
     x = np.zeros((horizon + 1, n))
     y = np.zeros((horizon + 1, l))
     x[0] = x0
-    for k in range(horizon + 1):
-        y[k] = mode.c @ x[k] + mode.d @ u[k] + mode.h @ d[k] + v[k]
-        if k < horizon:
-            x[k + 1] = (
-                eval_field(mode.field, x[k])
-                + mode.b @ u[k]
-                + mode.g @ d[k]
-                + mode.w @ w[k]
-            )
+    for k in range(horizon):
+        x[k + 1], y[k] = simulate_plant(mode, x[k], u[k], d[k], w[k], v[k])
+    # the final step only reads the output; its state update is discarded
+    _, y[horizon] = simulate_plant(
+        mode, x[horizon], u[horizon], d[horizon], np.zeros(n), v[horizon]
+    )
     return TruthTrajectory(x=x, y=y, u=u, d=d, w=w, v=v)
 
 
@@ -251,30 +252,81 @@ def _steps_header(config: ScenarioConfig) -> list[str]:
     return header
 
 
-@dataclass
-class _ModeRow:
-    """Loggable per-mode values for one step (None → empty field)."""
+@dataclass(frozen=True)
+class BankRecord:
+    """The observer bank after the updates and the elimination of step k.
 
-    res_norm: float | None = None
-    tri: float | None = None
-    inf: float | None = None
-    hat: float | None = None
-    elim: int = 0
-    state: ObserverState | None = None
+    `states` holds every mode's latest observer state, frozen at the
+    elimination step for a dead mode; `residuals` maps each mode stepped
+    at k to its residual norm (empty at k = 0).
+    """
+
+    k: int
+    mode_set: ModeSet
+    states: tuple[ObserverState, ...]
+    residuals: dict[int, float]
 
 
-def _mode_cells(mode: ModeModel, row: _ModeRow) -> list[str]:
-    cells = [
-        _fmt(row.res_norm),
-        _fmt(row.tri),
-        _fmt(row.inf),
-        _fmt(row.hat),
-        str(row.elim),
+def iter_bank(
+    config: ScenarioConfig, prepared: list[PreparedMode], truth: TruthTrajectory
+) -> Iterator[BankRecord]:
+    """Run the observer bank over the horizon, one record per step.
+
+    Yields the initialized bank at k = 0, then one record per step, and
+    stops after the step that empties the surviving set.  Numerical
+    blow-ups raise NumericalFailure naming the offending mode.
+    """
+    system = config.system
+    states = [
+        init_observer(
+            pm.dec, pm.gains, system.x_hat0, system.delta_x0, truth.y[0], truth.u[0]
+        )
+        for pm in prepared
     ]
-    state = row.state
-    if state is None:
-        cells += [""] * (mode.n + 1 + mode.p + 1)
-        return cells
+    mode_set = all_modes(len(prepared))
+    yield BankRecord(k=0, mode_set=mode_set, states=tuple(states), residuals={})
+    for k in range(1, config.horizon + 1):
+        checks: dict[int, tuple[float, float]] = {}
+        for q in mode_set.surviving:
+            pm = prepared[q]
+            try:
+                states[q] = step_observer(
+                    states[q],
+                    pm.mode,
+                    pm.dec,
+                    pm.gains,
+                    truth.u[k - 1],
+                    truth.u[k],
+                    truth.y[k],
+                )
+            except (NumericalFailure, DivergentRadiusError) as exc:
+                raise NumericalFailure(f"mode {q + 1}: {exc}") from exc
+            residual = compute_residual(pm.dec, states[q].x_star, truth.u[k], truth.y[k])
+            checks[q] = (float(np.linalg.norm(residual)), pm.thresholds[k - 1].delta_hat)
+        mode_set = eliminate_step(mode_set, k, checks)
+        residuals = {q: res_norm for q, (res_norm, _) in checks.items()}
+        yield BankRecord(k=k, mode_set=mode_set, states=tuple(states), residuals=residuals)
+        if mode_set.faulted:
+            return
+
+
+def _mode_cells(pm: PreparedMode, record: BankRecord) -> list[str]:
+    """One mode's residual, threshold, elimination and ball columns."""
+    q, mode = pm.index, pm.mode
+    if record.k == 0:
+        cells = ["", "", "", "", "0"]
+    elif q not in record.residuals:  # eliminated before this step
+        return ["", "", "", "", "1"] + [""] * (mode.n + 1 + mode.p + 1)
+    else:
+        report = pm.thresholds[record.k - 1]
+        cells = [
+            _fmt(record.residuals[q]),
+            _fmt(report.delta_tri),
+            "" if report.capped else _fmt(report.delta_inf),
+            _fmt(report.delta_hat),
+            str(int(q not in record.mode_set.surviving)),
+        ]
+    state = record.states[q]
     cells += [_fmt(val) for val in state.x_hat]
     cells.append(_fmt(state.delta_x))
     if state.d_hat_prev is None:
@@ -306,79 +358,23 @@ def run(
 
     prepared = prepare_modes(config)
     truth = simulate_truth(config, seed)
-    system = config.system
-    horizon = config.horizon
-    count = system.mode_count
 
-    states: list[ObserverState] = [
-        init_observer(
-            pm.dec, pm.gains, system.x_hat0, system.delta_x0, truth.y[0], truth.u[0]
-        )
-        for pm in prepared
-    ]
-    mode_set = all_modes(count)
-
-    header = _steps_header(config)
     rows: list[list[str]] = []
-
-    def emit_row(k: int, mode_rows: list[_ModeRow], surv: int) -> None:
-        cells = [str(k)]
-        cells += [_fmt(val) for val in truth.x[k]]
-        cells += [_fmt(val) for val in truth.d[k]]
-        cells.append(str(surv))
-        for pm, row in zip(prepared, mode_rows):
-            cells += _mode_cells(pm.mode, row)
+    for record in iter_bank(config, prepared, truth):
+        cells = [str(record.k)]
+        cells += [_fmt(val) for val in truth.x[record.k]]
+        cells += [_fmt(val) for val in truth.d[record.k]]
+        cells.append(str(len(record.mode_set.surviving)))
+        for pm in prepared:
+            cells += _mode_cells(pm, record)
         rows.append(cells)
-
-    emit_row(
-        0,
-        [_ModeRow(state=states[q]) for q in range(count)],
-        surv=count,
-    )
-
-    fault_step: int | None = None
-    for k in range(1, horizon + 1):
-        checks: dict[int, tuple[float, float]] = {}
-        mode_rows = [_ModeRow(elim=1) for _ in range(count)]
-        for q in mode_set.surviving:
-            pm = prepared[q]
-            try:
-                states[q] = step_observer(
-                    states[q],
-                    pm.mode,
-                    pm.dec,
-                    pm.gains,
-                    truth.u[k - 1],
-                    truth.u[k],
-                    truth.y[k],
-                )
-            except (NumericalFailure, DivergentRadiusError) as exc:
-                raise NumericalFailure(f"mode {q + 1}: {exc}") from exc
-            residual = compute_residual(pm.dec, states[q].x_star, truth.u[k], truth.y[k])
-            res_norm = float(np.linalg.norm(residual))
-            report = pm.thresholds[k - 1]
-            checks[q] = (res_norm, report.delta_hat)
-            mode_rows[q] = _ModeRow(
-                res_norm=res_norm,
-                tri=report.delta_tri,
-                inf=None if report.capped else report.delta_inf,
-                hat=report.delta_hat,
-                elim=0,
-                state=states[q],
-            )
-        mode_set = eliminate_step(mode_set, k, checks)
-        for q, step in mode_set.eliminated_at.items():
-            if step == k:
-                mode_rows[q].elim = 1
-        emit_row(k, mode_rows, surv=len(mode_set.surviving))
-        if mode_set.faulted:
-            fault_step = k
-            break
+    mode_set = record.mode_set
+    fault_step = record.k if mode_set.faulted else None
 
     steps_path = resolved_out / "steps.csv"
     with steps_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(_steps_header(config))
         writer.writerows(rows)
 
     for pm in prepared:
@@ -386,7 +382,7 @@ def run(
             resolved_out / f"thresholds_q{pm.index + 1}.csv", pm.thresholds
         )
 
-    report = _build_report(config, seed, prepared, mode_set, states, fault_step)
+    report = _build_report(config, seed, prepared, mode_set, record.states, fault_step)
     (resolved_out / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
@@ -436,7 +432,7 @@ def _build_report(
     seed: int,
     prepared: list[PreparedMode],
     mode_set: ModeSet,
-    states: list[ObserverState],
+    states: tuple[ObserverState, ...],
     fault_step: int | None,
 ) -> dict:
     modes_payload = []

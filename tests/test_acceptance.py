@@ -19,6 +19,7 @@ walks through each mechanism.
 """
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -27,13 +28,11 @@ import pytest
 from artifact import runner
 from artifact.config import load_config
 from artifact.detectability import check_condition_ii
-from artifact.estimator import Ball, all_modes, bounding_ball, eliminate_step
-from artifact.observer import init_observer, step_observer
+from artifact.estimator import Ball, bounding_ball
 from artifact.residuals import (
     assemble_matrix,
     box_radii,
     build_coefficients,
-    compute_residual,
     delta_inf,
     eta_t,
 )
@@ -48,10 +47,9 @@ def _bank_sweep(config, seeds):
     """Run the full observer bank for many seeds, collecting violations.
 
     Thresholds and gains are seed-independent, so they are prepared once;
-    the per-seed loop mirrors runner.run without the file output.
+    each seed runs runner.iter_bank without the file output.
     """
     prepared = runner.prepare_modes(config)
-    system = config.system
     true_q = config.true_mode - 1
     stats = {
         "elapsed": 0.0,
@@ -64,28 +62,12 @@ def _bank_sweep(config, seeds):
     t0 = time.perf_counter()
     for seed in seeds:
         truth = runner.simulate_truth(config, seed)
-        states = [
-            init_observer(pm.dec, pm.gains, system.x_hat0, system.delta_x0,
-                          truth.y[0], truth.u[0])
-            for pm in prepared
-        ]
-        mode_set = all_modes(len(prepared))
-        for k in range(1, config.horizon + 1):
-            checks = {}
-            for q in mode_set.surviving:
-                pm = prepared[q]
-                states[q] = step_observer(
-                    states[q], pm.mode, pm.dec, pm.gains,
-                    truth.u[k - 1], truth.u[k], truth.y[k],
-                )
-                res = compute_residual(pm.dec, states[q].x_star, truth.u[k], truth.y[k])
-                checks[q] = (float(np.linalg.norm(res)), pm.thresholds[k - 1].delta_hat)
-            mode_set = eliminate_step(mode_set, k, checks)
-
-            if true_q in mode_set.eliminated_at:
+        for record in itertools.islice(runner.iter_bank(config, prepared, truth), 1, None):
+            k = record.k
+            if true_q in record.mode_set.eliminated_at:
                 stats["true_mode_eliminations"] += 1
                 break
-            state = states[true_q]
+            state = record.states[true_q]
             stats["steps_checked"] += 1
             if np.linalg.norm(truth.x[k] - state.x_hat) > state.delta_x:
                 stats["state_containment_violations"] += 1
@@ -94,7 +76,7 @@ def _bank_sweep(config, seeds):
                 > state.delta_d_prev
             ):
                 stats["input_containment_violations"] += 1
-            if checks[true_q][0] > checks[true_q][1]:
+            if record.residuals[true_q] > prepared[true_q].thresholds[k - 1].delta_hat:
                 stats["residual_bound_violations"] += 1
     stats["elapsed"] = time.perf_counter() - t0
     return stats
@@ -253,33 +235,18 @@ def test_enumeration_bound_exceeds_triangle_bound_at_last_enumerated_step(
 def _surviving_and_fused_radii(name: str):
     config = load_config(scenario_path(name))
     prepared = runner.prepare_modes(config)
-    system = config.system
     truth = runner.simulate_truth(config, config.seed)
-    states = [
-        init_observer(pm.dec, pm.gains, system.x_hat0, system.delta_x0,
-                      truth.y[0], truth.u[0])
-        for pm in prepared
+    records = list(runner.iter_bank(config, prepared, truth))
+    final = records[-1].mode_set
+    assert not final.faulted
+    radii = [
+        bounding_ball(
+            [Ball(center=record.states[q].x_hat, radius=record.states[q].delta_x)
+             for q in record.mode_set.surviving]
+        ).radius
+        for record in records[1:]
     ]
-    mode_set = all_modes(len(prepared))
-    radii = []
-    for k in range(1, config.horizon + 1):
-        checks = {}
-        for q in mode_set.surviving:
-            pm = prepared[q]
-            states[q] = step_observer(
-                states[q], pm.mode, pm.dec, pm.gains,
-                truth.u[k - 1], truth.u[k], truth.y[k],
-            )
-            res = compute_residual(pm.dec, states[q].x_star, truth.u[k], truth.y[k])
-            checks[q] = (float(np.linalg.norm(res)), pm.thresholds[k - 1].delta_hat)
-        mode_set = eliminate_step(mode_set, k, checks)
-        assert not mode_set.faulted
-        fused = bounding_ball(
-            [Ball(center=states[q].x_hat, radius=states[q].delta_x)
-             for q in mode_set.surviving]
-        )
-        radii.append(fused.radius)
-    return len(mode_set.surviving), np.array(radii)
+    return len(final.surviving), np.array(radii)
 
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2"])

@@ -75,6 +75,17 @@ def test_steady_tri_flags_divergence_with_infinite_value() -> None:
     assert math.isinf(report.value)
 
 
+def test_steady_tri_report_does_not_depend_on_the_cap_past_its_stop() -> None:
+    # scenario1 stops at iterations 2, 520, 326, 307 and 142; mode 5's
+    # coefficient blocks overflow near k = 3527, which must only read +inf
+    config = load_config(scenario_path("scenario1"))
+    delta0 = config.system.delta_x0
+    for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+        capped = steady_tri(q, gains, dec, delta0, k_cap=2000)
+        assert capped.iterations < 2000
+        assert steady_tri(q, gains, dec, delta0, k_cap=5000) == capped
+
+
 def test_analytic_limit_reduces_to_offset_when_interconnection_vanishes() -> None:
     # psi = 0 and a zero measurement contraction kill the geometric pieces
     dec, gains = _prepared(invertible_channel_mode())

@@ -23,6 +23,8 @@ from conftest import (
     stacked_word,
 )
 
+from artifact import runner
+from artifact.config import load_config
 from artifact.decomposition import decompose
 from artifact.gains import synthesize_gains
 from artifact.observer import radius_sequence
@@ -37,6 +39,7 @@ from artifact.residuals import (
     triangle_sequence,
     word_dim,
 )
+from artifact.scenarios import scenario_path
 
 
 def assert_exact_decomposition(mode, *, seed: int, steps: int, gain_scale=None, atol=1e-10) -> None:
@@ -142,6 +145,16 @@ def test_triangle_bound_matches_hand_sum_at_small_k() -> None:
         for k in range(1, 31):
             expected = hand_sum(coeffs, k, gains.lipschitz, 0.4, 0.03, seq)
             assert tri[k - 1] == pytest.approx(expected, rel=1e-12)
+
+    # scenario1 at k_max = 1100: mode 1's drift blocks are zero while its
+    # radius overflows to +inf, which adds 0 (never 0 * inf = nan); modes
+    # 3-5 meet their infinite radii with nonzero blocks, which gives +inf
+    config = load_config(scenario_path("scenario1"))
+    for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+        table = build_threshold_table(gains, dec, config.system.delta_x0, 1100, 1)
+        tri = np.array([report.delta_tri for report in table])
+        assert not np.isnan(tri).any(), f"mode {q + 1}"
+        assert np.isfinite(tri[-1]) == (q < 2), f"mode {q + 1}"
 
 
 def test_triangle_bound_dominates_residuals_on_certified_mode() -> None:
