@@ -11,27 +11,22 @@ to a YAML file or the name of a bundled scenario:
 
 Exit codes: 0 success; 2 configuration or model-validation error
 (including uncertified gains without allow_uncertified); 3 model
-mismatch (every hypothesis eliminated); 4 numerical failure.
+mismatch (every hypothesis eliminated); 4 numerical failure (a
+non-finite center estimate or a failed factorization).  A diverging
+radius of an uncertified mode is not a failure: it saturates to inf.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from .config import ScenarioConfig, load_config
 from .detectability import report_detectability
-from .errors import (
-    ConfigurationError,
-    DivergentRadiusError,
-    NumericalFailure,
-    SynthesisError,
-)
+from .errors import ConfigurationError, NumericalFailure, SynthesisError
 from .residuals import build_threshold_table
-from .runner import gain_bank, run, write_threshold_csv
+from .runner import gain_bank, json_safe, run, write_threshold_csv
 from .scenarios import list_scenarios, scenario_path
 from .sdpa import BRANCHES, assemble_sdp, format_sdpa
 
@@ -61,19 +56,6 @@ def _out_dir(args: argparse.Namespace, config: ScenarioConfig) -> Path:
     return path
 
 
-def _json_safe(obj):
-    """Recursively replace non-finite floats so the JSON stays strict."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _json_safe(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
     result = run(config, seed=args.seed, out_dir=args.out)
@@ -97,7 +79,7 @@ def _cmd_check_detectability(args: argparse.Namespace) -> int:
         [gains for _, gains in bank],
     )
     out = _out_dir(args, config)
-    payload = _json_safe(report)
+    payload = json_safe(report)
     (out / "detectability.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
@@ -204,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, DivergentRadiusError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

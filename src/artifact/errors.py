@@ -18,8 +18,3 @@ class SigmaMinUndefinedError(ValueError):
 class SynthesisError(RuntimeError):
     """Raised when observer gains cannot be synthesized for a mode
     (typically a failed rank condition on the measurable input channel)."""
-
-
-class DivergentRadiusError(RuntimeError):
-    """Raised when steady-state error radii are requested for a mode whose
-    radius recursion does not contract."""

@@ -60,38 +60,6 @@ class Ball:
     radius: float
 
 
-@dataclass(frozen=True)
-class EstimateSnapshot:
-    """Fused output at one step: the per-mode balls of every survivor.
-
-    The fused set is the union of the listed balls; no merging happens
-    here because any single enclosing ball is strictly weaker.
-    """
-
-    k: int
-    surviving: tuple[int, ...]
-    state_balls: tuple[Ball, ...]
-    input_balls: tuple[Ball, ...]
-    faulted: bool
-
-
-def fuse(
-    k: int,
-    mode_set: ModeSet,
-    state_balls: dict[int, Ball],
-    input_balls: dict[int, Ball],
-) -> EstimateSnapshot:
-    if mode_set.faulted:
-        return EstimateSnapshot(k=k, surviving=(), state_balls=(), input_balls=(), faulted=True)
-    return EstimateSnapshot(
-        k=k,
-        surviving=mode_set.surviving,
-        state_balls=tuple(state_balls[q] for q in mode_set.surviving),
-        input_balls=tuple(input_balls[q] for q in mode_set.surviving),
-        faulted=False,
-    )
-
-
 def bounding_ball(balls: tuple[Ball, ...] | list[Ball]) -> Ball:
     """One ball containing the union of `balls`.
 

@@ -81,6 +81,15 @@ class ObserverGains:
     def certified(self) -> bool:
         return self.theta < 1.0
 
+    def input_radius(self, delta_x: float) -> float:
+        """Lagged input radius beta * delta_x + alpha_bar for the state
+        radius delta_x one step earlier.  It saturates to inf with
+        delta_x, and a zero beta ignores an infinite delta_x instead of
+        turning it into NaN."""
+        if self.beta == 0.0:
+            return self.alpha_bar
+        return self.beta * float(delta_x) + self.alpha_bar
+
 
 def synthesize_gains(
     mode: ModeModel,
@@ -246,5 +255,5 @@ def verify_certificate(
         theta_quadratic=theta_q,
         theta_recursion=theta_r,
         delta_x_limit=delta_x,
-        delta_d_limit=gains.beta * delta_x + gains.alpha_bar,
+        delta_d_limit=gains.input_radius(delta_x),
     )

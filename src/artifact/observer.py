@@ -4,7 +4,9 @@ Each step runs three stages against the rotated measurement: time update
 with the previous direct-feedthrough input estimate, recovery of the
 state-coupled input component from the feedthrough-free channel, and a
 gain correction on the same channel.  The direct component is then read
-off the feedthrough channel, and both per-step error radii are advanced.
+off the feedthrough channel.  A step updates only these centers: the error
+radii read no measurement, so ``radius_sequence`` tabulates them once per
+mode, saturating to +inf where the recursion overflows.
 
 The input estimate is inherently one step delayed: after processing y_k
 the observer reports d-hat for step k-1.  Initialization already consumes
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import ModeDecomposition, split_output
-from .errors import DivergentRadiusError
 from .gains import ObserverGains
 from .linalg import ensure_finite
 from .system import ModeModel, eval_field
@@ -30,8 +31,8 @@ class ObserverState:
     """Observer outputs after processing the measurement at step k.
 
     `x_star` is the pre-correction estimate the residual is defined
-    against.  `d_hat_prev` / `delta_d_prev` describe the unknown input at
-    step k-1 (None at k = 0, where no full input estimate exists yet).
+    against.  `d_hat_prev` estimates the unknown input at step k-1 (None
+    at k = 0, where no full input estimate exists yet).
     `d1_hat` is the current direct-component estimate feeding the next
     time update.
     """
@@ -41,15 +42,12 @@ class ObserverState:
     x_hat: np.ndarray
     d1_hat: np.ndarray
     d_hat_prev: np.ndarray | None
-    delta_x: float
-    delta_d_prev: float | None
 
 
 def init_observer(
     dec: ModeDecomposition,
     gains: ObserverGains,
     x_hat0: np.ndarray,
-    delta0: float,
     y0: np.ndarray,
     u0: np.ndarray,
 ) -> ObserverState:
@@ -62,8 +60,6 @@ def init_observer(
         x_hat=x_hat0,
         d1_hat=d1_hat,
         d_hat_prev=None,
-        delta_x=float(delta0),
-        delta_d_prev=None,
     )
 
 
@@ -91,19 +87,12 @@ def step_observer(
     k = state.k + 1
     ensure_finite(x_hat, f"state estimate at step {k}")
     ensure_finite(d_prev, f"input estimate at step {k}")
-
-    delta_d_prev = gains.beta * state.delta_x + gains.alpha_bar
-    delta_x = gains.theta * state.delta_x + gains.eta_bar
-    if not np.isfinite(delta_x):
-        raise DivergentRadiusError(f"state radius overflowed at step {k}")
     return ObserverState(
         k=k,
         x_star=x_star,
         x_hat=x_hat,
         d1_hat=d1_hat,
         d_hat_prev=d_prev,
-        delta_x=delta_x,
-        delta_d_prev=delta_d_prev,
     )
 
 
@@ -117,27 +106,3 @@ def radius_sequence(gains: ObserverGains, delta0: float, k_max: int) -> np.ndarr
         for k in range(1, k_max + 1):
             out[k] = gains.theta * out[k - 1] + gains.eta_bar
     return out
-
-
-def radius_closed_form(gains: ObserverGains, delta0: float, k: int) -> float:
-    """Geometric-sum form of the same recursion (theta != 1)."""
-    th = gains.theta
-    if th == 1.0:
-        return float(delta0) + k * gains.eta_bar
-    return float(delta0) * th**k + gains.eta_bar * (1.0 - th**k) / (1.0 - th)
-
-
-def steady_state_radii(gains: ObserverGains) -> tuple[float, float]:
-    """Fixed point of the radius recursion and the induced input radius.
-
-    Raises
-    ------
-    DivergentRadiusError
-        When theta >= 1, where no finite fixed point exists.
-    """
-    if gains.theta >= 1.0:
-        raise DivergentRadiusError(
-            f"radius recursion does not contract (theta = {gains.theta:.6g})"
-        )
-    dx = gains.eta_bar / (1.0 - gains.theta)
-    return dx, gains.beta * dx + gains.alpha_bar

@@ -242,25 +242,6 @@ def delta_inf(
     return best, total, False
 
 
-def eta_t(
-    k: int,
-    n: int,
-    l: int,
-    lipschitz: float,
-    delta0: float,
-    eta_v: float,
-    eta_w: float,
-    radius_seq: np.ndarray,
-) -> float:
-    """Common Euclidean norm of every vertex of the step-k word hypercube."""
-    lf2 = lipschitz * lipschitz
-    tail = sum(float(radius_seq[j]) ** 2 for j in range(1, k))
-    return math.sqrt(
-        n * ((1.0 + lf2) * delta0**2 + k * eta_w**2 + lf2 * tail)
-        + l * (k + 1) * eta_v**2
-    )
-
-
 @dataclass(frozen=True)
 class ThresholdReport:
     """Elimination threshold data for one mode at one step."""

@@ -6,9 +6,11 @@ compare residual norms against precomputed thresholds, and eliminate.
 That loop is written once, as the generator ``iter_bank``: it yields a
 ``BankRecord`` (step, surviving set, every mode's latest observer state,
 residual norms of the modes stepped) for k = 0 and after every step, and
-``run`` only formats those records.  Everything downstream of the master
-seed is deterministic, so a config plus a seed reproduces its CSV outputs
-byte for byte.
+``run`` only formats those records.  The loop does no radius arithmetic:
+``prepare_modes`` tabulates each mode's state radii once, and a state at
+step k reads its radius from ``radius_seq[k]``.  Everything downstream of
+the master seed is deterministic, so a config plus a seed reproduces its
+CSV outputs byte for byte.
 
 Output files (see README for the column-by-column schema):
 
@@ -18,16 +20,18 @@ Output files (see README for the column-by-column schema):
 * ``report.txt`` / ``report.json``  final surviving set, elimination
                         times, certification flags, final balls.
 
-Floats are serialized with ``repr`` (shortest round-trip); missing
-values (pre-elimination residuals at k = 0, capped vertex bounds,
-columns of dead modes) are empty fields.
+Floats are serialized with ``repr`` (shortest round-trip), so a radius
+that overflowed reads ``inf``, and JSON writes non-finite floats as
+strings; missing values (pre-elimination residuals at k = 0, capped
+vertex bounds, columns of dead modes) are empty fields.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +43,7 @@ from .config import (
     ZeroInput,
 )
 from .decomposition import ModeDecomposition, decompose
-from .errors import ConfigurationError, DivergentRadiusError, NumericalFailure
+from .errors import ConfigurationError, NumericalFailure
 from .estimator import Ball, ModeSet, all_modes, bounding_ball, eliminate_step
 from .gains import ObserverGains, synthesize_gains
 from .observer import ObserverState, init_observer, radius_sequence, step_observer
@@ -149,7 +153,7 @@ class PreparedMode:
     mode: ModeModel
     dec: ModeDecomposition
     gains: ObserverGains
-    radius_seq: np.ndarray
+    radius_seq: np.ndarray  # state radii for k = 0..horizon
     thresholds: tuple[ThresholdReport, ...]  # k = 1..horizon
 
 
@@ -276,11 +280,8 @@ def iter_bank(
     stops after the step that empties the surviving set.  Numerical
     blow-ups raise NumericalFailure naming the offending mode.
     """
-    system = config.system
     states = [
-        init_observer(
-            pm.dec, pm.gains, system.x_hat0, system.delta_x0, truth.y[0], truth.u[0]
-        )
+        init_observer(pm.dec, pm.gains, config.system.x_hat0, truth.y[0], truth.u[0])
         for pm in prepared
     ]
     mode_set = all_modes(len(prepared))
@@ -299,7 +300,7 @@ def iter_bank(
                     truth.u[k],
                     truth.y[k],
                 )
-            except (NumericalFailure, DivergentRadiusError) as exc:
+            except NumericalFailure as exc:
                 raise NumericalFailure(f"mode {q + 1}: {exc}") from exc
             residual = compute_residual(pm.dec, states[q].x_star, truth.u[k], truth.y[k])
             checks[q] = (float(np.linalg.norm(residual)), pm.thresholds[k - 1].delta_hat)
@@ -328,12 +329,12 @@ def _mode_cells(pm: PreparedMode, record: BankRecord) -> list[str]:
         ]
     state = record.states[q]
     cells += [_fmt(val) for val in state.x_hat]
-    cells.append(_fmt(state.delta_x))
+    cells.append(_fmt(pm.radius_seq[state.k]))
     if state.d_hat_prev is None:
         cells += [""] * mode.p + [""]
     else:
         cells += [_fmt(val) for val in state.d_hat_prev]
-        cells.append(_fmt(state.delta_d_prev))
+        cells.append(_fmt(pm.gains.input_radius(pm.radius_seq[state.k - 1])))
     return cells
 
 
@@ -384,7 +385,7 @@ def run(
 
     report = _build_report(config, seed, prepared, mode_set, record.states, fault_step)
     (resolved_out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
+        json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"
     )
     (resolved_out / "report.txt").write_text(_render_report_text(report))
 
@@ -416,14 +417,27 @@ def write_threshold_csv(path: Path, thresholds: tuple[ThresholdReport, ...]) -> 
             )
 
 
-def _final_ball_payload(state: ObserverState) -> dict:
+def json_safe(obj):
+    """Recursively replace non-finite floats so the JSON stays strict."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return json_safe(asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def _final_ball_payload(pm: PreparedMode, state: ObserverState) -> dict:
     payload = {
         "x_hat": [float(v) for v in state.x_hat],
-        "delta_x": float(state.delta_x),
+        "delta_x": float(pm.radius_seq[state.k]),
     }
     if state.d_hat_prev is not None:
         payload["d_hat_prev"] = [float(v) for v in state.d_hat_prev]
-        payload["delta_d_prev"] = float(state.delta_d_prev)
+        payload["delta_d_prev"] = pm.gains.input_radius(pm.radius_seq[state.k - 1])
     return payload
 
 
@@ -447,13 +461,14 @@ def _build_report(
             }
         )
     final = {
-        str(q + 1): _final_ball_payload(states[q]) for q in mode_set.surviving
+        str(q + 1): _final_ball_payload(prepared[q], states[q])
+        for q in mode_set.surviving
     }
     enclosing = None
     if mode_set.surviving:
         ball = bounding_ball(
             [
-                Ball(center=states[q].x_hat, radius=states[q].delta_x)
+                Ball(center=states[q].x_hat, radius=prepared[q].radius_seq[states[q].k])
                 for q in mode_set.surviving
             ]
         )

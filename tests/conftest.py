@@ -1,4 +1,5 @@
-"""Shared builders: sample modes and a self-contained closed-loop simulator.
+"""Shared builders: sample modes, a self-contained closed-loop simulator,
+and the vertex norm of the word hypercube.
 
 The simulator here is deliberately independent of the package's runner so
 that residual/containment checks compare the library against plain
@@ -6,6 +7,7 @@ hand-written plant arithmetic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +147,7 @@ def run_closed_loop(
 
     x = [x0]
     y = [mode.c @ x0 + mode.d @ u[0] + mode.h @ d[0] + v[0]]
-    states = [init_observer(dec, gains, x_hat0, delta0, y[0], u[0])]
+    states = [init_observer(dec, gains, x_hat0, y[0], u[0])]
     residuals: list[np.ndarray] = []
     for k in range(1, steps + 1):
         x_next = eval_field(mode.field, x[k - 1]) + mode.b @ u[k - 1] + mode.g @ d[k - 1] + mode.w @ w[k - 1]
@@ -168,6 +170,25 @@ def run_closed_loop(
         y=y,
         states=states,
         residuals=residuals,
+    )
+
+
+def eta_t(
+    k: int,
+    n: int,
+    l: int,
+    lipschitz: float,
+    delta0: float,
+    eta_v: float,
+    eta_w: float,
+    radius_seq: np.ndarray,
+) -> float:
+    """Common Euclidean norm of every vertex of the step-k word hypercube."""
+    lf2 = lipschitz * lipschitz
+    tail = sum(float(radius_seq[j]) ** 2 for j in range(1, k))
+    return math.sqrt(
+        n * ((1.0 + lf2) * delta0**2 + k * eta_w**2 + lf2 * tail)
+        + l * (k + 1) * eta_v**2
     )
 
 

@@ -6,11 +6,9 @@ import pytest
 
 from artifact.estimator import (
     Ball,
-    ModeSet,
     all_modes,
     bounding_ball,
     eliminate_step,
-    fuse,
 )
 
 
@@ -57,25 +55,7 @@ def test_elimination_outcome_is_permutation_invariant() -> None:
 def test_empty_surviving_set_is_a_fault_not_a_crash() -> None:
     ms = all_modes(2)
     ms = eliminate_step(ms, 5, {0: (1.0, 0.1), 1: (1.0, 0.1)})
-    assert ms.faulted
-    snap = fuse(5, ms, {}, {})
-    assert snap.faulted and snap.surviving == () and snap.state_balls == ()
-
-
-def test_fuse_lists_survivor_balls_without_merging() -> None:
-    ms = ModeSet(surviving=(0, 2), eliminated_at={1: 3})
-    state = {
-        0: Ball(center=np.array([0.0, 0.0]), radius=0.5),
-        2: Ball(center=np.array([1.0, 1.0]), radius=0.2),
-    }
-    inputs = {
-        0: Ball(center=np.array([0.3]), radius=0.1),
-        2: Ball(center=np.array([-0.3]), radius=0.4),
-    }
-    snap = fuse(7, ms, state, inputs)
-    assert snap.k == 7 and snap.surviving == (0, 2)
-    assert snap.state_balls[0].radius == 0.5 and snap.state_balls[1].radius == 0.2
-    np.testing.assert_array_equal(snap.input_balls[1].center, [-0.3])
+    assert ms.faulted and ms.surviving == ()
 
 
 def test_bounding_ball_contains_every_member_ball() -> None:

@@ -145,6 +145,10 @@ def test_certificate_falls_back_to_the_recursion_candidate() -> None:
     assert rep.valid and rep.case == "recursion"
     assert rep.theta_quadratic == pytest.approx(2.0)
     assert rep.delta_x_limit == pytest.approx(gains.eta_bar / (1.0 - gains.theta), rel=1e-12)
+    # the limit is the fixed point of the radius recursion
+    dx = rep.delta_x_limit
+    assert dx == pytest.approx(gains.theta * dx + gains.eta_bar, abs=1e-14)
+    assert rep.delta_d_limit == pytest.approx(gains.beta * dx + gains.alpha_bar, abs=1e-14)
 
 
 def test_certificate_rejects_bad_p_and_reports_divergence() -> None:

@@ -1,4 +1,4 @@
-"""Observer stepping, radius recursion, steady-state radii."""
+"""Observer stepping and the tabulated radius recursion."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,15 +11,9 @@ from conftest import (
 )
 
 from artifact.decomposition import decompose, split_output
-from artifact.errors import DivergentRadiusError, NumericalFailure
+from artifact.errors import NumericalFailure
 from artifact.gains import synthesize_gains
-from artifact.observer import (
-    init_observer,
-    radius_closed_form,
-    radius_sequence,
-    step_observer,
-    steady_state_radii,
-)
+from artifact.observer import init_observer, radius_sequence, step_observer
 from artifact.system import eval_field
 
 
@@ -29,13 +23,12 @@ def test_init_consumes_the_first_measurement_for_the_direct_component() -> None:
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
     x_hat0 = np.array([0.4, 0.4])
     y0 = np.array([0.3, -0.2])
-    state = init_observer(dec, gains, x_hat0, 0.5, y0, np.zeros(1))
+    state = init_observer(dec, gains, x_hat0, y0, np.zeros(1))
     z1, _ = split_output(dec, y0)
     np.testing.assert_allclose(
         state.d1_hat, gains.m1 @ (z1 - dec.c1 @ x_hat0), atol=1e-14
     )
-    assert state.k == 0 and state.delta_x == 0.5
-    assert state.d_hat_prev is None and state.delta_d_prev is None
+    assert state.k == 0 and state.d_hat_prev is None
     np.testing.assert_array_equal(state.x_hat, x_hat0)
 
 
@@ -45,7 +38,7 @@ def test_noise_free_consistent_run_is_tracked_exactly() -> None:
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
     x = np.array([0.2, -0.1])
-    state = init_observer(dec, gains, x, 0.3, mode.c @ x, np.zeros(1))
+    state = init_observer(dec, gains, x, mode.c @ x, np.zeros(1))
     for k in range(1, 8):
         x = eval_field(mode.field, x)
         y = mode.c @ x
@@ -62,7 +55,7 @@ def test_unknown_input_is_reconstructed_one_step_late_when_error_collapses() -> 
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
     rng = np.random.default_rng(5)
     x = np.array([0.1, 0.3])
-    state = init_observer(dec, gains, x, 0.3, mode.c @ x + mode.h @ np.array([0.7]), np.zeros(1))
+    state = init_observer(dec, gains, x, mode.c @ x + mode.h @ np.array([0.7]), np.zeros(1))
     d_seq = [np.array([0.7])]
     for k in range(1, 6):
         d_seq.append(rng.normal(size=1))
@@ -77,43 +70,46 @@ def test_radius_recursion_agrees_with_closed_form() -> None:
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
     seq = radius_sequence(gains, 0.5, 40)
+    th = gains.theta
+    assert th != 1.0
     for k in (0, 1, 5, 17, 40):
-        assert seq[k] == pytest.approx(radius_closed_form(gains, 0.5, k), rel=1e-12, abs=1e-12)
-    trace = run_closed_loop(mode, steps=12, seed=3, eta_w=0.02, eta_v=0.02, delta0=0.5)
-    for k in range(13):
-        assert trace.states[k].delta_x == pytest.approx(seq[k], rel=1e-12, abs=1e-12)
+        # geometric sum of delta_k = theta delta_{k-1} + eta_bar
+        closed = 0.5 * th**k + gains.eta_bar * (1.0 - th**k) / (1.0 - th)
+        assert seq[k] == pytest.approx(closed, rel=1e-12, abs=1e-12)
 
 
 def test_radii_upper_bound_errors_on_certified_mode() -> None:
     mode = invertible_channel_mode()
     for seed in range(40, 46):
         trace = run_closed_loop(mode, steps=25, seed=seed, eta_w=0.05, eta_v=0.05, delta0=0.3)
+        seq = radius_sequence(trace.gains, 0.3, 25)
         for k in range(26):
             st = trace.states[k]
-            assert np.linalg.norm(trace.x[k] - st.x_hat) <= st.delta_x + 1e-12
+            assert np.linalg.norm(trace.x[k] - st.x_hat) <= seq[k] + 1e-12
             if k >= 1:
                 gap = np.linalg.norm(trace.d[k - 1] - st.d_hat_prev)
-                assert gap <= st.delta_d_prev + 1e-12
+                assert gap <= trace.gains.input_radius(seq[k - 1]) + 1e-12
 
 
-def test_steady_state_radii_fixed_point_and_divergence_guard() -> None:
+def test_lagged_input_radius_stays_alpha_bar_where_the_state_radius_overflows() -> None:
+    # an overdriven gain diverges (theta ~ 2.69) but zeroes beta, so the
+    # input radius must not inherit 0 * inf = NaN from the state radius
     mode = invertible_channel_mode()
     dec = decompose(mode)
-    gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
-    dx, dd = steady_state_radii(gains)
-    assert dx == pytest.approx(gains.theta * dx + gains.eta_bar, abs=1e-14)
-    assert dd == pytest.approx(gains.beta * dx + gains.alpha_bar, abs=1e-14)
-    undamped = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05, user_gain=np.zeros((2, 2)))
-    if undamped.theta >= 1.0:
-        with pytest.raises(DivergentRadiusError):
-            steady_state_radii(undamped)
+    gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05, user_gain=5 * np.eye(2))
+    assert gains.theta > 1.0 and gains.beta == 0.0
+    seq = radius_sequence(gains, 0.3, 800)
+    overflowed = np.flatnonzero(np.isinf(seq))
+    assert overflowed.size and overflowed[0] == 718
+    for k in overflowed:
+        assert gains.input_radius(seq[k]) == gains.alpha_bar
 
 
 def test_non_finite_measurement_raises_numerical_failure_with_step() -> None:
     mode = scalar_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
-    state = init_observer(dec, gains, np.zeros(2), 0.5, np.zeros(2), np.zeros(1))
+    state = init_observer(dec, gains, np.zeros(2), np.zeros(2), np.zeros(1))
     with pytest.raises(NumericalFailure, match="step 1"):
         step_observer(state, mode, dec, gains, np.zeros(1), np.zeros(1), np.array([np.nan, 0.0]))
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from conftest import (
     blind_row_mode,
+    eta_t,
     full_pipeline_mode,
     invertible_channel_mode,
     run_closed_loop,
@@ -35,7 +36,6 @@ from artifact.residuals import (
     build_threshold_table,
     compute_residual,
     delta_inf,
-    eta_t,
     triangle_sequence,
     word_dim,
 )

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
 from artifact import cli, runner
 from artifact.config import GainsSpec, ZeroInput, load_config, parse_config
@@ -267,12 +268,13 @@ def test_steps_csv_layout_and_empty_field_conventions(tmp_path) -> None:
     assert len(rows) == config.horizon + 1
 
 
-def test_rerun_with_same_seed_is_byte_identical(tmp_path) -> None:
-    config = load_config(scenario_path("linear_bench"))
-    first = runner.run(config, seed=3, out_dir=tmp_path / "one")
-    second = runner.run(config, seed=3, out_dir=tmp_path / "two")
+@pytest.mark.parametrize("name, seed", [("linear_bench", 3), ("test_system_a", 41)])
+def test_rerun_with_same_seed_is_byte_identical(tmp_path, name, seed) -> None:
+    config = load_config(scenario_path(name))
+    first = runner.run(config, seed=seed, out_dir=tmp_path / "one")
+    second = runner.run(config, seed=seed, out_dir=tmp_path / "two")
     assert first.steps_path.read_bytes() == second.steps_path.read_bytes()
-    third = runner.run(config, seed=4, out_dir=tmp_path / "three")
+    third = runner.run(config, seed=seed + 1, out_dir=tmp_path / "three")
     assert first.steps_path.read_bytes() != third.steps_path.read_bytes()
 
 
@@ -342,13 +344,36 @@ def test_cli_maps_numerical_failure_to_exit_4(tmp_path, monkeypatch, capsys) -> 
     assert "numerical failure" in err and "mode 1" in err
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+def test_cli_run_saturates_a_diverged_radius_at_long_horizon(tmp_path, name) -> None:
+    # mode 5's radius overflows at step 435 and mode 1's at 967; neither is
+    # a numerical failure, and the true mode's threshold stays finite
+    data = yaml.safe_load(scenario_path(name).read_text())
+    data["horizon"] = 1000
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    for table in out.glob("*.csv"):
+        with table.open() as fh:
+            assert not any(cell == "nan" for row in csv.reader(fh) for cell in row)
+    with (out / "steps.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1001
+    assert float(rows[434]["dx_q5"]) < float("inf") and rows[435]["dx_q5"] == "inf"
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    assert 1 in report["surviving"]
+
+
 def test_cli_uncertified_without_opt_in_is_exit_2(tmp_path, capsys) -> None:
     data = _minimal_config_data(
         gains={"kind": "scaled", "factor": 5.0}, allow_uncertified=False
     )
     path = tmp_path / "strict.yaml"
-    import yaml
-
     path.write_text(yaml.safe_dump(data))
     code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
