@@ -1,12 +1,10 @@
 """Command line interface.
 
-Four subcommands share a --config argument that accepts either a path
+Three subcommands share a --config argument that accepts either a path
 to a YAML file or the name of a bundled scenario:
 
 * ``run``                  simulate, estimate, and write CSV/report files;
 * ``check-detectability``  a-priori mode-distinguishability report;
-* ``export-sdp``           write both branch files of one mode's
-                           gain-certification SDP in SDPA sparse format;
 * ``thresholds``           tabulate one mode's elimination thresholds.
 
 Exit codes: 0 success; 2 configuration or model-validation error
@@ -28,7 +26,6 @@ from .errors import ConfigurationError, NumericalFailure, SynthesisError
 from .residuals import build_threshold_table
 from .runner import gain_bank, json_safe, run, write_threshold_csv
 from .scenarios import list_scenarios, scenario_path
-from .sdpa import BRANCHES, assemble_sdp, format_sdpa
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,23 +101,6 @@ def _cmd_check_detectability(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_export_sdp(args: argparse.Namespace) -> int:
-    config = _resolve_config(args.config)
-    count = config.system.mode_count
-    if not 1 <= args.mode <= count:
-        raise ConfigurationError(f"--mode must be in 1..{count}, got {args.mode}")
-    dec, gains = gain_bank(config)[args.mode - 1]
-    out = _out_dir(args, config)
-    for branch in BRANCHES:
-        export = assemble_sdp(
-            gains, dec, branch, label=f"{config.name} mode {args.mode}"
-        )
-        path = out / f"{config.name}_mode{args.mode}_branch_{branch}.dat-s"
-        path.write_text(format_sdpa(export))
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
     count = config.system.mode_count
@@ -159,14 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--config", required=True)
     p_det.add_argument("--out", default=None)
     p_det.set_defaults(handler=_cmd_check_detectability)
-
-    p_sdp = sub.add_parser(
-        "export-sdp", help="write one mode's certification SDP (both branches)"
-    )
-    p_sdp.add_argument("--config", required=True)
-    p_sdp.add_argument("--mode", type=int, required=True, help="1-based mode index")
-    p_sdp.add_argument("--out", default=None)
-    p_sdp.set_defaults(handler=_cmd_export_sdp)
 
     p_thr = sub.add_parser(
         "thresholds", help="tabulate one mode's elimination thresholds"

@@ -268,19 +268,6 @@ def check_condition_ii(
     )
 
 
-def pairwise_separation(
-    free_output_q: np.ndarray,
-    free_output_other: np.ndarray,
-    threshold_q: float,
-    threshold_other: float,
-    r_z: float,
-) -> bool:
-    """Runtime diagnostic: are two hypotheses' predicted free-channel
-    outputs too far apart for both to survive this step?"""
-    gap = float(np.linalg.norm(free_output_q - free_output_other))
-    return gap > threshold_q + threshold_other + r_z
-
-
 @dataclass(frozen=True)
 class DetectabilityReport:
     steady: tuple[SteadyTriReport, ...]

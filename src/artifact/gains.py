@@ -6,8 +6,8 @@ m2 recovers the state-coupled input component from the feedthrough-free
 channel, and l_gain is the measurement-update gain.  Everything the
 threshold and containment machinery needs later is precomputed here:
 the interconnection matrices (phi, psi, e), the stacked noise-to-error
-maps (r_mat, q_mat, w_cal, y_cal), and the scalar contraction/offset
-constants of the per-step radius recursion.
+maps (r_mat, w_cal, y_cal), and the scalar contraction/offset constants
+of the per-step radius recursion.
 """
 from __future__ import annotations
 
@@ -54,8 +54,8 @@ class ObserverGains:
 
     w_cal maps the stacked noise word [v_k/sqrt2; w_k; v_{k+1}/sqrt2] to
     the post-update state error; y_cal maps the same word to the
-    feedthrough-free residual.  r_mat/q_mat are the two layers w_cal is
-    built from (w_cal = e @ r_mat + l_gain @ q_mat).
+    feedthrough-free residual.  w_cal = e @ r_mat + l_gain @ q, where
+    q = [0 | 0 | -sqrt2 t2] is the measurement-noise layer.
     """
 
     m1: np.ndarray
@@ -65,7 +65,6 @@ class ObserverGains:
     phi: np.ndarray
     psi: np.ndarray
     r_mat: np.ndarray
-    q_mat: np.ndarray
     w_cal: np.ndarray
     y_cal: np.ndarray
     lipschitz: float
@@ -162,7 +161,6 @@ def synthesize_gains(
         phi=phi,
         psi=psi,
         r_mat=r_mat,
-        q_mat=q_mat,
         w_cal=w_cal,
         y_cal=y_cal,
         lipschitz=lf,

@@ -14,7 +14,6 @@ from artifact.decomposition import decompose
 from artifact.detectability import (
     check_condition_i,
     check_condition_ii,
-    pairwise_separation,
     report_detectability,
     steady_tri,
 )
@@ -207,13 +206,6 @@ def test_structural_check_rejects_expansive_origin_jacobian() -> None:
     report = check_condition_ii(system, decs)
     assert not report.passed
     assert report.jacobian_norms[1] == pytest.approx(1.5)
-
-
-def test_pairwise_separation_is_strict() -> None:
-    a, b = np.array([3.0, 0.0]), np.zeros(2)
-    assert pairwise_separation(a, b, 1.0, 1.0, 0.5)
-    assert not pairwise_separation(a, b, 1.5, 1.0, 0.5)
-    assert not pairwise_separation(a, a, 0.0, 0.0, 0.0)
 
 
 def test_overall_verdict_levels() -> None:

@@ -106,14 +106,14 @@ def test_stacked_noise_maps_have_the_layered_structure() -> None:
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
     n, l = 2, 2
     assert gains.r_mat.shape == (n, 2 * l + n)
-    assert gains.q_mat.shape == (dec.z2_dim, 2 * l + n)
+    # only the v_{k+1} block of the word reaches the measurement update
+    q_mat = np.hstack([np.zeros((dec.z2_dim, l + n)), -np.sqrt(2.0) * dec.t2])
     np.testing.assert_allclose(
-        gains.w_cal, gains.e @ gains.r_mat + gains.l_gain @ gains.q_mat, atol=1e-14
+        gains.w_cal, gains.e @ gains.r_mat + gains.l_gain @ q_mat, atol=1e-14
     )
     # middle (process-noise) blocks carry no sqrt2 weighting
     np.testing.assert_allclose(gains.r_mat[:, l : l + n], gains.phi @ mode.w, atol=1e-14)
     np.testing.assert_allclose(gains.y_cal[:, l : l + n], dec.c2 @ gains.phi @ mode.w, atol=1e-14)
-    np.testing.assert_allclose(gains.q_mat[:, : l + n], 0.0, atol=1e-16)
 
 
 def test_user_gain_shape_is_validated() -> None:

@@ -15,7 +15,6 @@ from artifact.decomposition import decompose
 from artifact.errors import ConfigurationError, NumericalFailure
 from artifact.gains import synthesize_gains
 from artifact.scenarios import list_scenarios, scenario_path
-from artifact.sdpa import SdpLayout, parse_sdpa
 
 
 def _minimal_config_data(**overrides) -> dict:
@@ -380,38 +379,18 @@ def test_cli_uncertified_without_opt_in_is_exit_2(tmp_path, capsys) -> None:
     assert "allow_uncertified" in capsys.readouterr().err
 
 
-def test_cli_export_sdp_writes_parsable_files_for_both_branches(tmp_path) -> None:
+@pytest.mark.parametrize(
+    ("flag", "bounds"),
+    [("--mode", ["--mode", "9", "--kmax", "5"]), ("--kmax", ["--mode", "1", "--kmax", "0"])],
+    ids=["mode", "kmax"],
+)
+def test_cli_thresholds_validates_mode_and_kmax(tmp_path, capsys, flag, bounds) -> None:
     code = cli.main(
-        [
-            "export-sdp",
-            "--config",
-            "linear_bench",
-            "--mode",
-            "1",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert code == 0
-    files = sorted(tmp_path.glob("*.dat-s"))
-    assert [f.name for f in files] == [
-        "linear_bench_mode1_branch_A.dat-s",
-        "linear_bench_mode1_branch_B.dat-s",
-    ]
-    # the fixture's feedthrough is rank one (columns are parallel), so
-    # two free output rows survive the rotation
-    layout = SdpLayout(n=2, l=3, r=2)
-    for path in files:
-        parsed = parse_sdpa(path.read_text())
-        assert parsed.variable_count == layout.count
-
-
-def test_cli_export_sdp_validates_mode_index(tmp_path, capsys) -> None:
-    code = cli.main(
-        ["export-sdp", "--config", "linear_bench", "--mode", "9", "--out", str(tmp_path)]
+        ["thresholds", "--config", "linear_bench", "--out", str(tmp_path), *bounds]
     )
     assert code == 2
-    assert "--mode" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_thresholds_writes_requested_horizon(tmp_path) -> None:
