@@ -26,6 +26,9 @@ from .system import (
 
 DEFAULT_MAX_VERTICES = 2**20
 
+# libyaml's parser when PyYAML was built with it; same tags and constructors
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class BoundedRandomInput:
@@ -272,11 +275,7 @@ def _gains(obj: Any, count: int, base_dir: Path) -> GainsSpec:
         if kind == "file":
             _check_keys(spec, {"kind", "path"}, "gains")
             path = base_dir / str(_require(spec, "path", "gains"))
-            try:
-                payload = yaml.safe_load(path.read_text())
-            except OSError as exc:
-                raise ConfigurationError(f"cannot read gains file {path}: {exc}") from exc
-            payload = _expect_mapping(payload, f"gains file {path}")
+            payload = _expect_mapping(_read_yaml(path, "gains file"), f"gains file {path}")
             raw = _require(payload, "matrices", f"gains file {path}")
         else:
             _check_keys(spec, {"kind", "matrices"}, "gains")
@@ -353,15 +352,19 @@ def parse_config(data: Any, *, name: str = "", base_dir: Path | None = None) -> 
     )
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Read and validate a scenario file."""
-    path = Path(path)
+def _read_yaml(path: Path, what: str) -> Any:
+    """Parse one YAML file; unreadable or malformed files are config errors."""
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"invalid YAML in {path}: {exc}") from exc
-    return parse_config(data, name=path.stem, base_dir=path.parent)
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    """Read and validate a scenario file."""
+    path = Path(path)
+    return parse_config(_read_yaml(path, "config"), name=path.stem, base_dir=path.parent)

@@ -142,9 +142,15 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
 
 
 def spectral_norms(stack) -> np.ndarray:
-    """Largest singular value of each matrix in a (..., rows, cols) stack,
-    from one batched SVD; 0.0 for matrices with a zero dimension and +inf
-    for matrices holding inf or nan (an overflowed product)."""
+    """Largest singular value of each matrix in a (..., rows, cols) stack;
+    0.0 for matrices with a zero dimension and +inf for matrices holding
+    inf or nan (an overflowed product).
+
+    A one-row or one-column matrix is a vector, whose only singular value
+    is its Euclidean norm, taken as top * ||v / top|| with top = max |v_i|
+    so that tiny entries do not underflow; a norm past the float range
+    reads +inf.  Other stacks go through one batched SVD.
+    """
     a = np.asarray(stack, dtype=float)
     if a.ndim < 2:
         raise ValueError(f"stack must be at least 2-D, got shape {a.shape}")
@@ -152,7 +158,15 @@ def spectral_norms(stack) -> np.ndarray:
         return np.zeros(a.shape[:-2])
     finite = np.isfinite(a).all(axis=(-2, -1))
     norms = np.full(a.shape[:-2], np.inf)
-    norms[finite] = np.linalg.svd(a[finite], compute_uv=False)[..., 0]
+    blocks = a[finite]
+    if a.shape[-2] == 1 or a.shape[-1] == 1:
+        v = np.abs(blocks.reshape(blocks.shape[0], -1))
+        top = v.max(axis=-1, keepdims=True)
+        scaled = v / np.where(top > 0.0, top, 1.0)
+        with np.errstate(over="ignore"):
+            norms[finite] = top[:, 0] * np.sqrt(np.sum(scaled * scaled, axis=-1))
+    else:
+        norms[finite] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
     return norms
 
 

@@ -11,13 +11,15 @@ downdate applied repeatedly, so all blocks for a whole horizon come out
 of a single recursion.  Two computable residual-norm bounds follow:
 
 * a triangle bound (block norms times per-block radii).  The block norms
-  come from one batched SVD per block family, and the bound for every
+  come from `spectral_norms`, a closed form for one-row blocks and one
+  batched SVD per block family otherwise, and the bound for every
   k = 1..k_max comes out of one convolution and one cumulative sum; the
   threshold table and `check-detectability` share that one sequence;
-* the exact maximum of the linear image over the hypercube of radii,
-  by vertex enumeration, exponential in the word length and therefore
-  capped.  The box and the dense word matrix are built only for the
-  steps within the vertex budget.
+* the exact maximum of the linear image over the hypercube of radii:
+  a closed form for a one-row residual, otherwise vertex enumeration,
+  exponential in the word length.  Both are capped by the same vertex
+  budget, and the box and the dense word matrix are built only for the
+  steps within it.
 
 Their minimum is the elimination threshold.
 """
@@ -54,16 +56,17 @@ class ResidualCoefficients:
         + sum_i f_mats[i] @ df_{k-1-i}
         + sum_i j_mats[i] @ [v_{k-1-i}/sqrt2; w_{k-1-i}; v_{k-i}/sqrt2]
 
-    with i running over 0..k-1.  Norm arrays are precomputed for the
+    with i running over 0..k-1.  The blocks are stacked in
+    (k_max, rows, cols) arrays.  Norm arrays are precomputed for the
     triangle bound; j-norms are split by the [l | n | l] sub-columns.
     """
 
     k_max: int
     n: int
     l: int
-    a_mats: tuple[np.ndarray, ...]
-    f_mats: tuple[np.ndarray, ...]
-    j_mats: tuple[np.ndarray, ...]
+    a_mats: np.ndarray
+    f_mats: np.ndarray
+    j_mats: np.ndarray
     a_norms: np.ndarray
     f_norms: np.ndarray
     j_v_norms: np.ndarray
@@ -79,34 +82,34 @@ def build_coefficients(
     n = dec.c2.shape[1]
     l = dec.t2.shape[1]
     c2phi = dec.c2 @ gains.phi
-    ephipsi = gains.e @ gains.phi @ gains.psi
+    downdate = -(gains.e @ gains.phi @ gains.psi)
 
-    a_mats: list[np.ndarray] = []
-    f_mats: list[np.ndarray] = [c2phi]
-    j_mats: list[np.ndarray] = [gains.y_cal]
-    prefix = -c2phi @ gains.psi  # the i = 1 downdate prefix
+    # only the downdate prefixes need a Python loop; a[i] is the (i+1)-th
+    # prefix, and the f and j blocks are two batched products of them
+    a = np.empty((k_max,) + c2phi.shape)
+    f = np.empty((k_max,) + c2phi.shape)
+    j = np.empty((k_max,) + gains.y_cal.shape)
+    f[0], j[0] = c2phi, gains.y_cal
     # past an overflow (uncertified modes) blocks hold inf/nan; their norms read +inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, k_max + 1):
-            a_mats.append(prefix)
-            if i < k_max:
-                f_mats.append(prefix @ gains.e @ gains.phi)
-                j_mats.append(prefix @ gains.w_cal)
-            prefix = -prefix @ ephipsi
+        a[0] = -c2phi @ gains.psi
+        for i in range(1, k_max):
+            np.matmul(a[i - 1], downdate, out=a[i])
+        f[1:] = a[:-1] @ gains.e @ gains.phi
+        j[1:] = a[:-1] @ gains.w_cal
 
-    j_stack = np.stack(j_mats)
     return ResidualCoefficients(
         k_max=k_max,
         n=n,
         l=l,
-        a_mats=tuple(a_mats),
-        f_mats=tuple(f_mats),
-        j_mats=tuple(j_mats),
-        a_norms=spectral_norms(np.stack(a_mats)),
-        f_norms=spectral_norms(np.stack(f_mats)),
-        j_v_norms=spectral_norms(j_stack[:, :, :l]),
-        j_w_norms=spectral_norms(j_stack[:, :, l : l + n]),
-        j_v_next_norms=spectral_norms(j_stack[:, :, l + n :]),
+        a_mats=a,
+        f_mats=f,
+        j_mats=j,
+        a_norms=spectral_norms(a),
+        f_norms=spectral_norms(f),
+        j_v_norms=spectral_norms(j[:, :, :l]),
+        j_w_norms=spectral_norms(j[:, :, l : l + n]),
+        j_v_next_norms=spectral_norms(j[:, :, l + n :]),
     )
 
 
@@ -213,10 +216,13 @@ def delta_inf(
     """Exact max of ||matrix @ t|| over the hypercube |t_i| <= box_i.
 
     The maximum of a convex function over a box sits on a vertex, and the
-    +-t symmetry halves the vertex set, so 2^(dim-1) sign patterns are
-    enumerated (first coordinate pinned positive).  Returns
-    (value, vertices_enumerated, capped); a capped query reports +inf and
-    enumerates nothing.
+    +-t symmetry halves the vertex set, so the maximum ranges over the
+    2^(dim-1) sign patterns with the first coordinate pinned positive.
+    One row has the closed form sum_i |m_i| box_i; more rows enumerate
+    the sign patterns.  Returns (value, vertices_enumerated, capped),
+    where the count is the 2^(dim-1) box vertices the maximum covers; the
+    vertex budget applies to that count, and a capped query reports +inf
+    and covers nothing.
     """
     box = np.asarray(box, dtype=float).reshape(-1)
     dim = box.size
@@ -228,6 +234,8 @@ def delta_inf(
     scaled = matrix * box[None, :]
     if scaled.shape[0] == 0:
         return 0.0, total, False
+    if scaled.shape[0] == 1:
+        return float(np.sum(np.abs(scaled))), total, False
     base = scaled[:, 0]
     rest = scaled[:, 1:]
     free = dim - 1

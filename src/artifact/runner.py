@@ -31,7 +31,7 @@ import csv
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -418,15 +418,18 @@ def write_threshold_csv(path: Path, thresholds: tuple[ThresholdReport, ...]) -> 
 
 
 def json_safe(obj):
-    """Recursively replace non-finite floats so the JSON stays strict."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return json_safe(asdict(obj))
+    """Recursively replace non-finite floats so the JSON stays strict.
+
+    Dataclasses become dicts of their fields in the same single walk.
+    """
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
         return {str(k): json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_safe(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: json_safe(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 

@@ -6,6 +6,8 @@ kernel is checked against independent arithmetic, not against itself.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,34 @@ def test_batched_spectral_norms_match_one_at_a_time() -> None:
     # a mode without a feedthrough-free channel stacks 0-row blocks
     np.testing.assert_array_equal(spectral_norms(np.zeros((4, 0, 2))), np.zeros(4))
     np.testing.assert_array_equal(spectral_norms(np.zeros((4, 2, 0))), np.zeros(4))
+
+
+def test_one_row_and_one_column_norms_match_the_svd_at_extreme_scales() -> None:
+    rng = np.random.default_rng(7)
+    for shape in ((30, 1, 9), (30, 6, 1), (30, 1, 1)):
+        for scale in (1e-200, 1.0, 1e200):
+            stack = scale * rng.normal(size=shape)
+            stack[3] = 0.0
+            stack[5] = 1e-12 * scale
+            stack[5, 0, 0] = scale  # one dominant entry among tiny ones
+            norms = spectral_norms(stack)
+            expected = np.linalg.svd(stack, compute_uv=False)[:, 0]
+            assert norms[3] == 0.0 and np.count_nonzero(expected) == 29
+            np.testing.assert_allclose(norms, expected, rtol=1e-14, atol=0.0)
+    assert spectral_norm(np.array([[3.0], [4.0]])) == 5.0
+
+
+def test_vector_norms_read_inf_for_nonfinite_and_overflowed_blocks() -> None:
+    stack = np.ones((4, 1, 3))
+    stack[0, 0, 1] = np.inf
+    stack[1, 0, 2] = np.nan
+    stack[2] = 1.5e308  # the norm, sqrt(3) * 1.5e308, is past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = spectral_norms(stack)
+        column = spectral_norms(np.transpose(stack, (0, 2, 1)))
+    np.testing.assert_array_equal(norms, [np.inf, np.inf, np.inf, np.sqrt(3.0)])
+    np.testing.assert_array_equal(column, norms)
 
 
 def test_rank_and_sigma_min_share_the_cutoff() -> None:

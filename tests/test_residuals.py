@@ -79,6 +79,46 @@ def test_residual_is_rotated_noise_when_free_channel_is_blind() -> None:
         )
 
 
+def _coefficients_by_recursion(gains, dec, k_max: int):
+    """The per-step downdate recursion, one block at a time."""
+    c2phi = dec.c2 @ gains.phi
+    ephipsi = gains.e @ gains.phi @ gains.psi
+    a_mats, f_mats, j_mats = [], [c2phi], [gains.y_cal]
+    prefix = -c2phi @ gains.psi
+    for i in range(1, k_max + 1):
+        a_mats.append(prefix)
+        if i < k_max:
+            f_mats.append(prefix @ gains.e @ gains.phi)
+            j_mats.append(prefix @ gains.w_cal)
+        prefix = -prefix @ ephipsi
+    return a_mats, f_mats, j_mats
+
+
+def test_batched_coefficients_match_the_per_step_recursion() -> None:
+    sn = lambda m: float(np.linalg.norm(m, 2)) if m.size else 0.0
+    bank = runner.gain_bank(load_config(scenario_path("scenario1")))
+    for mode in (invertible_channel_mode(), scalar_channel_mode(), full_pipeline_mode()):
+        dec = decompose(mode)
+        bank.append((dec, synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)))
+    for dec, gains in bank:
+        for k_max in (1, 2, 40):
+            coeffs = build_coefficients(gains, dec, k_max)
+            oracle = _coefficients_by_recursion(gains, dec, k_max)
+            for got, want in zip((coeffs.a_mats, coeffs.f_mats, coeffs.j_mats), oracle):
+                assert got.shape == (k_max,) + want[0].shape
+                np.testing.assert_array_equal(got, np.stack(want))
+            a_mats, f_mats, j_mats = oracle
+            l, n = coeffs.l, coeffs.n
+            for norms, blocks in (
+                (coeffs.a_norms, a_mats),
+                (coeffs.f_norms, f_mats),
+                (coeffs.j_v_norms, [j[:, :l] for j in j_mats]),
+                (coeffs.j_w_norms, [j[:, l : l + n] for j in j_mats]),
+                (coeffs.j_v_next_norms, [j[:, l + n :] for j in j_mats]),
+            ):
+                np.testing.assert_allclose(norms, [sn(m) for m in blocks], rtol=1e-14, atol=0)
+
+
 def test_first_step_coefficients_match_hand_derivation() -> None:
     mode = scalar_channel_mode()
     dec = decompose(mode)
@@ -183,18 +223,37 @@ def test_vertex_max_known_values() -> None:
     # zero-row matrix: empty residual channel
     val, _, capped = delta_inf(np.zeros((0, 3)), np.ones(3), 1 << 20)
     assert val == 0.0 and not capped
+    # all-zero matrix or all-zero box: the image is the origin
+    for rows in (1, 3):
+        assert delta_inf(np.zeros((rows, 7)), np.ones(7), 1 << 20) == (0.0, 1 << 6, False)
+        assert delta_inf(np.ones((rows, 7)), np.zeros(7), 1 << 20) == (0.0, 1 << 6, False)
 
 
 def test_vertex_symmetry_reduction_agrees_with_naive_enumeration() -> None:
     rng = np.random.default_rng(404)
+    holes = np.random.default_rng(405)
     for _ in range(20):
         rows = int(rng.integers(1, 4))
         dim = int(rng.integers(2, 13))
         matrix = rng.normal(size=(rows, dim))
         box = rng.uniform(0.1, 2.0, size=dim)
+        # zero coefficient columns and zero radii (a linear mode's drift),
+        # the pinned first coordinate included
+        matrix[:, holes.uniform(size=dim) < 0.2] = 0.0
+        box[holes.uniform(size=dim) < 0.2] = 0.0
         reduced, count, capped = delta_inf(matrix, box, 1 << 20)
         assert not capped and count == 1 << (dim - 1)
         assert reduced == pytest.approx(_naive_vertex_max(matrix, box), abs=1e-12)
+    # one row: the closed form sum |m_i| box_i, checked by enumeration up to dim 10
+    for dim in range(1, 21):
+        row = rng.normal(size=(1, dim))
+        row[0, holes.uniform(size=dim) < 0.3] = 0.0
+        box = rng.uniform(0.1, 2.0, size=dim)
+        val, count, capped = delta_inf(row, box, 1 << 20)
+        assert not capped and count == 1 << (dim - 1)
+        assert val == pytest.approx(float(np.sum(np.abs(row[0]) * box)), rel=1e-14)
+        if dim <= 10:
+            assert val == pytest.approx(_naive_vertex_max(row, box), rel=1e-12)
 
 
 def test_vertex_cap_returns_infinity_marker() -> None:
@@ -264,7 +323,7 @@ def test_full_feedthrough_mode_has_empty_residual_channel() -> None:
     r = compute_residual(dec, np.zeros(2), np.zeros(1), np.array([1.0, 2.0]))
     assert r.shape == (0,)
     coeffs = build_coefficients(gains, dec, 3)
-    assert all(m.shape[0] == 0 for m in coeffs.a_mats + coeffs.f_mats + coeffs.j_mats)
+    assert all(m.shape[1] == 0 for m in (coeffs.a_mats, coeffs.f_mats, coeffs.j_mats))
     seq = radius_sequence(gains, 0.3, 3)
     tri = triangle_sequence(coeffs, gains.lipschitz, 0.3, 0.05, 0.05, seq)
     np.testing.assert_array_equal(tri, np.zeros(3))

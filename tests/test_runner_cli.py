@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from artifact import cli, runner
+from artifact import cli, config, runner
 from artifact.config import GainsSpec, ZeroInput, load_config, parse_config
 from artifact.decomposition import decompose
 from artifact.errors import ConfigurationError, NumericalFailure
@@ -96,6 +96,30 @@ def test_gains_file_kind_reads_matrices_relative_to_config(tmp_path) -> None:
     config = parse_config(data, base_dir=tmp_path)
     assert config.gains.kind == "user"
     assert config.gains.matrices[0].shape == (2, 2)
+
+
+def test_config_loader_parses_bundled_scenarios_like_the_pure_python_loader() -> None:
+    # the loader may be libyaml's; it must build the same objects as SafeLoader
+    names = list_scenarios()
+    assert len(names) == 5
+    for name in names:
+        text = scenario_path(name).read_text()
+        assert yaml.load(text, Loader=config._YAML_LOADER) == yaml.load(
+            text, Loader=yaml.SafeLoader
+        ), name
+
+
+def test_cli_malformed_gains_file_is_exit_2(tmp_path, capsys) -> None:
+    data = yaml.safe_load(scenario_path("linear_bench").read_text())
+    data["gains"] = {"kind": "file", "path": "gains.yaml"}
+    path = tmp_path / "linear_bench.yaml"
+    path.write_text(yaml.safe_dump(data))
+    gains_path = tmp_path / "gains.yaml"
+    gains_path.write_text("matrices: [[[0.1, 0.0], [0.0, 0.1]]\n")  # unclosed bracket
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"invalid YAML in {gains_path}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_gain_bank_user_gains_match_direct_synthesis() -> None:
