@@ -16,7 +16,6 @@ radius of an uncertified mode is not a failure: it saturates to inf.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .config import ScenarioConfig, load_config
 from .detectability import report_detectability
 from .errors import ConfigurationError, NumericalFailure, SynthesisError
 from .residuals import build_threshold_table
-from .runner import gain_bank, json_safe, run, write_threshold_csv
+from .runner import gain_bank, resolve_out_dir, run, write_json, write_threshold_csv
 from .scenarios import list_scenarios, scenario_path
 
 EXIT_OK = 0
@@ -44,13 +43,6 @@ def _resolve_config(value: str) -> ScenarioConfig:
     raise ConfigurationError(
         f"{value!r} is neither a config file nor a bundled scenario (bundled: {names})"
     )
-
-
-def _out_dir(args: argparse.Namespace, config: ScenarioConfig) -> Path:
-    out = args.out if args.out is not None else (config.output_dir or f"{config.name}_out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -75,11 +67,8 @@ def _cmd_check_detectability(args: argparse.Namespace) -> int:
         [dec for dec, _ in bank],
         [gains for _, gains in bank],
     )
-    out = _out_dir(args, config)
-    payload = json_safe(report)
-    (out / "detectability.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    out = resolve_out_dir(config, args.out)
+    write_json(out / "detectability.json", report)
     lines = [f"overall: {report.overall}"]
     for pair in report.condition_i:
         status = (
@@ -112,8 +101,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     table = build_threshold_table(
         gains, dec, config.system.delta_x0, args.kmax, config.max_vertices
     )
-    out = _out_dir(args, config)
-    path = out / f"thresholds_q{args.mode}.csv"
+    path = resolve_out_dir(config, args.out) / f"thresholds_q{args.mode}.csv"
     write_threshold_csv(path, tuple(table))
     print(f"wrote {path}")
     return EXIT_OK

@@ -2,7 +2,8 @@
 
 The on-disk format is a single YAML mapping, hand-editable, with all
 matrices as row-major nested lists.  Parsing is strict: unknown keys,
-wrong shapes, and out-of-range values raise ConfigurationError with the
+wrong shapes, wrong scalar types (a quoted "false", a fractional step
+count) and out-of-range values raise ConfigurationError with the
 offending path in the message, so a typo cannot silently fall back to a
 default.  See the README for the full schema and an annotated example.
 """
@@ -108,6 +109,21 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     if key not in mapping:
         raise ConfigurationError(f"missing required key '{key}' in {context}")
     return mapping[key]
+
+
+def _integer(obj: Any, context: str) -> int:
+    """An integral number; a bool, a string or a fractional float is an error."""
+    if isinstance(obj, float) and obj.is_integer():
+        obj = int(obj)
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ConfigurationError(f"{context} must be an integer, got {obj!r}")
+    return obj
+
+
+def _flag(obj: Any, context: str) -> bool:
+    if not isinstance(obj, bool):
+        raise ConfigurationError(f"{context} must be true or false, got {obj!r}")
+    return obj
 
 
 def _matrix(obj: Any, context: str) -> np.ndarray:
@@ -320,20 +336,20 @@ def parse_config(data: Any, *, name: str = "", base_dir: Path | None = None) -> 
     system = _system(_require(spec, "system", "config"), cfg_name)
     count = system.mode_count
 
-    true_mode = int(_require(spec, "true_mode", "config"))
+    true_mode = _integer(_require(spec, "true_mode", "config"), "true_mode")
     if not 1 <= true_mode <= count:
         raise ConfigurationError(f"true_mode must be in 1..{count}, got {true_mode}")
-    horizon = int(_require(spec, "horizon", "config"))
+    horizon = _integer(_require(spec, "horizon", "config"), "horizon")
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
-    seed = int(spec.get("seed", 0))
+    seed = _integer(spec.get("seed", 0), "seed")
     p_true = system.modes[true_mode - 1].p
     unknown = _unknown_input(
         _require(spec, "unknown_input", "config"), horizon + 1, p_true
     )
     known = _known_input(spec.get("known_input"), horizon + 1, system.m)
     gains = _gains(spec.get("gains"), count, base_dir)
-    max_vertices = int(spec.get("max_vertices", DEFAULT_MAX_VERTICES))
+    max_vertices = _integer(spec.get("max_vertices", DEFAULT_MAX_VERTICES), "max_vertices")
     if max_vertices < 1:
         raise ConfigurationError("max_vertices must be >= 1")
     output_dir = spec.get("output_dir")
@@ -346,7 +362,7 @@ def parse_config(data: Any, *, name: str = "", base_dir: Path | None = None) -> 
         unknown_input=unknown,
         known_input=known,
         gains=gains,
-        allow_uncertified=bool(spec.get("allow_uncertified", False)),
+        allow_uncertified=_flag(spec.get("allow_uncertified", False), "allow_uncertified"),
         max_vertices=max_vertices,
         output_dir=None if output_dir is None else str(output_dir),
     )

@@ -22,18 +22,17 @@ from .system import ModeModel
 class ModeDecomposition:
     """Rotated measurement/input coordinates for one mode.
 
-    With r = rank(H): sigma is (r, r) diagonal positive; t1 = u1.T maps y
-    to the feedthrough-coupled channel z1 (r rows) and t2 = u2.T to the
-    feedthrough-free channel z2 (l - r rows, t2 @ h = 0).  v1/v2 split the
-    unknown input; g1 = g @ v1, g2 = g @ v2, h1 = h @ v1 = u1 @ sigma.
+    With r = rank(H) and H = u1 sigma v1.T: sigma is (r, r) diagonal
+    positive; t1 = u1.T maps y to the feedthrough-coupled channel z1
+    (r rows) and t2 = u2.T to the feedthrough-free channel z2 (l - r
+    rows, t2 @ h = 0).  v1/v2 split the unknown input; g1 = g @ v1,
+    g2 = g @ v2.
     Degenerate ranks produce genuinely empty blocks: r = 0 pins t2 to the
     identity and v2 to the identity; r = p = l leaves t2 with zero rows.
     """
 
     p_h: int
     sigma: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
     t1: np.ndarray
@@ -44,7 +43,6 @@ class ModeDecomposition:
     d2: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    h1: np.ndarray
 
     @property
     def z2_dim(self) -> int:
@@ -92,8 +90,6 @@ def decompose(mode: ModeModel) -> ModeDecomposition:
     return ModeDecomposition(
         p_h=p_h,
         sigma=sigma,
-        u1=u1,
-        u2=u2,
         v1=v1,
         v2=v2,
         t1=t1,
@@ -104,7 +100,6 @@ def decompose(mode: ModeModel) -> ModeDecomposition:
         d2=_clean(t2 @ mode.d, mode.d),
         g1=_clean(mode.g @ v1, mode.g),
         g2=_clean(mode.g @ v2, mode.g),
-        h1=_clean(h @ v1, h),
     )
 
 

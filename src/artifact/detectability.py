@@ -28,8 +28,7 @@ import numpy as np
 from . import linalg
 from .decomposition import ModeDecomposition
 from .errors import SigmaMinUndefinedError
-from .gains import ObserverGains
-from .observer import radius_sequence
+from .gains import ObserverGains, radius_sequence
 from .residuals import build_coefficients, triangle_sequence
 from .system import SwitchedSystem, jacobian_hessian_data
 
@@ -159,22 +158,8 @@ def check_condition_i(
     missing = system.r_x is None or system.r_y is None
     for q in range(count):
         for qp in range(q + 1, count):
-            if missing:
-                reports.append(
-                    PairReport(
-                        q=q,
-                        q_other=qp,
-                        applicable=False,
-                        passed=False,
-                        sigma_min_w=math.nan,
-                        required=math.nan,
-                        r_z=math.nan,
-                        reason="r_x / r_y magnitude bounds not configured",
-                    )
-                )
-                continue
             da, db = decs[q], decs[qp]
-            if da.p_h != db.p_h:
+            if missing or da.p_h != db.p_h:
                 reports.append(
                     PairReport(
                         q=q,
@@ -184,7 +169,11 @@ def check_condition_i(
                         sigma_min_w=math.nan,
                         required=math.nan,
                         r_z=math.nan,
-                        reason="feedthrough ranks differ; stacked blocks do not conform",
+                        reason=(
+                            "r_x / r_y magnitude bounds not configured"
+                            if missing
+                            else "feedthrough ranks differ; stacked blocks do not conform"
+                        ),
                     )
                 )
                 continue

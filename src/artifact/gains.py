@@ -7,7 +7,8 @@ channel, and l_gain is the measurement-update gain.  Everything the
 threshold and containment machinery needs later is precomputed here:
 the interconnection matrices (phi, psi, e), the stacked noise-to-error
 maps (r_mat, w_cal, y_cal), and the scalar contraction/offset constants
-of the per-step radius recursion.
+of the radius model: ``radius_sequence`` tabulates the state radii and
+``ObserverGains.input_radius`` derives the lagged input radius from them.
 """
 from __future__ import annotations
 
@@ -88,6 +89,18 @@ class ObserverGains:
         if self.beta == 0.0:
             return self.alpha_bar
         return self.beta * float(delta_x) + self.alpha_bar
+
+
+def radius_sequence(gains: ObserverGains, delta0: float, k_max: int) -> np.ndarray:
+    """A-priori state radii [delta_0, ..., delta_kmax] from the recursion
+    delta_k = theta delta_{k-1} + eta_bar.  An uncertified mode saturates
+    to inf where the recursion overflows (a Python float does so
+    silently); that is the honest answer there."""
+    theta, eta_bar = gains.theta, gains.eta_bar
+    radii = [float(delta0)]
+    for _ in range(k_max):
+        radii.append(theta * radii[-1] + eta_bar)
+    return np.array(radii)
 
 
 def synthesize_gains(

@@ -68,13 +68,6 @@ class SvdResult:
     singular_values: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        rows, cols = self.u.shape[0], self.v.shape[0]
-        s = np.zeros((rows, cols))
-        k = self.singular_values.size
-        s[:k, :k] = np.diag(self.singular_values)
-        return self.u @ s @ self.v.T
-
 
 def svd(m) -> SvdResult:
     """Full SVD with a deterministic sign convention.

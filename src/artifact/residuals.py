@@ -31,19 +31,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import ModeDecomposition
-from .gains import ObserverGains
+from .gains import ObserverGains, radius_sequence
 from .linalg import spectral_norms
-from .observer import radius_sequence
 
 INV_RT2 = 1.0 / math.sqrt(2.0)
 
 
 def compute_residual(
-    dec: ModeDecomposition, x_star: np.ndarray, u_k: np.ndarray, y_k: np.ndarray
+    dec: ModeDecomposition, x: np.ndarray, u_k: np.ndarray, y_k: np.ndarray
 ) -> np.ndarray:
-    """Feedthrough-free innovation against the pre-correction estimate."""
+    """Feedthrough-free innovation t2 y - c2 x - d2 u of the estimate x.
+
+    The observer forms it twice per step: against the time update to
+    recover the state-coupled input, and against the pre-correction
+    estimate, where it is the residual the mode observer tests.
+    """
     y_k = np.asarray(y_k, dtype=float).reshape(-1)
-    return dec.t2 @ y_k - dec.c2 @ x_star - dec.d2 @ np.asarray(u_k, dtype=float)
+    return dec.t2 @ y_k - dec.c2 @ x - dec.d2 @ np.asarray(u_k, dtype=float)
 
 
 @dataclass(frozen=True)

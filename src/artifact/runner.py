@@ -45,9 +45,9 @@ from .config import (
 from .decomposition import ModeDecomposition, decompose
 from .errors import ConfigurationError, NumericalFailure
 from .estimator import Ball, ModeSet, all_modes, bounding_ball, eliminate_step
-from .gains import ObserverGains, synthesize_gains
-from .observer import ObserverState, init_observer, radius_sequence, step_observer
-from .residuals import ThresholdReport, build_threshold_table, compute_residual
+from .gains import ObserverGains, radius_sequence, synthesize_gains
+from .observer import ObserverState, init_observer, step_observer
+from .residuals import ThresholdReport, build_threshold_table
 from .system import ModeModel, eval_field
 
 
@@ -239,6 +239,15 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _threshold_cells(report: ThresholdReport) -> list[str]:
+    """delta_tri, delta_inf (empty when capped) and delta_hat cells."""
+    return [
+        _fmt(report.delta_tri),
+        "" if report.capped else _fmt(report.delta_inf),
+        _fmt(report.delta_hat),
+    ]
+
+
 def _steps_header(config: ScenarioConfig) -> list[str]:
     system = config.system
     n = system.n
@@ -302,8 +311,7 @@ def iter_bank(
                 )
             except NumericalFailure as exc:
                 raise NumericalFailure(f"mode {q + 1}: {exc}") from exc
-            residual = compute_residual(pm.dec, states[q].x_star, truth.u[k], truth.y[k])
-            checks[q] = (float(np.linalg.norm(residual)), pm.thresholds[k - 1].delta_hat)
+            checks[q] = (float(np.linalg.norm(states[q].residual)), pm.thresholds[k - 1].delta_hat)
         mode_set = eliminate_step(mode_set, k, checks)
         residuals = {q: res_norm for q, (res_norm, _) in checks.items()}
         yield BankRecord(k=k, mode_set=mode_set, states=tuple(states), residuals=residuals)
@@ -319,12 +327,9 @@ def _mode_cells(pm: PreparedMode, record: BankRecord) -> list[str]:
     elif q not in record.residuals:  # eliminated before this step
         return ["", "", "", "", "1"] + [""] * (mode.n + 1 + mode.p + 1)
     else:
-        report = pm.thresholds[record.k - 1]
         cells = [
             _fmt(record.residuals[q]),
-            _fmt(report.delta_tri),
-            "" if report.capped else _fmt(report.delta_inf),
-            _fmt(report.delta_hat),
+            *_threshold_cells(pm.thresholds[record.k - 1]),
             str(int(q not in record.mode_set.surviving)),
         ]
     state = record.states[q]
@@ -350,12 +355,7 @@ def run(
     blow-ups raise NumericalFailure with the offending mode and step.
     """
     seed = config.seed if seed is None else int(seed)
-    resolved_out = Path(
-        out_dir
-        if out_dir is not None
-        else (config.output_dir or f"{config.name}_out")
-    )
-    resolved_out.mkdir(parents=True, exist_ok=True)
+    resolved_out = resolve_out_dir(config, out_dir)
 
     prepared = prepare_modes(config)
     truth = simulate_truth(config, seed)
@@ -384,9 +384,7 @@ def run(
         )
 
     report = _build_report(config, seed, prepared, mode_set, record.states, fault_step)
-    (resolved_out / "report.json").write_text(
-        json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(resolved_out / "report.json", report)
     (resolved_out / "report.txt").write_text(_render_report_text(report))
 
     return RunResult(
@@ -407,14 +405,21 @@ def write_threshold_csv(path: Path, thresholds: tuple[ThresholdReport, ...]) -> 
         writer.writerow(["k", "delta_tri", "delta_inf", "delta_hat", "capped"])
         for report in thresholds:
             writer.writerow(
-                [
-                    str(report.k),
-                    _fmt(report.delta_tri),
-                    "" if report.capped else _fmt(report.delta_inf),
-                    _fmt(report.delta_hat),
-                    str(int(report.capped)),
-                ]
+                [str(report.k), *_threshold_cells(report), str(int(report.capped))]
             )
+
+
+def resolve_out_dir(config: ScenarioConfig, out_dir: str | Path | None) -> Path:
+    """Create and return out_dir, else the config's output_dir, else
+    <name>_out."""
+    path = Path(out_dir if out_dir is not None else (config.output_dir or f"{config.name}_out"))
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def write_json(path: Path, obj) -> None:
+    """Strict, sorted, indented JSON with a trailing newline."""
+    path.write_text(json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n")
 
 
 def json_safe(obj):

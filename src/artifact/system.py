@@ -192,8 +192,8 @@ class SwitchedSystem:
         eta_v = tuple(float(e) for e in self.eta_v)
         if len(eta_w) != len(modes) or len(eta_v) != len(modes):
             raise ConfigurationError("eta_w / eta_v must have one entry per mode")
-        if any(e <= 0 for e in eta_w + eta_v):
-            raise ConfigurationError("noise bounds must be positive")
+        if not all(0 < e < np.inf for e in eta_w + eta_v):
+            raise ConfigurationError("noise bounds must be finite and positive")
         if not self.delta_x0 > 0:
             raise ConfigurationError("delta_x0 must be positive")
         x_hat0 = np.asarray(self.x_hat0, dtype=float).reshape(-1)

@@ -15,7 +15,6 @@ import numpy as np
 from artifact.decomposition import ModeDecomposition, decompose
 from artifact.gains import ObserverGains, synthesize_gains
 from artifact.observer import ObserverState, init_observer, step_observer
-from artifact.residuals import compute_residual
 from artifact.system import LinearField, LinearSinusoidalField, ModeModel, eval_field
 
 
@@ -155,7 +154,7 @@ def run_closed_loop(
         y.append(mode.c @ x_next + mode.d @ u[k] + mode.h @ d[k] + v[k])
         state = step_observer(states[-1], mode, dec, gains, u[k - 1], u[k], y[k])
         states.append(state)
-        residuals.append(compute_residual(dec, state.x_star, u[k], y[k]))
+        residuals.append(state.residual)
     return ClosedLoopTrace(
         mode=mode,
         dec=dec,

@@ -57,6 +57,7 @@ def _bank_sweep(config, seeds):
         "state_containment_violations": 0,
         "input_containment_violations": 0,
         "residual_bound_violations": 0,
+        "residual_record_mismatches": 0,
         "steps_checked": 0,
     }
     t0 = time.perf_counter()
@@ -64,6 +65,11 @@ def _bank_sweep(config, seeds):
         truth = runner.simulate_truth(config, seed)
         for record in itertools.islice(runner.iter_bank(config, prepared, truth), 1, None):
             k = record.k
+            # the bank reports each stepped mode's own innovation, unrecomputed
+            stats["residual_record_mismatches"] += sum(
+                res_norm != np.linalg.norm(record.states[q].residual)
+                for q, res_norm in record.residuals.items()
+            )
             if true_q in record.mode_set.eliminated_at:
                 stats["true_mode_eliminations"] += 1
                 break
@@ -112,6 +118,7 @@ def test_true_mode_residual_never_exceeds_threshold_under_certified_gains(
     certified_sweep,
 ) -> None:
     assert certified_sweep["residual_bound_violations"] == 0
+    assert certified_sweep["residual_record_mismatches"] == 0
 
 
 def test_residual_equals_coefficient_matrix_times_realized_word() -> None:

@@ -27,13 +27,13 @@ def assert_decomposition_invariants(mode: ModeModel) -> None:
     dec = decompose(mode)
     l, p = mode.h.shape
     r = dec.p_h
-    u = np.hstack([dec.u1, dec.u2])
+    u = np.hstack([dec.t1.T, dec.t2.T])
     v = np.hstack([dec.v1, dec.v2])
     np.testing.assert_allclose(u.T @ u, np.eye(l), atol=ATOL)
     np.testing.assert_allclose(v.T @ v, np.eye(p), atol=ATOL)
     np.testing.assert_allclose(dec.t2 @ mode.h, np.zeros((l - r, p)), atol=ATOL)
-    np.testing.assert_allclose(dec.h1, dec.u1 @ dec.sigma, atol=ATOL)
-    np.testing.assert_allclose(dec.u1 @ dec.sigma @ dec.v1.T, mode.h, atol=ATOL)
+    np.testing.assert_allclose(mode.h @ dec.v1, dec.t1.T @ dec.sigma, atol=ATOL)
+    np.testing.assert_allclose(dec.t1.T @ dec.sigma @ dec.v1.T, mode.h, atol=ATOL)
     assert np.all(np.diag(dec.sigma) > 0)
     np.testing.assert_allclose(dec.sigma, np.diag(np.diag(dec.sigma)), atol=ATOL)
     np.testing.assert_allclose(dec.c1, dec.t1 @ mode.c, atol=ATOL)
@@ -73,7 +73,6 @@ def test_full_feedthrough_leaves_no_free_channel() -> None:
     dec = decompose(mode)
     assert dec.p_h == 2
     assert dec.t2.shape == (0, 2)
-    assert dec.u2.shape == (2, 0)
     assert dec.v2.shape == (2, 0)
     z1, z2 = split_output(dec, np.array([1.0, -2.0]))
     assert z1.shape == (2,) and z2.shape == (0,)

@@ -17,8 +17,7 @@ from artifact.detectability import (
     report_detectability,
     steady_tri,
 )
-from artifact.gains import synthesize_gains
-from artifact.observer import radius_sequence
+from artifact.gains import radius_sequence, synthesize_gains
 from artifact.residuals import build_coefficients, triangle_sequence
 from artifact.scenarios import scenario_path
 from artifact.system import LinearField, ModeModel, SwitchedSystem

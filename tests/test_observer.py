@@ -1,4 +1,4 @@
-"""Observer stepping and the tabulated radius recursion."""
+"""Observer stepping, its emitted residual, and the tabulated radius recursion."""
 from __future__ import annotations
 
 import numpy as np
@@ -12,8 +12,8 @@ from conftest import (
 
 from artifact.decomposition import decompose, split_output
 from artifact.errors import NumericalFailure
-from artifact.gains import synthesize_gains
-from artifact.observer import init_observer, radius_sequence, step_observer
+from artifact.gains import radius_sequence, synthesize_gains
+from artifact.observer import init_observer, step_observer
 from artifact.system import eval_field
 
 
@@ -28,7 +28,7 @@ def test_init_consumes_the_first_measurement_for_the_direct_component() -> None:
     np.testing.assert_allclose(
         state.d1_hat, gains.m1 @ (z1 - dec.c1 @ x_hat0), atol=1e-14
     )
-    assert state.k == 0 and state.d_hat_prev is None
+    assert state.k == 0 and state.d_hat_prev is None and state.residual is None
     np.testing.assert_array_equal(state.x_hat, x_hat0)
 
 
@@ -45,6 +45,9 @@ def test_noise_free_consistent_run_is_tracked_exactly() -> None:
         state = step_observer(state, mode, dec, gains, np.zeros(1), np.zeros(1), y)
         np.testing.assert_allclose(state.x_hat, x, atol=1e-12)
         np.testing.assert_allclose(state.d_hat_prev, np.zeros(1), atol=1e-12)
+        # a consistent noise-free measurement leaves no innovation
+        assert state.residual.shape == (dec.z2_dim,)
+        np.testing.assert_allclose(state.residual, np.zeros(dec.z2_dim), atol=1e-12)
 
 
 def test_unknown_input_is_reconstructed_one_step_late_when_error_collapses() -> None:

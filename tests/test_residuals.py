@@ -27,8 +27,7 @@ from conftest import (
 from artifact import runner
 from artifact.config import load_config
 from artifact.decomposition import decompose
-from artifact.gains import synthesize_gains
-from artifact.observer import radius_sequence
+from artifact.gains import radius_sequence, synthesize_gains
 from artifact.residuals import (
     assemble_matrix,
     box_radii,

@@ -404,6 +404,36 @@ def test_cli_uncertified_without_opt_in_is_exit_2(tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize(
+    ("path", "value", "message"),
+    [
+        (("allow_uncertified",), "false", "allow_uncertified must be true or false"),
+        (("horizon",), 2.7, "horizon must be an integer"),
+        (("true_mode",), True, "true_mode must be an integer"),
+        (("seed",), "7", "seed must be an integer"),
+        (("max_vertices",), 4096.5, "max_vertices must be an integer"),
+        (("system", "eta_w"), float("nan"), "noise bounds must be finite and positive"),
+        (("system", "eta_v"), float("inf"), "noise bounds must be finite and positive"),
+    ],
+    ids=["quoted-bool", "fractional-horizon", "bool-true-mode", "string-seed",
+         "fractional-max-vertices", "nan-eta-w", "inf-eta-v"],
+)
+def test_cli_rejects_mistyped_scalars_with_exit_2(tmp_path, capsys, path, value, message) -> None:
+    # each value once ran (or died later with exit 4) instead of failing to parse
+    data = yaml.safe_load(scenario_path("test_system_a").read_text())
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    config_path = tmp_path / "typed.yaml"
+    config_path.write_text(yaml.safe_dump(data))
+    code = cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     ("flag", "bounds"),
     [("--mode", ["--mode", "9", "--kmax", "5"]), ("--kmax", ["--mode", "1", "--kmax", "0"])],
     ids=["mode", "kmax"],
