@@ -22,6 +22,7 @@ from pathlib import Path
 from .config import ScenarioConfig, load_config
 from .detectability import report_detectability
 from .errors import ConfigurationError, NumericalFailure, SynthesisError
+from .gains import radius_sequence
 from .residuals import build_threshold_table
 from .runner import gain_bank, resolve_out_dir, run, write_json, write_threshold_csv
 from .scenarios import list_scenarios, scenario_path
@@ -98,9 +99,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     if args.kmax < 1:
         raise ConfigurationError("--kmax must be >= 1")
     dec, gains = gain_bank(config)[args.mode - 1]
-    table = build_threshold_table(
-        gains, dec, config.system.delta_x0, args.kmax, config.max_vertices
-    )
+    radius_seq = radius_sequence(gains, config.system.delta_x0, args.kmax)
+    table = build_threshold_table(gains, dec, radius_seq, config.max_vertices)
     path = resolve_out_dir(config, args.out) / f"thresholds_q{args.mode}.csv"
     write_threshold_csv(path, tuple(table))
     print(f"wrote {path}")

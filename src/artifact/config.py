@@ -3,12 +3,14 @@
 The on-disk format is a single YAML mapping, hand-editable, with all
 matrices as row-major nested lists.  Parsing is strict: unknown keys,
 wrong shapes, wrong scalar types (a quoted "false", a fractional step
-count) and out-of-range values raise ConfigurationError with the
+count, a bool or a string where a number belongs), non-finite numbers
+(.nan, .inf) and out-of-range values raise ConfigurationError with the
 offending path in the message, so a typo cannot silently fall back to a
 default.  See the README for the full schema and an annotated example.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union
@@ -126,11 +128,38 @@ def _flag(obj: Any, context: str) -> bool:
     return obj
 
 
-def _matrix(obj: Any, context: str) -> np.ndarray:
+def _number(obj: Any, context: str) -> float:
+    """A YAML int or float; a bool (which float() reads as 0 or 1) or a
+    string is an error."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ConfigurationError(f"{context} must be a number, got {obj!r}")
+    return float(obj)
+
+
+def _real(obj: Any, context: str) -> float:
+    """A finite number: the checked reader of every float in a config but
+    the noise bounds, which `_per_mode_floats` leaves to SwitchedSystem."""
+    value = _number(obj, context)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{context} must be finite, got {obj!r}")
+    return value
+
+
+def _array(obj: Any, context: str) -> np.ndarray:
+    """A float array whose every entry passed `_real`."""
+
+    def read(entry: Any) -> Any:
+        return [read(e) for e in entry] if isinstance(entry, list) else _real(entry, context)
+
+    values = read(obj)
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{context} is not a numeric matrix: {exc}") from exc
+        return np.asarray(values, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise ConfigurationError(f"{context} is not a numeric array: {exc}") from exc
+
+
+def _matrix(obj: Any, context: str) -> np.ndarray:
+    arr = _array(obj, context)
     if arr.ndim != 2:
         raise ConfigurationError(f"{context} must be a nested (row-major) list of rows")
     return arr
@@ -166,20 +195,20 @@ def _mode(obj: Any, context: str) -> ModeModel:
     if spec.get("w") is not None:
         kwargs["w"] = _matrix(spec["w"], f"{context}.w")
     if spec.get("lipschitz") is not None:
-        kwargs["lipschitz"] = float(spec["lipschitz"])
+        kwargs["lipschitz"] = _real(spec["lipschitz"], f"{context}.lipschitz")
     return ModeModel(**kwargs)
 
 
 def _per_mode_floats(obj: Any, count: int, context: str) -> tuple[float, ...]:
-    if isinstance(obj, (int, float)):
-        return (float(obj),) * count
+    """One noise bound per mode; SwitchedSystem checks they are finite and
+    positive."""
     if isinstance(obj, list):
         if len(obj) != count:
             raise ConfigurationError(
                 f"{context} must have one entry per mode ({count}), got {len(obj)}"
             )
-        return tuple(float(v) for v in obj)
-    raise ConfigurationError(f"{context} must be a number or a per-mode list")
+        return tuple(_number(v, context) for v in obj)
+    return (_number(obj, context),) * count
 
 
 def _system(obj: Any, name: str) -> SwitchedSystem:
@@ -196,15 +225,15 @@ def _system(obj: Any, name: str) -> SwitchedSystem:
         _mode(entry, f"system.modes[{i + 1}]") for i, entry in enumerate(raw_modes)
     )
     count = len(modes)
-    x_hat0 = np.asarray(_require(spec, "x_hat0", "system"), dtype=float)
+    x_hat0 = _array(_require(spec, "x_hat0", "system"), "system.x_hat0")
     return SwitchedSystem(
         modes=modes,
         eta_w=_per_mode_floats(_require(spec, "eta_w", "system"), count, "system.eta_w"),
         eta_v=_per_mode_floats(_require(spec, "eta_v", "system"), count, "system.eta_v"),
-        delta_x0=float(_require(spec, "delta_x0", "system")),
+        delta_x0=_real(_require(spec, "delta_x0", "system"), "system.delta_x0"),
         x_hat0=x_hat0,
-        r_x=None if spec.get("r_x") is None else float(spec["r_x"]),
-        r_y=None if spec.get("r_y") is None else float(spec["r_y"]),
+        r_x=None if spec.get("r_x") is None else _real(spec["r_x"], "system.r_x"),
+        r_y=None if spec.get("r_y") is None else _real(spec["r_y"], "system.r_y"),
         name=name,
     )
 
@@ -218,7 +247,7 @@ def _vector_sequence(
         )
     out = []
     for i, entry in enumerate(obj):
-        vec = np.asarray(entry, dtype=float).reshape(-1)
+        vec = _array(entry, f"{context}[{i}]").reshape(-1)
         if vec.size != dim:
             raise ConfigurationError(
                 f"{context}[{i}] must have {dim} entries, got {vec.size}"
@@ -232,13 +261,13 @@ def _unknown_input(obj: Any, needed: int, dim: int) -> UnknownInputSignal:
     kind = _require(spec, "kind", "unknown_input")
     if kind == "bounded_random":
         _check_keys(spec, {"kind", "bound"}, "unknown_input")
-        bound = float(_require(spec, "bound", "unknown_input"))
+        bound = _real(_require(spec, "bound", "unknown_input"), "unknown_input.bound")
         if bound < 0:
             raise ConfigurationError("unknown_input.bound must be >= 0")
         return BoundedRandomInput(bound=bound)
     if kind == "growing_ramp":
         _check_keys(spec, {"kind", "rate"}, "unknown_input")
-        rate = float(_require(spec, "rate", "unknown_input"))
+        rate = _real(_require(spec, "rate", "unknown_input"), "unknown_input.rate")
         if rate < 0:
             raise ConfigurationError("unknown_input.rate must be >= 0")
         return GrowingRampInput(rate=rate)
@@ -283,7 +312,7 @@ def _gains(obj: Any, count: int, base_dir: Path) -> GainsSpec:
         return GainsSpec(kind="heuristic")
     if kind == "scaled":
         _check_keys(spec, {"kind", "factor"}, "gains")
-        factor = float(_require(spec, "factor", "gains"))
+        factor = _real(_require(spec, "factor", "gains"), "gains.factor")
         if factor <= 0:
             raise ConfigurationError("gains.factor must be positive")
         return GainsSpec(kind="scaled", factor=factor)

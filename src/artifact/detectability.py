@@ -33,6 +33,8 @@ from .residuals import build_coefficients, triangle_sequence
 from .system import SwitchedSystem, jacobian_hessian_data
 
 T2_DISTINCT_TOL = 1e-9
+# relative change between successive triangle bounds that counts as stagnation
+STEADY_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,18 +56,11 @@ def steady_tri(
     gains: ObserverGains,
     dec: ModeDecomposition,
     delta0: float,
-    rel_tol: float = 1e-8,
     k_cap: int = 2000,
 ) -> SteadyTriReport:
     """Scan the triangle bound until relative stagnation or blow-up."""
-    lf = gains.lipschitz
     tri_seq = triangle_sequence(
-        build_coefficients(gains, dec, k_cap),
-        lf,
-        delta0,
-        gains.eta_v,
-        gains.eta_w,
-        radius_sequence(gains, delta0, k_cap),
+        build_coefficients(gains, dec, k_cap), gains, radius_sequence(gains, delta0, k_cap)
     )
 
     converged = False
@@ -76,7 +71,7 @@ def steady_tri(
         iterations = k
         if not math.isfinite(tri) or tri > 1e100:
             break
-        if prev is not None and abs(tri - prev) <= rel_tol * max(abs(tri), 1e-300):
+        if prev is not None and abs(tri - prev) <= STEADY_REL_TOL * max(abs(tri), 1e-300):
             converged = True
             value = tri
             break
@@ -98,7 +93,7 @@ def steady_tri(
     g2m2t2 = dec.g2 @ gains.m2 @ dec.t2
     c2phig1m1c1 = c2phi @ dec.g1 @ gains.m1 @ dec.c1
     r_const = (
-        lf
+        gains.lipschitz
         * linalg.spectral_norm(c2phig1m1c1)
         * linalg.spectral_norm(gains.psi)
         * linalg.spectral_norm(gains.phi)

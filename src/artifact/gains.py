@@ -7,8 +7,11 @@ channel, and l_gain is the measurement-update gain.  Everything the
 threshold and containment machinery needs later is precomputed here:
 the interconnection matrices (phi, psi, e), the stacked noise-to-error
 maps (r_mat, w_cal, y_cal), and the scalar contraction/offset constants
-of the radius model: ``radius_sequence`` tabulates the state radii and
+of the radius model delta_k = theta delta_{k-1} + eta_bar.  That model
+is the only one: ``radius_sequence`` tabulates the state radii, and
 ``ObserverGains.input_radius`` derives the lagged input radius from them.
+theta bounds the error map itself, (L_f + ||psi||) ||e phi||; a
+contraction factor that does not evaluate this map certifies nothing.
 """
 from __future__ import annotations
 
@@ -184,87 +187,4 @@ def synthesize_gains(
         eta_bar=float(eta_bar),
         beta=float(beta),
         alpha_bar=float(alpha_bar),
-    )
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """Outcome of checking an externally supplied quadratic certificate."""
-
-    valid: bool
-    case: str
-    theta_quadratic: float
-    theta_recursion: float
-    delta_x_limit: float
-    delta_d_limit: float
-    message: str = ""
-
-
-def verify_certificate(
-    gains: ObserverGains,
-    p_matrix: np.ndarray,
-    rho: float,
-) -> CertificateReport:
-    """Evaluate a (P, rho) pair as a convergence certificate.
-
-    Two asymptotic radius candidates exist: a quadratic one
-    rho * sqrt((eta_w^2 + eta_v^2) / (lambda_min(P) (1 - theta_q))) with
-    theta_q = |lambda_max(P) - 1| / lambda_min(P), valid when
-    theta_q < 1, and the recursion fixed point eta_bar / (1 - theta),
-    valid when theta < 1.  The report takes whichever is available, the
-    minimum when both are.
-    """
-    p = linalg.as_matrix(p_matrix, "p_matrix")
-    if p.shape[0] != p.shape[1]:
-        raise ConfigurationError(f"certificate matrix must be square, got {p.shape}")
-    if not np.allclose(p, p.T, atol=1e-10):
-        raise ConfigurationError("certificate matrix must be symmetric")
-    eigs = np.linalg.eigvalsh(p)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if lam_min <= 0:
-        return CertificateReport(
-            valid=False,
-            case="indefinite",
-            theta_quadratic=np.inf,
-            theta_recursion=gains.theta,
-            delta_x_limit=np.inf,
-            delta_d_limit=np.inf,
-            message=f"P is not positive definite (lambda_min = {lam_min:.3e})",
-        )
-    theta_q = abs(lam_max - 1.0) / lam_min
-    theta_r = gains.theta
-    cand_q = np.inf
-    cand_r = np.inf
-    if theta_q < 1.0:
-        cand_q = float(rho) * np.sqrt(
-            (gains.eta_w**2 + gains.eta_v**2) / (lam_min * (1.0 - theta_q))
-        )
-    if theta_r < 1.0:
-        cand_r = gains.eta_bar / (1.0 - theta_r)
-    if not np.isfinite(cand_q) and not np.isfinite(cand_r):
-        return CertificateReport(
-            valid=False,
-            case="divergent",
-            theta_quadratic=theta_q,
-            theta_recursion=theta_r,
-            delta_x_limit=np.inf,
-            delta_d_limit=np.inf,
-            message="neither contraction factor is below 1",
-        )
-    if np.isfinite(cand_q) and np.isfinite(cand_r):
-        case = "both"
-        delta_x = min(cand_q, cand_r)
-    elif np.isfinite(cand_q):
-        case = "quadratic"
-        delta_x = cand_q
-    else:
-        case = "recursion"
-        delta_x = cand_r
-    return CertificateReport(
-        valid=True,
-        case=case,
-        theta_quadratic=theta_q,
-        theta_recursion=theta_r,
-        delta_x_limit=delta_x,
-        delta_d_limit=gains.input_radius(delta_x),
     )

@@ -153,7 +153,7 @@ def spectral_norms(stack) -> np.ndarray:
     norms = np.full(a.shape[:-2], np.inf)
     blocks = a[finite]
     if a.shape[-2] == 1 or a.shape[-1] == 1:
-        v = np.abs(blocks.reshape(blocks.shape[0], -1))
+        v = np.abs(blocks.reshape(-1, a.shape[-2] * a.shape[-1]))
         top = v.max(axis=-1, keepdims=True)
         scaled = v / np.where(top > 0.0, top, 1.0)
         with np.errstate(over="ignore"):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import ModeDecomposition
-from .gains import ObserverGains, radius_sequence
+from .gains import ObserverGains
 from .linalg import spectral_norms
 
 INV_RT2 = 1.0 / math.sqrt(2.0)
@@ -143,14 +143,7 @@ def assemble_matrix(coeffs: ResidualCoefficients, k: int) -> np.ndarray:
 
 
 def box_radii(
-    k: int,
-    n: int,
-    l: int,
-    lipschitz: float,
-    delta0: float,
-    eta_v: float,
-    eta_w: float,
-    radius_seq: np.ndarray,
+    k: int, n: int, l: int, gains: ObserverGains, radius_seq: np.ndarray
 ) -> np.ndarray:
     """Per-coordinate radii of the word hypercube at step k.
 
@@ -159,36 +152,33 @@ def box_radii(
     """
     return np.concatenate(
         [
-            np.full(n, float(delta0)),
-            np.full(l * (k + 1), float(eta_v)),
-            np.full(n * k, float(eta_w)),
-            np.repeat(lipschitz * np.asarray(radius_seq[:k], dtype=float), n),
+            np.full(n, float(radius_seq[0])),
+            np.full(l * (k + 1), gains.eta_v),
+            np.full(n * k, gains.eta_w),
+            np.repeat(gains.lipschitz * np.asarray(radius_seq[:k], dtype=float), n),
         ]
     )
 
 
 def triangle_sequence(
-    coeffs: ResidualCoefficients,
-    lipschitz: float,
-    delta0: float,
-    eta_v: float,
-    eta_w: float,
-    radius_seq: np.ndarray,
+    coeffs: ResidualCoefficients, gains: ObserverGains, radius_seq: np.ndarray
 ) -> np.ndarray:
     """Triangle-inequality residual bounds for k = 1..coeffs.k_max.
 
     Entry k-1 is
 
         sum_{i=0}^{k-2} lipschitz |f_i| delta_{k-1-i}
-        + (|a_{k-1}| + lipschitz |f_{k-1}|) delta0
+        + (|a_{k-1}| + lipschitz |f_{k-1}|) delta_0
         + sum_{i=0}^{k-1} j_i
 
     with j_i the noise-block term; the drift sum is empty at k = 1.
-    radius_seq holds the a-priori radii [delta_0, delta_1, ...] and needs
-    at least k_max entries.  An overflowing uncertified mode saturates
-    to +inf; a zero block times an infinite radius adds 0, never nan.
+    lipschitz and the noise bounds are the gains' own; radius_seq holds
+    the a-priori radii [delta_0, delta_1, ...] and needs at least k_max
+    entries.  An overflowing uncertified mode saturates to +inf; a zero
+    block times an infinite radius adds 0, never nan.
     """
     k_max = coeffs.k_max
+    lipschitz, eta_v, eta_w = gains.lipschitz, gains.eta_v, gains.eta_w
     drift = np.zeros(k_max)
     with np.errstate(over="ignore"):
         # a linear mode's drift blocks add 0, even where their norms overflowed
@@ -199,7 +189,7 @@ def triangle_sequence(
         j_terms = INV_RT2 * eta_v * (coeffs.j_v_norms + coeffs.j_v_next_norms) + (
             eta_w * coeffs.j_w_norms
         )
-        return drift + np.cumsum(j_terms) + (coeffs.a_norms + lf_f) * float(delta0)
+        return drift + np.cumsum(j_terms) + (coeffs.a_norms + lf_f) * float(radius_seq[0])
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,21 +259,19 @@ class ThresholdReport:
 def build_threshold_table(
     gains: ObserverGains,
     dec: ModeDecomposition,
-    delta0: float,
-    k_max: int,
+    radius_seq: np.ndarray,
     max_vertices: int,
-    radius_seq: np.ndarray | None = None,
 ) -> list[ThresholdReport]:
     """Thresholds for k = 1..k_max, sharing one coefficient recursion.
 
-    The word grows with k, so the steps within the vertex budget are a
-    prefix; only those get a box and a dense matrix.
+    radius_seq is the mode's radius table [delta_0, ..., delta_kmax]
+    from `radius_sequence`; its length sets k_max.  The word grows with
+    k, so the steps within the vertex budget are a prefix; only those
+    get a box and a dense matrix.
     """
-    if radius_seq is None:
-        radius_seq = radius_sequence(gains, delta0, k_max)
+    k_max = len(radius_seq) - 1
     coeffs = build_coefficients(gains, dec, k_max)
-    lf, eta_v, eta_w = gains.lipschitz, gains.eta_v, gains.eta_w
-    tri = triangle_sequence(coeffs, lf, delta0, eta_v, eta_w, radius_seq)
+    tri = triangle_sequence(coeffs, gains, radius_seq)
     n, l = coeffs.n, coeffs.l
     enumerable = 0
     while enumerable < k_max and 1 << (word_dim(enumerable + 1, n, l) - 1) <= max_vertices:
@@ -291,7 +279,7 @@ def build_threshold_table(
     table: list[ThresholdReport] = []
     for k, tri_k in enumerate(tri.tolist(), start=1):
         if k <= enumerable:
-            box = box_radii(k, n, l, lf, delta0, eta_v, eta_w, radius_seq)
+            box = box_radii(k, n, l, gains, radius_seq)
             inf_val, count, capped = delta_inf(assemble_matrix(coeffs, k), box, max_vertices)
         else:
             inf_val, count, capped = math.inf, 0, True

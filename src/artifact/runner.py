@@ -193,16 +193,7 @@ def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
                 " >= 1); set allow_uncertified to proceed without guarantees"
             )
         radius_seq = radius_sequence(gains, system.delta_x0, config.horizon)
-        thresholds = tuple(
-            build_threshold_table(
-                gains,
-                dec,
-                system.delta_x0,
-                config.horizon,
-                config.max_vertices,
-                radius_seq=radius_seq,
-            )
-        )
+        thresholds = tuple(build_threshold_table(gains, dec, radius_seq, config.max_vertices))
         out.append(
             PreparedMode(
                 index=q,

@@ -208,10 +208,7 @@ def test_enumeration_bound_dominates_the_scaled_word_norm_floor(
                 continue
             k = report.k
             matrix = assemble_matrix(coeffs, k)
-            box = box_radii(
-                k, pm.mode.n, pm.mode.l, lf, system.delta_x0, eta_v, eta_w,
-                pm.radius_seq,
-            )
+            box = box_radii(k, pm.mode.n, pm.mode.l, pm.gains, pm.radius_seq)
             floor = float(np.linalg.norm(matrix * box[None, :]))
             ceiling = eta_t(
                 k, pm.mode.n, pm.mode.l, lf, system.delta_x0, eta_v, eta_w,

@@ -61,7 +61,7 @@ def test_steady_tri_converges_and_agrees_with_pointwise_bound() -> None:
     assert report.iterations < 100
     coeffs = build_coefficients(gains, dec, report.iterations)
     seq = radius_sequence(gains, 0.3, report.iterations)
-    direct = triangle_sequence(coeffs, gains.lipschitz, 0.3, 0.05, 0.05, seq)
+    direct = triangle_sequence(coeffs, gains, seq)
     assert report.value == pytest.approx(direct[-1], rel=1e-12)
 
 

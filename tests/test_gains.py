@@ -1,4 +1,4 @@
-"""Gain synthesis: recovery identities, heuristic optimality, certificates."""
+"""Gain synthesis: recovery identities, heuristic optimality, user gains."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,7 +10,6 @@ from artifact.gains import (
     check_rank_condition,
     heuristic_gain,
     synthesize_gains,
-    verify_certificate,
 )
 from artifact.system import LinearField, LinearSinusoidalField, ModeModel
 
@@ -123,42 +122,3 @@ def test_user_gain_shape_is_validated() -> None:
         synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02, user_gain=np.zeros((3, 1)))
     forced = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02, user_gain=np.zeros((2, 1)))
     np.testing.assert_allclose(forced.e, np.eye(2), atol=1e-14)
-
-
-def test_certificate_identity_p_uses_both_candidates() -> None:
-    mode = invertible_channel_mode()
-    dec = decompose(mode)
-    gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
-    rep = verify_certificate(gains, np.eye(2), rho=1.0)
-    assert rep.valid and rep.case == "both"
-    assert rep.theta_quadratic == pytest.approx(0.0)
-    cand_quadratic = np.sqrt(0.05**2 + 0.05**2)
-    assert rep.delta_x_limit == pytest.approx(min(cand_quadratic, gains.eta_bar), rel=1e-12)
-    assert rep.delta_d_limit == pytest.approx(gains.beta * rep.delta_x_limit + gains.alpha_bar, rel=1e-12)
-
-
-def test_certificate_falls_back_to_the_recursion_candidate() -> None:
-    mode = invertible_channel_mode()
-    dec = decompose(mode)
-    gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
-    rep = verify_certificate(gains, np.diag([2.0, 0.5]), rho=1.0)
-    assert rep.valid and rep.case == "recursion"
-    assert rep.theta_quadratic == pytest.approx(2.0)
-    assert rep.delta_x_limit == pytest.approx(gains.eta_bar / (1.0 - gains.theta), rel=1e-12)
-    # the limit is the fixed point of the radius recursion
-    dx = rep.delta_x_limit
-    assert dx == pytest.approx(gains.theta * dx + gains.eta_bar, abs=1e-14)
-    assert rep.delta_d_limit == pytest.approx(gains.beta * dx + gains.alpha_bar, abs=1e-14)
-
-
-def test_certificate_rejects_bad_p_and_reports_divergence() -> None:
-    mode = scalar_channel_mode()
-    dec = decompose(mode)
-    gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02, user_gain=np.zeros((2, 1)))
-    assert gains.theta >= 1.0  # zero gain leaves the full Lipschitz growth
-    rep = verify_certificate(gains, np.diag([2.0, 0.5]), rho=1.0)
-    assert not rep.valid and rep.case == "divergent"
-    rep2 = verify_certificate(gains, -np.eye(2), rho=1.0)
-    assert not rep2.valid and rep2.case == "indefinite"
-    with pytest.raises(ConfigurationError):
-        verify_certificate(gains, np.array([[1.0, 0.5], [0.0, 1.0]]), rho=1.0)

@@ -184,6 +184,12 @@ def test_vector_norms_read_inf_for_nonfinite_and_overflowed_blocks() -> None:
         column = spectral_norms(np.transpose(stack, (0, 2, 1)))
     np.testing.assert_array_equal(norms, [np.inf, np.inf, np.inf, np.sqrt(3.0)])
     np.testing.assert_array_equal(column, norms)
+    # a stack in which no block is finite leaves nothing to take a norm of
+    none_finite = stack[:3, :, :].copy()
+    none_finite[2] = np.nan
+    for block in (none_finite, np.transpose(none_finite, (0, 2, 1))):
+        np.testing.assert_array_equal(spectral_norms(block), [np.inf] * 3)
+    assert spectral_norm(np.array([[np.nan, 1.0]])) == np.inf
 
 
 def test_rank_and_sigma_min_share_the_cutoff() -> None:

@@ -74,11 +74,13 @@ def test_radius_recursion_agrees_with_closed_form() -> None:
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
     seq = radius_sequence(gains, 0.5, 40)
     th = gains.theta
-    assert th != 1.0
+    assert th != 1.0 and gains.beta != 0.0
     for k in (0, 1, 5, 17, 40):
         # geometric sum of delta_k = theta delta_{k-1} + eta_bar
         closed = 0.5 * th**k + gains.eta_bar * (1.0 - th**k) / (1.0 - th)
         assert seq[k] == pytest.approx(closed, rel=1e-12, abs=1e-12)
+        # the lagged input radius is the affine image of the state radius
+        assert gains.input_radius(seq[k]) == gains.beta * seq[k] + gains.alpha_bar
 
 
 def test_radii_upper_bound_errors_on_certified_mode() -> None:

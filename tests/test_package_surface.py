@@ -9,10 +9,6 @@ from pathlib import Path
 
 import artifact
 
-# Public API kept for callers outside the package: checking an externally
-# produced (P, rho) convergence certificate.
-ALLOWED_UNUSED = {"verify_certificate"}
-
 
 def _referenced_names(node: ast.AST) -> Counter[str]:
     names: Counter[str] = Counter()
@@ -49,7 +45,6 @@ def test_every_public_definition_is_referenced_inside_the_package() -> None:
     unused = sorted(
         label
         for label, own in definitions
-        if own.name not in ALLOWED_UNUSED
-        and uses[own.name] - _referenced_names(own)[own.name] == 0
+        if uses[own.name] - _referenced_names(own)[own.name] == 0
     )
     assert unused == [], f"public definitions no package code references: {unused}"

@@ -160,7 +160,7 @@ def test_triangle_bound_matches_hand_sum_at_small_k() -> None:
     coeffs = build_coefficients(gains, dec, 2)
     seq = radius_sequence(gains, 0.5, 2)
     lf = gains.lipschitz
-    tri = triangle_sequence(coeffs, lf, 0.5, 0.02, 0.02, seq)
+    tri = triangle_sequence(coeffs, gains, seq)
     assert tri.shape == (2,)
     expected_k1 = (sn(coeffs.a_mats[0]) + lf * sn(coeffs.f_mats[0])) * 0.5 + jt(coeffs, 0, 0.02)
     assert tri[0] == pytest.approx(expected_k1, rel=1e-12)
@@ -179,7 +179,7 @@ def test_triangle_bound_matches_hand_sum_at_small_k() -> None:
         assert gains.certified == certified
         coeffs = build_coefficients(gains, dec, 30)
         seq = radius_sequence(gains, 0.4, 30)
-        tri = triangle_sequence(coeffs, gains.lipschitz, 0.4, 0.03, 0.03, seq)
+        tri = triangle_sequence(coeffs, gains, seq)
         assert tri.shape == (30,)
         for k in range(1, 31):
             expected = hand_sum(coeffs, k, gains.lipschitz, 0.4, 0.03, seq)
@@ -190,7 +190,8 @@ def test_triangle_bound_matches_hand_sum_at_small_k() -> None:
     # 3-5 meet their infinite radii with nonzero blocks, which gives +inf
     config = load_config(scenario_path("scenario1"))
     for q, (dec, gains) in enumerate(runner.gain_bank(config)):
-        table = build_threshold_table(gains, dec, config.system.delta_x0, 1100, 1)
+        seq = radius_sequence(gains, config.system.delta_x0, 1100)
+        table = build_threshold_table(gains, dec, seq, 1)
         tri = np.array([report.delta_tri for report in table])
         assert not np.isnan(tri).any(), f"mode {q + 1}"
         assert np.isfinite(tri[-1]) == (q < 2), f"mode {q + 1}"
@@ -202,7 +203,7 @@ def test_triangle_bound_dominates_residuals_on_certified_mode() -> None:
         trace = run_closed_loop(mode, steps=20, seed=seed, eta_w=0.05, eta_v=0.05, delta0=0.3)
         coeffs = build_coefficients(trace.gains, trace.dec, 20)
         seq = radius_sequence(trace.gains, 0.3, 20)
-        bounds = triangle_sequence(coeffs, trace.gains.lipschitz, 0.3, 0.05, 0.05, seq)
+        bounds = triangle_sequence(coeffs, trace.gains, seq)
         for k in range(1, 21):
             assert np.linalg.norm(trace.residuals[k - 1]) <= bounds[k - 1] + 1e-12
 
@@ -267,7 +268,7 @@ def test_eta_t_equals_every_vertex_norm() -> None:
     seq = radius_sequence(gains, 0.5, 6)
     rng = np.random.default_rng(8)
     for k in (1, 3, 6):
-        box = box_radii(k, 2, 2, gains.lipschitz, 0.5, 0.03, 0.02, seq)
+        box = box_radii(k, 2, 2, gains, seq)
         val = eta_t(k, 2, 2, gains.lipschitz, 0.5, 0.03, 0.02, seq)
         assert val == pytest.approx(float(np.linalg.norm(box)), rel=1e-12)
         vertex = np.where(rng.uniform(size=box.size) < 0.5, box, -box)
@@ -278,10 +279,11 @@ def test_threshold_takes_the_smaller_bound_and_respects_the_cap() -> None:
     mode = scalar_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
-    rep = build_threshold_table(gains, dec, 0.5, 4, max_vertices=1 << 20)[0]
+    seq = radius_sequence(gains, 0.5, 4)
+    rep = build_threshold_table(gains, dec, seq, max_vertices=1 << 20)[0]
     assert not rep.capped and rep.vertices_enumerated == 1 << (word_dim(1, 2, 2) - 1)
     assert rep.delta_hat == min(rep.delta_tri, rep.delta_inf)
-    capped = build_threshold_table(gains, dec, 0.5, 4, max_vertices=4)[3]
+    capped = build_threshold_table(gains, dec, seq, max_vertices=4)[3]
     assert capped.capped and math.isinf(capped.delta_inf)
     assert capped.delta_hat == capped.delta_tri and capped.vertices_enumerated == 0
 
@@ -290,15 +292,15 @@ def test_threshold_table_is_consistent_with_pointwise_queries() -> None:
     mode = invertible_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
-    table = build_threshold_table(gains, dec, delta0=0.3, k_max=6, max_vertices=1 << 16)
+    seq = radius_sequence(gains, 0.3, 6)
+    table = build_threshold_table(gains, dec, seq, max_vertices=1 << 16)
     assert [rep.k for rep in table] == list(range(1, 7))
     coeffs = build_coefficients(gains, dec, 6)
-    seq = radius_sequence(gains, 0.3, 6)
-    tri = triangle_sequence(coeffs, gains.lipschitz, 0.3, gains.eta_v, gains.eta_w, seq)
+    tri = triangle_sequence(coeffs, gains, seq)
     assert any(rep.capped for rep in table) and not all(rep.capped for rep in table)
     for rep in table:
         assert rep.delta_tri == pytest.approx(tri[rep.k - 1], rel=1e-14)
-        box = box_radii(rep.k, 2, 3, gains.lipschitz, 0.3, gains.eta_v, gains.eta_w, seq)
+        box = box_radii(rep.k, 2, 3, gains, seq)
         again, count, capped = delta_inf(assemble_matrix(coeffs, rep.k), box, 1 << 16)
         assert capped == rep.capped and count == rep.vertices_enumerated
         if not capped:
@@ -324,7 +326,7 @@ def test_full_feedthrough_mode_has_empty_residual_channel() -> None:
     coeffs = build_coefficients(gains, dec, 3)
     assert all(m.shape[1] == 0 for m in (coeffs.a_mats, coeffs.f_mats, coeffs.j_mats))
     seq = radius_sequence(gains, 0.3, 3)
-    tri = triangle_sequence(coeffs, gains.lipschitz, 0.3, 0.05, 0.05, seq)
+    tri = triangle_sequence(coeffs, gains, seq)
     np.testing.assert_array_equal(tri, np.zeros(3))
-    for rep in build_threshold_table(gains, dec, 0.3, 3, max_vertices=1 << 16):
+    for rep in build_threshold_table(gains, dec, seq, max_vertices=1 << 16):
         assert rep.delta_hat == 0.0

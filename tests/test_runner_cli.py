@@ -413,9 +413,19 @@ def test_cli_uncertified_without_opt_in_is_exit_2(tmp_path, capsys) -> None:
         (("max_vertices",), 4096.5, "max_vertices must be an integer"),
         (("system", "eta_w"), float("nan"), "noise bounds must be finite and positive"),
         (("system", "eta_v"), float("inf"), "noise bounds must be finite and positive"),
+        (("unknown_input", "bound"), float("nan"), "unknown_input.bound must be finite"),
+        (("unknown_input", "bound"), float("inf"), "unknown_input.bound must be finite"),
+        (("system", "delta_x0"), float("inf"), "system.delta_x0 must be finite"),
+        (("system", "r_x"), float("inf"), "system.r_x must be finite"),
+        (("system", "modes", 1, "g"), [[float("inf")], [0.2]], "modes[2].g must be finite"),
+        (("system", "eta_w"), True, "system.eta_w must be a number"),
+        (("system", "delta_x0"), True, "system.delta_x0 must be a number"),
+        (("system", "x_hat0"), [True, 0.0], "system.x_hat0 must be a number"),
     ],
     ids=["quoted-bool", "fractional-horizon", "bool-true-mode", "string-seed",
-         "fractional-max-vertices", "nan-eta-w", "inf-eta-v"],
+         "fractional-max-vertices", "nan-eta-w", "inf-eta-v", "nan-bound", "inf-bound",
+         "inf-delta-x0", "inf-r-x", "inf-g-entry", "bool-eta-w", "bool-delta-x0",
+         "bool-x-hat0-entry"],
 )
 def test_cli_rejects_mistyped_scalars_with_exit_2(tmp_path, capsys, path, value, message) -> None:
     # each value once ran (or died later with exit 4) instead of failing to parse
@@ -429,7 +439,6 @@ def test_cli_rejects_mistyped_scalars_with_exit_2(tmp_path, capsys, path, value,
     code = cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
     assert not (tmp_path / "o").exists()
 
 
@@ -466,6 +475,19 @@ def test_cli_thresholds_writes_requested_horizon(tmp_path) -> None:
         rows = list(csv.DictReader(fh))
     assert [row["k"] for row in rows] == [str(k) for k in range(1, 8)]
     assert all(float(row["delta_hat"]) > 0 for row in rows)
+
+
+@pytest.mark.parametrize("scenario", ["test_system_a", "linear_bench"])
+def test_cli_thresholds_reproduce_the_tables_of_a_run(tmp_path, scenario) -> None:
+    # `thresholds` tabulates its own radii; over the run's horizon every
+    # table must match the run's byte for byte
+    config = load_config(scenario_path(scenario))
+    assert cli.main(["run", "--config", scenario, "--out", str(tmp_path / "run")]) == 0
+    for q in range(1, config.system.mode_count + 1):
+        args = ["--mode", str(q), "--kmax", str(config.horizon), "--out", str(tmp_path / "thr")]
+        assert cli.main(["thresholds", "--config", scenario, *args]) == 0
+        name = f"thresholds_q{q}.csv"
+        assert (tmp_path / "thr" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
 
 def test_cli_check_detectability_writes_strict_json(tmp_path, capsys) -> None:
