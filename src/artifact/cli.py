@@ -24,7 +24,14 @@ from .detectability import report_detectability
 from .errors import ConfigurationError, NumericalFailure, SynthesisError
 from .gains import radius_sequence
 from .residuals import build_threshold_table
-from .runner import gain_bank, resolve_out_dir, run, write_json, write_threshold_csv
+from .runner import (
+    gain_bank,
+    resolve_out_dir,
+    run,
+    threshold_rows,
+    write_json,
+    write_threshold_csv,
+)
 from .scenarios import list_scenarios, scenario_path
 
 EXIT_OK = 0
@@ -102,7 +109,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     radius_seq = radius_sequence(gains, config.system.delta_x0, args.kmax)
     table = build_threshold_table(gains, dec, radius_seq, config.max_vertices)
     path = resolve_out_dir(config, args.out) / f"thresholds_q{args.mode}.csv"
-    write_threshold_csv(path, tuple(table))
+    write_threshold_csv(path, threshold_rows(table))
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -122,6 +122,14 @@ def _integer(obj: Any, context: str) -> int:
     return obj
 
 
+def master_seed(obj: Any) -> int:
+    """A master seed: numpy's SeedSequence accepts non-negative integers only."""
+    seed = _integer(obj, "seed")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _flag(obj: Any, context: str) -> bool:
     if not isinstance(obj, bool):
         raise ConfigurationError(f"{context} must be true or false, got {obj!r}")
@@ -371,7 +379,7 @@ def parse_config(data: Any, *, name: str = "", base_dir: Path | None = None) -> 
     horizon = _integer(_require(spec, "horizon", "config"), "horizon")
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
-    seed = _integer(spec.get("seed", 0), "seed")
+    seed = master_seed(spec.get("seed", 0))
     p_true = system.modes[true_mode - 1].p
     unknown = _unknown_input(
         _require(spec, "unknown_input", "config"), horizon + 1, p_true

@@ -104,6 +104,7 @@ def decompose(mode: ModeModel) -> ModeDecomposition:
 
 
 def split_output(dec: ModeDecomposition, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate a raw measurement into (z1, z2)."""
-    y = np.asarray(y, dtype=float).reshape(-1)
+    """Rotate a raw measurement, or a block of measurement columns, into
+    (z1, z2)."""
+    y = np.asarray(y, dtype=float)
     return dec.t1 @ y, dec.t2 @ y

@@ -28,13 +28,6 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def ensure_finite(a: np.ndarray, context: str) -> np.ndarray:
-    """Pass `a` through, raising NumericalFailure if it holds NaN/inf."""
-    if not np.all(np.isfinite(a)):
-        raise NumericalFailure(f"non-finite values in {context}")
-    return a
-
-
 def singular_value_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
     if s.size == 0:
         return 0.0

@@ -1,7 +1,10 @@
 """Residual definition, stacked noise-word coefficients, and thresholds.
 
-The feedthrough-free residual at step k is an exact linear image of one
-long vector ("word") collecting everything unknown up to k:
+``compute_residual`` is the one place the feedthrough-free innovation is
+written; ``observer.step_matrix`` applies it to identity blocks, so it
+runs once per mode rather than per step.  The residual at step k is an
+exact linear image of one long vector ("word") collecting everything
+unknown up to k:
 
     t_k = [x_err_0 | v_0 .. v_k | w_0 .. w_{k-1} | df_0 .. df_{k-1}]
 
@@ -42,12 +45,13 @@ def compute_residual(
 ) -> np.ndarray:
     """Feedthrough-free innovation t2 y - c2 x - d2 u of the estimate x.
 
-    The observer forms it twice per step: against the time update to
-    recover the state-coupled input, and against the pre-correction
-    estimate, where it is the residual the mode observer tests.
+    The arguments are vectors or blocks of column vectors.
+    ``observer.step_matrix`` forms it twice, on identity blocks, when it
+    builds a mode's step: against the time update to recover the
+    state-coupled input, and against the pre-correction estimate, where
+    it is the residual the mode observer tests.
     """
-    y_k = np.asarray(y_k, dtype=float).reshape(-1)
-    return dec.t2 @ y_k - dec.c2 @ x - dec.d2 @ np.asarray(u_k, dtype=float)
+    return dec.t2 @ y_k - dec.c2 @ x - dec.d2 @ u_k
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -41,12 +41,13 @@ from .config import (
     GrowingRampInput,
     ScenarioConfig,
     ZeroInput,
+    master_seed,
 )
 from .decomposition import ModeDecomposition, decompose
 from .errors import ConfigurationError, NumericalFailure
 from .estimator import Ball, ModeSet, all_modes, bounding_ball, eliminate_step
 from .gains import ObserverGains, radius_sequence, synthesize_gains
-from .observer import ObserverState, init_observer, step_observer
+from .observer import ObserverState, init_observer, step_matrix, step_observer
 from .residuals import ThresholdReport, build_threshold_table
 from .system import ModeModel, eval_field
 
@@ -153,6 +154,7 @@ class PreparedMode:
     mode: ModeModel
     dec: ModeDecomposition
     gains: ObserverGains
+    step_matrix: np.ndarray  # observer.step_matrix of this mode
     radius_seq: np.ndarray  # state radii for k = 0..horizon
     thresholds: tuple[ThresholdReport, ...]  # k = 1..horizon
 
@@ -183,7 +185,8 @@ def gain_bank(
 
 
 def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
-    """Decompose, synthesize gains, and tabulate thresholds per mode."""
+    """Decompose, synthesize gains, build the observer step and tabulate
+    thresholds per mode."""
     system = config.system
     out: list[PreparedMode] = []
     for q, (mode, (dec, gains)) in enumerate(zip(system.modes, gain_bank(config))):
@@ -200,6 +203,7 @@ def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
                 mode=mode,
                 dec=dec,
                 gains=gains,
+                step_matrix=step_matrix(mode, dec, gains),
                 radius_seq=radius_seq,
                 thresholds=thresholds,
             )
@@ -230,12 +234,24 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _threshold_cells(report: ThresholdReport) -> list[str]:
-    """delta_tri, delta_inf (empty when capped) and delta_hat cells."""
+def _fmt_all(values: np.ndarray) -> list[str]:
+    """The cells of a 1-D float array, formatted like ``_fmt``."""
+    return [repr(val) for val in values.tolist()]
+
+
+def threshold_rows(thresholds: Sequence[ThresholdReport]) -> list[list[str]]:
+    """The cells of a threshold table, one row per step: k, delta_tri,
+    delta_inf (empty when capped), delta_hat and the capped flag.
+    ``steps.csv`` reuses the three threshold cells of each row."""
     return [
-        _fmt(report.delta_tri),
-        "" if report.capped else _fmt(report.delta_inf),
-        _fmt(report.delta_hat),
+        [
+            str(report.k),
+            _fmt(report.delta_tri),
+            "" if report.capped else _fmt(report.delta_inf),
+            _fmt(report.delta_hat),
+            str(int(report.capped)),
+        ]
+        for report in thresholds
     ]
 
 
@@ -291,18 +307,14 @@ def iter_bank(
         for q in mode_set.surviving:
             pm = prepared[q]
             try:
-                states[q] = step_observer(
-                    states[q],
-                    pm.mode,
-                    pm.dec,
-                    pm.gains,
-                    truth.u[k - 1],
-                    truth.u[k],
-                    truth.y[k],
+                state = step_observer(
+                    states[q], pm.mode, pm.step_matrix, truth.u[k - 1], truth.u[k], truth.y[k]
                 )
             except NumericalFailure as exc:
                 raise NumericalFailure(f"mode {q + 1}: {exc}") from exc
-            checks[q] = (float(np.linalg.norm(states[q].residual)), pm.thresholds[k - 1].delta_hat)
+            states[q] = state
+            res = state.residual
+            checks[q] = (math.sqrt(res @ res), pm.thresholds[k - 1].delta_hat)
         mode_set = eliminate_step(mode_set, k, checks)
         residuals = {q: res_norm for q, (res_norm, _) in checks.items()}
         yield BankRecord(k=k, mode_set=mode_set, states=tuple(states), residuals=residuals)
@@ -310,8 +322,9 @@ def iter_bank(
             return
 
 
-def _mode_cells(pm: PreparedMode, record: BankRecord) -> list[str]:
-    """One mode's residual, threshold, elimination and ball columns."""
+def _mode_cells(pm: PreparedMode, table: list[list[str]], record: BankRecord) -> list[str]:
+    """One mode's residual, threshold, elimination and ball columns;
+    `table` is the mode's ``threshold_rows``."""
     q, mode = pm.index, pm.mode
     if record.k == 0:
         cells = ["", "", "", "", "0"]
@@ -320,16 +333,16 @@ def _mode_cells(pm: PreparedMode, record: BankRecord) -> list[str]:
     else:
         cells = [
             _fmt(record.residuals[q]),
-            *_threshold_cells(pm.thresholds[record.k - 1]),
+            *table[record.k - 1][1:4],
             str(int(q not in record.mode_set.surviving)),
         ]
     state = record.states[q]
-    cells += [_fmt(val) for val in state.x_hat]
+    cells += _fmt_all(state.x_hat)
     cells.append(_fmt(pm.radius_seq[state.k]))
     if state.d_hat_prev is None:
         cells += [""] * mode.p + [""]
     else:
-        cells += [_fmt(val) for val in state.d_hat_prev]
+        cells += _fmt_all(state.d_hat_prev)
         cells.append(_fmt(pm.gains.input_radius(pm.radius_seq[state.k - 1])))
     return cells
 
@@ -345,20 +358,21 @@ def run(
     fault in the outputs (the caller decides the exit code); numerical
     blow-ups raise NumericalFailure with the offending mode and step.
     """
-    seed = config.seed if seed is None else int(seed)
+    seed = config.seed if seed is None else master_seed(int(seed))
     resolved_out = resolve_out_dir(config, out_dir)
 
     prepared = prepare_modes(config)
     truth = simulate_truth(config, seed)
 
+    tables = [threshold_rows(pm.thresholds) for pm in prepared]
     rows: list[list[str]] = []
     for record in iter_bank(config, prepared, truth):
         cells = [str(record.k)]
-        cells += [_fmt(val) for val in truth.x[record.k]]
-        cells += [_fmt(val) for val in truth.d[record.k]]
+        cells += _fmt_all(truth.x[record.k])
+        cells += _fmt_all(truth.d[record.k])
         cells.append(str(len(record.mode_set.surviving)))
-        for pm in prepared:
-            cells += _mode_cells(pm, record)
+        for pm, table in zip(prepared, tables):
+            cells += _mode_cells(pm, table, record)
         rows.append(cells)
     mode_set = record.mode_set
     fault_step = record.k if mode_set.faulted else None
@@ -369,10 +383,8 @@ def run(
         writer.writerow(_steps_header(config))
         writer.writerows(rows)
 
-    for pm in prepared:
-        write_threshold_csv(
-            resolved_out / f"thresholds_q{pm.index + 1}.csv", pm.thresholds
-        )
+    for pm, table in zip(prepared, tables):
+        write_threshold_csv(resolved_out / f"thresholds_q{pm.index + 1}.csv", table)
 
     report = _build_report(config, seed, prepared, mode_set, record.states, fault_step)
     write_json(resolved_out / "report.json", report)
@@ -390,14 +402,12 @@ def run(
     )
 
 
-def write_threshold_csv(path: Path, thresholds: tuple[ThresholdReport, ...]) -> None:
+def write_threshold_csv(path: Path, rows: list[list[str]]) -> None:
+    """Write a threshold table from its ``threshold_rows``."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["k", "delta_tri", "delta_inf", "delta_hat", "capped"])
-        for report in thresholds:
-            writer.writerow(
-                [str(report.k), *_threshold_cells(report), str(int(report.capped))]
-            )
+        writer.writerows(rows)
 
 
 def resolve_out_dir(config: ScenarioConfig, out_dir: str | Path | None) -> Path:

@@ -1,9 +1,12 @@
 """Shared builders: sample modes, a self-contained closed-loop simulator,
-and the vertex norm of the word hypercube.
+the stage-by-stage observer step, and the vertex norm of the word
+hypercube.
 
 The simulator here is deliberately independent of the package's runner so
 that residual/containment checks compare the library against plain
-hand-written plant arithmetic.
+hand-written plant arithmetic.  ``stagewise_step`` is the same kind of
+reference for the observer: it runs the step's stages one by one on the
+signal vectors, which the package composes into one matrix per mode.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import numpy as np
 
 from artifact.decomposition import ModeDecomposition, decompose
 from artifact.gains import ObserverGains, synthesize_gains
-from artifact.observer import ObserverState, init_observer, step_observer
+from artifact.observer import ObserverState, init_observer, step_matrix, step_observer
 from artifact.system import LinearField, LinearSinusoidalField, ModeModel, eval_field
 
 
@@ -91,6 +94,30 @@ def blind_row_mode() -> ModeModel:
     )
 
 
+def stagewise_step(
+    state: ObserverState,
+    mode: ModeModel,
+    dec: ModeDecomposition,
+    gains: ObserverGains,
+    u_prev: np.ndarray,
+    u_k: np.ndarray,
+    y_k: np.ndarray,
+) -> ObserverState:
+    """Reference observer step: time update, recovery of the state-coupled
+    input from the feedthrough-free innovation, gain correction on the
+    same channel, then the direct input component, each on vectors."""
+    x_pred = eval_field(mode.field, state.x_hat) + mode.b @ u_prev + dec.g1 @ state.d1_hat
+    d2_prev = gains.m2 @ (dec.t2 @ y_k - dec.c2 @ x_pred - dec.d2 @ u_k)
+    x_star = x_pred + dec.g2 @ d2_prev
+    residual = dec.t2 @ y_k - dec.c2 @ x_star - dec.d2 @ u_k
+    x_hat = x_star + gains.l_gain @ residual
+    d1_hat = gains.m1 @ (dec.t1 @ y_k - dec.c1 @ x_hat - dec.d1 @ u_k)
+    d_prev = dec.v1 @ state.d1_hat + dec.v2 @ d2_prev
+    return ObserverState(
+        k=state.k + 1, x_hat=x_hat, d1_hat=d1_hat, d_hat_prev=d_prev, residual=residual
+    )
+
+
 @dataclass
 class ClosedLoopTrace:
     """Everything a truth-level check could need from one run."""
@@ -146,13 +173,14 @@ def run_closed_loop(
 
     x = [x0]
     y = [mode.c @ x0 + mode.d @ u[0] + mode.h @ d[0] + v[0]]
+    step = step_matrix(mode, dec, gains)
     states = [init_observer(dec, gains, x_hat0, y[0], u[0])]
     residuals: list[np.ndarray] = []
     for k in range(1, steps + 1):
         x_next = eval_field(mode.field, x[k - 1]) + mode.b @ u[k - 1] + mode.g @ d[k - 1] + mode.w @ w[k - 1]
         x.append(x_next)
         y.append(mode.c @ x_next + mode.d @ u[k] + mode.h @ d[k] + v[k])
-        state = step_observer(states[-1], mode, dec, gains, u[k - 1], u[k], y[k])
+        state = step_observer(states[-1], mode, step, u[k - 1], u[k], y[k])
         states.append(state)
         residuals.append(state.residual)
     return ClosedLoopTrace(

@@ -4,17 +4,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import (
+    blind_row_mode,
+    full_pipeline_mode,
     invertible_channel_mode,
     run_closed_loop,
     sample_ball,
     scalar_channel_mode,
+    stagewise_step,
 )
 
+from artifact import runner
+from artifact.config import load_config
 from artifact.decomposition import decompose, split_output
 from artifact.errors import NumericalFailure
 from artifact.gains import radius_sequence, synthesize_gains
-from artifact.observer import init_observer, step_observer
-from artifact.system import eval_field
+from artifact.observer import init_observer, step_matrix, step_observer
+from artifact.scenarios import list_scenarios, scenario_path
+from artifact.system import LinearField, ModeModel, eval_field
 
 
 def test_init_consumes_the_first_measurement_for_the_direct_component() -> None:
@@ -37,12 +43,13 @@ def test_noise_free_consistent_run_is_tracked_exactly() -> None:
     mode = invertible_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
+    step = step_matrix(mode, dec, gains)
     x = np.array([0.2, -0.1])
     state = init_observer(dec, gains, x, mode.c @ x, np.zeros(1))
     for k in range(1, 8):
         x = eval_field(mode.field, x)
         y = mode.c @ x
-        state = step_observer(state, mode, dec, gains, np.zeros(1), np.zeros(1), y)
+        state = step_observer(state, mode, step, np.zeros(1), np.zeros(1), y)
         np.testing.assert_allclose(state.x_hat, x, atol=1e-12)
         np.testing.assert_allclose(state.d_hat_prev, np.zeros(1), atol=1e-12)
         # a consistent noise-free measurement leaves no innovation
@@ -56,6 +63,7 @@ def test_unknown_input_is_reconstructed_one_step_late_when_error_collapses() -> 
     mode = invertible_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
+    step = step_matrix(mode, dec, gains)
     rng = np.random.default_rng(5)
     x = np.array([0.1, 0.3])
     state = init_observer(dec, gains, x, mode.c @ x + mode.h @ np.array([0.7]), np.zeros(1))
@@ -64,7 +72,7 @@ def test_unknown_input_is_reconstructed_one_step_late_when_error_collapses() -> 
         d_seq.append(rng.normal(size=1))
         x = eval_field(mode.field, x) + mode.g @ d_seq[k - 1]
         y = mode.c @ x + mode.h @ d_seq[k]
-        state = step_observer(state, mode, dec, gains, np.zeros(1), np.zeros(1), y)
+        state = step_observer(state, mode, step, np.zeros(1), np.zeros(1), y)
         np.testing.assert_allclose(state.d_hat_prev, d_seq[k - 1], atol=1e-10)
 
 
@@ -110,13 +118,105 @@ def test_lagged_input_radius_stays_alpha_bar_where_the_state_radius_overflows() 
         assert gains.input_radius(seq[k]) == gains.alpha_bar
 
 
-def test_non_finite_measurement_raises_numerical_failure_with_step() -> None:
+@pytest.mark.parametrize(
+    ("u_prev", "y_k"),
+    [
+        ([0.0], [np.nan, 0.0]),
+        ([0.0], [np.inf, 0.0]),
+        # the step matrix's u_{k-1} column is zero here; only 0 * NaN = NaN
+        # carries the bad input into the outputs
+        ([np.nan], [0.0, 0.0]),
+    ],
+    ids=["nan-measurement", "inf-measurement", "nan-unused-input"],
+)
+def test_non_finite_measurement_raises_numerical_failure_with_step(u_prev, y_k) -> None:
     mode = scalar_channel_mode()
+    assert not mode.b.any() and not mode.d.any()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
+    step = step_matrix(mode, dec, gains)
+    u_prev_cols = slice(mode.n + dec.p_h, mode.n + dec.p_h + mode.m)
+    assert not step[:, u_prev_cols].any()
     state = init_observer(dec, gains, np.zeros(2), np.zeros(2), np.zeros(1))
-    with pytest.raises(NumericalFailure, match="step 1"):
-        step_observer(state, mode, dec, gains, np.zeros(1), np.zeros(1), np.array([np.nan, 0.0]))
+    with pytest.raises(NumericalFailure, match="state estimate at step 1"):
+        step_observer(state, mode, step, np.array(u_prev), np.zeros(1), np.array(y_k))
+
+
+def _no_feedthrough_mode() -> ModeModel:
+    """H = 0: the direct input component d1-hat has zero width."""
+    return ModeModel(
+        field=LinearField(a=np.array([[0.5, 0.2], [-0.1, 0.4]])),
+        b=np.array([[0.3], [0.1]]),
+        g=np.array([[0.4], [-0.2]]),
+        c=np.array([[1.0, 0.0], [0.3, 0.8]]),
+        d=np.array([[0.1], [0.0]]),
+        h=np.zeros((2, 1)),
+    )
+
+
+def _full_feedthrough_mode() -> ModeModel:
+    """Invertible H: the residual has zero rows."""
+    return ModeModel(
+        field=LinearField(a=np.array([[0.5, 0.1], [0.0, 0.3]])),
+        b=np.array([[0.2], [0.0]]),
+        g=np.array([[0.5, 0.0], [0.0, 0.3]]),
+        c=np.array([[1.0, 0.2], [-0.1, 1.0]]),
+        d=np.array([[0.0], [0.1]]),
+        h=np.eye(2),
+    )
+
+
+def _observer_cases():
+    for build in (
+        invertible_channel_mode, scalar_channel_mode, full_pipeline_mode, blind_row_mode,
+        _no_feedthrough_mode, _full_feedthrough_mode,
+    ):
+        mode = build()
+        dec = decompose(mode)
+        yield build.__name__, mode, dec, synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
+    for name in list_scenarios():
+        config = load_config(scenario_path(name))
+        for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+            yield f"{name}-q{q + 1}", config.system.modes[q], dec, gains
+
+
+# Both steps compute the same linear map in a different order, so they
+# may differ by rounding only: a few ulps of |step| @ |inputs|, the sum of
+# the magnitudes that enter an output.  The worst case over these cases
+# is 4.6e-16 (about 2 ulps); a dropped stage term differs at order one.
+STEP_REL = 1e-14
+
+
+def test_fused_step_matches_the_stagewise_reference() -> None:
+    cases = list(_observer_cases())
+    widths = {(dec.p_h, dec.z2_dim) for _, _, dec, _ in cases}
+    assert any(p_h == 0 for p_h, _ in widths) and any(rows == 0 for _, rows in widths)
+    for label, mode, dec, gains in cases:
+        step = step_matrix(mode, dec, gains)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=mode.n) * 0.3
+
+        def measure(x, u):
+            d = rng.normal(size=mode.p) * 0.5
+            return mode.c @ x + mode.d @ u + mode.h @ d + sample_ball(rng, 0.05, mode.l), d
+
+        u_prev = rng.normal(size=mode.m) * 0.2
+        y, d = measure(x, u_prev)
+        ref = init_observer(dec, gains, np.zeros(mode.n), y, u_prev)
+        for k in range(1, 101):
+            x = eval_field(mode.field, x) + mode.b @ u_prev + mode.g @ d
+            u_k = rng.normal(size=mode.m) * 0.2
+            y, d = measure(x, u_k)
+            got = step_observer(ref, mode, step, u_prev, u_k, y)
+            want = stagewise_step(ref, mode, dec, gains, u_prev, u_k, y)
+            inputs = np.concatenate((eval_field(mode.field, ref.x_hat), ref.d1_hat, u_prev, u_k, y))
+            bound = STEP_REL * np.max(np.abs(step) @ np.abs(inputs))
+            for block in ("x_hat", "d1_hat", "d_hat_prev", "residual"):
+                a, b = getattr(got, block), getattr(want, block)
+                assert a.shape == b.shape, (label, block)
+                assert np.max(np.abs(a - b), initial=0.0) <= bound, (label, k, block)
+            assert got.k == want.k == k
+            ref, u_prev = want, u_k
 
 
 def test_ball_sampler_stays_inside_radius() -> None:

@@ -406,6 +406,8 @@ def test_cli_uncertified_without_opt_in_is_exit_2(tmp_path, capsys) -> None:
 @pytest.mark.parametrize(
     ("path", "value", "message"),
     [
+        (("seed",), -5, "seed must be >= 0"),
+        ((), ["--seed", "-1"], "seed must be >= 0"),
         (("allow_uncertified",), "false", "allow_uncertified must be true or false"),
         (("horizon",), 2.7, "horizon must be an integer"),
         (("true_mode",), True, "true_mode must be an integer"),
@@ -422,21 +424,26 @@ def test_cli_uncertified_without_opt_in_is_exit_2(tmp_path, capsys) -> None:
         (("system", "delta_x0"), True, "system.delta_x0 must be a number"),
         (("system", "x_hat0"), [True, 0.0], "system.x_hat0 must be a number"),
     ],
-    ids=["quoted-bool", "fractional-horizon", "bool-true-mode", "string-seed",
+    ids=["negative-seed", "negative-seed-flag", "quoted-bool", "fractional-horizon", "bool-true-mode", "string-seed",
          "fractional-max-vertices", "nan-eta-w", "inf-eta-v", "nan-bound", "inf-bound",
          "inf-delta-x0", "inf-r-x", "inf-g-entry", "bool-eta-w", "bool-delta-x0",
          "bool-x-hat0-entry"],
 )
 def test_cli_rejects_mistyped_scalars_with_exit_2(tmp_path, capsys, path, value, message) -> None:
-    # each value once ran (or died later with exit 4) instead of failing to parse
+    # each value once ran, died later with exit 4 or crashed instead of
+    # failing to parse; an empty path passes the value as extra arguments
     data = yaml.safe_load(scenario_path("test_system_a").read_text())
-    target = data
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    extra = value if not path else []
+    if path:
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
     config_path = tmp_path / "typed.yaml"
     config_path.write_text(yaml.safe_dump(data))
-    code = cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")])
+    code = cli.main(
+        ["run", "--config", str(config_path), "--out", str(tmp_path / "o"), *extra]
+    )
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
