@@ -15,8 +15,16 @@ to die:
 
 The asymptotic residual bound itself is obtained numerically by
 scanning the triangle-bound sequence (the same one the threshold tables
-use) for relative stagnation; the closed-form limit pieces are reported
-alongside for inspection.
+use) for relative stagnation, or for blow-up past 1e100, up to a cap of
+STEADY_K_CAP steps; the closed-form limit pieces are reported alongside
+for inspection.  The scan reads a prefix of the sequence, and entries
+1..K come out bitwise equal whatever length the sequence is built to, so
+it is built on at most three prefix lengths ("rungs"): STEADY_FIRST_RUNG,
+k_stop and the cap, stopping at the first rung where the scan reaches a
+verdict.  k_stop is where the scan must have stopped by blow-up: the
+drift convolution's i = 0 term alone gives
+tri_k >= L_f ||c2 phi|| delta_{k-1}, read off the radius table.  The
+last rung is always the cap, so the verdict never rests on that bound.
 """
 from __future__ import annotations
 
@@ -35,6 +43,12 @@ from .system import SwitchedSystem, jacobian_hessian_data
 T2_DISTINCT_TOL = 1e-9
 # relative change between successive triangle bounds that counts as stagnation
 STEADY_REL_TOL = 1e-8
+# a triangle bound above this counts as blow-up
+STEADY_BLOWUP = 1e100
+# longest scan; a sequence still moving there reads as not converged
+STEADY_K_CAP = 2000
+# first prefix length scanned: every bundled certified mode stagnates by k = 28
+STEADY_FIRST_RUNG = 64
 
 
 @dataclass(frozen=True)
@@ -56,30 +70,24 @@ def steady_tri(
     gains: ObserverGains,
     dec: ModeDecomposition,
     delta0: float,
-    k_cap: int = 2000,
+    k_cap: int = STEADY_K_CAP,
 ) -> SteadyTriReport:
     """Scan the triangle bound until relative stagnation or blow-up."""
-    tri_seq = triangle_sequence(
-        build_coefficients(gains, dec, k_cap), gains, radius_sequence(gains, delta0, k_cap)
-    )
-
-    converged = False
-    value = math.inf
-    prev = None
-    iterations = 0
-    for k, tri in enumerate(tri_seq.tolist(), start=1):
-        iterations = k
-        if not math.isfinite(tri) or tri > 1e100:
+    c2phi = dec.c2 @ gains.phi
+    radii = radius_sequence(gains, delta0, k_cap)
+    k_stop = _blowup_bound(gains.lipschitz * linalg.spectral_norm(c2phi), radii, k_cap)
+    for k_max in sorted({min(STEADY_FIRST_RUNG, k_stop), k_stop, k_cap}):
+        tri_seq = triangle_sequence(
+            build_coefficients(gains, dec, k_max), gains, radii[: k_max + 1]
+        )
+        verdict = _scan_steady(tri_seq)
+        if verdict is not None:
             break
-        if prev is not None and abs(tri - prev) <= STEADY_REL_TOL * max(abs(tri), 1e-300):
-            converged = True
-            value = tri
-            break
-        prev = tri
-    if not converged:
+    else:
         # no stagnation within the cap: any finite number would be an
         # unsound limit claim
-        value = math.inf
+        verdict = (False, math.inf, k_cap)
+    converged, value, iterations = verdict
 
     # closed-form limit pieces, reported for inspection (theta here is the
     # bare measurement contraction driving the coefficient decay); the
@@ -88,7 +96,6 @@ def steady_tri(
     l = dec.t1.shape[1]
     phi_w = gains.r_mat[:, l : l + n]
     c2_phi_w = gains.y_cal[:, l : l + n]
-    c2phi = dec.c2 @ gains.phi
     g1m1t1 = dec.g1 @ gains.m1 @ dec.t1
     g2m2t2 = dec.g2 @ gains.m2 @ dec.t2
     c2phig1m1c1 = c2phi @ dec.g1 @ gains.m1 @ dec.c1
@@ -126,6 +133,34 @@ def steady_tri(
         s_const=s_const,
         analytic_limit=analytic,
     )
+
+
+def _scan_steady(tri_seq: np.ndarray) -> tuple[bool, float, int] | None:
+    """(converged, value, iterations) at the first stagnation or blow-up
+    of the sequence, or None when it ends before either."""
+    prev = None
+    for k, tri in enumerate(tri_seq.tolist(), start=1):
+        if not math.isfinite(tri) or tri > STEADY_BLOWUP:
+            return False, math.inf, k
+        if prev is not None and abs(tri - prev) <= STEADY_REL_TOL * max(abs(tri), 1e-300):
+            return True, tri, k
+        prev = tri
+    return None
+
+
+def _blowup_bound(slope: float, radii: np.ndarray, k_cap: int) -> int:
+    """First k with slope * delta_{k-1} > 2 STEADY_BLOWUP, else k_cap.
+
+    With slope = L_f ||c2 phi|| that product is the drift convolution's
+    i = 0 term, a lower bound on the triangle bound tri_k, so the scan
+    stops by blow-up at this k at the latest; the factor 2 covers
+    rounding in the norm and the sums.
+    """
+    if slope == 0.0:
+        return k_cap
+    with np.errstate(over="ignore"):
+        past = np.flatnonzero(slope * radii[:k_cap] > 2.0 * STEADY_BLOWUP)
+    return int(past[0]) + 1 if past.size else k_cap
 
 
 @dataclass(frozen=True)
@@ -264,7 +299,7 @@ def report_detectability(
     system: SwitchedSystem,
     decs: list[ModeDecomposition],
     gains_list: list[ObserverGains],
-    k_cap: int = 2000,
+    k_cap: int = STEADY_K_CAP,
 ) -> DetectabilityReport:
     steady = [
         steady_tri(q, gains_list[q], decs[q], system.delta_x0, k_cap=k_cap)

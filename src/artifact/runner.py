@@ -412,9 +412,21 @@ def write_threshold_csv(path: Path, rows: list[list[str]]) -> None:
 
 def resolve_out_dir(config: ScenarioConfig, out_dir: str | Path | None) -> Path:
     """Create and return out_dir, else the config's output_dir, else
-    <name>_out."""
+    <name>_out.
+
+    Raises
+    ------
+    ConfigurationError
+        When the directory cannot be created, for example because the
+        path or one of its parents is an existing file.
+    """
     path = Path(out_dir if out_dir is not None else (config.output_dir or f"{config.name}_out"))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {str(path)!r}: {exc.strerror or exc}"
+        ) from exc
     return path
 
 

@@ -94,6 +94,18 @@ def blind_row_mode() -> ModeModel:
     )
 
 
+def full_feedthrough_mode() -> ModeModel:
+    """Invertible H: the residual has zero rows."""
+    return ModeModel(
+        field=LinearField(a=np.array([[0.5, 0.1], [0.0, 0.3]])),
+        b=np.array([[0.2], [0.0]]),
+        g=np.array([[0.5, 0.0], [0.0, 0.3]]),
+        c=np.array([[1.0, 0.2], [-0.1, 1.0]]),
+        d=np.array([[0.0], [0.1]]),
+        h=np.eye(2),
+    )
+
+
 def stagewise_step(
     state: ObserverState,
     mode: ModeModel,

@@ -1,17 +1,26 @@
 """Distinguishability: threshold limits, pairwise checks, verdicts."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from conftest import full_pipeline_mode, invertible_channel_mode, scalar_channel_mode
+from conftest import (
+    blind_row_mode,
+    full_feedthrough_mode,
+    full_pipeline_mode,
+    invertible_channel_mode,
+    scalar_channel_mode,
+)
 
-from artifact import runner
+from artifact import detectability, runner
 from artifact.config import load_config
 from artifact.decomposition import decompose
 from artifact.detectability import (
+    STEADY_FIRST_RUNG,
+    STEADY_K_CAP,
     check_condition_i,
     check_condition_ii,
     report_detectability,
@@ -19,7 +28,7 @@ from artifact.detectability import (
 )
 from artifact.gains import radius_sequence, synthesize_gains
 from artifact.residuals import build_coefficients, triangle_sequence
-from artifact.scenarios import scenario_path
+from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import LinearField, ModeModel, SwitchedSystem
 
 
@@ -82,6 +91,95 @@ def test_steady_tri_report_does_not_depend_on_the_cap_past_its_stop() -> None:
         capped = steady_tri(q, gains, dec, delta0, k_cap=2000)
         assert capped.iterations < 2000
         assert steady_tri(q, gains, dec, delta0, k_cap=5000) == capped
+
+
+def _steady_cases():
+    """(label, gains, dec, delta0) for the conftest modes, a full-feedthrough
+    mode whose residual has zero rows, and every bundled scenario mode."""
+    for build in (
+        invertible_channel_mode, scalar_channel_mode, full_pipeline_mode, blind_row_mode,
+        full_feedthrough_mode,
+    ):
+        dec, gains = _prepared(build())
+        yield build.__name__, gains, dec, 0.3
+    for name in list_scenarios():
+        config = load_config(scenario_path(name))
+        for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+            yield f"{name}-q{q + 1}", gains, dec, config.system.delta_x0
+
+
+def _full_triangle_sequence(gains, dec, delta0, k_max):
+    return triangle_sequence(
+        build_coefficients(gains, dec, k_max), gains, radius_sequence(gains, delta0, k_max)
+    )
+
+
+def _reference_scan(tri_seq):
+    """The stagnation/blow-up scan over the whole sequence, written out:
+    (converged, value, iterations)."""
+    prev = None
+    for k, tri in enumerate(tri_seq.tolist(), start=1):
+        if not math.isfinite(tri) or tri > 1e100:
+            return False, math.inf, k
+        if prev is not None and abs(tri - prev) <= 1e-8 * max(abs(tri), 1e-300):
+            return True, tri, k
+        prev = tri
+    return False, math.inf, len(tri_seq)
+
+
+@pytest.mark.parametrize("k_cap", [50, STEADY_K_CAP])
+def test_steady_tri_matches_a_scan_of_the_full_length_sequence(k_cap) -> None:
+    # steady_tri builds only prefixes of the sequence; the reference builds
+    # all k_cap entries and scans them.  The closed-form constants do not
+    # depend on the scan, so the reference takes them from the report.
+    cases = list(_steady_cases())
+    assert any(dec.z2_dim == 0 for _, _, dec, _ in cases)
+    verdicts = set()
+    for label, gains, dec, delta0 in cases:
+        report = steady_tri(0, gains, dec, delta0, k_cap=k_cap)
+        converged, value, iterations = _reference_scan(
+            _full_triangle_sequence(gains, dec, delta0, k_cap)
+        )
+        reference = dataclasses.replace(
+            report, converged=converged, value=value, iterations=iterations
+        )
+        assert report == reference, label
+        verdicts.add((converged, iterations == k_cap))
+    # both outcomes occur: stagnation, and either blow-up before the cap
+    # (every bundled mode stops by k = 1208) or, at k_cap = 50, no verdict
+    assert verdicts == {(True, False), (False, k_cap == 50)}
+
+
+def test_triangle_sequence_prefixes_are_bitwise_equal_to_the_full_sequence() -> None:
+    for label, gains, dec, delta0 in _steady_cases():
+        radii = radius_sequence(gains, delta0, STEADY_K_CAP)
+        full = _full_triangle_sequence(gains, dec, delta0, STEADY_K_CAP)
+        for k in (1, 2, 64, 143, 521, 1999):
+            prefix = triangle_sequence(
+                build_coefficients(gains, dec, k), gains, radii[: k + 1]
+            )
+            assert prefix.tobytes() == full[:k].tobytes(), (label, k)
+
+
+def test_steady_tri_builds_only_the_prefix_its_scan_reads(monkeypatch) -> None:
+    # scenario1 stops at 2, 520, 326, 307 and 142; the blow-up bound
+    # predicts 521, 328, 308 and 143, and each mode first tries 64 steps
+    built: list[int] = []
+
+    def recording(gains, dec, k_max):
+        built.append(k_max)
+        return build_coefficients(gains, dec, k_max)
+
+    monkeypatch.setattr(detectability, "build_coefficients", recording)
+    config = load_config(scenario_path("scenario1"))
+    per_mode = []
+    for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+        built.clear()
+        steady_tri(q, gains, dec, config.system.delta_x0)
+        assert built == sorted(built) and len(built) <= 3
+        per_mode.append(sum(built))
+    assert max(per_mode) <= STEADY_K_CAP + STEADY_FIRST_RUNG
+    assert sum(per_mode) <= 2000
 
 
 def test_analytic_limit_reduces_to_offset_when_interconnection_vanishes() -> None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import (
     blind_row_mode,
+    full_feedthrough_mode,
     full_pipeline_mode,
     invertible_channel_mode,
     run_closed_loop,
@@ -154,22 +155,10 @@ def _no_feedthrough_mode() -> ModeModel:
     )
 
 
-def _full_feedthrough_mode() -> ModeModel:
-    """Invertible H: the residual has zero rows."""
-    return ModeModel(
-        field=LinearField(a=np.array([[0.5, 0.1], [0.0, 0.3]])),
-        b=np.array([[0.2], [0.0]]),
-        g=np.array([[0.5, 0.0], [0.0, 0.3]]),
-        c=np.array([[1.0, 0.2], [-0.1, 1.0]]),
-        d=np.array([[0.0], [0.1]]),
-        h=np.eye(2),
-    )
-
-
 def _observer_cases():
     for build in (
         invertible_channel_mode, scalar_channel_mode, full_pipeline_mode, blind_row_mode,
-        _no_feedthrough_mode, _full_feedthrough_mode,
+        _no_feedthrough_mode, full_feedthrough_mode,
     ):
         mode = build()
         dec = decompose(mode)

@@ -463,6 +463,27 @@ def test_cli_thresholds_validates_mode_and_kmax(tmp_path, capsys, flag, bounds) 
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--config", "test_system_a"],
+        ["check-detectability", "--config", "test_system_a"],
+        ["thresholds", "--config", "test_system_a", "--mode", "1", "--kmax", "3"],
+    ],
+    ids=["run", "check-detectability", "thresholds"],
+)
+def test_cli_out_naming_an_existing_file_is_exit_2(tmp_path, capsys, command) -> None:
+    # the file itself and a path below it once died with a FileExistsError
+    # or NotADirectoryError traceback
+    occupied = tmp_path / "occupied"
+    occupied.write_text("keep\n")
+    for out in (occupied, occupied / "below"):
+        assert cli.main([*command, "--out", str(out)]) == 2
+        assert f"cannot create output directory {str(out)!r}" in capsys.readouterr().err
+    assert occupied.read_text() == "keep\n"
+    assert sorted(tmp_path.iterdir()) == [occupied]
+
+
 def test_cli_thresholds_writes_requested_horizon(tmp_path) -> None:
     code = cli.main(
         [
