@@ -19,12 +19,13 @@ use) for relative stagnation, or for blow-up past 1e100, up to a cap of
 STEADY_K_CAP steps; the closed-form limit pieces are reported alongside
 for inspection.  The scan reads a prefix of the sequence, and entries
 1..K come out bitwise equal whatever length the sequence is built to, so
-it is built on at most three prefix lengths ("rungs"): STEADY_FIRST_RUNG,
-k_stop and the cap, stopping at the first rung where the scan reaches a
-verdict.  k_stop is where the scan must have stopped by blow-up: the
-drift convolution's i = 0 term alone gives
-tri_k >= L_f ||c2 phi|| delta_{k-1}, read off the radius table.  The
-last rung is always the cap, so the verdict never rests on that bound.
+it is built on at most two prefix lengths ("rungs"), stopping at the
+first where the scan reaches a verdict: k_stop and the cap when k_stop
+falls before the cap, otherwise STEADY_FIRST_RUNG and the cap.  k_stop
+is where the scan must have stopped by blow-up: the drift convolution's
+i = 0 term alone gives tri_k >= L_f ||c2 phi|| delta_{k-1}, read off the
+radius table.  The last rung is always the cap, so the verdict never
+rests on that bound.
 """
 from __future__ import annotations
 
@@ -47,7 +48,8 @@ STEADY_REL_TOL = 1e-8
 STEADY_BLOWUP = 1e100
 # longest scan; a sequence still moving there reads as not converged
 STEADY_K_CAP = 2000
-# first prefix length scanned: every bundled certified mode stagnates by k = 28
+# first prefix length scanned when no blow-up is predicted before the cap:
+# every bundled certified mode stagnates by k = 28
 STEADY_FIRST_RUNG = 64
 
 
@@ -76,7 +78,8 @@ def steady_tri(
     c2phi = dec.c2 @ gains.phi
     radii = radius_sequence(gains, delta0, k_cap)
     k_stop = _blowup_bound(gains.lipschitz * linalg.spectral_norm(c2phi), radii, k_cap)
-    for k_max in sorted({min(STEADY_FIRST_RUNG, k_stop), k_stop, k_cap}):
+    first = k_stop if k_stop < k_cap else min(STEADY_FIRST_RUNG, k_cap)
+    for k_max in sorted({first, k_cap}):
         tri_seq = triangle_sequence(
             build_coefficients(gains, dec, k_max), gains, radii[: k_max + 1]
         )
@@ -137,14 +140,21 @@ def steady_tri(
 
 def _scan_steady(tri_seq: np.ndarray) -> tuple[bool, float, int] | None:
     """(converged, value, iterations) at the first stagnation or blow-up
-    of the sequence, or None when it ends before either."""
-    prev = None
-    for k, tri in enumerate(tri_seq.tolist(), start=1):
-        if not math.isfinite(tri) or tri > STEADY_BLOWUP:
-            return False, math.inf, k
-        if prev is not None and abs(tri - prev) <= STEADY_REL_TOL * max(abs(tri), 1e-300):
-            return True, tri, k
-        prev = tri
+    of the sequence, or None when it ends before either.  Blow-up wins
+    when both first occur at the same k."""
+    with np.errstate(invalid="ignore"):
+        blown = ~np.isfinite(tri_seq) | (tri_seq > STEADY_BLOWUP)
+        stalled = np.abs(np.diff(tri_seq)) <= STEADY_REL_TOL * np.maximum(
+            np.abs(tri_seq[1:]), 1e-300
+        )
+    # entry i is step k = i + 1; stagnation at entry i compares it with entry i - 1
+    end = len(tri_seq)
+    first_blown = int(blown.argmax()) if blown.any() else end
+    first_stalled = int(stalled.argmax()) + 1 if stalled.any() else end
+    if first_blown < end and first_blown <= first_stalled:
+        return False, math.inf, first_blown + 1
+    if first_stalled < end:
+        return True, float(tri_seq[first_stalled]), first_stalled + 1
     return None
 
 

@@ -98,12 +98,21 @@ def radius_sequence(gains: ObserverGains, delta0: float, k_max: int) -> np.ndarr
     """A-priori state radii [delta_0, ..., delta_kmax] from the recursion
     delta_k = theta delta_{k-1} + eta_bar.  An uncertified mode saturates
     to inf where the recursion overflows (a Python float does so
-    silently); that is the honest answer there."""
+    silently); that is the honest answer there.  Once a step returns its
+    own input, a float fixed point (inf after an overflow), every later
+    step would too, so the rest of the table is filled with it."""
     theta, eta_bar = gains.theta, gains.eta_bar
-    radii = [float(delta0)]
+    delta = float(delta0)
+    radii = [delta]
     for _ in range(k_max):
-        radii.append(theta * radii[-1] + eta_bar)
-    return np.array(radii)
+        step = theta * delta + eta_bar
+        if step == delta:
+            break
+        radii.append(step)
+        delta = step
+    table = np.full(k_max + 1, delta)
+    table[: len(radii)] = radii
+    return table
 
 
 def synthesize_gains(

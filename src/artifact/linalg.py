@@ -80,10 +80,7 @@ def svd(m) -> SvdResult:
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return SvdResult(u=np.eye(rows), singular_values=np.zeros(0), v=np.eye(cols))
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    u, s, vt = _lapack_svd(a)
     v = vt.T
     k = s.size
     for j in range(k):
@@ -97,6 +94,14 @@ def svd(m) -> SvdResult:
     if cols > k:
         v[:, k:] = flip_columns_canonical(v[:, k:])
     return SvdResult(u=u, singular_values=s, v=v)
+
+
+def _lapack_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full (u, s, vt) as LAPACK returns them, signs unfixed."""
+    try:
+        return np.linalg.svd(a, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
 def rank(m) -> int:
@@ -114,17 +119,26 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     ``tol=None`` uses the shared cutoff, so ``pinv`` and ``rank`` always
     agree about the numerical rank.  The zero matrix (and any empty
     matrix) maps to the transposed-shape zero matrix.
+
+    The factors come straight from LAPACK, without ``svd``'s sign
+    convention: flipping u_j and v_j together negates both factors of
+    every term v_j (1/s_j) u_j^T, which negation reproduces exactly, so
+    the convention cannot change the result.
+
+    Raises
+    ------
+    NumericalFailure
+        If the underlying factorization does not converge.
     """
     a = as_matrix(m)
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return np.zeros((cols, rows))
-    res = svd(a)
-    s = res.singular_values
+    u, s, vt = _lapack_svd(a)
     cut = singular_value_cutoff(s, a.shape) if tol is None else float(tol)
     inv = np.where(s > cut, np.divide(1.0, s, out=np.zeros_like(s), where=s > cut), 0.0)
     k = s.size
-    return res.v[:, :k] @ np.diag(inv) @ res.u[:, :k].T
+    return vt[:k].T @ np.diag(inv) @ u[:, :k].T
 
 
 def spectral_norms(stack) -> np.ndarray:
@@ -135,30 +149,39 @@ def spectral_norms(stack) -> np.ndarray:
     A one-row or one-column matrix is a vector, whose only singular value
     is its Euclidean norm, taken as top * ||v / top|| with top = max |v_i|
     so that tiny entries do not underflow; a norm past the float range
-    reads +inf.  Other stacks go through one batched SVD.
+    reads +inf.  Other stacks go through one batched SVD.  A stack of
+    finite blocks, the usual case, is read in place; only a stack that
+    mixes in non-finite blocks is split by a mask.
     """
     a = np.asarray(stack, dtype=float)
     if a.ndim < 2:
         raise ValueError(f"stack must be at least 2-D, got shape {a.shape}")
-    if a.shape[-2] == 0 or a.shape[-1] == 0:
-        return np.zeros(a.shape[:-2])
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    norms = np.full(a.shape[:-2], np.inf)
-    blocks = a[finite]
-    if a.shape[-2] == 1 or a.shape[-1] == 1:
-        v = np.abs(blocks.reshape(-1, a.shape[-2] * a.shape[-1]))
-        top = v.max(axis=-1, keepdims=True)
-        scaled = v / np.where(top > 0.0, top, 1.0)
-        with np.errstate(over="ignore"):
-            norms[finite] = top[:, 0] * np.sqrt(np.sum(scaled * scaled, axis=-1))
-    else:
-        norms[finite] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
-    return norms
+    return _block_norms(a)
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value; 0.0 for matrices with a zero dimension."""
-    return float(spectral_norms(as_matrix(m)))
+    """Largest singular value; 0.0 for matrices with a zero dimension and
+    +inf for a matrix holding inf or nan."""
+    return float(_block_norms(as_matrix(m)))
+
+
+def _block_norms(a: np.ndarray) -> np.ndarray:
+    """`spectral_norms` of a float array with at least two dimensions."""
+    rows, cols = a.shape[-2:]
+    if rows == 0 or cols == 0:
+        return np.zeros(a.shape[:-2])
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        norms = np.full(a.shape[:-2], np.inf)
+        norms[finite] = _block_norms(a[finite])
+        return norms
+    if rows == 1 or cols == 1:
+        v = np.abs(a.reshape(a.shape[:-2] + (rows * cols,)))
+        top = v.max(axis=-1, keepdims=True)
+        scaled = v / np.where(top > 0.0, top, 1.0)
+        with np.errstate(over="ignore"):
+            return top[..., 0] * np.sqrt(np.sum(scaled * scaled, axis=-1))
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
 def sigma_min(m) -> float:

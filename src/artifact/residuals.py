@@ -101,8 +101,8 @@ def build_coefficients(
     # past an overflow (uncertified modes) blocks hold inf/nan; their norms read +inf
     with np.errstate(over="ignore", invalid="ignore"):
         a[0] = -c2phi @ gains.psi
-        for i in range(1, k_max):
-            np.matmul(a[i - 1], downdate, out=a[i])
+        for prev, block in zip(a, a[1:]):
+            np.matmul(prev, downdate, out=block)
         f[1:] = a[:-1] @ gains.e @ gains.phi
         j[1:] = a[:-1] @ gains.w_cal
 

@@ -116,7 +116,7 @@ def _full_triangle_sequence(gains, dec, delta0, k_max):
 
 def _reference_scan(tri_seq):
     """The stagnation/blow-up scan over the whole sequence, written out:
-    (converged, value, iterations)."""
+    (converged, value, iterations), or None when it ends before either."""
     prev = None
     for k, tri in enumerate(tri_seq.tolist(), start=1):
         if not math.isfinite(tri) or tri > 1e100:
@@ -124,7 +124,47 @@ def _reference_scan(tri_seq):
         if prev is not None and abs(tri - prev) <= 1e-8 * max(abs(tri), 1e-300):
             return True, tri, k
         prev = tri
-    return False, math.inf, len(tri_seq)
+    return None
+
+
+def _assert_scan_matches_reference(tri_seq) -> None:
+    verdict = detectability._scan_steady(np.asarray(tri_seq, dtype=float))
+    assert verdict == _reference_scan(np.asarray(tri_seq, dtype=float)), tri_seq
+    if verdict is not None:
+        # Python scalars, so that the report serializes as before
+        assert [type(x) for x in verdict] == [bool, float, int], verdict
+
+
+@pytest.mark.parametrize(
+    ("tri_seq", "expected"),
+    [
+        ([math.nan, 1.0, 1.0], (False, math.inf, 1)),
+        ([1.0, 2.0, math.inf, 3.0, 3.0], (False, math.inf, 3)),
+        ([1.0, 2.0, -math.inf], (False, math.inf, 3)),
+        # past 1e100 and within 1e-8 of its predecessor: blow-up wins
+        ([1e100, 1.000000001e100], (False, math.inf, 2)),
+        ([1.0, math.inf], (False, math.inf, 2)),
+        ([0.5, 0.5, 0.7], (True, 0.5, 2)),
+        ([0.25, 0.5, 0.5 + 1e-9], (True, 0.5 + 1e-9, 3)),
+        # relative to the 1e-300 floor, not to 5e-309 itself
+        ([0.0, 5e-309], (True, 5e-309, 2)),
+        ([0.0, 0.0], (True, 0.0, 2)),
+        ([0.3], None),
+        ([math.inf], (False, math.inf, 1)),
+        ([1.0, 2.0, 3.0, 1e100], None),
+    ],
+)
+def test_scan_edge_cases_match_the_reference(tri_seq, expected) -> None:
+    assert detectability._scan_steady(np.array(tri_seq)) == expected
+    _assert_scan_matches_reference(tri_seq)
+
+
+def test_scan_matches_the_reference_on_random_sequences() -> None:
+    rng = np.random.default_rng(13)
+    values = [0.0, 1e-310, 0.5, 0.5 + 1e-9, 0.6, 1e100, 2e100, math.inf, math.nan]
+    for _ in range(2000):
+        length = int(rng.integers(1, 9))
+        _assert_scan_matches_reference(rng.choice(values, size=length))
 
 
 @pytest.mark.parametrize("k_cap", [50, STEADY_K_CAP])
@@ -139,7 +179,7 @@ def test_steady_tri_matches_a_scan_of_the_full_length_sequence(k_cap) -> None:
         report = steady_tri(0, gains, dec, delta0, k_cap=k_cap)
         converged, value, iterations = _reference_scan(
             _full_triangle_sequence(gains, dec, delta0, k_cap)
-        )
+        ) or (False, math.inf, k_cap)
         reference = dataclasses.replace(
             report, converged=converged, value=value, iterations=iterations
         )
@@ -161,9 +201,8 @@ def test_triangle_sequence_prefixes_are_bitwise_equal_to_the_full_sequence() -> 
             assert prefix.tobytes() == full[:k].tobytes(), (label, k)
 
 
-def test_steady_tri_builds_only_the_prefix_its_scan_reads(monkeypatch) -> None:
-    # scenario1 stops at 2, 520, 326, 307 and 142; the blow-up bound
-    # predicts 521, 328, 308 and 143, and each mode first tries 64 steps
+def _record_builds(monkeypatch) -> list[int]:
+    """The k_max of every build_coefficients call steady_tri makes."""
     built: list[int] = []
 
     def recording(gains, dec, k_max):
@@ -171,15 +210,45 @@ def test_steady_tri_builds_only_the_prefix_its_scan_reads(monkeypatch) -> None:
         return build_coefficients(gains, dec, k_max)
 
     monkeypatch.setattr(detectability, "build_coefficients", recording)
+    return built
+
+
+def test_steady_tri_builds_only_the_prefix_its_scan_reads(monkeypatch) -> None:
+    # scenario1 stops at 2, 520, 326, 307 and 142; mode 1 never blows up
+    # and stagnates within the first 64 steps, and the blow-up bound
+    # predicts 521, 328, 308 and 143 for the others, each one rung
+    built = _record_builds(monkeypatch)
     config = load_config(scenario_path("scenario1"))
     per_mode = []
     for q, (dec, gains) in enumerate(runner.gain_bank(config)):
         built.clear()
         steady_tri(q, gains, dec, config.system.delta_x0)
-        assert built == sorted(built) and len(built) <= 3
-        per_mode.append(sum(built))
-    assert max(per_mode) <= STEADY_K_CAP + STEADY_FIRST_RUNG
-    assert sum(per_mode) <= 2000
+        per_mode.append(list(built))
+    assert per_mode == [[STEADY_FIRST_RUNG], [521], [328], [308], [143]]
+    assert sum(map(sum, per_mode)) == 1364
+
+
+def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeypatch) -> None:
+    # a k_stop before the real stop leaves the first rung without a
+    # verdict; the cap rung must still give the full-length scan's answer
+    config = load_config(scenario_path("scenario1"))
+    bank = runner.gain_bank(config)
+    delta0 = config.system.delta_x0
+    honest = [steady_tri(q, gains, dec, delta0) for q, (dec, gains) in enumerate(bank)]
+    monkeypatch.setattr(detectability, "_blowup_bound", lambda slope, radii, k_cap: 10)
+    built = _record_builds(monkeypatch)
+    for q, (dec, gains) in enumerate(bank):
+        built.clear()
+        report = steady_tri(q, gains, dec, delta0)
+        assert report == honest[q], q
+        # mode 1 stagnates at k = 2, inside the short rung
+        assert built == ([10] if q == 0 else [10, STEADY_K_CAP]), q
+        converged, value, iterations = _reference_scan(
+            _full_triangle_sequence(gains, dec, delta0, STEADY_K_CAP)
+        )
+        assert (report.converged, report.value, report.iterations) == (
+            converged, value, iterations
+        )
 
 
 def test_analytic_limit_reduces_to_offset_when_interconnection_vanishes() -> None:

@@ -1,16 +1,24 @@
-"""Gain synthesis: recovery identities, heuristic optimality, user gains."""
+"""Gain synthesis: recovery identities, heuristic optimality, user gains,
+and the radius table."""
 from __future__ import annotations
 
+import dataclasses
+
+import conftest
 import numpy as np
 import pytest
 
+from artifact import runner
+from artifact.config import load_config
 from artifact.decomposition import decompose
 from artifact.errors import ConfigurationError, SynthesisError
 from artifact.gains import (
     check_rank_condition,
     heuristic_gain,
+    radius_sequence,
     synthesize_gains,
 )
+from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import LinearField, LinearSinusoidalField, ModeModel
 
 
@@ -122,3 +130,73 @@ def test_user_gain_shape_is_validated() -> None:
         synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02, user_gain=np.zeros((3, 1)))
     forced = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02, user_gain=np.zeros((2, 1)))
     np.testing.assert_allclose(forced.e, np.eye(2), atol=1e-14)
+
+
+def _plain_radii(gains, delta0: float, k_max: int) -> np.ndarray:
+    """The radius recursion run for every step, without the fixed-point stop."""
+    radii = [float(delta0)]
+    for _ in range(k_max):
+        radii.append(gains.theta * radii[-1] + gains.eta_bar)
+    return np.array(radii)
+
+
+def _radius_cases():
+    """(label, gains, delta0) for every bundled mode and the conftest modes."""
+    for name in list_scenarios():
+        config = load_config(scenario_path(name))
+        for q, (_, gains) in enumerate(runner.gain_bank(config)):
+            yield f"{name}-q{q + 1}", gains, config.system.delta_x0
+    for build in (
+        conftest.invertible_channel_mode, conftest.scalar_channel_mode,
+        conftest.full_pipeline_mode, conftest.blind_row_mode, conftest.full_feedthrough_mode,
+    ):
+        mode = build()
+        dec = decompose(mode)
+        yield build.__name__, synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05), 0.3
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_radius_table_equals_the_plain_recursion_bit_for_bit() -> None:
+    fixed_points = set()
+    for label, gains, delta0 in _radius_cases():
+        radii = radius_sequence(gains, delta0, 2000)
+        assert _same_bits(radii, _plain_radii(gains, delta0, 2000)), label
+        if radii[-2] == radii[-1]:
+            fixed_points.add(label)
+    # the stop is exercised by contracting modes and by overflowed ones
+    assert {"linear_bench-q1", "test_system_a-q1", "scenario1-q5"} <= fixed_points
+
+
+def test_radius_table_stops_at_its_fixed_point_in_edge_cases() -> None:
+    mode = conftest.invertible_channel_mode()
+    dec = decompose(mode)
+    gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
+    # theta = 0 with a positive offset: the radius is eta_bar from k = 1 on
+    flat = dataclasses.replace(gains, theta=0.0, eta_bar=0.05)
+    radii = radius_sequence(flat, 0.3, 2000)
+    assert _same_bits(radii, _plain_radii(flat, 0.3, 2000))
+    assert radii[0] == 0.3 and set(radii[1:].tolist()) == {0.05}
+    # a certified mode settles on a float fixed point
+    bench = load_config(scenario_path("linear_bench"))
+    [(_, certified)] = runner.gain_bank(bench)
+    assert certified.certified
+    radii = radius_sequence(certified, bench.system.delta_x0, 2000)
+    assert _same_bits(radii, _plain_radii(certified, bench.system.delta_x0, 2000))
+    # overflow saturates to inf, which is a fixed point as well
+    scenario1 = load_config(scenario_path("scenario1"))
+    _, mode5 = runner.gain_bank(scenario1)[4]
+    expansive = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05, user_gain=5.0 * np.eye(2))
+    for label, overflowing, delta0, k_inf in (
+        ("scenario1-q5", mode5, scenario1.system.delta_x0, 435),
+        ("invertible_channel_mode, gain 5 I", expansive, 0.3, 718),
+    ):
+        radii = radius_sequence(overflowing, delta0, 2000)
+        assert _same_bits(radii, _plain_radii(overflowing, delta0, 2000)), label
+        assert np.isfinite(radii[k_inf - 1]) and np.isinf(radii[k_inf:]).all(), label
+    # an empty recursion is the initial radius alone
+    for label, gains, delta0 in (("flat", flat, 0.3), ("scenario1-q5", mode5, 0.3)):
+        radii = radius_sequence(gains, delta0, 0)
+        assert _same_bits(radii, np.array([0.3])), label

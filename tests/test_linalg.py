@@ -11,14 +11,16 @@ import warnings
 import numpy as np
 import pytest
 
-from artifact.errors import SigmaMinUndefinedError
+from artifact.errors import NumericalFailure, SigmaMinUndefinedError
 from artifact.linalg import (
+    as_matrix,
     pinv,
     rank,
     sigma_min,
     spectral_norm,
     spectral_norms,
     svd,
+    singular_value_cutoff,
 )
 
 RT2 = np.sqrt(0.5)
@@ -211,3 +213,104 @@ def test_sigma_min_of_wide_full_row_rank_matrix() -> None:
     # singular values of [[1,0,0],[0,2,0]] are {2, 1}
     a = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     assert sigma_min(a) == pytest.approx(1.0)
+
+
+# The kernels as they were before the finite-stack fast path and the
+# unsigned pseudoinverse: oracles for the bitwise checks below.
+def _oracle_spectral_norms(stack) -> np.ndarray:
+    a = np.asarray(stack, dtype=float)
+    if a.shape[-2] == 0 or a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2])
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    norms = np.full(a.shape[:-2], np.inf)
+    blocks = a[finite]
+    if a.shape[-2] == 1 or a.shape[-1] == 1:
+        v = np.abs(blocks.reshape(-1, a.shape[-2] * a.shape[-1]))
+        top = v.max(axis=-1, keepdims=True)
+        scaled = v / np.where(top > 0.0, top, 1.0)
+        with np.errstate(over="ignore"):
+            norms[finite] = top[:, 0] * np.sqrt(np.sum(scaled * scaled, axis=-1))
+    else:
+        norms[finite] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    return norms
+
+
+def _oracle_spectral_norm(m) -> float:
+    return float(_oracle_spectral_norms(as_matrix(m)))
+
+
+def _oracle_pinv(m) -> np.ndarray:
+    a = as_matrix(m)
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return np.zeros((cols, rows))
+    res = svd(a)  # sign-canonical factors
+    s = res.singular_values
+    cut = singular_value_cutoff(s, a.shape)
+    inv = np.where(s > cut, np.divide(1.0, s, out=np.zeros_like(s), where=s > cut), 0.0)
+    k = s.size
+    return res.v[:, :k] @ np.diag(inv) @ res.u[:, :k].T
+
+
+def _random_matrix(rng, rows: int, cols: int) -> np.ndarray:
+    """A matrix at a random magnitude in 1e-200..1e200: dense, rank-deficient,
+    or sparse with exact zeros (diagonal-like, so its SVD factors carry
+    exact zeros and sign flips)."""
+    scale = 10.0 ** rng.uniform(-200.0, 200.0)
+    kind = rng.integers(3)
+    if kind == 0 or min(rows, cols) == 0:
+        a = rng.normal(size=(rows, cols))
+    elif kind == 1:
+        r = int(rng.integers(0, min(rows, cols)))
+        a = rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols))
+    else:
+        a = np.where(rng.uniform(size=(rows, cols)) < 0.6, 0.0, rng.normal(size=(rows, cols)))
+    return scale * a
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_norm_and_pinv_kernels_are_bitwise_equal_to_their_oracles() -> None:
+    rng = np.random.default_rng(2026)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(600):
+            rows, cols = (int(x) for x in rng.integers(0, 6, size=2))
+            a = _random_matrix(rng, rows, cols)
+            assert _same_bits(pinv(a), _oracle_pinv(a)), a
+            assert _same_bits(spectral_norm(a), _oracle_spectral_norm(a)), a
+            depth = int(rng.integers(0, 7))
+            stack = np.array([_random_matrix(rng, rows, cols) for _ in range(depth)])
+            stack = stack.reshape(depth, rows, cols)
+            assert _same_bits(spectral_norms(stack), _oracle_spectral_norms(stack)), stack
+            assert _same_bits(spectral_norms(a), _oracle_spectral_norms(a)), a
+
+
+def test_norm_kernels_are_bitwise_equal_on_stacks_with_nonfinite_blocks() -> None:
+    rng = np.random.default_rng(2027)
+    for _ in range(300):
+        rows, cols = (int(x) for x in rng.integers(1, 6, size=2))
+        depth = int(rng.integers(1, 7))
+        stack = np.stack([_random_matrix(rng, rows, cols) for _ in range(depth)])
+        for b in range(depth):
+            if rng.uniform() < 0.4:
+                stack[b, rng.integers(rows), rng.integers(cols)] = rng.choice([np.inf, -np.inf, np.nan])
+        assert _same_bits(spectral_norms(stack), _oracle_spectral_norms(stack)), stack
+        for block in stack:
+            assert _same_bits(spectral_norm(block), _oracle_spectral_norm(block)), block
+    # batch shapes beyond one leading axis take the same path
+    stack = rng.normal(size=(3, 4, 2, 3))
+    stack[1, 2, 0, 0] = np.nan
+    assert _same_bits(spectral_norms(stack), _oracle_spectral_norms(stack))
+
+
+def test_pinv_reports_a_failed_factorization(monkeypatch) -> None:
+    def diverging(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverging)
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        pinv(np.eye(2))
