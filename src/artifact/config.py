@@ -3,10 +3,10 @@
 The on-disk format is a single YAML mapping, hand-editable, with all
 matrices as row-major nested lists.  Parsing is strict: unknown keys,
 wrong shapes, wrong scalar types (a quoted "false", a fractional step
-count, a bool or a string where a number belongs), non-finite numbers
-(.nan, .inf) and out-of-range values raise ConfigurationError with the
-offending path in the message, so a typo cannot silently fall back to a
-default.  See the README for the full schema and an annotated example.
+count, a bool or a string where a number belongs, anything but a string
+for a name or a path), non-finite numbers (.nan, .inf) and out-of-range
+values raise ConfigurationError with the offending path in the message,
+so a typo cannot silently fall back to a default.  See the README for the full schema and an annotated example.
 """
 from __future__ import annotations
 
@@ -136,6 +136,13 @@ def _flag(obj: Any, context: str) -> bool:
     return obj
 
 
+def _string(obj: Any, context: str) -> str:
+    """A YAML string; str() would turn anything else into a name or a path."""
+    if not isinstance(obj, str):
+        raise ConfigurationError(f"{context} must be a string, got {obj!r}")
+    return obj
+
+
 def _number(obj: Any, context: str) -> float:
     """A YAML int or float; a bool (which float() reads as 0 or 1) or a
     string is an error."""
@@ -234,6 +241,8 @@ def _system(obj: Any, name: str) -> SwitchedSystem:
     )
     count = len(modes)
     x_hat0 = _array(_require(spec, "x_hat0", "system"), "system.x_hat0")
+    if x_hat0.ndim != 1:
+        raise ConfigurationError(f"system.x_hat0 must be a flat list, got shape {x_hat0.shape}")
     return SwitchedSystem(
         modes=modes,
         eta_w=_per_mode_floats(_require(spec, "eta_w", "system"), count, "system.eta_w"),
@@ -327,7 +336,7 @@ def _gains(obj: Any, count: int, base_dir: Path) -> GainsSpec:
     if kind in ("user", "file"):
         if kind == "file":
             _check_keys(spec, {"kind", "path"}, "gains")
-            path = base_dir / str(_require(spec, "path", "gains"))
+            path = base_dir / _string(_require(spec, "path", "gains"), "gains.path")
             payload = _expect_mapping(_read_yaml(path, "gains file"), f"gains file {path}")
             raw = _require(payload, "matrices", f"gains file {path}")
         else:
@@ -368,7 +377,8 @@ def parse_config(data: Any, *, name: str = "", base_dir: Path | None = None) -> 
     base_dir = Path(".") if base_dir is None else base_dir
     spec = _expect_mapping(data, "config")
     _check_keys(spec, _TOP_KEYS, "config")
-    cfg_name = str(spec.get("name") or name or "scenario")
+    raw_name = spec.get("name")
+    cfg_name = (None if raw_name is None else _string(raw_name, "name")) or name or "scenario"
 
     system = _system(_require(spec, "system", "config"), cfg_name)
     count = system.mode_count
@@ -401,7 +411,7 @@ def parse_config(data: Any, *, name: str = "", base_dir: Path | None = None) -> 
         gains=gains,
         allow_uncertified=_flag(spec.get("allow_uncertified", False), "allow_uncertified"),
         max_vertices=max_vertices,
-        output_dir=None if output_dir is None else str(output_dir),
+        output_dir=None if output_dir is None else _string(output_dir, "output_dir"),
     )
 
 

@@ -64,12 +64,23 @@ def _clean(block: np.ndarray, source: np.ndarray) -> np.ndarray:
     return out
 
 
+def _canonical_signs(m: np.ndarray) -> np.ndarray:
+    """+1.0 or -1.0 per column of `m`, making the column's largest-magnitude
+    entry (first such row on ties) non-negative: the one sign convention
+    for SVD factors.  A column and its negation map to the same bits."""
+    return np.array([-1.0 if col[np.abs(col).argmax()] < 0.0 else 1.0 for col in m.T])
+
+
 def decompose(mode: ModeModel) -> ModeDecomposition:
-    """Split a mode's output and unknown-input spaces along rank(H)."""
+    """Split a mode's output and unknown-input spaces along rank(H).
+
+    Each paired column u1_j gets the canonical sign and v1_j follows it,
+    keeping H = u1 sigma v1.T; the complements u2 and v2 multiply a zero
+    block, so each of their columns is signed on its own.
+    """
     h = mode.h
     l, p = h.shape
-    res = linalg.svd(h)
-    s = res.singular_values
+    u, s, vt = linalg.svd(h)
     cut = linalg.singular_value_cutoff(s, h.shape)
     p_h = int(np.count_nonzero(s > cut))
     if p_h == 0:
@@ -80,10 +91,14 @@ def decompose(mode: ModeModel) -> ModeDecomposition:
         v2 = np.eye(p)
         sigma = np.zeros((0, 0))
     else:
-        u1 = res.u[:, :p_h]
-        u2 = linalg.flip_columns_canonical(res.u[:, p_h:])
-        v1 = res.v[:, :p_h]
-        v2 = linalg.flip_columns_canonical(res.v[:, p_h:])
+        v = vt.T
+        signs = _canonical_signs(u)
+        u *= signs
+        v *= np.concatenate([signs[:p_h], _canonical_signs(v[:, p_h:])])
+        u1, v1 = u[:, :p_h], v[:, :p_h]
+        # row-major copies, the layout these blocks have always had: the
+        # last bit of a product below can depend on its operands' layout
+        u2, v2 = u[:, p_h:].copy(), v[:, p_h:].copy()
         sigma = np.diag(s[:p_h])
     t1 = u1.T
     t2 = u2.T

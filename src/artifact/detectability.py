@@ -16,8 +16,8 @@ to die:
 The asymptotic residual bound itself is obtained numerically by
 scanning the triangle-bound sequence (the same one the threshold tables
 use) for relative stagnation, or for blow-up past 1e100, up to a cap of
-STEADY_K_CAP steps; the closed-form limit pieces are reported alongside
-for inspection.  The scan reads a prefix of the sequence, and entries
+STEADY_K_CAP steps; that scanned value is the one steady threshold every
+verdict reads.  The scan reads a prefix of the sequence, and entries
 1..K come out bitwise equal whatever length the sequence is built to, so
 it is built on at most two prefix lengths ("rungs"), stopping at the
 first where the scan reaches a verdict: k_stop and the cap when k_stop
@@ -61,10 +61,6 @@ class SteadyTriReport:
     converged: bool
     value: float
     iterations: int
-    r_const: float
-    o_const: float
-    s_const: float
-    analytic_limit: float
 
 
 def steady_tri(
@@ -75,9 +71,9 @@ def steady_tri(
     k_cap: int = STEADY_K_CAP,
 ) -> SteadyTriReport:
     """Scan the triangle bound until relative stagnation or blow-up."""
-    c2phi = dec.c2 @ gains.phi
     radii = radius_sequence(gains, delta0, k_cap)
-    k_stop = _blowup_bound(gains.lipschitz * linalg.spectral_norm(c2phi), radii, k_cap)
+    slope = gains.lipschitz * linalg.spectral_norm(dec.c2 @ gains.phi)
+    k_stop = _blowup_bound(slope, radii, k_cap)
     first = k_stop if k_stop < k_cap else min(STEADY_FIRST_RUNG, k_cap)
     for k_max in sorted({first, k_cap}):
         tri_seq = triangle_sequence(
@@ -90,52 +86,7 @@ def steady_tri(
         # no stagnation within the cap: any finite number would be an
         # unsound limit claim
         verdict = (False, math.inf, k_cap)
-    converged, value, iterations = verdict
-
-    # closed-form limit pieces, reported for inspection (theta here is the
-    # bare measurement contraction driving the coefficient decay); the
-    # drift-times-noise image blocks are slices of the stacked noise maps
-    n = gains.phi.shape[0]
-    l = dec.t1.shape[1]
-    phi_w = gains.r_mat[:, l : l + n]
-    c2_phi_w = gains.y_cal[:, l : l + n]
-    g1m1t1 = dec.g1 @ gains.m1 @ dec.t1
-    g2m2t2 = dec.g2 @ gains.m2 @ dec.t2
-    c2phig1m1c1 = c2phi @ dec.g1 @ gains.m1 @ dec.c1
-    r_const = (
-        gains.lipschitz
-        * linalg.spectral_norm(c2phig1m1c1)
-        * linalg.spectral_norm(gains.psi)
-        * linalg.spectral_norm(gains.phi)
-    )
-    o_const = gains.eta_w * (
-        linalg.spectral_norm(c2phi @ g1m1t1)
-        + linalg.spectral_norm(
-            (np.eye(dec.z2_dim) - dec.c2 @ dec.g2 @ gains.m2) @ dec.t2
-        )
-    ) + gains.eta_v * linalg.spectral_norm(c2_phi_w)
-    s_const = gains.eta_w * linalg.spectral_norm(c2phig1m1c1) * (
-        linalg.spectral_norm(gains.phi @ g1m1t1) + linalg.spectral_norm(g2m2t2)
-    ) + gains.eta_v * linalg.spectral_norm(phi_w)
-    theta = gains.meas_contraction
-    if theta < 1.0:
-        analytic = (
-            r_const * gains.eta_bar / (1.0 - theta) ** 2
-            + o_const
-            + s_const * theta / (1.0 - theta)
-        )
-    else:
-        analytic = math.inf
-    return SteadyTriReport(
-        mode=mode_index,
-        converged=converged,
-        value=value,
-        iterations=iterations,
-        r_const=r_const,
-        o_const=o_const,
-        s_const=s_const,
-        analytic_limit=analytic,
-    )
+    return SteadyTriReport(mode_index, *verdict)
 
 
 def _scan_steady(tri_seq: np.ndarray) -> tuple[bool, float, int] | None:

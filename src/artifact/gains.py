@@ -6,7 +6,7 @@ m2 recovers the state-coupled input component from the feedthrough-free
 channel, and l_gain is the measurement-update gain.  Everything the
 threshold and containment machinery needs later is precomputed here:
 the interconnection matrices (phi, psi, e), the stacked noise-to-error
-maps (r_mat, w_cal, y_cal), and the scalar contraction/offset constants
+maps (w_cal, y_cal), and the scalar contraction/offset constants
 of the radius model delta_k = theta delta_{k-1} + eta_bar.  That model
 is the only one: ``radius_sequence`` tabulates the state radii, and
 ``ObserverGains.input_radius`` derives the lagged input radius from them.
@@ -59,7 +59,9 @@ class ObserverGains:
     w_cal maps the stacked noise word [v_k/sqrt2; w_k; v_{k+1}/sqrt2] to
     the post-update state error; y_cal maps the same word to the
     feedthrough-free residual.  w_cal = e @ r_mat + l_gain @ q, where
-    q = [0 | 0 | -sqrt2 t2] is the measurement-noise layer.
+    r_mat = [-sqrt2 phi g1 m1 t1 | phi w | -sqrt2 g2 m2 t2] is the
+    pre-update layer and q = [0 | 0 | -sqrt2 t2] the measurement-noise
+    layer.
     """
 
     m1: np.ndarray
@@ -68,7 +70,6 @@ class ObserverGains:
     e: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    r_mat: np.ndarray
     w_cal: np.ndarray
     y_cal: np.ndarray
     lipschitz: float
@@ -185,7 +186,6 @@ def synthesize_gains(
         e=e,
         phi=phi,
         psi=psi,
-        r_mat=r_mat,
         w_cal=w_cal,
         y_cal=y_cal,
         lipschitz=lf,

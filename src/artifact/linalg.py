@@ -9,8 +9,6 @@ through products without special-casing at call sites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalFailure, SigmaMinUndefinedError
@@ -34,72 +32,22 @@ def singular_value_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
     return max(shape) * float(s[0]) * RANK_TOL_FACTOR
 
 
-def flip_columns_canonical(m: np.ndarray) -> np.ndarray:
-    """Return `m` with each column's sign fixed so that its
-    largest-magnitude entry (first such row on ties) is non-negative.
+def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full SVD ``m = u @ diag_embed(s) @ vt`` as LAPACK returns it.
 
-    Columns of all zeros are returned unchanged.
-    """
-    out = m.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            out[:, j] = -col
-    return out
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Full SVD ``m = u @ diag_embed(singular_values) @ v.T``.
-
-    ``u`` is (rows, rows), ``v`` is (cols, cols) and ``singular_values``
-    has min(rows, cols) entries in non-increasing order.
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
-def svd(m) -> SvdResult:
-    """Full SVD with a deterministic sign convention.
-
-    For each paired column j < min(rows, cols), the largest-magnitude
-    entry of u[:, j] (first index on ties) is made non-negative by
-    flipping u[:, j] and v[:, j] together, which preserves the product.
-    Unpaired columns (j >= min(rows, cols)) multiply a zero block and are
-    sign-fixed independently by the same rule.
+    ``u`` is (rows, rows), ``vt`` is (cols, cols) and ``s`` has
+    min(rows, cols) entries in non-increasing order.  Column signs are
+    LAPACK's; a caller that needs a deterministic convention applies it
+    (``decomposition.decompose`` does, for the feedthrough rotations).
+    Empty matrices factor as identities with no singular values.
 
     Raises
     ------
     NumericalFailure
         If the underlying factorization does not converge.
     """
-    a = as_matrix(m)
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return SvdResult(u=np.eye(rows), singular_values=np.zeros(0), v=np.eye(cols))
-    u, s, vt = _lapack_svd(a)
-    v = vt.T
-    k = s.size
-    for j in range(k):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
-    if rows > k:
-        u[:, k:] = flip_columns_canonical(u[:, k:])
-    if cols > k:
-        v[:, k:] = flip_columns_canonical(v[:, k:])
-    return SvdResult(u=u, singular_values=s, v=v)
-
-
-def _lapack_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full (u, s, vt) as LAPACK returns them, signs unfixed."""
     try:
-        return np.linalg.svd(a, full_matrices=True)
+        return np.linalg.svd(as_matrix(m), full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
@@ -120,10 +68,9 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     agree about the numerical rank.  The zero matrix (and any empty
     matrix) maps to the transposed-shape zero matrix.
 
-    The factors come straight from LAPACK, without ``svd``'s sign
-    convention: flipping u_j and v_j together negates both factors of
-    every term v_j (1/s_j) u_j^T, which negation reproduces exactly, so
-    the convention cannot change the result.
+    Column signs do not matter here: flipping u_j and v_j together
+    negates both factors of every term v_j (1/s_j) u_j^T, which negation
+    reproduces exactly.
 
     Raises
     ------
@@ -134,7 +81,7 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return np.zeros((cols, rows))
-    u, s, vt = _lapack_svd(a)
+    u, s, vt = svd(a)
     cut = singular_value_cutoff(s, a.shape) if tol is None else float(tol)
     inv = np.where(s > cut, np.divide(1.0, s, out=np.zeros_like(s), where=s > cut), 0.0)
     k = s.size

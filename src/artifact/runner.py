@@ -215,14 +215,11 @@ def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
 class RunResult:
     """Outcome of one scenario run plus paths of everything written."""
 
-    config: ScenarioConfig
-    seed: int
     out_dir: Path
     mode_set: ModeSet  # final surviving set, 0-based indices
     faulted: bool
     fault_step: int | None
     steps_path: Path
-    report: dict
 
     @property
     def surviving(self) -> tuple[int, ...]:
@@ -391,14 +388,11 @@ def run(
     (resolved_out / "report.txt").write_text(_render_report_text(report))
 
     return RunResult(
-        config=config,
-        seed=seed,
         out_dir=resolved_out,
         mode_set=mode_set,
         faulted=mode_set.faulted,
         fault_step=fault_step,
         steps_path=steps_path,
-        report=report,
     )
 
 

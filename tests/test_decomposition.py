@@ -111,3 +111,83 @@ def test_decomposition_is_deterministic() -> None:
     np.testing.assert_array_equal(d1.t2, d2.t2)
     np.testing.assert_array_equal(d1.v2, d2.v2)
     np.testing.assert_array_equal(d1.sigma, d2.sigma)
+
+
+# The sign convention as it stood when `linalg.svd` applied it and
+# `decompose` re-applied it to the complements: a frozen oracle for the
+# bitwise check below.
+def _oracle_flip(m: np.ndarray) -> np.ndarray:
+    out = m.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            out[:, j] = -col
+    return out
+
+
+def _oracle_rotations(h: np.ndarray):
+    """(p_h, t1, t2, v1, v2) as the two-pass sign convention produced them."""
+    l, p = h.shape
+    if l == 0 or p == 0:
+        u, s, v = np.eye(l), np.zeros(0), np.eye(p)
+    else:
+        u, s, vt = np.linalg.svd(h, full_matrices=True)
+        v = vt.T
+        k = s.size
+        for j in range(k):
+            col = u[:, j]
+            if col[int(np.argmax(np.abs(col)))] < 0.0:
+                u[:, j] = -col
+                v[:, j] = -v[:, j]
+        if l > k:
+            u[:, k:] = _oracle_flip(u[:, k:])
+        if p > k:
+            v[:, k:] = _oracle_flip(v[:, k:])
+    cut = 0.0 if s.size == 0 else max(h.shape) * float(s[0]) * 1e-12
+    p_h = int(np.count_nonzero(s > cut))
+    if p_h == 0:
+        return 0, np.zeros((0, l)), np.eye(l), np.zeros((p, 0)), np.eye(p)
+    u2, v2 = _oracle_flip(u[:, p_h:]), _oracle_flip(v[:, p_h:])
+    return p_h, u[:, :p_h].T, u2.T, v[:, :p_h], v2
+
+
+def _random_feedthrough(rng, kind: int) -> np.ndarray:
+    l = int(rng.integers(1, 6))
+    p = 0 if kind == 5 else int(rng.integers(1, 5))
+    if kind == 0:
+        return rng.normal(size=(l, p))
+    if kind == 1:
+        return np.outer(rng.normal(size=l), rng.normal(size=p))
+    if kind == 2:
+        h = np.zeros((l, p))
+        h[rng.integers(l), rng.integers(p)] = rng.normal()
+        return h
+    if kind == 3:
+        return rng.integers(-2, 3, size=(l, p)).astype(float)
+    return np.zeros((l, p))  # H = 0, or zero-width when kind == 5
+
+
+def _largest_entries_are_non_negative(columns: np.ndarray) -> bool:
+    if columns.size == 0:
+        return True
+    top = np.argmax(np.abs(columns), axis=0)
+    return bool(np.all(columns[top, np.arange(columns.shape[1])] >= 0.0))
+
+
+def test_rotations_are_bitwise_equal_to_the_two_pass_sign_convention() -> None:
+    # full-rank, rank-one, single-entry, integer-valued, zero and
+    # zero-width feedthroughs
+    rng = np.random.default_rng(41)
+    for i in range(1200):
+        h = _random_feedthrough(rng, i % 6)
+        l, p = h.shape
+        dec = decompose(_mode(h=h, c=rng.normal(size=(l, 2)), g=rng.normal(size=(2, p))))
+        p_h, t1, t2, v1, v2 = _oracle_rotations(h.copy())
+        assert dec.p_h == p_h, h
+        for got, want in ((dec.t1, t1), (dec.t2, t2), (dec.v1, v1), (dec.v2, v2)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), h
+        # the rule binds every output rotation row and every unpaired input
+        # column; a paired input column follows its output row instead
+        assert _largest_entries_are_non_negative(dec.t1.T), h
+        assert _largest_entries_are_non_negative(dec.t2.T), h
+        assert _largest_entries_are_non_negative(dec.v2), h

@@ -251,24 +251,6 @@ def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeyp
         )
 
 
-def test_analytic_limit_reduces_to_offset_when_interconnection_vanishes() -> None:
-    # psi = 0 and a zero measurement contraction kill the geometric pieces
-    dec, gains = _prepared(invertible_channel_mode())
-    assert np.allclose(gains.psi, 0.0)
-    assert gains.meas_contraction == pytest.approx(0.0, abs=1e-12)
-    report = steady_tri(0, gains, dec, delta0=0.3)
-    assert report.r_const == pytest.approx(0.0, abs=1e-15)
-    assert report.analytic_limit == pytest.approx(report.o_const)
-    assert math.isfinite(report.analytic_limit)
-
-
-def test_analytic_limit_is_infinite_for_expansive_error_dynamics() -> None:
-    dec, gains = _prepared(scalar_channel_mode())
-    report = steady_tri(0, gains, dec, delta0=0.5, k_cap=50)
-    assert gains.meas_contraction >= 1.0
-    assert math.isinf(report.analytic_limit)
-
-
 def test_quantitative_check_requires_magnitude_bounds() -> None:
     system = _system([invertible_channel_mode(), _second_channel_mode()])
     decs = [decompose(m) for m in system.modes]
@@ -404,18 +386,6 @@ def test_overall_verdict_levels() -> None:
     ]
     report = report_detectability(twins, twin_decs, twin_gains, k_cap=60)
     assert report.overall == "fail"
-
-
-def test_full_pipeline_mode_reports_finite_constants() -> None:
-    mode = full_pipeline_mode()
-    dec = decompose(mode)
-    gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
-    report = steady_tri(0, gains, dec, delta0=0.3, k_cap=300)
-    assert math.isfinite(report.r_const)
-    assert math.isfinite(report.o_const)
-    assert math.isfinite(report.s_const)
-    if gains.meas_contraction < 1.0:
-        assert math.isfinite(report.analytic_limit)
 
 
 def test_threshold_tables_and_steady_bounds_raise_no_runtime_warning() -> None:

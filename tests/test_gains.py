@@ -112,14 +112,25 @@ def test_stacked_noise_maps_have_the_layered_structure() -> None:
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
     n, l = 2, 2
-    assert gains.r_mat.shape == (n, 2 * l + n)
+    rt2 = np.sqrt(2.0)
+    # the pre-update layer, rebuilt from the decomposition and the gains
+    r_mat = np.hstack(
+        [
+            -rt2 * gains.phi @ dec.g1 @ gains.m1 @ dec.t1,
+            gains.phi @ mode.w,
+            -rt2 * dec.g2 @ gains.m2 @ dec.t2,
+        ]
+    )
+    assert r_mat.shape == gains.w_cal.shape == (n, 2 * l + n)
     # only the v_{k+1} block of the word reaches the measurement update
-    q_mat = np.hstack([np.zeros((dec.z2_dim, l + n)), -np.sqrt(2.0) * dec.t2])
+    q_mat = np.hstack([np.zeros((dec.z2_dim, l + n)), -rt2 * dec.t2])
     np.testing.assert_allclose(
-        gains.w_cal, gains.e @ gains.r_mat + gains.l_gain @ q_mat, atol=1e-14
+        gains.w_cal, gains.e @ r_mat + gains.l_gain @ q_mat, atol=1e-14
     )
     # middle (process-noise) blocks carry no sqrt2 weighting
-    np.testing.assert_allclose(gains.r_mat[:, l : l + n], gains.phi @ mode.w, atol=1e-14)
+    np.testing.assert_allclose(
+        gains.w_cal[:, l : l + n], gains.e @ gains.phi @ mode.w, atol=1e-14
+    )
     np.testing.assert_allclose(gains.y_cal[:, l : l + n], dec.c2 @ gains.phi @ mode.w, atol=1e-14)
 
 

@@ -1,4 +1,4 @@
-"""Kernel checks: deterministic SVD, pseudoinverse, norms, rank.
+"""Kernel checks: full SVD, pseudoinverse, norms, rank.
 
 Expected values below were frozen from hand calculations (normal-equation
 pseudoinverse, eigenvalue identities) before the kernel existed, so the
@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from artifact.decomposition import decompose
 from artifact.errors import NumericalFailure, SigmaMinUndefinedError
 from artifact.linalg import (
     as_matrix,
@@ -22,40 +23,59 @@ from artifact.linalg import (
     svd,
     singular_value_cutoff,
 )
+from artifact.system import LinearField, ModeModel
+
 
 RT2 = np.sqrt(0.5)
 
 
-def _reconstruct(res) -> np.ndarray:
-    """u @ diag_embed(singular_values) @ v.T."""
-    s = np.zeros((res.u.shape[0], res.v.shape[0]))
-    k = res.singular_values.size
-    s[:k, :k] = np.diag(res.singular_values)
-    return res.u @ s @ res.v.T
+def _reconstruct(u, s, vt) -> np.ndarray:
+    """u @ diag_embed(s) @ vt."""
+    middle = np.zeros((u.shape[0], vt.shape[0]))
+    middle[: s.size, : s.size] = np.diag(s)
+    return u @ middle @ vt
+
+
+def _signed_factors(h: np.ndarray):
+    """(u, s, v) of `h` with the sign convention applied: `svd` returns
+    LAPACK's signs and `decompose` applies the convention to them."""
+    l, p = h.shape
+    n = 2
+    dec = decompose(
+        ModeModel(
+            field=LinearField(a=0.1 * np.eye(n)),
+            b=np.zeros((n, 1)),
+            g=np.ones((n, p)),
+            c=np.ones((l, n)),
+            d=np.zeros((l, 1)),
+            h=h,
+        )
+    )
+    u = np.hstack([dec.t1.T, dec.t2.T])
+    v = np.hstack([dec.v1, dec.v2])
+    return u, np.diag(dec.sigma), v
 
 
 def test_svd_rank_one_column_pair_has_canonical_signs() -> None:
     h = np.array([[0.5], [0.5]])
-    res = svd(h)
-    assert res.singular_values == pytest.approx([np.sqrt(0.5)])
-    np.testing.assert_allclose(res.u[:, 0], [RT2, RT2], atol=1e-14)
+    u, s, v = _signed_factors(h)
+    assert s == pytest.approx([np.sqrt(0.5)])
+    np.testing.assert_allclose(u[:, 0], [RT2, RT2], atol=1e-14)
     # the orthogonal complement column is +-[rt2, -rt2]; its sign obeys the
     # largest-entry rule on whatever floats the factorization produced
-    comp = res.u[:, 1]
+    comp = u[:, 1]
     np.testing.assert_allclose(np.abs(comp), [RT2, RT2], atol=1e-14)
     assert comp[0] * comp[1] < 0.0
     assert comp[int(np.argmax(np.abs(comp)))] >= 0.0
-    np.testing.assert_allclose(res.v, [[1.0]], atol=1e-14)
-    np.testing.assert_allclose(_reconstruct(res), h, atol=1e-14)
+    np.testing.assert_allclose(v, [[1.0]], atol=1e-14)
+    np.testing.assert_allclose(_reconstruct(u, s, v.T), h, atol=1e-14)
 
 
 def test_svd_is_deterministic_across_calls() -> None:
     rng = np.random.default_rng(7)
     a = rng.normal(size=(5, 3))
-    r1, r2 = svd(a), svd(a.copy())
-    np.testing.assert_array_equal(r1.u, r2.u)
-    np.testing.assert_array_equal(r1.v, r2.v)
-    np.testing.assert_array_equal(r1.singular_values, r2.singular_values)
+    for got, want in zip(svd(a), svd(a.copy())):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_svd_columns_obey_largest_entry_positive_rule() -> None:
@@ -65,13 +85,13 @@ def test_svd_columns_obey_largest_entry_positive_rule() -> None:
     for _ in range(50):
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
-        res = svd(rng.normal(size=(rows, cols)))
-        k = res.singular_values.size
+        u, s, v = _signed_factors(rng.normal(size=(rows, cols)))
+        k = s.size
         for j in range(rows):
-            col = res.u[:, j]
+            col = u[:, j]
             assert col[int(np.argmax(np.abs(col)))] >= 0.0
         for j in range(k, cols):
-            col = res.v[:, j]
+            col = v[:, j]
             assert col[int(np.argmax(np.abs(col)))] >= 0.0
 
 
@@ -81,19 +101,19 @@ def test_svd_random_matrices_reconstruct_and_are_orthonormal() -> None:
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
         a = rng.normal(size=(rows, cols)) * (10.0 ** rng.integers(-3, 4))
-        res = svd(a)
+        u, s, vt = svd(a)
         scale = max(1.0, float(np.linalg.norm(a, 2)))
-        np.testing.assert_allclose(_reconstruct(res), a, atol=1e-10 * scale)
-        np.testing.assert_allclose(res.u.T @ res.u, np.eye(rows), atol=1e-10)
-        np.testing.assert_allclose(res.v.T @ res.v, np.eye(cols), atol=1e-10)
-        assert np.all(np.diff(res.singular_values) <= 1e-12)
+        np.testing.assert_allclose(_reconstruct(u, s, vt), a, atol=1e-10 * scale)
+        np.testing.assert_allclose(u.T @ u, np.eye(rows), atol=1e-10)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(cols), atol=1e-10)
+        assert np.all(np.diff(s) <= 1e-12)
 
 
 def test_svd_of_empty_shapes() -> None:
-    res = svd(np.zeros((2, 0)))
-    assert res.u.shape == (2, 2)
-    assert res.singular_values.size == 0
-    assert res.v.shape == (0, 0)
+    u, s, vt = svd(np.zeros((2, 0)))
+    assert u.shape == (2, 2)
+    assert s.size == 0
+    assert vt.shape == (0, 0)
 
 
 def test_pinv_matches_normal_equation_solution_for_tall_full_rank() -> None:
@@ -244,12 +264,19 @@ def _oracle_pinv(m) -> np.ndarray:
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return np.zeros((cols, rows))
-    res = svd(a)  # sign-canonical factors
-    s = res.singular_values
+    # the sign-canonical factors the kernel once used: each paired column
+    # u_j has its largest-magnitude entry made non-negative, v_j following
+    u, s, vt = np.linalg.svd(a, full_matrices=True)
+    v = vt.T
+    for j in range(s.size):
+        col = u[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            u[:, j] = -col
+            v[:, j] = -v[:, j]
     cut = singular_value_cutoff(s, a.shape)
     inv = np.where(s > cut, np.divide(1.0, s, out=np.zeros_like(s), where=s > cut), 0.0)
     k = s.size
-    return res.v[:, :k] @ np.diag(inv) @ res.u[:, :k].T
+    return v[:, :k] @ np.diag(inv) @ u[:, :k].T
 
 
 def _random_matrix(rng, rows: int, cols: int) -> np.ndarray:

@@ -423,11 +423,16 @@ def test_cli_uncertified_without_opt_in_is_exit_2(tmp_path, capsys) -> None:
         (("system", "eta_w"), True, "system.eta_w must be a number"),
         (("system", "delta_x0"), True, "system.delta_x0 must be a number"),
         (("system", "x_hat0"), [True, 0.0], "system.x_hat0 must be a number"),
+        (("system", "x_hat0"), [[0.0], [0.0]], "system.x_hat0 must be a flat list"),
+        (("name",), [1, 2], "name must be a string"),
+        (("output_dir",), True, "output_dir must be a string"),
+        (("gains",), {"kind": "file", "path": 5}, "gains.path must be a string"),
     ],
     ids=["negative-seed", "negative-seed-flag", "quoted-bool", "fractional-horizon", "bool-true-mode", "string-seed",
          "fractional-max-vertices", "nan-eta-w", "inf-eta-v", "nan-bound", "inf-bound",
          "inf-delta-x0", "inf-r-x", "inf-g-entry", "bool-eta-w", "bool-delta-x0",
-         "bool-x-hat0-entry"],
+         "bool-x-hat0-entry", "nested-x-hat0", "list-name", "bool-output-dir",
+         "int-gains-path"],
 )
 def test_cli_rejects_mistyped_scalars_with_exit_2(tmp_path, capsys, path, value, message) -> None:
     # each value once ran, died later with exit 4 or crashed instead of
