@@ -255,22 +255,24 @@ def _system(obj: Any, name: str) -> SwitchedSystem:
     )
 
 
-def _vector_sequence(
-    obj: Any, needed: int, dim: int, context: str
-) -> tuple[tuple[float, ...], ...]:
+def _sequence_input(spec: dict, needed: int, dim: int, context: str) -> SequenceInput:
+    """A `sequence` signal: at least `needed` vectors of `dim` entries."""
+    _check_keys(spec, {"kind", "values"}, context)
+    obj = _require(spec, "values", context)
     if not isinstance(obj, list) or len(obj) < needed:
         raise ConfigurationError(
-            f"{context} must list at least horizon+1 = {needed} vectors"
+            f"{context}.values must list at least horizon+1 = {needed} vectors"
         )
     out = []
     for i, entry in enumerate(obj):
-        vec = _array(entry, f"{context}[{i}]").reshape(-1)
-        if vec.size != dim:
+        # a bare number is a one-entry vector; a nested list is no vector
+        vec = _array(entry, f"{context}.values[{i}]")
+        if vec.ndim > 1 or vec.size != dim:
             raise ConfigurationError(
-                f"{context}[{i}] must have {dim} entries, got {vec.size}"
+                f"{context}.values[{i}] must be a flat list of {dim} numbers, got shape {vec.shape}"
             )
-        out.append(tuple(float(v) for v in vec))
-    return tuple(out)
+        out.append(tuple(float(v) for v in vec.reshape(-1)))
+    return SequenceInput(values=tuple(out))
 
 
 def _unknown_input(obj: Any, needed: int, dim: int) -> UnknownInputSignal:
@@ -289,11 +291,7 @@ def _unknown_input(obj: Any, needed: int, dim: int) -> UnknownInputSignal:
             raise ConfigurationError("unknown_input.rate must be >= 0")
         return GrowingRampInput(rate=rate)
     if kind == "sequence":
-        _check_keys(spec, {"kind", "values"}, "unknown_input")
-        values = _vector_sequence(
-            _require(spec, "values", "unknown_input"), needed, dim, "unknown_input.values"
-        )
-        return SequenceInput(values=values)
+        return _sequence_input(spec, needed, dim, "unknown_input")
     raise ConfigurationError(
         "unknown_input.kind must be 'bounded_random', 'growing_ramp' or 'sequence',"
         f" got {kind!r}"
@@ -309,11 +307,7 @@ def _known_input(obj: Any, needed: int, dim: int) -> KnownInputSignal:
         _check_keys(spec, {"kind"}, "known_input")
         return ZeroInput()
     if kind == "sequence":
-        _check_keys(spec, {"kind", "values"}, "known_input")
-        values = _vector_sequence(
-            _require(spec, "values", "known_input"), needed, dim, "known_input.values"
-        )
-        return SequenceInput(values=values)
+        return _sequence_input(spec, needed, dim, "known_input")
     raise ConfigurationError(
         f"known_input.kind must be 'zero' or 'sequence', got {kind!r}"
     )

@@ -49,7 +49,7 @@ STEADY_BLOWUP = 1e100
 # longest scan; a sequence still moving there reads as not converged
 STEADY_K_CAP = 2000
 # first prefix length scanned when no blow-up is predicted before the cap:
-# every bundled certified mode stagnates by k = 28
+# every bundled certified mode stagnates by k = 27
 STEADY_FIRST_RUNG = 64
 
 

@@ -5,16 +5,22 @@ three gains: m1 inverts the singular block of the feedthrough channel,
 m2 recovers the state-coupled input component from the feedthrough-free
 channel, and l_gain is the measurement-update gain.  Everything the
 threshold and containment machinery needs later is precomputed here:
-the interconnection matrices (phi, psi, e), the stacked noise-to-error
-maps (w_cal, y_cal), and the scalar contraction/offset constants
-of the radius model delta_k = theta delta_{k-1} + eta_bar.  That model
-is the only one: ``radius_sequence`` tabulates the state radii, and
-``ObserverGains.input_radius`` derives the lagged input radius from them.
-theta bounds the error map itself, (L_f + ||psi||) ||e phi||; a
-contraction factor that does not evaluate this map certifies nothing.
+the interconnection matrices (phi, psi, e), the noise maps, and the
+scalar constants of the radius model delta_k = theta delta_{k-1} +
+eta_bar.  That model is the only one: ``radius_sequence`` tabulates the
+state radii, and ``ObserverGains.input_radius`` derives the lagged input
+radius from them.  theta bounds the error map itself,
+(L_f + ||psi||) ||e phi||; a contraction factor that does not evaluate
+this map certifies nothing.
+
+The noise maps are the observer's own, over the word [v_{k-1}/sqrt2;
+w_{k-1}; v_k/sqrt2]: w_cal to the state error, d_cal to the lagged
+input error, y_cal to the residual.  ``noise_offset`` is the one offset
+rule: eta_bar reads w_cal, alpha_bar d_cal, a threshold its j blocks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +30,19 @@ from .decomposition import ModeDecomposition
 from .errors import ConfigurationError, SynthesisError
 from .system import ModeModel
 
-RT2 = float(np.sqrt(2.0))
+# the noise word [v_{k-1}/sqrt2; w_{k-1}; v_k/sqrt2] weights each v block
+INV_RT2 = 1.0 / math.sqrt(2.0)
+
+
+def noise_offset(stack: np.ndarray, l: int, eta_v: float, eta_w: float) -> np.ndarray:
+    """Radius offset INV_RT2 eta_v (||B_v|| + ||B_v+||) + eta_w ||B_w|| of
+    each map of a (..., rows, 2l + n) stack laid out over the noise word
+    [v_{k-1}/sqrt2 | w_{k-1} | v_k/sqrt2], with ||v|| <= eta_v, ||w|| <= eta_w."""
+    n = stack.shape[-1] - 2 * l
+    v_norms = linalg.spectral_norms(stack[..., :l])
+    w_norms = linalg.spectral_norms(stack[..., l : l + n])
+    v_next_norms = linalg.spectral_norms(stack[..., l + n :])
+    return INV_RT2 * eta_v * (v_norms + v_next_norms) + eta_w * w_norms
 
 
 def check_rank_condition(dec: ModeDecomposition) -> bool:
@@ -56,9 +74,9 @@ class ObserverGains:
     the Lipschitz amplification; it is reported but does not drive the
     recursion.  `certified` means theta < 1 (the recursion contracts).
 
-    w_cal maps the stacked noise word [v_k/sqrt2; w_k; v_{k+1}/sqrt2] to
-    the post-update state error; y_cal maps the same word to the
-    feedthrough-free residual.  w_cal = e @ r_mat + l_gain @ q, where
+    w_cal maps the noise word [v_{k-1}/sqrt2; w_{k-1}; v_k/sqrt2] to
+    the post-update state error and y_cal to the feedthrough-free
+    residual.  w_cal = e @ r_mat + l_gain @ q, where
     r_mat = [-sqrt2 phi g1 m1 t1 | phi w | -sqrt2 g2 m2 t2] is the
     pre-update layer and q = [0 | 0 | -sqrt2 t2] the measurement-noise
     layer.
@@ -139,9 +157,7 @@ def synthesize_gains(
             f"{linalg.rank(dec.c2 @ dec.g2)} < {dec.g2.shape[1]}: "
             "state-coupled input component is not recoverable"
         )
-    n = mode.n
-    l = mode.l
-    r = dec.z2_dim
+    n, l, r = mode.n, mode.l, dec.z2_dim
     m1 = linalg.pinv(dec.sigma)  # diagonal positive, so this is the inverse
     m2 = linalg.pinv(dec.c2 @ dec.g2)
     phi = np.eye(n) - dec.g2 @ m2 @ dec.c2
@@ -154,30 +170,26 @@ def synthesize_gains(
             raise ConfigurationError(f"gain must have shape {(n, r)}, got {l_gain.shape}")
     e = np.eye(n) - l_gain @ dec.c2
 
+    rt2 = 1.0 / INV_RT2  # exactly sqrt(2.0)
     g1m1t1 = dec.g1 @ m1 @ dec.t1
     g2m2t2 = dec.g2 @ m2 @ dec.t2
-    r_mat = np.hstack([-RT2 * phi @ g1m1t1, phi @ mode.w, -RT2 * g2m2t2])
-    q_mat = np.hstack([np.zeros((r, l)), np.zeros((r, n)), -RT2 * dec.t2])
+    v2m2c2 = dec.v2 @ m2 @ dec.c2
+    r_mat = np.hstack([-rt2 * phi @ g1m1t1, phi @ mode.w, -rt2 * g2m2t2])
+    q_mat = np.hstack([np.zeros((r, l)), np.zeros((r, n)), -rt2 * dec.t2])
     w_cal = e @ r_mat + l_gain @ q_mat
     y_cal = np.hstack(
-        [
-            -RT2 * dec.c2 @ phi @ g1m1t1,
-            dec.c2 @ phi @ mode.w,
-            RT2 * (np.eye(r) - dec.c2 @ dec.g2 @ m2) @ dec.t2,
-        ]
+        [-rt2 * dec.c2 @ phi @ g1m1t1, dec.c2 @ phi @ mode.w, rt2 * (np.eye(r) - dec.c2 @ dec.g2 @ m2) @ dec.t2]
+    )
+    d_cal = np.hstack(
+        [rt2 * (v2m2c2 @ dec.g1 - dec.v1) @ m1 @ dec.t1, -v2m2c2 @ mode.w, -rt2 * dec.v2 @ m2 @ dec.t2]
     )
 
     lf = float(mode.lipschitz)
     meas = linalg.spectral_norm(e @ phi)
     theta = (lf + linalg.spectral_norm(psi)) * meas
-    re_mat = -(psi @ phi @ g1m1t1 + psi @ g2m2t2 + l_gain @ dec.t2)
-    eta_bar = linalg.spectral_norm(re_mat) * eta_v + linalg.spectral_norm(psi @ phi @ mode.w) * eta_w
-    v2m2c2 = dec.v2 @ m2 @ dec.c2
+    eta_bar = noise_offset(w_cal, l, eta_v, eta_w)
     beta = linalg.spectral_norm(dec.v1 @ m1 @ dec.c1 - v2m2c2 @ psi) + lf * linalg.spectral_norm(v2m2c2)
-    alpha_bar = linalg.spectral_norm(v2m2c2) * eta_w + (
-        linalg.spectral_norm((v2m2c2 @ dec.g1 - dec.v1) @ m1 @ dec.t1)
-        + linalg.spectral_norm(dec.v2 @ m2 @ dec.t2)
-    ) * eta_v
+    alpha_bar = noise_offset(d_cal, l, eta_v, eta_w)
 
     return ObserverGains(
         m1=m1,

@@ -34,10 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import ModeDecomposition
-from .gains import ObserverGains
+from .gains import INV_RT2, ObserverGains, noise_offset
 from .linalg import spectral_norms
-
-INV_RT2 = 1.0 / math.sqrt(2.0)
 
 
 def compute_residual(
@@ -65,8 +63,9 @@ class ResidualCoefficients:
         + sum_i j_mats[i] @ [v_{k-1-i}/sqrt2; w_{k-1-i}; v_{k-i}/sqrt2]
 
     with i running over 0..k-1.  The blocks are stacked in
-    (k_max, rows, cols) arrays.  Norm arrays are precomputed for the
-    triangle bound; j-norms are split by the [l | n | l] sub-columns.
+    (k_max, rows, cols) arrays.  The triangle bound reads the norms of
+    the a and f blocks and `noise_terms`, each j block's
+    `gains.noise_offset`.
     """
 
     k_max: int
@@ -77,9 +76,7 @@ class ResidualCoefficients:
     j_mats: np.ndarray
     a_norms: np.ndarray
     f_norms: np.ndarray
-    j_v_norms: np.ndarray
-    j_w_norms: np.ndarray
-    j_v_next_norms: np.ndarray
+    noise_terms: np.ndarray
 
 
 def build_coefficients(
@@ -105,6 +102,7 @@ def build_coefficients(
             np.matmul(prev, downdate, out=block)
         f[1:] = a[:-1] @ gains.e @ gains.phi
         j[1:] = a[:-1] @ gains.w_cal
+        noise_terms = noise_offset(j, l, gains.eta_v, gains.eta_w)
 
     return ResidualCoefficients(
         k_max=k_max,
@@ -115,9 +113,7 @@ def build_coefficients(
         j_mats=j,
         a_norms=spectral_norms(a),
         f_norms=spectral_norms(f),
-        j_v_norms=spectral_norms(j[:, :, :l]),
-        j_w_norms=spectral_norms(j[:, :, l : l + n]),
-        j_v_next_norms=spectral_norms(j[:, :, l + n :]),
+        noise_terms=noise_terms,
     )
 
 
@@ -175,14 +171,14 @@ def triangle_sequence(
         + (|a_{k-1}| + lipschitz |f_{k-1}|) delta_0
         + sum_{i=0}^{k-1} j_i
 
-    with j_i the noise-block term; the drift sum is empty at k = 1.
-    lipschitz and the noise bounds are the gains' own; radius_seq holds
+    with j_i the noise term of block i; the drift sum is empty at k = 1.
+    lipschitz is the gains' own; radius_seq holds
     the a-priori radii [delta_0, delta_1, ...] and needs at least k_max
     entries.  An overflowing uncertified mode saturates to +inf; a zero
     block times an infinite radius adds 0, never nan.
     """
     k_max = coeffs.k_max
-    lipschitz, eta_v, eta_w = gains.lipschitz, gains.eta_v, gains.eta_w
+    lipschitz = gains.lipschitz
     drift = np.zeros(k_max)
     with np.errstate(over="ignore"):
         # a linear mode's drift blocks add 0, even where their norms overflowed
@@ -190,10 +186,7 @@ def triangle_sequence(
         if k_max > 1:
             radii = np.asarray(radius_seq[1:k_max], dtype=float)
             drift[1:] = _convolve(lf_f[:-1], radii)[: k_max - 1]
-        j_terms = INV_RT2 * eta_v * (coeffs.j_v_norms + coeffs.j_v_next_norms) + (
-            eta_w * coeffs.j_w_norms
-        )
-        return drift + np.cumsum(j_terms) + (coeffs.a_norms + lf_f) * float(radius_seq[0])
+        return drift + np.cumsum(coeffs.noise_terms) + (coeffs.a_norms + lf_f) * float(radius_seq[0])
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ def test_steady_tri_flags_divergence_with_infinite_value() -> None:
 
 
 def test_steady_tri_report_does_not_depend_on_the_cap_past_its_stop() -> None:
-    # scenario1 stops at iterations 2, 520, 326, 307 and 142; mode 5's
+    # scenario1 stops at iterations 2, 519, 326, 307 and 142; mode 5's
     # coefficient blocks overflow near k = 3527, which must only read +inf
     config = load_config(scenario_path("scenario1"))
     delta0 = config.system.delta_x0
@@ -170,8 +170,7 @@ def test_scan_matches_the_reference_on_random_sequences() -> None:
 @pytest.mark.parametrize("k_cap", [50, STEADY_K_CAP])
 def test_steady_tri_matches_a_scan_of_the_full_length_sequence(k_cap) -> None:
     # steady_tri builds only prefixes of the sequence; the reference builds
-    # all k_cap entries and scans them.  The closed-form constants do not
-    # depend on the scan, so the reference takes them from the report.
+    # all k_cap entries and scans them
     cases = list(_steady_cases())
     assert any(dec.z2_dim == 0 for _, _, dec, _ in cases)
     verdicts = set()
@@ -186,7 +185,7 @@ def test_steady_tri_matches_a_scan_of_the_full_length_sequence(k_cap) -> None:
         assert report == reference, label
         verdicts.add((converged, iterations == k_cap))
     # both outcomes occur: stagnation, and either blow-up before the cap
-    # (every bundled mode stops by k = 1208) or, at k_cap = 50, no verdict
+    # (every bundled mode stops by k = 1207) or, at k_cap = 50, no verdict
     assert verdicts == {(True, False), (False, k_cap == 50)}
 
 
@@ -214,9 +213,9 @@ def _record_builds(monkeypatch) -> list[int]:
 
 
 def test_steady_tri_builds_only_the_prefix_its_scan_reads(monkeypatch) -> None:
-    # scenario1 stops at 2, 520, 326, 307 and 142; mode 1 never blows up
+    # scenario1 stops at 2, 519, 326, 307 and 142; mode 1 never blows up
     # and stagnates within the first 64 steps, and the blow-up bound
-    # predicts 521, 328, 308 and 143 for the others, each one rung
+    # predicts 521, 327, 308 and 143 for the others, each one rung
     built = _record_builds(monkeypatch)
     config = load_config(scenario_path("scenario1"))
     per_mode = []
@@ -224,8 +223,8 @@ def test_steady_tri_builds_only_the_prefix_its_scan_reads(monkeypatch) -> None:
         built.clear()
         steady_tri(q, gains, dec, config.system.delta_x0)
         per_mode.append(list(built))
-    assert per_mode == [[STEADY_FIRST_RUNG], [521], [328], [308], [143]]
-    assert sum(map(sum, per_mode)) == 1364
+    assert per_mode == [[STEADY_FIRST_RUNG], [521], [327], [308], [143]]
+    assert sum(map(sum, per_mode)) == 1363
 
 
 def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeypatch) -> None:

@@ -108,14 +108,19 @@ def test_batched_coefficients_match_the_per_step_recursion() -> None:
                 np.testing.assert_array_equal(got, np.stack(want))
             a_mats, f_mats, j_mats = oracle
             l, n = coeffs.l, coeffs.n
-            for norms, blocks in (
-                (coeffs.a_norms, a_mats),
-                (coeffs.f_norms, f_mats),
-                (coeffs.j_v_norms, [j[:, :l] for j in j_mats]),
-                (coeffs.j_w_norms, [j[:, l : l + n] for j in j_mats]),
-                (coeffs.j_v_next_norms, [j[:, l + n :] for j in j_mats]),
+            # each j block's noise term: its [v/sqrt2 | w | v+/sqrt2] sub-blocks'
+            # norms times their radii
+            noise = [
+                gains.eta_v / math.sqrt(2.0) * (sn(j[:, :l]) + sn(j[:, l + n :]))
+                + gains.eta_w * sn(j[:, l : l + n])
+                for j in j_mats
+            ]
+            for norms, want in (
+                (coeffs.a_norms, [sn(m) for m in a_mats]),
+                (coeffs.f_norms, [sn(m) for m in f_mats]),
+                (coeffs.noise_terms, noise),
             ):
-                np.testing.assert_allclose(norms, [sn(m) for m in blocks], rtol=1e-14, atol=0)
+                np.testing.assert_allclose(norms, want, rtol=1e-14, atol=0)
 
 
 def test_first_step_coefficients_match_hand_derivation() -> None:

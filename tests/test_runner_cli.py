@@ -192,6 +192,11 @@ def test_known_input_sequence_is_used_verbatim() -> None:
     )
     truth = runner.simulate_truth(config, seed=0)
     np.testing.assert_allclose(truth.u[:, 0], [0.1 * k for k in range(9)])
+    # a one-dimensional signal may list bare numbers instead of one-entry lists
+    bare = parse_config(
+        _minimal_config_data(known_input={"kind": "sequence", "values": [v[0] for v in values]})
+    )
+    assert bare.known_input == config.known_input
 
 
 def test_plant_step_at_rest_with_no_excitation_stays_at_rest() -> None:
@@ -427,12 +432,22 @@ def test_cli_uncertified_without_opt_in_is_exit_2(tmp_path, capsys) -> None:
         (("name",), [1, 2], "name must be a string"),
         (("output_dir",), True, "output_dir must be a string"),
         (("gains",), {"kind": "file", "path": 5}, "gains.path must be a string"),
+        (
+            ("unknown_input",),
+            {"kind": "sequence", "values": [[[0.1]]] * 101},
+            "unknown_input.values[0] must be a flat list of 1 numbers, got shape (1, 1)",
+        ),
+        (
+            ("known_input",),
+            {"kind": "sequence", "values": [[0.0]] * 100 + [[[0.0]]]},
+            "known_input.values[100] must be a flat list of 1 numbers, got shape (1, 1)",
+        ),
     ],
     ids=["negative-seed", "negative-seed-flag", "quoted-bool", "fractional-horizon", "bool-true-mode", "string-seed",
          "fractional-max-vertices", "nan-eta-w", "inf-eta-v", "nan-bound", "inf-bound",
          "inf-delta-x0", "inf-r-x", "inf-g-entry", "bool-eta-w", "bool-delta-x0",
          "bool-x-hat0-entry", "nested-x-hat0", "list-name", "bool-output-dir",
-         "int-gains-path"],
+         "int-gains-path", "nested-unknown-sequence", "nested-known-sequence"],
 )
 def test_cli_rejects_mistyped_scalars_with_exit_2(tmp_path, capsys, path, value, message) -> None:
     # each value once ran, died later with exit 4 or crashed instead of
