@@ -71,11 +71,18 @@ def steady_tri(
     k_cap: int = STEADY_K_CAP,
 ) -> SteadyTriReport:
     """Scan the triangle bound until relative stagnation or blow-up."""
-    radii = radius_sequence(gains, delta0, k_cap)
     slope = gains.lipschitz * linalg.spectral_norm(dec.c2 @ gains.phi)
+    # the radius table grows, doubling, only until it shows the blow-up
+    # bound (or reaches the cap), and then as far as each rung reads
+    radii = radius_sequence(gains, delta0, min(STEADY_FIRST_RUNG, k_cap))
     k_stop = _blowup_bound(slope, radii, k_cap)
+    while slope and k_stop == k_cap and len(radii) <= k_cap:
+        radii = _extend_radii(gains, radii, min(2 * (len(radii) - 1), k_cap))
+        k_stop = _blowup_bound(slope, radii, k_cap)
     first = k_stop if k_stop < k_cap else min(STEADY_FIRST_RUNG, k_cap)
     for k_max in sorted({first, k_cap}):
+        if len(radii) <= k_max:
+            radii = _extend_radii(gains, radii, k_max)
         tri_seq = triangle_sequence(
             build_coefficients(gains, dec, k_max), gains, radii[: k_max + 1]
         )
@@ -109,8 +116,17 @@ def _scan_steady(tri_seq: np.ndarray) -> tuple[bool, float, int] | None:
     return None
 
 
+def _extend_radii(gains: ObserverGains, radii: np.ndarray, k_max: int) -> np.ndarray:
+    """The radius table [delta_0, ..., delta_kmax] from its prefix
+    `radii`.  The recursion reads only the previous radius, so continuing
+    it from the last entry gives the entries a full-length table holds."""
+    more = radius_sequence(gains, radii[-1], k_max - (len(radii) - 1))
+    return np.concatenate((radii, more[1:]))
+
+
 def _blowup_bound(slope: float, radii: np.ndarray, k_cap: int) -> int:
-    """First k with slope * delta_{k-1} > 2 STEADY_BLOWUP, else k_cap.
+    """First k with slope * delta_{k-1} > 2 STEADY_BLOWUP, else k_cap;
+    a prefix of the radius table answers for the steps it holds.
 
     With slope = L_f ||c2 phi|| that product is the drift convolution's
     i = 0 term, a lower bound on the triangle bound tri_k, so the scan

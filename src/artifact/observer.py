@@ -1,4 +1,4 @@
-"""Fixed-gain recursive observer for one mode hypothesis.
+"""Fixed-gain recursive observers for a bank of mode hypotheses.
 
 Each step runs three stages against the rotated measurement: time update
 with the previous direct-feedthrough input estimate, recovery of the
@@ -6,11 +6,14 @@ state-coupled input component from the feedthrough-free channel, and a
 gain correction on the same channel.  The direct component is then read
 off the feedthrough channel.  Only the drift f is nonlinear, so the whole
 update is linear in [f(x-hat_{k-1}); d1-hat_{k-1}; u_{k-1}; u_k; y_k]:
-``step_matrix`` runs the stages once per mode on identity column blocks,
-and ``step_observer`` is one product with that matrix.  A step updates
-only the centers and emits its innovation, the residual the mode
-observer tests: the error radii read no measurement, so
-``gains.radius_sequence`` tabulates them once per mode.
+``step_matrix`` runs the stages once per mode on identity column blocks.
+Every mode consumes the same (u, y), so ``stack_observers`` stacks the
+modes whose step matrices share a shape and whose drifts share a kind,
+and ``step_observer`` advances all stacks with one stacked product each;
+a stack of one is the single-mode observer.  A step updates only the
+centers and emits its innovation, the residual the mode observer tests:
+the error radii read no measurement, so ``gains.radius_sequence``
+tabulates them once per mode.
 
 The input estimate is inherently one step delayed: after processing y_k
 the observer reports d-hat for step k-1.  Initialization already consumes
@@ -20,7 +23,8 @@ leave the step-1 residual unexplained by the noise word.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .decomposition import ModeDecomposition, split_output
 from .errors import NumericalFailure
 from .gains import ObserverGains
 from .residuals import compute_residual
-from .system import ModeModel, eval_field
+from .system import ModeModel, drift, drift_matrices
 
 
 @dataclass(frozen=True)
@@ -92,33 +96,120 @@ def step_matrix(mode: ModeModel, dec: ModeDecomposition, gains: ObserverGains) -
     return np.vstack([x_hat, d1_next, d_prev, residual])
 
 
-def step_observer(
-    state: ObserverState,
-    mode: ModeModel,
-    step: np.ndarray,
-    u_prev: np.ndarray,
-    u_k: np.ndarray,
-    y_k: np.ndarray,
-) -> ObserverState:
-    """Advance the observer with (u_{k-1}, u_k, y_k); `step` is the
-    mode's ``step_matrix``.
+@dataclass(frozen=True)
+class ObserverStack:
+    """Observers of modes that share a step-matrix shape and drift kind,
+    stacked along a leading axis: row i belongs to bank mode ``modes[i]``.
 
-    A non-finite input reaches every output (0 * NaN and 0 * inf are
-    NaN), so one check of the outputs covers the inputs as well.  It
-    raises NumericalFailure, so numpy's own warning about the product is
+    A step's output row is [x-hat_k | d1-hat_k | d-hat_{k-1} | residual_k],
+    of widths n, p1, p and the rest.  `a` and `a_tilde` stack the modes'
+    ``system.drift_matrices``.
+    """
+
+    modes: tuple[int, ...]  # 0-based bank indices, ascending
+    step: np.ndarray  # (Q, R, C): each mode's ``step_matrix``
+    a: np.ndarray  # (Q, n, n)
+    a_tilde: np.ndarray | None  # (Q, n, n), None for linear drifts
+    n: int
+    p1: int
+    p: int
+
+    def take(self, rows: np.ndarray) -> ObserverStack:
+        """The stack of the given rows only."""
+        return replace(
+            self,
+            modes=tuple(self.modes[i] for i in rows),
+            step=self.step[rows],
+            a=self.a[rows],
+            a_tilde=None if self.a_tilde is None else self.a_tilde[rows],
+        )
+
+    def residual_norms(self, outputs: np.ndarray) -> np.ndarray:
+        """The residual norm of every output row (the last axis) in
+        `outputs`; each is the dot product a one-mode ``r @ r`` takes,
+        under its square root."""
+        res = outputs[..., None, self.n + self.p1 + self.p :]
+        return np.sqrt(np.matmul(res, np.swapaxes(res, -1, -2)))[..., 0, 0]
+
+    def state(self, row: np.ndarray, k: int) -> ObserverState:
+        """The ObserverState of one output row after step k; at k = 0 the
+        row holds only [x-hat_0 | d1-hat_0]."""
+        n1 = self.n + self.p1
+        n2 = n1 + self.p
+        return ObserverState(
+            k=k,
+            x_hat=row[: self.n],
+            d1_hat=row[self.n : n1],
+            d_hat_prev=row[n1:n2] if k else None,
+            residual=row[n2:] if k else None,
+        )
+
+
+def stack_observers(bank: Sequence[tuple[ModeModel, np.ndarray]]) -> list[ObserverStack]:
+    """Group a bank of (mode, step matrix) pairs into stacks of equal
+    step-matrix shape, input widths and drift kind, in order of each
+    group's first mode."""
+    groups: dict[tuple, list[int]] = {}
+    for q, (mode, step) in enumerate(bank):
+        p1 = step.shape[1] - mode.n - 2 * mode.m - mode.l
+        linear = drift_matrices(mode.field)[1] is None
+        groups.setdefault((step.shape, p1, mode.p, linear), []).append(q)
+    stacks = []
+    for (_, p1, p, linear), modes in groups.items():
+        a, a_tilde = zip(*(drift_matrices(bank[q][0].field) for q in modes))
+        stacks.append(
+            ObserverStack(
+                modes=tuple(modes),
+                step=np.stack([bank[q][1] for q in modes]),
+                a=np.stack(a),
+                a_tilde=None if linear else np.stack(a_tilde),
+                n=bank[modes[0]][0].n,
+                p1=p1,
+                p=p,
+            )
+        )
+    return stacks
+
+
+def step_observer(
+    stacks: Sequence[ObserverStack],
+    states: Sequence[np.ndarray],
+    signal: np.ndarray,
+    k: int,
+) -> list[np.ndarray]:
+    """Advance every stack to step k with signal = [u_{k-1}; u_k; y_k].
+
+    `states[i]` holds stack i's rows whose leading columns are
+    [x-hat_{k-1} | d1-hat_{k-1}]: its previous output, or its initial
+    rows.  Returns each stack's (Q, R) output.  The drift and the step
+    are stacked products, each slice the same BLAS call as one mode's
+    ``a @ x`` or ``step @ z``, so a mode's numbers do not depend on its
+    stack.
+
+    A non-finite input reaches every output of its mode (0 * NaN and
+    0 * inf are NaN), so one check of the outputs covers the inputs as
+    well.  It raises NumericalFailure naming the first mode with a
+    non-finite row, so numpy's own warnings about the products are
     silenced.
     """
-    x_hat = state.x_hat
-    n = x_hat.shape[0]
-    n1 = n + state.d1_hat.shape[0]
-    n2 = n1 + mode.p
-    z = np.concatenate((eval_field(mode.field, x_hat), state.d1_hat, u_prev, u_k, y_k))
+    outs = []
     with np.errstate(invalid="ignore", over="ignore"):
-        out = step @ z
-    k = state.k + 1
-    if not np.isfinite(out).all():
-        part = "input" if np.isfinite(out[:n]).all() else "state"
-        raise NumericalFailure(f"non-finite values in {part} estimate at step {k}")
-    return ObserverState(
-        k=k, x_hat=out[:n], d1_hat=out[n:n1], d_hat_prev=out[n1:n2], residual=out[n2:]
-    )
+        for stack, state in zip(stacks, states):
+            n, n1 = stack.n, stack.n + stack.p1
+            z = np.empty((len(state), stack.step.shape[2]))
+            z[:, :n] = drift(stack.a, stack.a_tilde, state[:, :n, None])[:, :, 0]
+            z[:, n:n1] = state[:, n:n1]
+            z[:, n1:] = signal
+            outs.append(np.matmul(stack.step, z[:, :, None])[:, :, 0])
+    if not all(np.isfinite(out).all() for out in outs):
+        q, stack, row = min(
+            (
+                (stack.modes[i], stack, out[i])
+                for stack, out in zip(stacks, outs)
+                for i in np.flatnonzero(~np.isfinite(out).all(axis=1))
+            ),
+            key=lambda bad: bad[0],
+        )
+        part = "input" if np.isfinite(row[: stack.n]).all() else "state"
+        raise NumericalFailure(f"mode {q + 1}: non-finite values in {part} estimate at step {k}")
+    return outs

@@ -3,10 +3,13 @@
 A run follows one loop: simulate the true plant for the whole horizon,
 then per step feed every surviving mode hypothesis its observer update,
 compare residual norms against precomputed thresholds, and eliminate.
-That loop is written once, as the generator ``iter_bank``: it yields a
-``BankRecord`` (step, surviving set, every mode's latest observer state,
-residual norms of the modes stepped) for k = 0 and after every step, and
-``run`` only formats those records.  The loop does no radius arithmetic:
+That loop is written once, as the generator ``iter_bank``: it steps the
+surviving modes as stacks with one ``observer.step_observer`` call per
+step, and yields a ``BankRecord`` (step, surviving set, residual norms of
+the modes stepped, and every mode's latest observer state, read off the
+run's ``BankTrace`` on demand) for k = 0 and after every step.  ``run``
+formats ``steps.csv`` from the trace's arrays, a column block per mode,
+after the loop.  The loop does no radius arithmetic:
 ``prepare_modes`` tabulates each mode's state radii once, and a state at
 step k reads its radius from ``radius_seq[k]``.  Everything downstream of
 the master seed is deterministic, so a config plus a seed reproduces its
@@ -27,11 +30,11 @@ vertex bounds, columns of dead modes) are empty fields.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,40 +47,80 @@ from .config import (
     master_seed,
 )
 from .decomposition import ModeDecomposition, decompose
-from .errors import ConfigurationError, NumericalFailure
+from .errors import ConfigurationError
 from .estimator import Ball, ModeSet, all_modes, bounding_ball, eliminate_step
 from .gains import ObserverGains, radius_sequence, synthesize_gains
-from .observer import ObserverState, init_observer, step_matrix, step_observer
+from .observer import (
+    ObserverStack,
+    ObserverState,
+    init_observer,
+    stack_observers,
+    step_matrix,
+    step_observer,
+)
 from .residuals import ThresholdReport, build_threshold_table
 from .system import ModeModel, eval_field
 
 
-def uniform_ball(rng: np.random.Generator, radius: float, dim: int) -> np.ndarray:
-    """Uniform draw from the closed Euclidean ball of the given radius."""
+def uniform_ball(rng: np.random.Generator, radius: float, dim: int, count: int) -> np.ndarray:
+    """`count` independent uniform draws from the closed Euclidean ball of
+    the given radius, one per row.
+
+    Each draw reads its direction and then its radial scale from the
+    stream, draw by draw; the scaling then runs on all rows at once, with
+    the operations of one draw in the same order.
+    """
     if dim == 0:
-        return np.zeros(0)
-    direction = rng.normal(size=dim)
-    nrm = float(np.linalg.norm(direction))
-    while nrm == 0.0:
+        return np.zeros((count, 0))
+    directions, norms, scales = [], [], []
+    for _ in range(count):
+        # math.sqrt(v.dot(v)) is np.linalg.norm's arithmetic, and
+        # rng.random() is the draw rng.uniform() makes, without their call
+        # overhead
         direction = rng.normal(size=dim)
-        nrm = float(np.linalg.norm(direction))
-    return direction / nrm * radius * rng.uniform() ** (1.0 / dim)
+        nrm = math.sqrt(direction.dot(direction))
+        while nrm == 0.0:
+            direction = rng.normal(size=dim)
+            nrm = math.sqrt(direction.dot(direction))
+        directions.append(direction)
+        norms.append(nrm)
+        scales.append(rng.random() ** (1.0 / dim))
+    norms, scales = np.array(norms)[:, None], np.array(scales)[:, None]
+    return np.array(directions) / norms * radius * scales
+
+
+def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """matrix @ row for every row, as one stacked product whose slices
+    are the matrix-vector products of the rows one at a time."""
+    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
 
 
 def simulate_plant(
     mode: ModeModel,
-    x_k: np.ndarray,
-    u_k: np.ndarray,
-    d_k: np.ndarray,
-    w_k: np.ndarray,
-    v_k: np.ndarray,
+    x0: np.ndarray,
+    u: np.ndarray,
+    d: np.ndarray,
+    w: np.ndarray,
+    v: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One true-plant step: returns (x_{k+1}, y_k)."""
-    x_next = (
-        eval_field(mode.field, x_k) + mode.b @ u_k + mode.g @ d_k + mode.w @ w_k
-    )
-    y_k = mode.c @ x_k + mode.d @ u_k + mode.h @ d_k + v_k
-    return x_next, y_k
+    """Roll the true plant from x0 over the given signals (one row per step)
+    and return (x, y), rows 0..N with N = len(w):
+
+        x_{k+1} = f(x_k) + B u_k + G d_k + W w_k,  k < N
+        y_k     = C x_k + D u_k + H d_k + v_k,     k <= N
+
+    Only the drift reads the previous state, so the input and noise terms
+    are stacked products before the loop and the output map one after it;
+    the sums keep the order of the formulas above.
+    """
+    steps = len(w)
+    bu, gd, ww = _apply(mode.b, u[:steps]), _apply(mode.g, d[:steps]), _apply(mode.w, w)
+    x = np.empty((steps + 1, mode.n))
+    x[0] = x0
+    for k in range(steps):
+        x[k + 1] = eval_field(mode.field, x[k]) + bu[k] + gd[k] + ww[k]
+    y = _apply(mode.c, x) + _apply(mode.d, u) + _apply(mode.h, d) + v
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -110,19 +153,17 @@ def simulate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
     children = np.random.SeedSequence(seed).spawn(4)
     rng_x0, rng_d, rng_w, rng_v = (np.random.default_rng(c) for c in children)
 
-    x0 = system.x_hat0 + uniform_ball(rng_x0, system.delta_x0, n)
+    x0 = system.x_hat0 + uniform_ball(rng_x0, system.delta_x0, n, 1)[0]
 
     signal = config.unknown_input
     if isinstance(signal, BoundedRandomInput):
-        d = np.stack(
-            [uniform_ball(rng_d, signal.bound, p) for _ in range(horizon + 1)]
-        )
+        d = uniform_ball(rng_d, signal.bound, p, horizon + 1)
     elif isinstance(signal, GrowingRampInput):
         direction = rng_d.normal(size=p)
         nrm = float(np.linalg.norm(direction))
         if nrm > 0.0:
             direction = direction / nrm
-        d = np.stack([signal.rate * k * direction for k in range(horizon + 1)])
+        d = np.multiply.outer(signal.rate * np.arange(horizon + 1), direction)
     else:
         d = np.asarray(signal.values, dtype=float)[: horizon + 1]
 
@@ -131,18 +172,10 @@ def simulate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
     else:
         u = np.asarray(config.known_input.values, dtype=float)[: horizon + 1]
 
-    w = np.stack([uniform_ball(rng_w, eta_w, n) for _ in range(horizon)])
-    v = np.stack([uniform_ball(rng_v, eta_v, l) for _ in range(horizon + 1)])
+    w = uniform_ball(rng_w, eta_w, n, horizon)
+    v = uniform_ball(rng_v, eta_v, l, horizon + 1)
 
-    x = np.zeros((horizon + 1, n))
-    y = np.zeros((horizon + 1, l))
-    x[0] = x0
-    for k in range(horizon):
-        x[k + 1], y[k] = simulate_plant(mode, x[k], u[k], d[k], w[k], v[k])
-    # the final step only reads the output; its state update is discarded
-    _, y[horizon] = simulate_plant(
-        mode, x[horizon], u[horizon], d[horizon], np.zeros(n), v[horizon]
-    )
+    x, y = simulate_plant(mode, x0, u, d, w, v)
     return TruthTrajectory(x=x, y=y, u=u, d=d, w=w, v=v)
 
 
@@ -227,29 +260,23 @@ class RunResult:
         return tuple(q + 1 for q in self.mode_set.surviving)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _fmt_all(values: np.ndarray) -> list[str]:
-    """The cells of a 1-D float array, formatted like ``_fmt``."""
-    return [repr(val) for val in values.tolist()]
-
-
 def threshold_rows(thresholds: Sequence[ThresholdReport]) -> list[list[str]]:
     """The cells of a threshold table, one row per step: k, delta_tri,
     delta_inf (empty when capped), delta_hat and the capped flag.
-    ``steps.csv`` reuses the three threshold cells of each row."""
-    return [
-        [
-            str(report.k),
-            _fmt(report.delta_tri),
-            "" if report.capped else _fmt(report.delta_inf),
-            _fmt(report.delta_hat),
-            str(int(report.capped)),
-        ]
-        for report in thresholds
-    ]
+    ``steps.csv`` reuses the three threshold cells of each row.  delta_hat
+    is whichever bound is smaller, so its cell reuses that bound's text."""
+    rows = []
+    for report in thresholds:
+        tri = repr(float(report.delta_tri))
+        inf = "" if report.capped else repr(float(report.delta_inf))
+        if report.delta_hat is report.delta_tri:
+            hat = tri
+        elif report.delta_hat is report.delta_inf and inf:
+            hat = inf
+        else:
+            hat = repr(float(report.delta_hat))
+        rows.append([str(report.k), tri, inf, hat, "1" if report.capped else "0"])
+    return rows
 
 
 def _steps_header(config: ScenarioConfig) -> list[str]:
@@ -270,18 +297,48 @@ def _steps_header(config: ScenarioConfig) -> list[str]:
 
 
 @dataclass(frozen=True)
+class BankTrace:
+    """Every observer output of one bank run, filled in by ``iter_bank``.
+
+    Per stack i, ``outputs[i][k, j]`` is the output row of mode
+    ``stacks[i].modes[j]`` after step k (row 0 holds its initial
+    [x-hat_0 | d1-hat_0]).  Steps after a mode's elimination step stay
+    unwritten.
+    """
+
+    stacks: tuple[ObserverStack, ...]
+    outputs: tuple[np.ndarray, ...]  # (N+1, Q, R) per stack
+
+
+@dataclass(frozen=True)
 class BankRecord:
     """The observer bank after the updates and the elimination of step k.
 
-    `states` holds every mode's latest observer state, frozen at the
-    elimination step for a dead mode; `residuals` maps each mode stepped
-    at k to its residual norm (empty at k = 0).
+    `residuals` maps each mode stepped at k to its residual norm (empty
+    at k = 0).  `states` holds every mode's latest observer state, frozen
+    at the elimination step for a dead mode; it is read off the run's
+    `trace` when first used, so a record builds no per-mode objects
+    until then.  The trace's rows up to step k never change, so a record
+    reads the same states whenever it is read.
     """
 
     k: int
     mode_set: ModeSet
-    states: tuple[ObserverState, ...]
     residuals: dict[int, float]
+    trace: BankTrace = field(repr=False, compare=False)
+
+    def _last_step(self, q: int) -> int:
+        """The step of mode q's latest state: its elimination step or k."""
+        return self.mode_set.eliminated_at.get(q, self.k)
+
+    @cached_property
+    def states(self) -> tuple[ObserverState, ...]:
+        states: dict[int, ObserverState] = {}
+        for stack, outputs in zip(self.trace.stacks, self.trace.outputs):
+            for j, q in enumerate(stack.modes):
+                k = self._last_step(q)
+                states[q] = stack.state(outputs[k, j], k)
+        return tuple(states[q] for q in sorted(states))
 
 
 def iter_bank(
@@ -290,58 +347,122 @@ def iter_bank(
     """Run the observer bank over the horizon, one record per step.
 
     Yields the initialized bank at k = 0, then one record per step, and
-    stops after the step that empties the surviving set.  Numerical
-    blow-ups raise NumericalFailure naming the offending mode.
+    stops after the step that empties the surviving set.  Each step is
+    one ``step_observer`` call over the stacks of surviving modes; each
+    stack's residual norms come as one array and meet the stack's row of
+    its (N, Q) threshold table, and only a step where some mode exceeds
+    its threshold calls ``eliminate_step`` and drops that mode's rows.
+    Numerical blow-ups raise NumericalFailure naming the offending mode.
     """
-    states = [
-        init_observer(pm.dec, pm.gains, config.system.x_hat0, truth.y[0], truth.u[0])
-        for pm in prepared
-    ]
-    mode_set = all_modes(len(prepared))
-    yield BankRecord(k=0, mode_set=mode_set, states=tuple(states), residuals={})
-    for k in range(1, config.horizon + 1):
-        checks: dict[int, tuple[float, float]] = {}
-        for q in mode_set.surviving:
+    horizon = config.horizon
+    stacks = stack_observers([(pm.mode, pm.step_matrix) for pm in prepared])
+    trace = BankTrace(
+        stacks=tuple(stacks),
+        outputs=tuple(
+            np.full((horizon + 1, len(stack.modes), stack.step.shape[1]), np.nan)
+            for stack in stacks
+        ),
+    )
+    for stack, outputs in zip(stacks, trace.outputs):
+        for j, q in enumerate(stack.modes):
             pm = prepared[q]
-            try:
-                state = step_observer(
-                    states[q], pm.mode, pm.step_matrix, truth.u[k - 1], truth.u[k], truth.y[k]
-                )
-            except NumericalFailure as exc:
-                raise NumericalFailure(f"mode {q + 1}: {exc}") from exc
-            states[q] = state
-            res = state.residual
-            checks[q] = (math.sqrt(res @ res), pm.thresholds[k - 1].delta_hat)
-        mode_set = eliminate_step(mode_set, k, checks)
-        residuals = {q: res_norm for q, (res_norm, _) in checks.items()}
-        yield BankRecord(k=k, mode_set=mode_set, states=tuple(states), residuals=residuals)
+            init = init_observer(pm.dec, pm.gains, config.system.x_hat0, truth.y[0], truth.u[0])
+            outputs[0, j, : stack.n + stack.p1] = np.concatenate((init.x_hat, init.d1_hat))
+    # per stack of surviving rows: the stack, its trace array, its rows
+    # in it and its (N, Q) threshold table
+    live = [
+        (
+            stack,
+            outputs,
+            np.arange(len(stack.modes)),
+            np.array([[t.delta_hat for t in prepared[q].thresholds] for q in stack.modes]).T,
+        )
+        for stack, outputs in zip(stacks, trace.outputs)
+    ]
+    states = [outputs[0] for outputs in trace.outputs]
+    signals = np.concatenate((truth.u[:-1], truth.u[1:], truth.y[1:]), axis=1)
+    mode_set = all_modes(len(prepared))
+    yield BankRecord(k=0, mode_set=mode_set, residuals={}, trace=trace)
+    for k in range(1, horizon + 1):
+        states = step_observer([stack for stack, *_ in live], states, signals[k - 1], k)
+        residuals: dict[int, float] = {}
+        exceeded = []
+        for (stack, outputs, rows, limits), out in zip(live, states):
+            outputs[k, rows] = out
+            norm_list = stack.residual_norms(out).tolist()
+            residuals.update(zip(stack.modes, norm_list))
+            exceeded.append([r > limit for r, limit in zip(norm_list, limits[k - 1].tolist())])
+        if len(live) > 1:
+            residuals = dict(sorted(residuals.items()))
+        if any(True in over for over in exceeded):
+            checks = {
+                q: (residuals[q], limit)
+                for stack, *_, limits in live
+                for q, limit in zip(stack.modes, limits[k - 1].tolist())
+            }
+            mode_set = eliminate_step(mode_set, k, checks)
+            kept_live, kept_states = [], []
+            for (stack, outputs, rows, limits), out, over in zip(live, states, exceeded):
+                keep = np.flatnonzero(np.logical_not(over))
+                if keep.size:
+                    kept_live.append((stack.take(keep), outputs, rows[keep], limits[:, keep]))
+                    kept_states.append(out[keep])
+            live, states = kept_live, kept_states
+        yield BankRecord(k=k, mode_set=mode_set, residuals=residuals, trace=trace)
         if mode_set.faulted:
             return
 
 
-def _mode_cells(pm: PreparedMode, table: list[list[str]], record: BankRecord) -> list[str]:
-    """One mode's residual, threshold, elimination and ball columns;
-    `table` is the mode's ``threshold_rows``."""
-    q, mode = pm.index, pm.mode
-    if record.k == 0:
-        cells = ["", "", "", "", "0"]
-    elif q not in record.residuals:  # eliminated before this step
-        return ["", "", "", "", "1"] + [""] * (mode.n + 1 + mode.p + 1)
-    else:
-        cells = [
-            _fmt(record.residuals[q]),
-            *table[record.k - 1][1:4],
-            str(int(q not in record.mode_set.surviving)),
+def _joined(values: np.ndarray) -> list[str]:
+    """Each row of a 2-D float array as its comma-joined cells."""
+    return [",".join(map(repr, row)) for row in values.tolist()]
+
+
+def _mode_lines(
+    pm: PreparedMode,
+    table: list[list[str]],
+    record: BankRecord,
+    stack: ObserverStack,
+    outputs: np.ndarray,
+) -> list[str]:
+    """One mode's residual, threshold, elimination and ball cells of the
+    ``steps.csv`` rows k = 0..record.k, each row's cells joined.  `table`
+    is the mode's ``threshold_rows``, and `outputs` is the mode's column
+    of its stack's trace.  A dead mode's cells are blank but for the
+    elimination flag."""
+    n, p = pm.mode.n, pm.mode.p
+    last = record._last_step(pm.index)
+    radii = pm.radius_seq[: last + 1].tolist()
+    lines = [f",,,,0,{_joined(outputs[:1, :n])[0]},{radii[0]!r}" + "," * (p + 1)]
+    if last:
+        n1 = n + stack.p1
+        # a state's k indexes its radius and k - 1 the lagged input's
+        balls = np.column_stack(
+            (
+                outputs[1 : last + 1, :n],
+                radii[1:],
+                outputs[1 : last + 1, n1 : n1 + p],
+                [pm.gains.input_radius(dx) for dx in radii[:-1]],
+            )
+        )
+        flags = ["0"] * last
+        if pm.index in record.mode_set.eliminated_at:
+            flags[-1] = "1"
+        lines += [
+            f"{res!r},{row[1]},{row[2]},{row[3]},{flag},{cells}"
+            for res, row, flag, cells in zip(
+                stack.residual_norms(outputs[1 : last + 1]).tolist(), table, flags,
+                _joined(balls),
+            )
         ]
-    state = record.states[q]
-    cells += _fmt_all(state.x_hat)
-    cells.append(_fmt(pm.radius_seq[state.k]))
-    if state.d_hat_prev is None:
-        cells += [""] * mode.p + [""]
-    else:
-        cells += _fmt_all(state.d_hat_prev)
-        cells.append(_fmt(pm.gains.input_radius(pm.radius_seq[state.k - 1])))
-    return cells
+    lines += [",,,,1" + "," * (n + p + 2)] * (record.k - last)
+    return lines
+
+
+def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
+    """Write a header and comma-joined rows.  No cell holds a comma, a
+    quote or a line break, so these are the bytes ``csv.writer`` writes."""
+    path.write_text("\n".join([",".join(header), *lines, ""]), newline="")
 
 
 def run(
@@ -354,6 +475,8 @@ def run(
     An empty surviving set stops the step loop and is reported as a
     fault in the outputs (the caller decides the exit code); numerical
     blow-ups raise NumericalFailure with the offending mode and step.
+    ``steps.csv`` is formatted column block by column block from the
+    truth and the bank's trace after the loop, not record by record.
     """
     seed = config.seed if seed is None else master_seed(int(seed))
     resolved_out = resolve_out_dir(config, out_dir)
@@ -361,24 +484,29 @@ def run(
     prepared = prepare_modes(config)
     truth = simulate_truth(config, seed)
 
-    tables = [threshold_rows(pm.thresholds) for pm in prepared]
-    rows: list[list[str]] = []
+    # the last record holds the run's trace and final surviving set
     for record in iter_bank(config, prepared, truth):
-        cells = [str(record.k)]
-        cells += _fmt_all(truth.x[record.k])
-        cells += _fmt_all(truth.d[record.k])
-        cells.append(str(len(record.mode_set.surviving)))
-        for pm, table in zip(prepared, tables):
-            cells += _mode_cells(pm, table, record)
-        rows.append(cells)
+        pass
     mode_set = record.mode_set
     fault_step = record.k if mode_set.faulted else None
 
+    tables = [threshold_rows(pm.thresholds) for pm in prepared]
+    steps = range(record.k + 1)
+    columns = [[str(k) for k in steps], _joined(truth.x[: record.k + 1])]
+    if truth.d.shape[1]:
+        columns.append(_joined(truth.d[: record.k + 1]))
+    eliminated = mode_set.eliminated_at.values()
+    columns.append([str(len(prepared) - sum(e <= k for e in eliminated)) for k in steps])
+    trace = record.trace
+    blocks = {
+        q: _mode_lines(prepared[q], tables[q], record, stack, outputs[:, j])
+        for stack, outputs in zip(trace.stacks, trace.outputs)
+        for j, q in enumerate(stack.modes)
+    }
+    columns += [blocks[q] for q in range(len(prepared))]
+
     steps_path = resolved_out / "steps.csv"
-    with steps_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_steps_header(config))
-        writer.writerows(rows)
+    _write_csv(steps_path, _steps_header(config), [",".join(row) for row in zip(*columns)])
 
     for pm, table in zip(prepared, tables):
         write_threshold_csv(resolved_out / f"thresholds_q{pm.index + 1}.csv", table)
@@ -398,10 +526,8 @@ def run(
 
 def write_threshold_csv(path: Path, rows: list[list[str]]) -> None:
     """Write a threshold table from its ``threshold_rows``."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "delta_tri", "delta_inf", "delta_hat", "capped"])
-        writer.writerows(rows)
+    header = ["k", "delta_tri", "delta_inf", "delta_hat", "capped"]
+    _write_csv(path, header, [",".join(row) for row in rows])
 
 
 def resolve_out_dir(config: ScenarioConfig, out_dir: str | Path | None) -> Path:

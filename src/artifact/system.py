@@ -67,11 +67,25 @@ class LinearSinusoidalField:
 FieldDescriptor = Union[LinearField, LinearSinusoidalField]
 
 
-def eval_field(field: FieldDescriptor, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+def drift_matrices(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray | None]:
+    """(a, a_tilde) of the drift a x + a_tilde sin(x)/2; a_tilde is None
+    for a linear drift."""
     if isinstance(field, LinearField):
-        return field.a @ x
-    return field.a_hat @ x + field.a_tilde @ (0.5 * np.sin(x))
+        return field.a, None
+    return field.a_hat, field.a_tilde
+
+
+def drift(a: np.ndarray, a_tilde: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """a @ x + a_tilde @ (sin(x) / 2), elementwise sine, or a @ x when
+    a_tilde is None.  The matrices may be stacked along leading axes, with
+    x a matching stack of columns."""
+    if a_tilde is None:
+        return a @ x
+    return a @ x + a_tilde @ (0.5 * np.sin(x))
+
+
+def eval_field(field: FieldDescriptor, x: np.ndarray) -> np.ndarray:
+    return drift(*drift_matrices(field), np.asarray(x, dtype=float))
 
 
 def lipschitz_constant(field: FieldDescriptor) -> float:

@@ -1,0 +1,217 @@
+"""The stacked observer bank, the stacked plant and the joined CSV rows
+against their frozen one-at-a-time oracles in ``conftest``.
+
+Every comparison is for equal bits: the stacked products run each mode's
+slice through the same BLAS call as the one-mode product, so a state, a
+residual norm, an elimination step or an output byte that differs is a
+changed result, not rounding.
+"""
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+import yaml
+from conftest import (
+    blind_row_mode,
+    full_feedthrough_mode,
+    full_pipeline_mode,
+    oracle_bank,
+    oracle_steps_csv,
+    oracle_threshold_csv,
+    oracle_truth,
+)
+
+from artifact import runner
+from artifact.config import load_config, parse_config
+from artifact.errors import NumericalFailure
+from artifact.observer import stack_observers, step_observer
+from artifact.scenarios import list_scenarios, scenario_path
+from artifact.system import SwitchedSystem
+
+SEEDS = range(50)
+
+
+def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_bank_matches_oracle(config, prepared, truth, label) -> int:
+    """Compare iter_bank with oracle_bank record by record; returns the
+    number of eliminations."""
+    records = list(runner.iter_bank(config, prepared, truth))
+    expected = list(oracle_bank(config, prepared, truth))
+    assert len(records) == len(expected), label
+    for got, want in zip(records, expected):
+        where = (label, got.k)
+        assert got.k == want.k, where
+        assert got.mode_set == want.mode_set, where
+        assert got.residuals == want.residuals, where
+        assert list(got.residuals) == list(want.residuals), where
+        for state, ref in zip(got.states, want.states, strict=True):
+            assert state.k == ref.k, where
+            for name in ("x_hat", "d1_hat", "d_hat_prev", "residual"):
+                assert _same_bits(getattr(state, name), getattr(ref, name)), (*where, name)
+    return len(records[-1].mode_set.eliminated_at)
+
+
+def test_stacked_bank_matches_the_per_mode_product_on_every_bundled_scenario() -> None:
+    eliminations = 0
+    for name in list_scenarios():
+        config = load_config(scenario_path(name))
+        prepared = runner.prepare_modes(config)
+        for seed in SEEDS:
+            truth = runner.simulate_truth(config, seed)
+            eliminations += _assert_bank_matches_oracle(config, prepared, truth, (name, seed))
+    assert eliminations > 0
+
+
+def _twin(mode, scale: float):
+    """The mode with its drift scaled: same shapes, other numbers."""
+    field = mode.field
+    if hasattr(field, "a"):
+        field = dataclasses.replace(field, a=scale * field.a)
+    else:
+        field = dataclasses.replace(
+            field, a_hat=scale * field.a_hat, a_tilde=scale * field.a_tilde
+        )
+    return dataclasses.replace(mode, field=field, lipschitz=None)
+
+
+def _mixed_config():
+    """Five modes with two outputs in three stacks: full_pipeline_mode cut
+    to its first two outputs (p = 2, r = 1, the true mode) and a twin,
+    full_feedthrough_mode (p = 2, r = 0) and a twin, and blind_row_mode
+    (p = 1).  The bank holds uncertified modes, so it is for equal bits
+    only, not for soundness."""
+    pipeline = full_pipeline_mode()
+    pipeline = dataclasses.replace(pipeline, c=pipeline.c[:2], d=pipeline.d[:2], h=pipeline.h[:2])
+    modes = (
+        pipeline,
+        full_feedthrough_mode(),
+        blind_row_mode(),
+        _twin(pipeline, 0.5),
+        _twin(full_feedthrough_mode(), 0.8),
+    )
+    system = SwitchedSystem(
+        modes=modes, eta_w=(0.02,) * 5, eta_v=(0.02,) * 5, delta_x0=0.2, x_hat0=np.zeros(2)
+    )
+    base = load_config(scenario_path("test_system_a"))
+    return dataclasses.replace(
+        base, system=system, true_mode=1, horizon=30, allow_uncertified=True
+    )
+
+
+def test_mixed_bank_stacks_by_shape_and_matches_the_per_mode_product() -> None:
+    config = _mixed_config()
+    prepared = runner.prepare_modes(config)
+    stacks = stack_observers([(pm.mode, pm.step_matrix) for pm in prepared])
+    assert [stack.modes for stack in stacks] == [(0, 3), (1, 4), (2,)]
+    assert [pm.dec.z2_dim for pm in prepared] == [1, 0, 1, 1, 0]
+    assert [stack.p for stack in stacks] == [2, 2, 1]
+    eliminated = set()
+    for seed in range(30):
+        truth = runner.simulate_truth(config, seed)
+        _assert_bank_matches_oracle(config, prepared, truth, ("mixed", seed))
+        *_, last = runner.iter_bank(config, prepared, truth)
+        eliminated |= set(last.mode_set.eliminated_at)
+    # rows leave a stack of two, and a stack of one empties
+    assert {0, 2, 3} <= eliminated
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("step", [1, 7])
+def test_non_finite_measurement_names_the_first_surviving_mode(bad, step) -> None:
+    for config in (load_config(scenario_path("scenario1")), _mixed_config()):
+        prepared = runner.prepare_modes(config)
+        truth = runner.simulate_truth(config, 3)
+        y = truth.y.copy()
+        y[step, 0] = bad
+        truth = dataclasses.replace(truth, y=y)
+        with pytest.raises(NumericalFailure) as expected:
+            list(oracle_bank(config, prepared, truth))
+        with pytest.raises(NumericalFailure) as got:
+            list(runner.iter_bank(config, prepared, truth))
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("mode ") and f"at step {step}" in str(got.value)
+
+
+def test_kernel_names_the_first_mode_across_stacks() -> None:
+    config = _mixed_config()
+    prepared = runner.prepare_modes(config)
+    stacks = stack_observers([(pm.mode, pm.step_matrix) for pm in prepared])
+    states = [np.zeros((len(stack.modes), stack.step.shape[1])) for stack in stacks]
+    signal = np.zeros(config.system.m * 2 + config.system.l)
+    # mode 4 (second row of the first stack) and mode 2 (first row of the
+    # second stack) go bad; mode 2 is the first surviving one
+    states[0][1, 0] = np.nan
+    states[1][0, 1] = np.inf
+    message = "^mode 2: non-finite values in state estimate at step 5$"
+    with pytest.raises(NumericalFailure, match=message):
+        step_observer(stacks, states, signal, 5)
+    states[1][0, 1] = 0.0
+    with pytest.raises(NumericalFailure, match="^mode 4: "):
+        step_observer(stacks, states, signal, 5)
+
+
+def _eliminating_seed(config) -> int:
+    prepared = runner.prepare_modes(config)
+    for seed in range(100):
+        truth = runner.simulate_truth(config, runner.master_seed(seed))
+        *_, last = runner.iter_bank(config, prepared, truth)
+        if last.mode_set.eliminated_at:
+            return seed
+    raise AssertionError("no seed below 100 eliminates a mode")
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+def test_csv_files_are_the_bytes_csv_writer_writes(name, tmp_path) -> None:
+    config = load_config(scenario_path(name))
+    prepared = runner.prepare_modes(config)
+    seeds = {config.seed, 1}
+    if name != "linear_bench":  # one mode: nothing to eliminate
+        seeds.add(_eliminating_seed(config))
+    for seed in sorted(seeds):
+        out = tmp_path / str(seed)
+        runner.run(config, seed=seed, out_dir=out)
+        truth = runner.simulate_truth(config, runner.master_seed(seed))
+        steps = (out / "steps.csv").read_bytes()
+        assert steps == oracle_steps_csv(config, prepared, truth).encode(), (name, seed)
+        for pm in prepared:
+            table = (out / f"thresholds_q{pm.index + 1}.csv").read_bytes()
+            assert table == oracle_threshold_csv(pm.thresholds).encode(), (name, pm.index)
+
+
+def _sequence(rng: np.random.Generator, horizon: int) -> dict:
+    return {"kind": "sequence", "values": rng.normal(size=(horizon + 1, 1)).tolist()}
+
+
+def _truth_configs():
+    for name in list_scenarios():
+        yield name, load_config(scenario_path(name))
+    rng = np.random.default_rng(0)
+    data = yaml.safe_load(scenario_path("test_system_a").read_text())
+    data["unknown_input"] = _sequence(rng, data["horizon"])
+    yield "sequence", parse_config(data)
+    data["known_input"] = _sequence(rng, data["horizon"])
+    yield "sequence-known", parse_config(data)
+    data = yaml.safe_load(scenario_path("scenario2").read_text())
+    data["known_input"] = _sequence(rng, data["horizon"])
+    yield "growing_ramp-known", parse_config(data)
+
+
+def test_truth_matches_the_step_by_step_plant() -> None:
+    kinds = set()
+    for label, config in _truth_configs():
+        kinds.add((type(config.unknown_input).__name__, type(config.known_input).__name__))
+        for seed in range(20):
+            got, want = runner.simulate_truth(config, seed), oracle_truth(config, seed)
+            for name in ("x", "y", "u", "d", "w", "v"):
+                assert _same_bits(getattr(got, name), getattr(want, name)), (label, seed, name)
+    assert {kind for kind, _ in kinds} == {
+        "BoundedRandomInput", "GrowingRampInput", "SequenceInput"
+    }
+    assert {kind for _, kind in kinds} == {"ZeroInput", "SequenceInput"}

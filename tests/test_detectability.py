@@ -227,6 +227,27 @@ def test_steady_tri_builds_only_the_prefix_its_scan_reads(monkeypatch) -> None:
     assert sum(map(sum, per_mode)) == 1363
 
 
+def test_steady_tri_extends_the_radius_table_only_until_its_blowup_bound(monkeypatch) -> None:
+    # the table starts at the first rung and doubles until it shows the
+    # blow-up bound: mode 1 (slope 0) stays at 64 radius steps, the others
+    # stop at the first doubling past 521, 327, 308 and 143, where a
+    # full-length table would run its recursion to overflow or the cap
+    steps: list[int] = []
+
+    def recording(gains, delta0, k_max):
+        steps.append(k_max)
+        return radius_sequence(gains, delta0, k_max)
+
+    monkeypatch.setattr(detectability, "radius_sequence", recording)
+    config = load_config(scenario_path("scenario1"))
+    per_mode = []
+    for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+        steps.clear()
+        steady_tri(q, gains, dec, config.system.delta_x0)
+        per_mode.append(sum(steps))
+    assert per_mode == [64, 1024, 512, 512, 256]
+
+
 def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeypatch) -> None:
     # a k_stop before the real stop leaves the first rung without a
     # verdict; the cap rung must still give the full-length scan's answer

@@ -11,6 +11,8 @@ from conftest import (
     run_closed_loop,
     sample_ball,
     scalar_channel_mode,
+    stack_of_one,
+    stacked_step,
     stagewise_step,
 )
 
@@ -19,7 +21,7 @@ from artifact.config import load_config
 from artifact.decomposition import decompose, split_output
 from artifact.errors import NumericalFailure
 from artifact.gains import radius_sequence, synthesize_gains
-from artifact.observer import init_observer, step_matrix, step_observer
+from artifact.observer import init_observer, step_matrix
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import LinearField, ModeModel, eval_field
 
@@ -44,13 +46,13 @@ def test_noise_free_consistent_run_is_tracked_exactly() -> None:
     mode = invertible_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
-    step = step_matrix(mode, dec, gains)
+    stack = stack_of_one(mode, dec, gains)
     x = np.array([0.2, -0.1])
     state = init_observer(dec, gains, x, mode.c @ x, np.zeros(1))
     for k in range(1, 8):
         x = eval_field(mode.field, x)
         y = mode.c @ x
-        state = step_observer(state, mode, step, np.zeros(1), np.zeros(1), y)
+        state = stacked_step(state, stack, np.zeros(1), np.zeros(1), y)
         np.testing.assert_allclose(state.x_hat, x, atol=1e-12)
         np.testing.assert_allclose(state.d_hat_prev, np.zeros(1), atol=1e-12)
         # a consistent noise-free measurement leaves no innovation
@@ -64,7 +66,7 @@ def test_unknown_input_is_reconstructed_one_step_late_when_error_collapses() -> 
     mode = invertible_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
-    step = step_matrix(mode, dec, gains)
+    stack = stack_of_one(mode, dec, gains)
     rng = np.random.default_rng(5)
     x = np.array([0.1, 0.3])
     state = init_observer(dec, gains, x, mode.c @ x + mode.h @ np.array([0.7]), np.zeros(1))
@@ -73,7 +75,7 @@ def test_unknown_input_is_reconstructed_one_step_late_when_error_collapses() -> 
         d_seq.append(rng.normal(size=1))
         x = eval_field(mode.field, x) + mode.g @ d_seq[k - 1]
         y = mode.c @ x + mode.h @ d_seq[k]
-        state = step_observer(state, mode, step, np.zeros(1), np.zeros(1), y)
+        state = stacked_step(state, stack, np.zeros(1), np.zeros(1), y)
         np.testing.assert_allclose(state.d_hat_prev, d_seq[k - 1], atol=1e-10)
 
 
@@ -139,8 +141,10 @@ def test_non_finite_measurement_raises_numerical_failure_with_step(u_prev, y_k) 
     u_prev_cols = slice(mode.n + dec.p_h, mode.n + dec.p_h + mode.m)
     assert not step[:, u_prev_cols].any()
     state = init_observer(dec, gains, np.zeros(2), np.zeros(2), np.zeros(1))
-    with pytest.raises(NumericalFailure, match="state estimate at step 1"):
-        step_observer(state, mode, step, np.array(u_prev), np.zeros(1), np.array(y_k))
+    with pytest.raises(NumericalFailure, match="^mode 1: .*state estimate at step 1$"):
+        stacked_step(
+            state, stack_of_one(mode, dec, gains), np.array(u_prev), np.zeros(1), np.array(y_k)
+        )
 
 
 def _no_feedthrough_mode() -> ModeModel:
@@ -182,6 +186,7 @@ def test_fused_step_matches_the_stagewise_reference() -> None:
     assert any(p_h == 0 for p_h, _ in widths) and any(rows == 0 for _, rows in widths)
     for label, mode, dec, gains in cases:
         step = step_matrix(mode, dec, gains)
+        stack = stack_of_one(mode, dec, gains)
         rng = np.random.default_rng(3)
         x = rng.normal(size=mode.n) * 0.3
 
@@ -196,7 +201,7 @@ def test_fused_step_matches_the_stagewise_reference() -> None:
             x = eval_field(mode.field, x) + mode.b @ u_prev + mode.g @ d
             u_k = rng.normal(size=mode.m) * 0.2
             y, d = measure(x, u_k)
-            got = step_observer(ref, mode, step, u_prev, u_k, y)
+            got = stacked_step(ref, stack, u_prev, u_k, y)
             want = stagewise_step(ref, mode, dec, gains, u_prev, u_k, y)
             inputs = np.concatenate((eval_field(mode.field, ref.x_hat), ref.d1_hat, u_prev, u_k, y))
             bound = STEP_REL * np.max(np.abs(step) @ np.abs(inputs))

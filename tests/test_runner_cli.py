@@ -12,8 +12,9 @@ import yaml
 from artifact import cli, config, runner
 from artifact.config import GainsSpec, ZeroInput, load_config, parse_config
 from artifact.decomposition import decompose
-from artifact.errors import ConfigurationError, NumericalFailure
+from artifact.errors import ConfigurationError
 from artifact.gains import synthesize_gains
+from artifact.observer import step_observer
 from artifact.scenarios import list_scenarios, scenario_path
 
 
@@ -202,11 +203,12 @@ def test_known_input_sequence_is_used_verbatim() -> None:
 def test_plant_step_at_rest_with_no_excitation_stays_at_rest() -> None:
     mode = parse_config(_minimal_config_data()).system.modes[0]
     zero = np.zeros
-    x_next, y = runner.simulate_plant(
-        mode, zero(2), zero(1), zero(1), zero(2), zero(3)
+    # one step: signals carry rows k = 0, 1 and the process noise row k = 0
+    x, y = runner.simulate_plant(
+        mode, zero(2), zero((2, 1)), zero((2, 1)), zero((1, 2)), zero((2, 3))
     )
-    np.testing.assert_array_equal(x_next, np.zeros(2))
-    np.testing.assert_array_equal(y, np.zeros(3))
+    np.testing.assert_array_equal(x, np.zeros((2, 2)))
+    np.testing.assert_array_equal(y, np.zeros((2, 3)))
 
 
 def test_identity_feedthrough_copies_unknown_input_into_output() -> None:
@@ -219,9 +221,9 @@ def test_identity_feedthrough_copies_unknown_input_into_output() -> None:
     mode = parse_config(data).system.modes[0]
     d_k = np.array([1.0, 0.0, 0.0])
     _, y = runner.simulate_plant(
-        mode, np.zeros(2), np.zeros(1), d_k, np.zeros(2), np.zeros(3)
+        mode, np.zeros(2), np.zeros((1, 1)), d_k[None], np.zeros((0, 2)), np.zeros((1, 3))
     )
-    np.testing.assert_array_equal(y, d_k)
+    np.testing.assert_array_equal(y, d_k[None])
 
 
 def test_benchmark_truth_trajectories_stay_bounded() -> None:
@@ -360,16 +362,19 @@ def test_cli_maps_fault_to_exit_3(tmp_path, monkeypatch, capsys) -> None:
 
 
 def test_cli_maps_numerical_failure_to_exit_4(tmp_path, monkeypatch, capsys) -> None:
-    def explode(*args, **kwargs):
-        raise NumericalFailure("synthetic blow-up")
+    # the bank's one step kernel reads an infinite signal at step 3
+    def poisoned(stacks, states, signal, k):
+        signal = np.full_like(signal, np.inf) if k == 3 else signal
+        return step_observer(stacks, states, signal, k)
 
-    monkeypatch.setattr(runner, "step_observer", explode)
+    monkeypatch.setattr(runner, "step_observer", poisoned)
     code = cli.main(
         ["run", "--config", "linear_bench", "--out", str(tmp_path / "nf")]
     )
     assert code == 4
     err = capsys.readouterr().err
     assert "numerical failure" in err and "mode 1" in err
+    assert "step 3" in err
 
 
 def _reject_constant(token: str):

@@ -5,7 +5,8 @@ For a linear mode the observer's state error, lagged-input error and
 residual at step K are linear in the unknowns (e_0, w_0..w_{K-1},
 v_0..v_K); the known and unknown inputs and the initial estimate cancel.
 Each unknown's coefficient block is read off the real observer
-(``init_observer`` / ``step_observer`` against a hand-written plant) by a
+(``init_observer`` / ``step_observer`` on a stack of one against a
+hand-written plant) by a
 unit perturbation, never from the gains' formulas.  The norm of the
 image is then maximized over the product of the unknowns' balls by
 alternating ascent, and every value found must lie within the bound the
@@ -19,13 +20,13 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import full_pipeline_mode
+from conftest import full_pipeline_mode, stack_of_one, stacked_step
 
 from artifact import runner
 from artifact.config import load_config
 from artifact.decomposition import decompose
 from artifact.gains import INV_RT2, noise_offset, radius_sequence, synthesize_gains
-from artifact.observer import init_observer, step_matrix, step_observer
+from artifact.observer import init_observer
 from artifact.residuals import build_threshold_table
 from artifact.scenarios import scenario_path
 from artifact.system import eval_field
@@ -52,7 +53,7 @@ def _case(label: str):
 CASES = ["linear_bench-q1", "duplicate_modes-q2", "test_system_a-q2", "full_pipeline_w2"]
 
 
-def _run(mode, step, signals, k, x, state, horizon):
+def _run(mode, stack, signals, k, x, state, horizon):
     """The plant and the real observer from step k + 1 to the horizon,
     starting from the true state x_k and the observer state after step k;
     returns [(x_j, state_j) for j = k + 1..horizon]."""
@@ -61,7 +62,7 @@ def _run(mode, step, signals, k, x, state, horizon):
     for j in range(k + 1, horizon + 1):
         x = eval_field(mode.field, x) + mode.b @ u[j - 1] + mode.g @ d[j - 1] + mode.w @ w[j - 1]
         y = mode.c @ x + mode.d @ u[j] + mode.h @ d[j] + v[j]
-        state = step_observer(state, mode, step, u[j - 1], u[j], y)
+        state = stacked_step(state, stack, u[j - 1], u[j], y)
         out.append((x, state))
     return out
 
@@ -90,7 +91,7 @@ def _responses(label: str):
     x_hat0 = rng.normal(size=n)
     u = rng.normal(size=(horizon + 1, mode.m))
     d = rng.normal(size=(horizon + 1, mode.p))
-    step = step_matrix(mode, dec, gains)
+    stack = stack_of_one(mode, dec, gains)
 
     def trajectory(x0, w, v, k=0):
         """(x_j, state_j) for j = 0..H; the first k steps are the base run's."""
@@ -99,7 +100,7 @@ def _responses(label: str):
         else:
             y0 = mode.c @ x0 + mode.d @ u[0] + mode.h @ d[0] + v[0]
             start = [(x0, init_observer(dec, gains, x_hat0, y0, u[0]))]
-        return [*start, *_run(mode, step, (u, d, w, v), k, *start[-1], horizon)]
+        return [*start, *_run(mode, stack, (u, d, w, v), k, *start[-1], horizon)]
 
     base = trajectory(x_hat0, np.zeros((horizon, n)), np.zeros((horizon + 1, l)))
     base_errors = _errors(base, d)
