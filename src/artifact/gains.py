@@ -8,8 +8,8 @@ threshold and containment machinery needs later is precomputed here:
 the interconnection matrices (phi, psi, e), the noise maps, and the
 scalar constants of the radius model delta_k = theta delta_{k-1} +
 eta_bar.  That model is the only one: ``radius_sequence`` tabulates the
-state radii, and ``ObserverGains.input_radius`` derives the lagged input
-radius from them.  theta bounds the error map itself,
+state radii, and ``ObserverGains.input_radii`` derives the lagged input
+radii from them.  theta bounds the error map itself,
 (L_f + ||psi||) ||e phi||; a contraction factor that does not evaluate
 this map certifies nothing.
 
@@ -17,18 +17,26 @@ The noise maps are the observer's own, over the word [v_{k-1}/sqrt2;
 w_{k-1}; v_k/sqrt2]: w_cal to the state error, d_cal to the lagged
 input error, y_cal to the residual.  ``noise_offset`` is the one offset
 rule: eta_bar reads w_cal, alpha_bar d_cal, a threshold its j blocks.
+
+Synthesis runs on a group of modes that shares every array shape at
+once: ``synthesize_gain_stack`` forms each product, pseudoinverse and
+norm as one batched call over a leading mode axis, each slice the call a
+lone mode makes (a lone mode is a stack of one), and
+``synthesis_errors`` says beforehand which modes cannot get gains.
+``radius_sequence`` is the one-mode form of ``radius_sequences``.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .decomposition import ModeDecomposition
+from .decomposition import DecompositionStack, ModeDecomposition
 from .errors import ConfigurationError, SynthesisError
-from .system import ModeModel
+from .system import ModeStack, stack_arrays, stack_of
 
 # the noise word [v_{k-1}/sqrt2; w_{k-1}; v_k/sqrt2] weights each v block
 INV_RT2 = 1.0 / math.sqrt(2.0)
@@ -45,11 +53,11 @@ def noise_offset(stack: np.ndarray, l: int, eta_v: float, eta_w: float) -> np.nd
     return INV_RT2 * eta_v * (v_norms + v_next_norms) + eta_w * w_norms
 
 
-def check_rank_condition(dec: ModeDecomposition) -> bool:
+def check_rank_condition(dec: ModeDecomposition | DecompositionStack) -> bool | np.ndarray:
     """True when the state-coupled input component is recoverable:
-    rank(c2 @ g2) must equal the number of d2 components."""
-    needed = dec.g2.shape[1]
-    return linalg.rank(dec.c2 @ dec.g2) == needed
+    rank(c2 @ g2) must equal the number of d2 components.  A stack gets
+    one answer per mode."""
+    return linalg.ranks(dec.c2 @ dec.g2) == dec.g2.shape[-1]
 
 
 def heuristic_gain(dec: ModeDecomposition, phi: np.ndarray) -> np.ndarray:
@@ -103,14 +111,33 @@ class ObserverGains:
     def certified(self) -> bool:
         return self.theta < 1.0
 
-    def input_radius(self, delta_x: float) -> float:
-        """Lagged input radius beta * delta_x + alpha_bar for the state
-        radius delta_x one step earlier.  It saturates to inf with
-        delta_x, and a zero beta ignores an infinite delta_x instead of
-        turning it into NaN."""
+    def input_radii(self, delta_x: np.ndarray) -> np.ndarray:
+        """Lagged input radii beta * delta_x + alpha_bar for an array of
+        state radii delta_x, each one step earlier than its input
+        radius.  They saturate to inf with delta_x, and a zero beta
+        ignores an infinite delta_x instead of turning it into NaN."""
+        delta_x = np.asarray(delta_x, dtype=float)
         if self.beta == 0.0:
-            return self.alpha_bar
-        return self.beta * float(delta_x) + self.alpha_bar
+            return np.full(delta_x.shape, self.alpha_bar)
+        with np.errstate(over="ignore"):
+            return self.beta * delta_x + self.alpha_bar
+
+
+@stack_of(ObserverGains)
+class GainStack:
+    """ObserverGains of modes that share every array shape, stacked along
+    a leading mode axis; each scalar field is a (Q,) array.  ``mode(i)``
+    is row i's ObserverGains, its matrices views of the stack."""
+
+
+def radius_sequences(gains: GainStack, delta0: float, k_max: int) -> np.ndarray:
+    """The ``radius_sequence`` of every mode of the stack, one row each."""
+    return np.array(
+        [
+            _radii(theta, eta_bar, delta0, k_max)
+            for theta, eta_bar in zip(gains.theta.tolist(), gains.eta_bar.tolist())
+        ]
+    )
 
 
 def radius_sequence(gains: ObserverGains, delta0: float, k_max: int) -> np.ndarray:
@@ -120,7 +147,10 @@ def radius_sequence(gains: ObserverGains, delta0: float, k_max: int) -> np.ndarr
     silently); that is the honest answer there.  Once a step returns its
     own input, a float fixed point (inf after an overflow), every later
     step would too, so the rest of the table is filled with it."""
-    theta, eta_bar = gains.theta, gains.eta_bar
+    return _radii(gains.theta, gains.eta_bar, delta0, k_max)
+
+
+def _radii(theta: float, eta_bar: float, delta0: float, k_max: int) -> np.ndarray:
     delta = float(delta0)
     radii = [delta]
     for _ in range(k_max):
@@ -134,64 +164,95 @@ def radius_sequence(gains: ObserverGains, delta0: float, k_max: int) -> np.ndarr
     return table
 
 
-def synthesize_gains(
-    mode: ModeModel,
-    dec: ModeDecomposition,
-    eta_w: float,
-    eta_v: float,
-    user_gain: np.ndarray | None = None,
-) -> ObserverGains:
-    """Build the per-mode gains and radius constants.
+def synthesis_errors(
+    dec: DecompositionStack, user_gains: Sequence[object | None]
+) -> list[Exception | None]:
+    """Why each mode of the stack cannot get gains, or None where it can:
+    a SynthesisError when rank(c2 @ g2) falls short, so no unbiased
+    recovery of the state-coupled input component exists, else a
+    ConfigurationError when its user-supplied gain has the wrong shape
+    (a ValueError when that gain is not a matrix)."""
+    needed = dec.g2.shape[2]
+    shape = (dec.c2.shape[2], dec.t2.shape[1])
+    errors: list[Exception | None] = []
+    recoverable = check_rank_condition(dec).tolist()
+    for i, user_gain in enumerate(user_gains):
+        error = None
+        if not recoverable[i]:
+            error = SynthesisError(
+                f"rank(c2 @ g2) = {linalg.rank(dec.c2[i] @ dec.g2[i])} < {needed}: "
+                "state-coupled input component is not recoverable"
+            )
+        elif user_gain is not None:
+            try:
+                gain = linalg.as_matrix(user_gain, "gain")
+            except ValueError as exc:
+                error = exc
+            else:
+                if gain.shape != shape:
+                    error = ConfigurationError(f"gain must have shape {shape}, got {gain.shape}")
+        errors.append(error)
+    return errors
 
-    Raises
-    ------
-    SynthesisError
-        When rank(c2 @ g2) falls short, so no unbiased recovery of the
-        state-coupled input component exists.
-    ConfigurationError
-        When a user-supplied gain has the wrong shape.
+
+def synthesize_gain_stack(
+    modes: ModeStack,
+    dec: DecompositionStack,
+    eta_w: np.ndarray,
+    eta_v: np.ndarray,
+    user_gains: Sequence[np.ndarray | None],
+    factor: float | None = None,
+) -> GainStack:
+    """Build the gains and radius constants of every mode of a stack in
+    one batched pass; the modes' ``synthesis_errors`` must all be None.
+
+    eta_w and eta_v hold each mode's noise bounds.  A mode's gain is its
+    user gain when it has one, else the heuristic gain, times `factor`
+    when one is given.  Each row is the product by product arithmetic of
+    a lone mode, so its bits do not depend on the stack.
     """
-    if not check_rank_condition(dec):
-        raise SynthesisError(
-            "rank(c2 @ g2) = "
-            f"{linalg.rank(dec.c2 @ dec.g2)} < {dec.g2.shape[1]}: "
-            "state-coupled input component is not recoverable"
-        )
-    n, l, r = mode.n, mode.l, dec.z2_dim
+    n, l, r = modes.n, modes.l, dec.t2.shape[1]
+    eye_n = np.eye(n)
+    c2g2 = dec.c2 @ dec.g2
     m1 = linalg.pinv(dec.sigma)  # diagonal positive, so this is the inverse
-    m2 = linalg.pinv(dec.c2 @ dec.g2)
-    phi = np.eye(n) - dec.g2 @ m2 @ dec.c2
+    m2 = linalg.pinv(c2g2)
+    phi = eye_n - dec.g2 @ m2 @ dec.c2
     psi = dec.g1 @ m1 @ dec.c1
-    if user_gain is None:
+    if any(gain is None for gain in user_gains):
         l_gain = heuristic_gain(dec, phi)
+        if factor is not None:
+            # the scaled gain is a multiple of the heuristic one
+            l_gain = factor * l_gain
+        for i, gain in enumerate(user_gains):
+            if gain is not None:
+                l_gain[i] = gain
     else:
-        l_gain = linalg.as_matrix(user_gain, "gain")
-        if l_gain.shape != (n, r):
-            raise ConfigurationError(f"gain must have shape {(n, r)}, got {l_gain.shape}")
-    e = np.eye(n) - l_gain @ dec.c2
+        l_gain = stack_arrays([linalg.as_matrix(gain, "gain") for gain in user_gains])
+    e = eye_n - l_gain @ dec.c2
 
     rt2 = 1.0 / INV_RT2  # exactly sqrt(2.0)
-    g1m1t1 = dec.g1 @ m1 @ dec.t1
-    g2m2t2 = dec.g2 @ m2 @ dec.t2
+    t1, t2 = dec.t1, dec.t2
+    g1m1t1 = dec.g1 @ m1 @ t1
+    g2m2t2 = dec.g2 @ m2 @ t2
     v2m2c2 = dec.v2 @ m2 @ dec.c2
-    r_mat = np.hstack([-rt2 * phi @ g1m1t1, phi @ mode.w, -rt2 * g2m2t2])
-    q_mat = np.hstack([np.zeros((r, l)), np.zeros((r, n)), -rt2 * dec.t2])
+    r_mat = np.concatenate([-rt2 * phi @ g1m1t1, phi @ modes.w, -rt2 * g2m2t2], axis=2)
+    q_mat = np.concatenate([np.zeros((len(eta_w), r, l + n)), -rt2 * t2], axis=2)
     w_cal = e @ r_mat + l_gain @ q_mat
-    y_cal = np.hstack(
-        [-rt2 * dec.c2 @ phi @ g1m1t1, dec.c2 @ phi @ mode.w, rt2 * (np.eye(r) - dec.c2 @ dec.g2 @ m2) @ dec.t2]
+    y_cal = np.concatenate(
+        [-rt2 * dec.c2 @ phi @ g1m1t1, dec.c2 @ phi @ modes.w, rt2 * (np.eye(r) - c2g2 @ m2) @ t2],
+        axis=2,
     )
-    d_cal = np.hstack(
-        [rt2 * (v2m2c2 @ dec.g1 - dec.v1) @ m1 @ dec.t1, -v2m2c2 @ mode.w, -rt2 * dec.v2 @ m2 @ dec.t2]
+    d_cal = np.concatenate(
+        [rt2 * (v2m2c2 @ dec.g1 - dec.v1) @ m1 @ t1, -v2m2c2 @ modes.w, -rt2 * dec.v2 @ m2 @ t2],
+        axis=2,
     )
 
-    lf = float(mode.lipschitz)
-    meas = linalg.spectral_norm(e @ phi)
-    theta = (lf + linalg.spectral_norm(psi)) * meas
-    eta_bar = noise_offset(w_cal, l, eta_v, eta_w)
-    beta = linalg.spectral_norm(dec.v1 @ m1 @ dec.c1 - v2m2c2 @ psi) + lf * linalg.spectral_norm(v2m2c2)
-    alpha_bar = noise_offset(d_cal, l, eta_v, eta_w)
-
-    return ObserverGains(
+    lf = modes.lipschitz
+    meas = linalg.spectral_norms(e @ phi)
+    theta = (lf + linalg.spectral_norms(psi)) * meas
+    beta_psi = linalg.spectral_norms(dec.v1 @ m1 @ dec.c1 - v2m2c2 @ psi)
+    beta = beta_psi + lf * linalg.spectral_norms(v2m2c2)
+    return GainStack(
         m1=m1,
         m2=m2,
         l_gain=l_gain,
@@ -201,11 +262,12 @@ def synthesize_gains(
         w_cal=w_cal,
         y_cal=y_cal,
         lipschitz=lf,
-        eta_w=float(eta_w),
-        eta_v=float(eta_v),
-        theta=float(theta),
-        meas_contraction=float(meas),
-        eta_bar=float(eta_bar),
-        beta=float(beta),
-        alpha_bar=float(alpha_bar),
+        eta_w=eta_w,
+        eta_v=eta_v,
+        theta=theta,
+        meas_contraction=meas,
+        eta_bar=noise_offset(w_cal, l, eta_v, eta_w),
+        beta=beta,
+        alpha_bar=noise_offset(d_cal, l, eta_v, eta_w),
     )
+

@@ -26,20 +26,34 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def singular_value_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
-    if s.size == 0:
-        return 0.0
-    return max(shape) * float(s[0]) * RANK_TOL_FACTOR
+def _as_stack(m, name: str = "stack") -> np.ndarray:
+    """Coerce to a float array of at least two dimensions: a matrix or a
+    (..., rows, cols) stack of them."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2:
+        raise ValueError(f"{name} must be at least 2-D, got shape {a.shape}")
+    return a
+
+
+def singular_value_cutoff(s: np.ndarray, shape: tuple[int, int]):
+    """The rank cutoff of a matrix of the given (rows, cols) shape with
+    singular values `s`; a (..., k) stack of singular-value rows gives
+    one cutoff per row."""
+    if s.shape[-1] == 0:
+        return 0.0 if s.ndim == 1 else np.zeros(s.shape[:-1])
+    return max(shape) * s[..., 0] * RANK_TOL_FACTOR
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD ``m = u @ diag_embed(s) @ vt`` as LAPACK returns it.
 
     ``u`` is (rows, rows), ``vt`` is (cols, cols) and ``s`` has
-    min(rows, cols) entries in non-increasing order.  Column signs are
-    LAPACK's; a caller that needs a deterministic convention applies it
-    (``decomposition.decompose`` does, for the feedthrough rotations).
-    Empty matrices factor as identities with no singular values.
+    min(rows, cols) entries in non-increasing order.  A (..., rows, cols)
+    stack factors matrix by matrix, each slice the factors of that
+    matrix alone.  Column signs are LAPACK's; a caller that needs a
+    deterministic convention applies it (``decomposition.decompose_stack``
+    does, for the feedthrough rotations).  Empty matrices factor as
+    identities with no singular values.
 
     Raises
     ------
@@ -47,22 +61,39 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         If the underlying factorization does not converge.
     """
     try:
-        return np.linalg.svd(as_matrix(m), full_matrices=True)
+        return np.linalg.svd(_as_stack(m, "matrix"), full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
+def ranks(stack) -> np.ndarray:
+    """Number of singular values above the shared relative cutoff, per
+    matrix of a (..., rows, cols) stack."""
+    a = _as_stack(stack)
+    if a.shape[-2] == 0 or a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2], dtype=int)
+    s = np.linalg.svd(a, compute_uv=False)
+    cut = singular_value_cutoff(s, a.shape[-2:])
+    return np.count_nonzero(s > np.asarray(cut)[..., None], axis=-1)
+
+
 def rank(m) -> int:
     """Number of singular values above the shared relative cutoff."""
-    a = as_matrix(m)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > singular_value_cutoff(s, a.shape)))
+    return int(ranks(as_matrix(m)))
+
+
+def diag(values: np.ndarray) -> np.ndarray:
+    """The diagonal matrix of each (..., k) row of `values`, row-major
+    like ``np.diag``'s."""
+    k = values.shape[-1]
+    out = np.zeros(values.shape + (k,))
+    out[..., range(k), range(k)] = values
+    return out
 
 
 def pinv(m, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, zeroing singular values <= tol.
+    """Moore-Penrose pseudoinverse, zeroing singular values <= tol; a
+    (..., rows, cols) stack maps to the stack of its matrices' inverses.
 
     ``tol=None`` uses the shared cutoff, so ``pinv`` and ``rank`` always
     agree about the numerical rank.  The zero matrix (and any empty
@@ -77,15 +108,16 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     NumericalFailure
         If the underlying factorization does not converge.
     """
-    a = as_matrix(m)
-    rows, cols = a.shape
+    a = _as_stack(m, "matrix")
+    rows, cols = a.shape[-2:]
     if rows == 0 or cols == 0:
-        return np.zeros((cols, rows))
+        return np.zeros(a.shape[:-2] + (cols, rows))
     u, s, vt = svd(a)
-    cut = singular_value_cutoff(s, a.shape) if tol is None else float(tol)
-    inv = np.where(s > cut, np.divide(1.0, s, out=np.zeros_like(s), where=s > cut), 0.0)
-    k = s.size
-    return vt[:k].T @ np.diag(inv) @ u[:, :k].T
+    cut = singular_value_cutoff(s, (rows, cols)) if tol is None else float(tol)
+    kept = s > np.asarray(cut)[..., None]
+    inv = np.where(kept, np.divide(1.0, s, out=np.zeros_like(s), where=kept), 0.0)
+    k = s.shape[-1]
+    return np.swapaxes(vt[..., :k, :], -1, -2) @ diag(inv) @ np.swapaxes(u[..., :k], -1, -2)
 
 
 def spectral_norms(stack) -> np.ndarray:
@@ -100,10 +132,7 @@ def spectral_norms(stack) -> np.ndarray:
     finite blocks, the usual case, is read in place; only a stack that
     mixes in non-finite blocks is split by a mask.
     """
-    a = np.asarray(stack, dtype=float)
-    if a.ndim < 2:
-        raise ValueError(f"stack must be at least 2-D, got shape {a.shape}")
-    return _block_norms(a)
+    return _block_norms(_as_stack(stack))
 
 
 def spectral_norm(m) -> float:

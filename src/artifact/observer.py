@@ -6,7 +6,8 @@ state-coupled input component from the feedthrough-free channel, and a
 gain correction on the same channel.  The direct component is then read
 off the feedthrough channel.  Only the drift f is nonlinear, so the whole
 update is linear in [f(x-hat_{k-1}); d1-hat_{k-1}; u_{k-1}; u_k; y_k]:
-``step_matrix`` runs the stages once per mode on identity column blocks.
+``step_matrix_stack`` runs the stages once per group of equally shaped
+modes on identity column blocks.
 Every mode consumes the same (u, y), so ``stack_observers`` stacks the
 modes whose step matrices share a shape and whose drifts share a kind,
 and ``step_observer`` advances all stacks with one stacked product each;
@@ -28,11 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import ModeDecomposition, split_output
+from .decomposition import DecompositionStack, ModeDecomposition, split_output
 from .errors import NumericalFailure
-from .gains import ObserverGains
+from .gains import GainStack, ObserverGains
 from .residuals import compute_residual
-from .system import ModeModel, drift, drift_matrices
+from .system import ModeModel, ModeStack, drift, drift_matrices
 
 
 @dataclass(frozen=True)
@@ -74,26 +75,27 @@ def init_observer(
     return ObserverState(k=0, x_hat=x_hat0, d1_hat=d1_hat, d_hat_prev=None, residual=None)
 
 
-def step_matrix(mode: ModeModel, dec: ModeDecomposition, gains: ObserverGains) -> np.ndarray:
-    """The step's linear map from [f(x-hat); d1-hat; u_{k-1}; u_k; y_k]
-    to [x-hat_k; d1-hat_k; d-hat_{k-1}; residual_k].
+def step_matrix_stack(modes: ModeStack, dec: DecompositionStack, gains: GainStack) -> np.ndarray:
+    """Each mode's linear step map from [f(x-hat); d1-hat; u_{k-1}; u_k; y_k]
+    to [x-hat_k; d1-hat_k; d-hat_{k-1}; residual_k], stacked (Q, R, C).
 
     Each stage runs once, with every input replaced by its row block of
     the identity, so a stage's result is its coefficient block on the
-    stacked input.
+    stacked input; the stages' products are stacked, each slice the
+    product of a lone mode.
     """
-    n, p1, m = mode.n, dec.p_h, mode.m
+    n, p1, m = modes.n, dec.p_h, modes.m
     f_x, d1_hat, u_prev, u_k, y_k = np.split(
-        np.eye(n + p1 + 2 * m + mode.l), np.cumsum([n, p1, m, m])
+        np.eye(n + p1 + 2 * m + modes.l), np.cumsum([n, p1, m, m])
     )
-    x_pred = f_x + mode.b @ u_prev + dec.g1 @ d1_hat
+    x_pred = f_x + modes.b @ u_prev + dec.g1 @ d1_hat
     d2_prev = gains.m2 @ compute_residual(dec, x_pred, u_k, y_k)
     x_star = x_pred + dec.g2 @ d2_prev
     residual = compute_residual(dec, x_star, u_k, y_k)
     x_hat = x_star + gains.l_gain @ residual
     d1_next = _direct_input(dec, gains, x_hat, u_k, y_k)
     d_prev = dec.v1 @ d1_hat + dec.v2 @ d2_prev
-    return np.vstack([x_hat, d1_next, d_prev, residual])
+    return np.concatenate([x_hat, d1_next, d_prev, residual], axis=1)
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class ObserverStack:
     """
 
     modes: tuple[int, ...]  # 0-based bank indices, ascending
-    step: np.ndarray  # (Q, R, C): each mode's ``step_matrix``
+    step: np.ndarray  # (Q, R, C): each mode's step map from ``step_matrix_stack``
     a: np.ndarray  # (Q, n, n)
     a_tilde: np.ndarray | None  # (Q, n, n), None for linear drifts
     n: int

@@ -1,10 +1,10 @@
 """Residual definition, stacked noise-word coefficients, and thresholds.
 
 ``compute_residual`` is the one place the feedthrough-free innovation is
-written; ``observer.step_matrix`` applies it to identity blocks, so it
-runs once per mode rather than per step.  The residual at step k is an
-exact linear image of one long vector ("word") collecting everything
-unknown up to k:
+written; ``observer.step_matrix_stack`` applies it to identity blocks,
+so it runs once per group of modes rather than per step.  The residual
+at step k is an exact linear image of one long vector ("word")
+collecting everything unknown up to k:
 
     t_k = [x_err_0 | v_0 .. v_k | w_0 .. w_{k-1} | df_0 .. df_{k-1}]
 
@@ -24,18 +24,28 @@ of a single recursion.  Two computable residual-norm bounds follow:
   budget, and the box and the dense word matrix are built only for the
   steps within it.
 
-Their minimum is the elimination threshold.
+Their minimum is the elimination threshold.  A group of modes that
+shares every array shape is tabulated together: ``build_coefficient_stack``
+runs one recursion whose steps are stacked products, and
+``triangle_sequences`` one pass, over a leading mode axis; each slice is
+the call a lone mode makes, so its bits do not depend on the group.  The
+one-mode functions (``build_coefficients``, ``triangle_sequence``,
+``build_threshold_table``) are the stack of one.  A mode's thresholds are
+held as arrays in a ``ThresholdTable``; iterating it yields per-step
+``ThresholdReport``s.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import ModeDecomposition
-from .gains import INV_RT2, ObserverGains, noise_offset
+from .decomposition import DecompositionStack, ModeDecomposition
+from .gains import INV_RT2, GainStack, ObserverGains, noise_offset
 from .linalg import spectral_norms
+from .system import stack_of
 
 
 def compute_residual(
@@ -43,11 +53,11 @@ def compute_residual(
 ) -> np.ndarray:
     """Feedthrough-free innovation t2 y - c2 x - d2 u of the estimate x.
 
-    The arguments are vectors or blocks of column vectors.
-    ``observer.step_matrix`` forms it twice, on identity blocks, when it
-    builds a mode's step: against the time update to recover the
-    state-coupled input, and against the pre-correction estimate, where
-    it is the residual the mode observer tests.
+    The arguments are vectors or blocks of column vectors, or stacks of
+    them.  ``observer.step_matrix_stack`` forms it twice, on identity
+    blocks, when it builds the modes' steps: against the time update to
+    recover the state-coupled input, and against the pre-correction
+    estimate, where it is the residual the mode observer tests.
     """
     return dec.t2 @ y_k - dec.c2 @ x - dec.d2 @ u_k
 
@@ -79,18 +89,31 @@ class ResidualCoefficients:
     noise_terms: np.ndarray
 
 
-def build_coefficients(
-    gains: ObserverGains, dec: ModeDecomposition, k_max: int
-) -> ResidualCoefficients:
+@stack_of(ResidualCoefficients)
+class CoefficientStack:
+    """ResidualCoefficients of modes that share every array shape,
+    stacked along a leading mode axis: blocks (Q, k_max, rows, cols),
+    norms and noise terms (Q, k_max).  ``mode(i)`` is row i's
+    ResidualCoefficients, its arrays views of the stack."""
+
+
+def build_coefficient_stack(
+    gains: GainStack, dec: DecompositionStack, k_max: int
+) -> CoefficientStack:
+    """The coefficient blocks up to k_max of every mode of a stack, one
+    recursion for all of them: each step is one stacked product whose
+    slices are the products of a lone mode."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n = dec.c2.shape[1]
-    l = dec.t2.shape[1]
+    n = dec.c2.shape[2]
+    l = dec.t2.shape[2]
     c2phi = dec.c2 @ gains.phi
     downdate = -(gains.e @ gains.phi @ gains.psi)
 
     # only the downdate prefixes need a Python loop; a[i] is the (i+1)-th
-    # prefix, and the f and j blocks are two batched products of them
+    # prefix of every mode, and the f and j blocks are two batched products
+    # of them.  The arrays run step-major, so each step of the loop writes
+    # one contiguous block; the stack's fields are mode-major views.
     a = np.empty((k_max,) + c2phi.shape)
     f = np.empty((k_max,) + c2phi.shape)
     j = np.empty((k_max,) + gains.y_cal.shape)
@@ -104,17 +127,26 @@ def build_coefficients(
         j[1:] = a[:-1] @ gains.w_cal
         noise_terms = noise_offset(j, l, gains.eta_v, gains.eta_w)
 
-    return ResidualCoefficients(
+    return CoefficientStack(
         k_max=k_max,
         n=n,
         l=l,
-        a_mats=a,
-        f_mats=f,
-        j_mats=j,
-        a_norms=spectral_norms(a),
-        f_norms=spectral_norms(f),
-        noise_terms=noise_terms,
+        a_mats=np.swapaxes(a, 0, 1),
+        f_mats=np.swapaxes(f, 0, 1),
+        j_mats=np.swapaxes(j, 0, 1),
+        a_norms=spectral_norms(a).T,
+        f_norms=spectral_norms(f).T,
+        noise_terms=noise_terms.T,
     )
+
+
+def build_coefficients(
+    gains: ObserverGains, dec: ModeDecomposition, k_max: int
+) -> ResidualCoefficients:
+    """One mode's coefficient blocks: the stack of one of
+    ``build_coefficient_stack``."""
+    stack = build_coefficient_stack(GainStack.of(gains), DecompositionStack.of(dec), k_max)
+    return stack.mode(0)
 
 
 def word_dim(k: int, n: int, l: int) -> int:
@@ -160,33 +192,44 @@ def box_radii(
     )
 
 
-def triangle_sequence(
-    coeffs: ResidualCoefficients, gains: ObserverGains, radius_seq: np.ndarray
+def triangle_sequences(
+    coeffs: CoefficientStack, lipschitz: np.ndarray, radii: np.ndarray
 ) -> np.ndarray:
-    """Triangle-inequality residual bounds for k = 1..coeffs.k_max.
+    """Triangle-inequality residual bounds for k = 1..coeffs.k_max, one
+    row per mode of the stack.
 
-    Entry k-1 is
+    Entry k-1 of a row is
 
         sum_{i=0}^{k-2} lipschitz |f_i| delta_{k-1-i}
         + (|a_{k-1}| + lipschitz |f_{k-1}|) delta_0
         + sum_{i=0}^{k-1} j_i
 
     with j_i the noise term of block i; the drift sum is empty at k = 1.
-    lipschitz is the gains' own; radius_seq holds
-    the a-priori radii [delta_0, delta_1, ...] and needs at least k_max
-    entries.  An overflowing uncertified mode saturates to +inf; a zero
-    block times an infinite radius adds 0, never nan.
+    lipschitz holds each mode's constant and radii each mode's a-priori
+    radii [delta_0, delta_1, ...], at least k_max of them.  An
+    overflowing uncertified mode saturates to +inf; a zero block times
+    an infinite radius adds 0, never nan.
     """
     k_max = coeffs.k_max
-    lipschitz = gains.lipschitz
-    drift = np.zeros(k_max)
-    with np.errstate(over="ignore"):
+    lipschitz = lipschitz[:, None]
+    drift = np.zeros(coeffs.noise_terms.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
         # a linear mode's drift blocks add 0, even where their norms overflowed
-        lf_f = lipschitz * coeffs.f_norms if lipschitz else np.zeros(k_max)
+        lf_f = np.where(lipschitz != 0.0, lipschitz * coeffs.f_norms, 0.0)
         if k_max > 1:
-            radii = np.asarray(radius_seq[1:k_max], dtype=float)
-            drift[1:] = _convolve(lf_f[:-1], radii)[: k_max - 1]
-        return drift + np.cumsum(coeffs.noise_terms) + (coeffs.a_norms + lf_f) * float(radius_seq[0])
+            for row, lf_row, radius_row in zip(drift, lf_f, radii):
+                row[1:] = _convolve(lf_row[:-1], radius_row[1:k_max])[: k_max - 1]
+        noise = np.cumsum(coeffs.noise_terms, axis=1)
+        return drift + noise + (coeffs.a_norms + lf_f) * radii[:, :1]
+
+
+def triangle_sequence(
+    coeffs: ResidualCoefficients, gains: ObserverGains, radius_seq: np.ndarray
+) -> np.ndarray:
+    """One mode's ``triangle_sequences`` row, for its gains' Lipschitz
+    constant and its radius table."""
+    radii = np.asarray(radius_seq, dtype=float)[None]
+    return triangle_sequences(CoefficientStack.of(coeffs), np.array([gains.lipschitz]), radii)[0]
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,41 +296,80 @@ class ThresholdReport:
     capped: bool
 
 
+@dataclass(frozen=True, eq=False)
+class ThresholdTable:
+    """One mode's thresholds for k = 1..k_max, held as arrays indexed by
+    k - 1.
+
+    delta_hat is the smaller bound, ``min(delta_tri, delta_inf)``: the
+    vertex bound where it is below the triangle bound, else the triangle
+    bound.  A capped step enumerated nothing and reads delta_inf = inf.
+    Iterating the table yields a ThresholdReport per step, the form in
+    which callers of ``build_threshold_table`` (the benchmark tracer's
+    count hook among them) read it step by step.
+    """
+
+    delta_tri: np.ndarray
+    delta_inf: np.ndarray
+    delta_hat: np.ndarray
+    vertices: np.ndarray
+    capped: np.ndarray
+
+    def __iter__(self) -> Iterator[ThresholdReport]:
+        columns = (self.delta_tri, self.delta_inf, self.delta_hat, self.vertices, self.capped)
+        for k, row in enumerate(zip(*(column.tolist() for column in columns)), start=1):
+            yield ThresholdReport(k, *row)
+
+
+def build_threshold_tables(
+    gains: GainStack,
+    dec: DecompositionStack,
+    radii: np.ndarray,
+    max_vertices: int,
+) -> list[ThresholdTable]:
+    """Thresholds for k = 1..k_max of every mode of a stack, sharing one
+    coefficient recursion and one triangle pass.
+
+    radii holds each mode's radius table [delta_0, ..., delta_kmax] from
+    ``radius_sequences``, one row each; its length sets k_max.  The word
+    grows with k, so the steps within the vertex budget are a prefix;
+    only those get a box and a dense matrix, mode by mode.
+    """
+    k_max = radii.shape[1] - 1
+    coeffs = build_coefficient_stack(gains, dec, k_max)
+    tri = triangle_sequences(coeffs, gains.lipschitz, radii)
+    n, l = coeffs.n, coeffs.l
+    enumerable = 0
+    while enumerable < k_max and 1 << (word_dim(enumerable + 1, n, l) - 1) <= max_vertices:
+        enumerable += 1
+    inf = np.full(tri.shape, math.inf)
+    vertices = np.zeros(tri.shape, dtype=int)
+    capped = np.ones(tri.shape, dtype=bool)
+    for i in range(len(tri) if enumerable else 0):
+        mode_gains, mode_coeffs = gains.mode(i), coeffs.mode(i)
+        for k in range(1, enumerable + 1):
+            box = box_radii(k, n, l, mode_gains, radii[i])
+            inf[i, k - 1], vertices[i, k - 1], capped[i, k - 1] = delta_inf(
+                assemble_matrix(mode_coeffs, k), box, max_vertices
+            )
+    # min(tri, inf): inf only where it is strictly smaller
+    hat = np.where(inf < tri, inf, tri)
+    return [
+        ThresholdTable(tri[i], inf[i], hat[i], vertices[i], capped[i]) for i in range(len(tri))
+    ]
+
+
 def build_threshold_table(
     gains: ObserverGains,
     dec: ModeDecomposition,
     radius_seq: np.ndarray,
     max_vertices: int,
-) -> list[ThresholdReport]:
-    """Thresholds for k = 1..k_max, sharing one coefficient recursion.
-
-    radius_seq is the mode's radius table [delta_0, ..., delta_kmax]
-    from `radius_sequence`; its length sets k_max.  The word grows with
-    k, so the steps within the vertex budget are a prefix; only those
-    get a box and a dense matrix.
-    """
-    k_max = len(radius_seq) - 1
-    coeffs = build_coefficients(gains, dec, k_max)
-    tri = triangle_sequence(coeffs, gains, radius_seq)
-    n, l = coeffs.n, coeffs.l
-    enumerable = 0
-    while enumerable < k_max and 1 << (word_dim(enumerable + 1, n, l) - 1) <= max_vertices:
-        enumerable += 1
-    table: list[ThresholdReport] = []
-    for k, tri_k in enumerate(tri.tolist(), start=1):
-        if k <= enumerable:
-            box = box_radii(k, n, l, gains, radius_seq)
-            inf_val, count, capped = delta_inf(assemble_matrix(coeffs, k), box, max_vertices)
-        else:
-            inf_val, count, capped = math.inf, 0, True
-        table.append(
-            ThresholdReport(
-                k=k,
-                delta_tri=tri_k,
-                delta_inf=inf_val,
-                delta_hat=min(tri_k, inf_val),
-                vertices_enumerated=count,
-                capped=capped,
-            )
-        )
+) -> ThresholdTable:
+    """One mode's thresholds for k = 1..k_max: the stack of one of
+    ``build_threshold_tables``, for its radius table
+    [delta_0, ..., delta_kmax] from `radius_sequence`."""
+    radii = np.asarray(radius_seq, dtype=float)[None]
+    (table,) = build_threshold_tables(
+        GainStack.of(gains), DecompositionStack.of(dec), radii, max_vertices
+    )
     return table

@@ -10,8 +10,13 @@ the modes stepped, and every mode's latest observer state, read off the
 run's ``BankTrace`` on demand) for k = 0 and after every step.  ``run``
 formats ``steps.csv`` from the trace's arrays, a column block per mode,
 after the loop.  The loop does no radius arithmetic:
-``prepare_modes`` tabulates each mode's state radii once, and a state at
-step k reads its radius from ``radius_seq[k]``.  Everything downstream of
+``prepare_modes`` tabulates each mode's state radii, lagged input radii
+and thresholds once, and a state at step k reads its radius from
+``radius_seq[k]``.  Preparation runs as stacks: ``gain_groups`` groups
+the bank by (n, m, l, p) and rank(H), and decomposes, synthesizes gains,
+builds step matrices and tabulates thresholds in one batched pass per
+group; each mode's ``PreparedMode`` holds slices of those stacks, the
+bits a lone mode's preparation gives.  Everything downstream of
 the master seed is deterministic, so a config plus a seed reproduces its
 CSV outputs byte for byte.
 
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,20 +51,26 @@ from .config import (
     ZeroInput,
     master_seed,
 )
-from .decomposition import ModeDecomposition, decompose
+from .decomposition import DecompositionStack, ModeDecomposition, decompose_stack
 from .errors import ConfigurationError
 from .estimator import Ball, ModeSet, all_modes, bounding_ball, eliminate_step
-from .gains import ObserverGains, radius_sequence, synthesize_gains
+from .gains import (
+    GainStack,
+    ObserverGains,
+    radius_sequences,
+    synthesis_errors,
+    synthesize_gain_stack,
+)
 from .observer import (
     ObserverStack,
     ObserverState,
     init_observer,
     stack_observers,
-    step_matrix,
+    step_matrix_stack,
     step_observer,
 )
-from .residuals import ThresholdReport, build_threshold_table
-from .system import ModeModel, eval_field
+from .residuals import ThresholdTable, build_threshold_tables
+from .system import ModeModel, ModeStack, eval_field
 
 
 def uniform_ball(rng: np.random.Generator, radius: float, dim: int, count: int) -> np.ndarray:
@@ -187,61 +198,114 @@ class PreparedMode:
     mode: ModeModel
     dec: ModeDecomposition
     gains: ObserverGains
-    step_matrix: np.ndarray  # observer.step_matrix of this mode
+    step_matrix: np.ndarray  # this mode's slice of observer.step_matrix_stack
     radius_seq: np.ndarray  # state radii for k = 0..horizon
-    thresholds: tuple[ThresholdReport, ...]  # k = 1..horizon
+    input_radius_seq: np.ndarray  # lagged input radii of steps 1..horizon, read at k - 1
+    thresholds: ThresholdTable  # k = 1..horizon
+
+
+@dataclass(frozen=True)
+class BankGroup:
+    """Modes of the bank that share every array shape, (n, m, l, p) and
+    rank(H), prepared as stacks; row i of each stack is bank mode
+    ``modes[i]``."""
+
+    modes: tuple[int, ...]  # 0-based bank indices, ascending
+    model: ModeStack
+    dec: DecompositionStack
+    gains: GainStack
+
+
+def gain_groups(config: ScenarioConfig) -> list[BankGroup]:
+    """Decompose and synthesize the gains of the whole bank, honoring the
+    gains spec, one batched pass per group of modes of equal shape.
+    Groups come in order of their first mode.
+
+    A mode that cannot get gains raises its ``synthesis_errors`` entry;
+    of several, the first mode in bank order does.  No certification
+    gate here; callers that require certified gains (the run loop) check
+    separately.
+    """
+    system = config.system
+    shapes: dict[tuple[int, int, int, int], list[int]] = {}
+    for q, mode in enumerate(system.modes):
+        shapes.setdefault((mode.n, mode.m, mode.l, mode.p), []).append(q)
+    parts = []
+    for bank_rows in shapes.values():
+        model = ModeStack.of([system.modes[q] for q in bank_rows])
+        for rows, part, dec in decompose_stack(model):
+            parts.append((tuple(bank_rows[i] for i in rows), part, dec))
+    parts.sort(key=lambda part: part[0][0])
+    spec = config.gains
+    user = spec.matrices if spec.kind == "user" else (None,) * system.mode_count
+    # the scaled gain is a multiple of the heuristic one
+    factor = spec.factor if spec.kind == "scaled" else None
+    errors = {
+        q: error
+        for modes, _, dec in parts
+        for q, error in zip(modes, synthesis_errors(dec, [user[q] for q in modes]))
+        if error is not None
+    }
+    if errors:
+        raise errors[min(errors)]
+    eta_w, eta_v = np.array(system.eta_w), np.array(system.eta_v)
+    return [
+        BankGroup(
+            modes=modes,
+            model=model,
+            dec=dec,
+            gains=synthesize_gain_stack(
+                model, dec, eta_w[list(modes)], eta_v[list(modes)], [user[q] for q in modes], factor
+            ),
+        )
+        for modes, model, dec in parts
+    ]
 
 
 def gain_bank(
     config: ScenarioConfig,
 ) -> list[tuple[ModeDecomposition, ObserverGains]]:
-    """Decompose and synthesize gains per mode, honoring the gains spec.
-
-    No certification gate here; callers that require certified gains
-    (the run loop) check separately.
-    """
-    system = config.system
-    bank: list[tuple[ModeDecomposition, ObserverGains]] = []
-    for q, mode in enumerate(system.modes):
-        dec = decompose(mode)
-        eta_w, eta_v = system.eta_w[q], system.eta_v[q]
-        spec = config.gains
-        user_gain = spec.matrices[q] if spec.kind == "user" else None
-        gains = synthesize_gains(mode, dec, eta_w=eta_w, eta_v=eta_v, user_gain=user_gain)
-        if spec.kind == "scaled":
-            # the scaled gain is a multiple of the heuristic one
-            gains = synthesize_gains(
-                mode, dec, eta_w=eta_w, eta_v=eta_v, user_gain=spec.factor * gains.l_gain
-            )
-        bank.append((dec, gains))
-    return bank
+    """Each mode's decomposition and gains from ``gain_groups``, in bank
+    order."""
+    per_mode = {
+        q: (group.dec.mode(i), group.gains.mode(i))
+        for group in gain_groups(config)
+        for i, q in enumerate(group.modes)
+    }
+    return [per_mode[q] for q in range(config.system.mode_count)]
 
 
 def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
-    """Decompose, synthesize gains, build the observer step and tabulate
-    thresholds per mode."""
+    """Decompose, synthesize gains, build the observer steps and tabulate
+    radii and thresholds: one batched pass per ``gain_groups`` group."""
     system = config.system
-    out: list[PreparedMode] = []
-    for q, (mode, (dec, gains)) in enumerate(zip(system.modes, gain_bank(config))):
-        if not gains.certified and not config.allow_uncertified:
-            raise ConfigurationError(
-                f"mode {q + 1} gains are uncertified (contraction {gains.theta:.4g}"
-                " >= 1); set allow_uncertified to proceed without guarantees"
-            )
-        radius_seq = radius_sequence(gains, system.delta_x0, config.horizon)
-        thresholds = tuple(build_threshold_table(gains, dec, radius_seq, config.max_vertices))
-        out.append(
-            PreparedMode(
+    groups = gain_groups(config)
+    theta = {q: float(t) for group in groups for q, t in zip(group.modes, group.gains.theta)}
+    if not config.allow_uncertified:
+        for q in range(system.mode_count):
+            if not theta[q] < 1.0:
+                raise ConfigurationError(
+                    f"mode {q + 1} gains are uncertified (contraction {theta[q]:.4g}"
+                    " >= 1); set allow_uncertified to proceed without guarantees"
+                )
+    out: dict[int, PreparedMode] = {}
+    for group in groups:
+        radii = radius_sequences(group.gains, system.delta_x0, config.horizon)
+        tables = build_threshold_tables(group.gains, group.dec, radii, config.max_vertices)
+        steps = step_matrix_stack(group.model, group.dec, group.gains)
+        for i, q in enumerate(group.modes):
+            gains = group.gains.mode(i)
+            out[q] = PreparedMode(
                 index=q,
-                mode=mode,
-                dec=dec,
+                mode=system.modes[q],
+                dec=group.dec.mode(i),
                 gains=gains,
-                step_matrix=step_matrix(mode, dec, gains),
-                radius_seq=radius_seq,
-                thresholds=thresholds,
+                step_matrix=steps[i],
+                radius_seq=radii[i],
+                input_radius_seq=gains.input_radii(radii[i, :-1]),
+                thresholds=tables[i],
             )
-        )
-    return out
+    return [out[q] for q in range(system.mode_count)]
 
 
 @dataclass(frozen=True)
@@ -260,23 +324,18 @@ class RunResult:
         return tuple(q + 1 for q in self.mode_set.surviving)
 
 
-def threshold_rows(thresholds: Sequence[ThresholdReport]) -> list[list[str]]:
+def threshold_rows(table: ThresholdTable) -> list[list[str]]:
     """The cells of a threshold table, one row per step: k, delta_tri,
     delta_inf (empty when capped), delta_hat and the capped flag.
     ``steps.csv`` reuses the three threshold cells of each row.  delta_hat
     is whichever bound is smaller, so its cell reuses that bound's text."""
-    rows = []
-    for report in thresholds:
-        tri = repr(float(report.delta_tri))
-        inf = "" if report.capped else repr(float(report.delta_inf))
-        if report.delta_hat is report.delta_tri:
-            hat = tri
-        elif report.delta_hat is report.delta_inf and inf:
-            hat = inf
-        else:
-            hat = repr(float(report.delta_hat))
-        rows.append([str(report.k), tri, inf, hat, "1" if report.capped else "0"])
-    return rows
+    tri = map(repr, table.delta_tri.tolist())
+    inf = map(repr, table.delta_inf.tolist())
+    inf_wins = (table.delta_inf < table.delta_tri).tolist()
+    return [
+        [str(k), t, "" if cap else i, i if win else t, "1" if cap else "0"]
+        for k, (t, i, win, cap) in enumerate(zip(tri, inf, inf_wins, table.capped.tolist()), 1)
+    ]
 
 
 def _steps_header(config: ScenarioConfig) -> list[str]:
@@ -375,7 +434,7 @@ def iter_bank(
             stack,
             outputs,
             np.arange(len(stack.modes)),
-            np.array([[t.delta_hat for t in prepared[q].thresholds] for q in stack.modes]).T,
+            np.stack([prepared[q].thresholds.delta_hat for q in stack.modes], axis=1),
         )
         for stack, outputs in zip(stacks, trace.outputs)
     ]
@@ -442,7 +501,7 @@ def _mode_lines(
                 outputs[1 : last + 1, :n],
                 radii[1:],
                 outputs[1 : last + 1, n1 : n1 + p],
-                [pm.gains.input_radius(dx) for dx in radii[:-1]],
+                pm.input_radius_seq[:last],
             )
         )
         flags = ["0"] * last
@@ -578,7 +637,7 @@ def _final_ball_payload(pm: PreparedMode, state: ObserverState) -> dict:
     }
     if state.d_hat_prev is not None:
         payload["d_hat_prev"] = [float(v) for v in state.d_hat_prev]
-        payload["delta_d_prev"] = pm.gains.input_radius(pm.radius_seq[state.k - 1])
+        payload["delta_d_prev"] = float(pm.input_radius_seq[state.k - 1])
     return payload
 
 

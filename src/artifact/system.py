@@ -12,7 +12,9 @@ Lipschitz constant and curvature data are available in closed form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import typing
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Union
 
 import numpy as np
@@ -170,6 +172,95 @@ class ModeModel:
     @property
     def p(self) -> int:
         return self.g.shape[1]
+
+
+def stack_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays along a new leading axis, row-major (the layout every
+    matrix loaded from a config has): a stack of one is a view when its
+    array already is, so a mode meets the same layout alone and in a
+    group (the last bit of a product can depend on it)."""
+    if len(arrays) == 1:
+        return np.ascontiguousarray(arrays[0])[None]
+    return np.stack(arrays)
+
+
+def stack_of(item: type) -> Callable[[type], type]:
+    """Class decorator: the class becomes a frozen dataclass with the
+    fields of the dataclass `item`, each holding that field of several
+    modes that share every array shape, stacked along a leading mode
+    axis.  An array field gains the axis and a float field becomes a
+    (Q,) array; an int field, a size the modes share, stays one int.
+    ``Stack.of(x)`` is the stack of one holding `x`, its arrays as views,
+    and ``stack.mode(i)`` row i as an `item`, its arrays views of the
+    stack."""
+    hints = typing.get_type_hints(item)
+    kinds = {f.name: hints[f.name] for f in fields(item)}
+
+    def of(cls, one):
+        return cls(**{name: _lift(kind, getattr(one, name)) for name, kind in kinds.items()})
+
+    def mode(self, i: int):
+        return item(**{name: _row(kind, getattr(self, name), i) for name, kind in kinds.items()})
+
+    def decorate(cls: type) -> type:
+        cls.__annotations__ = {
+            name: int if kind is int else np.ndarray for name, kind in kinds.items()
+        }
+        cls.of = classmethod(of)
+        cls.mode = mode
+        return dataclass(frozen=True)(cls)
+
+    return decorate
+
+
+def _lift(kind: type, value):
+    if kind is int:
+        return value
+    return np.array([value]) if kind is float else value[None]
+
+
+def _row(kind: type, value, i: int):
+    if kind is int:
+        return value
+    return float(value[i]) if kind is float else value[i]
+
+
+@dataclass(frozen=True)
+class ModeStack:
+    """The matrices of modes that share (n, m, l, p), stacked along a
+    leading mode axis: row i holds the i-th mode's b, g, c, d, h, w and
+    Lipschitz constant.  A stack of one is the single-mode case."""
+
+    b: np.ndarray  # (Q, n, m)
+    g: np.ndarray  # (Q, n, p)
+    c: np.ndarray  # (Q, l, n)
+    d: np.ndarray  # (Q, l, m)
+    h: np.ndarray  # (Q, l, p)
+    w: np.ndarray  # (Q, n, n)
+    lipschitz: np.ndarray  # (Q,)
+
+    @classmethod
+    def of(cls, modes: Sequence[ModeModel]) -> ModeStack:
+        return cls(
+            **{name: stack_arrays([getattr(m, name) for m in modes]) for name in "bgcdhw"},
+            lipschitz=np.array([m.lipschitz for m in modes]),
+        )
+
+    def take(self, rows) -> ModeStack:
+        """The stack of the given rows only."""
+        return ModeStack(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    @property
+    def n(self) -> int:
+        return self.c.shape[2]
+
+    @property
+    def l(self) -> int:
+        return self.c.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.b.shape[2]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,12 @@ signal vectors, which the package composes into one matrix per mode.
 ``product_step``, ``oracle_bank``, ``oracle_truth`` and
 ``oracle_steps_csv`` keep the one-mode-at-a-time step loop, the
 step-by-step plant and ``csv.writer``, which the package's stacked bank,
-stacked plant products and joined rows must reproduce bit for bit.
+stacked plant products and joined rows must reproduce bit for bit, and
+``oracle_prepare`` with its ``oracle_*`` parts keeps the one-mode
+preparation (decomposition, gains, step matrix, radii, coefficients,
+thresholds) that the stacked preparation must reproduce.  ``decompose``,
+``synthesize_gains`` and ``step_matrix`` prepare one mode through the
+package's stacked kernels, as a stack of one.
 """
 from __future__ import annotations
 
@@ -22,21 +27,79 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from artifact.decomposition import ModeDecomposition, decompose
-from artifact.gains import ObserverGains, synthesize_gains
+from artifact.decomposition import DecompositionStack, ModeDecomposition, decompose_stack
+from artifact.gains import (
+    GainStack,
+    ObserverGains,
+    noise_offset,
+    synthesis_errors,
+    synthesize_gain_stack,
+)
 from artifact import runner
 from artifact.config import BoundedRandomInput, GrowingRampInput, ZeroInput
-from artifact.errors import NumericalFailure
+from artifact.errors import ConfigurationError, NumericalFailure, SynthesisError
+from artifact.linalg import spectral_norm, spectral_norms
+from artifact.residuals import (
+    ResidualCoefficients,
+    ThresholdReport,
+    _convolve,
+    assemble_matrix,
+    box_radii,
+    delta_inf,
+    word_dim,
+)
 from artifact.estimator import all_modes, eliminate_step
 from artifact.observer import (
     ObserverStack,
     ObserverState,
     init_observer,
     stack_observers,
-    step_matrix,
+    step_matrix_stack,
     step_observer,
 )
-from artifact.system import LinearField, LinearSinusoidalField, ModeModel, eval_field
+from artifact.system import (
+    LinearField,
+    LinearSinusoidalField,
+    ModeModel,
+    ModeStack,
+    eval_field,
+)
+
+
+def decompose(mode: ModeModel) -> ModeDecomposition:
+    """One mode's feedthrough decomposition: the package's
+    ``decompose_stack`` applied to the stack of one."""
+    ((_, _, dec),) = decompose_stack(ModeStack.of([mode]))
+    return dec.mode(0)
+
+
+def synthesize_gains(
+    mode: ModeModel,
+    dec: ModeDecomposition,
+    eta_w: float,
+    eta_v: float,
+    user_gain: np.ndarray | None = None,
+) -> ObserverGains:
+    """One mode's gains, the user gain when one is given, else the
+    heuristic gain: the package's ``synthesize_gain_stack`` applied to the
+    stack of one.  Raises the mode's ``synthesis_errors`` entry (a
+    SynthesisError for a rank-deficient c2 @ g2, a ConfigurationError
+    for a wrong-shape user gain)."""
+    decs = DecompositionStack.of(dec)
+    (error,) = synthesis_errors(decs, [user_gain])
+    if error is not None:
+        raise error
+    gains = synthesize_gain_stack(
+        ModeStack.of([mode]), decs, np.array([float(eta_w)]), np.array([float(eta_v)]), [user_gain]
+    )
+    return gains.mode(0)
+
+
+def step_matrix(mode: ModeModel, dec: ModeDecomposition, gains: ObserverGains) -> np.ndarray:
+    """One mode's step map: the package's ``step_matrix_stack`` applied
+    to the stack of one."""
+    stack = step_matrix_stack(ModeStack.of([mode]), DecompositionStack.of(dec), GainStack.of(gains))
+    return stack[0]
 
 
 def sample_ball(rng: np.random.Generator, radius: float, dim: int) -> np.ndarray:
@@ -224,7 +287,7 @@ def oracle_bank(config, prepared, truth):
                 raise NumericalFailure(f"mode {q + 1}: {exc}") from exc
             states[q] = state
             res = state.residual
-            checks[q] = (math.sqrt(res @ res), pm.thresholds[k - 1].delta_hat)
+            checks[q] = (math.sqrt(res @ res), float(pm.thresholds.delta_hat[k - 1]))
         mode_set = eliminate_step(mode_set, k, checks)
         residuals = {q: res_norm for q, (res_norm, _) in checks.items()}
         yield OracleRecord(k=k, mode_set=mode_set, states=tuple(states), residuals=residuals)
@@ -289,6 +352,14 @@ def oracle_truth(config, seed: int) -> runner.TruthTrajectory:
     return runner.TruthTrajectory(x=x, y=y, u=u, d=d, w=w, v=v)
 
 
+def oracle_input_radius(gains: ObserverGains, delta_x: float) -> float:
+    """Frozen one-radius rule: beta * delta_x + alpha_bar, where a zero
+    beta ignores an infinite delta_x."""
+    if gains.beta == 0.0:
+        return gains.alpha_bar
+    return gains.beta * float(delta_x) + gains.alpha_bar
+
+
 def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
@@ -346,12 +417,12 @@ def oracle_steps_csv(config, prepared, truth) -> str:
                 cells += ["", "", "", "", "1"] + [""] * (mode.n + 1 + mode.p + 1)
                 continue
             else:
-                report = pm.thresholds[record.k - 1]
+                table, i = pm.thresholds, record.k - 1
                 cells += [
                     _fmt(record.residuals[q]),
-                    _fmt(report.delta_tri),
-                    "" if report.capped else _fmt(report.delta_inf),
-                    _fmt(report.delta_hat),
+                    _fmt(table.delta_tri[i]),
+                    "" if table.capped[i] else _fmt(table.delta_inf[i]),
+                    _fmt(table.delta_hat[i]),
                     str(int(q not in record.mode_set.surviving)),
                 ]
             state = record.states[q]
@@ -361,7 +432,7 @@ def oracle_steps_csv(config, prepared, truth) -> str:
                 cells += [""] * mode.p + [""]
             else:
                 cells += _fmt_all(state.d_hat_prev)
-                cells.append(_fmt(pm.gains.input_radius(pm.radius_seq[state.k - 1])))
+                cells.append(_fmt(oracle_input_radius(pm.gains, pm.radius_seq[state.k - 1])))
         rows.append(cells)
     return _csv_text(header, rows)
 
@@ -478,3 +549,269 @@ def stacked_word(trace: ClosedLoopTrace, k: int) -> np.ndarray:
         for j in range(k)
     ]
     return np.concatenate(parts)
+
+
+# --- frozen one-mode preparation ------------------------------------------
+# The per-mode bodies of the decomposition, gain synthesis, coefficient
+# recursion, threshold table and step matrix as they stood before the
+# bank was prepared as stacks, with the kernels they called (the 2-D
+# pseudoinverse and rank, the per-column sign rule, the scalar triangle
+# pass).  The package's stacked preparation must reproduce them bit for
+# bit, mode by mode, whatever bank a mode sits in.
+
+_ORACLE_CLEAN_TOL = 1e-13
+_ORACLE_RANK_TOL = 1e-12
+_ORACLE_RT2 = 1.0 / (1.0 / math.sqrt(2.0))
+
+
+def _oracle_cutoff(s: np.ndarray, shape) -> float:
+    return 0.0 if s.size == 0 else max(shape) * float(s[0]) * _ORACLE_RANK_TOL
+
+
+def oracle_rank(a: np.ndarray) -> int:
+    if a.shape[0] == 0 or a.shape[1] == 0:
+        return 0
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > _oracle_cutoff(s, a.shape)))
+
+
+def oracle_pinv(a: np.ndarray) -> np.ndarray:
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return np.zeros((cols, rows))
+    u, s, vt = np.linalg.svd(a, full_matrices=True)
+    cut = _oracle_cutoff(s, a.shape)
+    inv = np.where(s > cut, np.divide(1.0, s, out=np.zeros_like(s), where=s > cut), 0.0)
+    k = s.size
+    return vt[:k].T @ np.diag(inv) @ u[:, :k].T
+
+
+def _oracle_clean(block: np.ndarray, source: np.ndarray) -> np.ndarray:
+    if block.size == 0 or source.size == 0:
+        return block
+    cut = _ORACLE_CLEAN_TOL * float(np.max(np.abs(source)))
+    out = block.copy()
+    out[np.abs(out) < cut] = 0.0
+    return out
+
+
+def _oracle_signs(m: np.ndarray) -> np.ndarray:
+    return np.array([-1.0 if col[np.abs(col).argmax()] < 0.0 else 1.0 for col in m.T])
+
+
+def oracle_decompose(mode: ModeModel) -> ModeDecomposition:
+    h = mode.h
+    l, p = h.shape
+    u, s, vt = np.linalg.svd(h, full_matrices=True)
+    p_h = int(np.count_nonzero(s > _oracle_cutoff(s, h.shape)))
+    if p_h == 0:
+        u1, u2 = np.zeros((l, 0)), np.eye(l)
+        v1, v2 = np.zeros((p, 0)), np.eye(p)
+        sigma = np.zeros((0, 0))
+    else:
+        v = vt.T
+        signs = _oracle_signs(u)
+        u *= signs
+        v *= np.concatenate([signs[:p_h], _oracle_signs(v[:, p_h:])])
+        u1, v1 = u[:, :p_h], v[:, :p_h]
+        u2, v2 = u[:, p_h:].copy(), v[:, p_h:].copy()
+        sigma = np.diag(s[:p_h])
+    t1, t2 = u1.T, u2.T
+    return ModeDecomposition(
+        p_h=p_h,
+        sigma=sigma,
+        v1=v1,
+        v2=v2,
+        t1=t1,
+        t2=t2,
+        c1=_oracle_clean(t1 @ mode.c, mode.c),
+        c2=_oracle_clean(t2 @ mode.c, mode.c),
+        d1=_oracle_clean(t1 @ mode.d, mode.d),
+        d2=_oracle_clean(t2 @ mode.d, mode.d),
+        g1=_oracle_clean(mode.g @ v1, mode.g),
+        g2=_oracle_clean(mode.g @ v2, mode.g),
+    )
+
+
+def oracle_synthesize_gains(mode, dec, eta_w, eta_v, user_gain=None) -> ObserverGains:
+    if oracle_rank(dec.c2 @ dec.g2) != dec.g2.shape[1]:
+        raise SynthesisError(
+            "rank(c2 @ g2) = "
+            f"{oracle_rank(dec.c2 @ dec.g2)} < {dec.g2.shape[1]}: "
+            "state-coupled input component is not recoverable"
+        )
+    n, l, r = mode.n, mode.l, dec.z2_dim
+    m1 = oracle_pinv(dec.sigma)
+    m2 = oracle_pinv(dec.c2 @ dec.g2)
+    phi = np.eye(n) - dec.g2 @ m2 @ dec.c2
+    psi = dec.g1 @ m1 @ dec.c1
+    if user_gain is None:
+        l_gain = phi @ oracle_pinv(dec.c2 @ phi)
+    else:
+        l_gain = np.asarray(user_gain, dtype=float)
+        if l_gain.shape != (n, r):
+            raise ConfigurationError(f"gain must have shape {(n, r)}, got {l_gain.shape}")
+    e = np.eye(n) - l_gain @ dec.c2
+    rt2 = _ORACLE_RT2
+    g1m1t1 = dec.g1 @ m1 @ dec.t1
+    g2m2t2 = dec.g2 @ m2 @ dec.t2
+    v2m2c2 = dec.v2 @ m2 @ dec.c2
+    r_mat = np.hstack([-rt2 * phi @ g1m1t1, phi @ mode.w, -rt2 * g2m2t2])
+    q_mat = np.hstack([np.zeros((r, l)), np.zeros((r, n)), -rt2 * dec.t2])
+    w_cal = e @ r_mat + l_gain @ q_mat
+    y_cal = np.hstack(
+        [-rt2 * dec.c2 @ phi @ g1m1t1, dec.c2 @ phi @ mode.w, rt2 * (np.eye(r) - dec.c2 @ dec.g2 @ m2) @ dec.t2]
+    )
+    d_cal = np.hstack(
+        [rt2 * (v2m2c2 @ dec.g1 - dec.v1) @ m1 @ dec.t1, -v2m2c2 @ mode.w, -rt2 * dec.v2 @ m2 @ dec.t2]
+    )
+    lf = float(mode.lipschitz)
+    meas = spectral_norm(e @ phi)
+    theta = (lf + spectral_norm(psi)) * meas
+    eta_bar = noise_offset(w_cal, l, eta_v, eta_w)
+    beta = spectral_norm(dec.v1 @ m1 @ dec.c1 - v2m2c2 @ psi) + lf * spectral_norm(v2m2c2)
+    alpha_bar = noise_offset(d_cal, l, eta_v, eta_w)
+    return ObserverGains(
+        m1=m1,
+        m2=m2,
+        l_gain=l_gain,
+        e=e,
+        phi=phi,
+        psi=psi,
+        w_cal=w_cal,
+        y_cal=y_cal,
+        lipschitz=lf,
+        eta_w=float(eta_w),
+        eta_v=float(eta_v),
+        theta=float(theta),
+        meas_contraction=float(meas),
+        eta_bar=float(eta_bar),
+        beta=float(beta),
+        alpha_bar=float(alpha_bar),
+    )
+
+
+def oracle_radius_sequence(gains: ObserverGains, delta0: float, k_max: int) -> np.ndarray:
+    theta, eta_bar = gains.theta, gains.eta_bar
+    delta = float(delta0)
+    radii = [delta]
+    for _ in range(k_max):
+        step = theta * delta + eta_bar
+        if step == delta:
+            break
+        radii.append(step)
+        delta = step
+    table = np.full(k_max + 1, delta)
+    table[: len(radii)] = radii
+    return table
+
+
+def oracle_coefficients(
+    gains: ObserverGains, dec: ModeDecomposition, k_max: int
+) -> ResidualCoefficients:
+    n = dec.c2.shape[1]
+    l = dec.t2.shape[1]
+    c2phi = dec.c2 @ gains.phi
+    downdate = -(gains.e @ gains.phi @ gains.psi)
+    a = np.empty((k_max,) + c2phi.shape)
+    f = np.empty((k_max,) + c2phi.shape)
+    j = np.empty((k_max,) + gains.y_cal.shape)
+    f[0], j[0] = c2phi, gains.y_cal
+    with np.errstate(over="ignore", invalid="ignore"):
+        a[0] = -c2phi @ gains.psi
+        for prev, block in zip(a, a[1:]):
+            np.matmul(prev, downdate, out=block)
+        f[1:] = a[:-1] @ gains.e @ gains.phi
+        j[1:] = a[:-1] @ gains.w_cal
+        noise_terms = noise_offset(j, l, gains.eta_v, gains.eta_w)
+    return ResidualCoefficients(
+        k_max=k_max,
+        n=n,
+        l=l,
+        a_mats=a,
+        f_mats=f,
+        j_mats=j,
+        a_norms=spectral_norms(a),
+        f_norms=spectral_norms(f),
+        noise_terms=noise_terms,
+    )
+
+
+def oracle_triangle_sequence(coeffs, gains, radius_seq) -> np.ndarray:
+    k_max = coeffs.k_max
+    lipschitz = gains.lipschitz
+    drift = np.zeros(k_max)
+    with np.errstate(over="ignore"):
+        lf_f = lipschitz * coeffs.f_norms if lipschitz else np.zeros(k_max)
+        if k_max > 1:
+            radii = np.asarray(radius_seq[1:k_max], dtype=float)
+            drift[1:] = _convolve(lf_f[:-1], radii)[: k_max - 1]
+        return drift + np.cumsum(coeffs.noise_terms) + (coeffs.a_norms + lf_f) * float(radius_seq[0])
+
+
+def oracle_threshold_table(gains, dec, radius_seq, max_vertices) -> list[ThresholdReport]:
+    k_max = len(radius_seq) - 1
+    coeffs = oracle_coefficients(gains, dec, k_max)
+    tri = oracle_triangle_sequence(coeffs, gains, radius_seq)
+    n, l = coeffs.n, coeffs.l
+    enumerable = 0
+    while enumerable < k_max and 1 << (word_dim(enumerable + 1, n, l) - 1) <= max_vertices:
+        enumerable += 1
+    table = []
+    for k, tri_k in enumerate(tri.tolist(), start=1):
+        if k <= enumerable:
+            box = box_radii(k, n, l, gains, radius_seq)
+            inf_val, count, capped = delta_inf(assemble_matrix(coeffs, k), box, max_vertices)
+        else:
+            inf_val, count, capped = math.inf, 0, True
+        table.append(ThresholdReport(k, tri_k, inf_val, min(tri_k, inf_val), count, capped))
+    return table
+
+
+def oracle_step_matrix(mode: ModeModel, dec: ModeDecomposition, gains: ObserverGains) -> np.ndarray:
+    n, p1, m = mode.n, dec.p_h, mode.m
+    f_x, d1_hat, u_prev, u_k, y_k = np.split(
+        np.eye(n + p1 + 2 * m + mode.l), np.cumsum([n, p1, m, m])
+    )
+    x_pred = f_x + mode.b @ u_prev + dec.g1 @ d1_hat
+    d2_prev = gains.m2 @ (dec.t2 @ y_k - dec.c2 @ x_pred - dec.d2 @ u_k)
+    x_star = x_pred + dec.g2 @ d2_prev
+    residual = dec.t2 @ y_k - dec.c2 @ x_star - dec.d2 @ u_k
+    x_hat = x_star + gains.l_gain @ residual
+    d1_next = gains.m1 @ (dec.t1 @ y_k - dec.c1 @ x_hat - dec.d1 @ u_k)
+    d_prev = dec.v1 @ d1_hat + dec.v2 @ d2_prev
+    return np.vstack([x_hat, d1_next, d_prev, residual])
+
+
+def oracle_gain_bank(config) -> list[tuple[ModeDecomposition, ObserverGains]]:
+    """The one-mode-at-a-time bank: decompose and synthesize mode by
+    mode, the scaled kind synthesizing twice."""
+    system, spec = config.system, config.gains
+    bank = []
+    for q, mode in enumerate(system.modes):
+        dec = oracle_decompose(mode)
+        eta_w, eta_v = system.eta_w[q], system.eta_v[q]
+        user_gain = spec.matrices[q] if spec.kind == "user" else None
+        gains = oracle_synthesize_gains(mode, dec, eta_w, eta_v, user_gain)
+        if spec.kind == "scaled":
+            gains = oracle_synthesize_gains(mode, dec, eta_w, eta_v, spec.factor * gains.l_gain)
+        bank.append((dec, gains))
+    return bank
+
+
+def oracle_prepare(config):
+    """Per mode: (dec, gains, step matrix, radius table, threshold
+    reports), after the one-mode bank and its certification gate."""
+    bank = oracle_gain_bank(config)
+    out = []
+    for q, (dec, gains) in enumerate(bank):
+        if not gains.certified and not config.allow_uncertified:
+            raise ConfigurationError(
+                f"mode {q + 1} gains are uncertified (contraction {gains.theta:.4g}"
+                " >= 1); set allow_uncertified to proceed without guarantees"
+            )
+        mode = config.system.modes[q]
+        radii = oracle_radius_sequence(gains, config.system.delta_x0, config.horizon)
+        table = oracle_threshold_table(gains, dec, radii, config.max_vertices)
+        out.append((dec, gains, oracle_step_matrix(mode, dec, gains), radii, table))
+    return out

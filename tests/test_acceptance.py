@@ -79,10 +79,10 @@ def _bank_sweep(config, seeds):
                 stats["state_containment_violations"] += 1
             if (
                 np.linalg.norm(truth.d[k - 1] - state.d_hat_prev)
-                > gains.input_radius(radius_seq[k - 1])
+                > float(gains.input_radii(radius_seq[k - 1]))
             ):
                 stats["input_containment_violations"] += 1
-            if record.residuals[true_q] > prepared[true_q].thresholds[k - 1].delta_hat:
+            if record.residuals[true_q] > prepared[true_q].thresholds.delta_hat[k - 1]:
                 stats["residual_bound_violations"] += 1
     stats["elapsed"] = time.perf_counter() - t0
     return stats
@@ -165,7 +165,7 @@ def test_threshold_tables_for_the_five_mode_benchmark_build_inside_two_minutes(
 ) -> None:
     _, prepared, elapsed = scenario1_prepared
     assert elapsed < 120.0
-    assert all(len(pm.thresholds) == 100 for pm in prepared)
+    assert all(len(pm.thresholds.delta_hat) == 100 for pm in prepared)
 
 
 def test_triangle_threshold_sequences_settle_beyond_a_finite_horizon(
@@ -176,7 +176,7 @@ def test_triangle_threshold_sequences_settle_beyond_a_finite_horizon(
     _, prepared, _ = scenario1_prepared
     diverging = []
     for pm in prepared:
-        tri = np.array([t.delta_tri for t in pm.thresholds])
+        tri = pm.thresholds.delta_tri
         rel = np.abs(np.diff(tri)) / np.maximum(np.abs(tri[:-1]), 1e-300)
         settled = rel < 1e-6
         # a settle horizon exists iff some suffix is entirely settled
@@ -199,7 +199,7 @@ def test_enumeration_bound_dominates_the_scaled_word_norm_floor(
     checked = 0
     failures = []
     for pm in prepared:
-        coeffs = build_coefficients(pm.gains, pm.dec, k_max=len(pm.thresholds))
+        coeffs = build_coefficients(pm.gains, pm.dec, k_max=len(pm.thresholds.delta_hat))
         lf = pm.mode.lipschitz
         eta_w = system.eta_w[pm.index]
         eta_v = system.eta_v[pm.index]

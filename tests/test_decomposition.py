@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from artifact.decomposition import decompose, split_output
+from artifact.decomposition import split_output
 from artifact.system import LinearField, ModeModel
+from conftest import decompose
 
 ATOL = 1e-10
 

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (
+    decompose,
+    synthesize_gains,
     blind_row_mode,
     full_feedthrough_mode,
     full_pipeline_mode,
@@ -17,7 +19,6 @@ from conftest import (
 
 from artifact import detectability, runner
 from artifact.config import load_config
-from artifact.decomposition import decompose
 from artifact.detectability import (
     STEADY_FIRST_RUNG,
     STEADY_K_CAP,
@@ -26,7 +27,7 @@ from artifact.detectability import (
     report_detectability,
     steady_tri,
 )
-from artifact.gains import radius_sequence, synthesize_gains
+from artifact.gains import radius_sequence
 from artifact.residuals import build_coefficients, triangle_sequence
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import LinearField, ModeModel, SwitchedSystem

@@ -10,16 +10,15 @@ import pytest
 
 from artifact import runner
 from artifact.config import load_config
-from artifact.decomposition import decompose
 from artifact.errors import ConfigurationError, SynthesisError
 from artifact.gains import (
     check_rank_condition,
     heuristic_gain,
     radius_sequence,
-    synthesize_gains,
 )
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import LinearField, LinearSinusoidalField, ModeModel
+from conftest import decompose, synthesize_gains
 
 
 def invertible_channel_mode() -> ModeModel:

@@ -11,7 +11,6 @@ import warnings
 import numpy as np
 import pytest
 
-from artifact.decomposition import decompose
 from artifact.errors import NumericalFailure, SigmaMinUndefinedError
 from artifact.linalg import (
     as_matrix,
@@ -24,6 +23,7 @@ from artifact.linalg import (
     singular_value_cutoff,
 )
 from artifact.system import LinearField, ModeModel
+from conftest import decompose
 
 
 RT2 = np.sqrt(0.5)

@@ -4,6 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import (
+    decompose,
+    synthesize_gains,
     blind_row_mode,
     full_feedthrough_mode,
     full_pipeline_mode,
@@ -14,14 +16,15 @@ from conftest import (
     stack_of_one,
     stacked_step,
     stagewise_step,
+    step_matrix,
 )
 
 from artifact import runner
 from artifact.config import load_config
-from artifact.decomposition import decompose, split_output
+from artifact.decomposition import split_output
 from artifact.errors import NumericalFailure
-from artifact.gains import radius_sequence, synthesize_gains
-from artifact.observer import init_observer, step_matrix
+from artifact.gains import radius_sequence
+from artifact.observer import init_observer
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import LinearField, ModeModel, eval_field
 
@@ -91,7 +94,7 @@ def test_radius_recursion_agrees_with_closed_form() -> None:
         closed = 0.5 * th**k + gains.eta_bar * (1.0 - th**k) / (1.0 - th)
         assert seq[k] == pytest.approx(closed, rel=1e-12, abs=1e-12)
         # the lagged input radius is the affine image of the state radius
-        assert gains.input_radius(seq[k]) == gains.beta * seq[k] + gains.alpha_bar
+        assert float(gains.input_radii(seq[k])) == gains.beta * seq[k] + gains.alpha_bar
 
 
 def test_radii_upper_bound_errors_on_certified_mode() -> None:
@@ -104,7 +107,7 @@ def test_radii_upper_bound_errors_on_certified_mode() -> None:
             assert np.linalg.norm(trace.x[k] - st.x_hat) <= seq[k] + 1e-12
             if k >= 1:
                 gap = np.linalg.norm(trace.d[k - 1] - st.d_hat_prev)
-                assert gap <= trace.gains.input_radius(seq[k - 1]) + 1e-12
+                assert gap <= float(trace.gains.input_radii(seq[k - 1])) + 1e-12
 
 
 def test_lagged_input_radius_stays_alpha_bar_where_the_state_radius_overflows() -> None:
@@ -118,7 +121,7 @@ def test_lagged_input_radius_stays_alpha_bar_where_the_state_radius_overflows() 
     overflowed = np.flatnonzero(np.isinf(seq))
     assert overflowed.size and overflowed[0] == 718
     for k in overflowed:
-        assert gains.input_radius(seq[k]) == gains.alpha_bar
+        assert float(gains.input_radii(seq[k])) == gains.alpha_bar
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,8 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    decompose,
+    synthesize_gains,
     blind_row_mode,
     eta_t,
     full_pipeline_mode,
@@ -26,8 +28,7 @@ from conftest import (
 
 from artifact import runner
 from artifact.config import load_config
-from artifact.decomposition import decompose
-from artifact.gains import radius_sequence, synthesize_gains
+from artifact.gains import radius_sequence
 from artifact.residuals import (
     assemble_matrix,
     box_radii,
@@ -285,10 +286,10 @@ def test_threshold_takes_the_smaller_bound_and_respects_the_cap() -> None:
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
     seq = radius_sequence(gains, 0.5, 4)
-    rep = build_threshold_table(gains, dec, seq, max_vertices=1 << 20)[0]
+    rep = next(iter(build_threshold_table(gains, dec, seq, max_vertices=1 << 20)))
     assert not rep.capped and rep.vertices_enumerated == 1 << (word_dim(1, 2, 2) - 1)
     assert rep.delta_hat == min(rep.delta_tri, rep.delta_inf)
-    capped = build_threshold_table(gains, dec, seq, max_vertices=4)[3]
+    capped = list(build_threshold_table(gains, dec, seq, max_vertices=4))[3]
     assert capped.capped and math.isinf(capped.delta_inf)
     assert capped.delta_hat == capped.delta_tri and capped.vertices_enumerated == 0
 

@@ -4,18 +4,22 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import artifact
 from artifact import cli, config, runner
 from artifact.config import GainsSpec, ZeroInput, load_config, parse_config
-from artifact.decomposition import decompose
 from artifact.errors import ConfigurationError
-from artifact.gains import synthesize_gains
 from artifact.observer import step_observer
 from artifact.scenarios import list_scenarios, scenario_path
+from conftest import decompose, synthesize_gains
 
 
 def _minimal_config_data(**overrides) -> dict:
@@ -553,3 +557,44 @@ def test_cli_check_detectability_writes_strict_json(tmp_path, capsys) -> None:
     assert "overall: fail" in capsys.readouterr().out
     text = (tmp_path / "detectability.txt").read_text()
     assert "structural: fail" in text
+
+
+_SUBCOMMANDS = [
+    ["run", "--config", "scenario2", "--seed", "4"],
+    ["check-detectability", "--config", "scenario1"],
+    ["thresholds", "--config", "test_system_a", "--mode", "2", "--kmax", "9"],
+]
+
+
+def _fresh_main(args: list[str]) -> tuple[int, str]:
+    """`artifact` in a new interpreter, so with a parser of its own."""
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "artifact.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_repeated_main_calls_share_one_parser_and_match_fresh_processes(tmp_path, capsys) -> None:
+    # every subcommand twice in this process, a parse error (exit 2 from
+    # argparse) between the rounds, and each against a fresh process
+    for round_ in range(2):
+        for i, args in enumerate(_SUBCOMMANDS):
+            out = tmp_path / f"in{round_}_{i}"
+            assert cli.main([*args, "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            fresh = tmp_path / f"fresh{round_}_{i}"
+            code, fresh_stdout = _fresh_main([*args, "--out", str(fresh)])
+            assert code == 0
+            assert stdout == fresh_stdout.replace(str(fresh), "OUT"), args
+            assert _files(out) == _files(fresh), args
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--seed", "1"])  # --config is required
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err

@@ -20,12 +20,11 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import full_pipeline_mode, stack_of_one, stacked_step
+from conftest import decompose, full_pipeline_mode, stack_of_one, stacked_step, synthesize_gains
 
 from artifact import runner
 from artifact.config import load_config
-from artifact.decomposition import decompose
-from artifact.gains import INV_RT2, noise_offset, radius_sequence, synthesize_gains
+from artifact.gains import INV_RT2, noise_offset, radius_sequence
 from artifact.observer import init_observer
 from artifact.residuals import build_threshold_table
 from artifact.scenarios import scenario_path
@@ -204,8 +203,8 @@ def test_radii_and_thresholds_bound_the_worst_case_errors(label: str, delta0) ->
         radii = np.array([delta0] + [gains.eta_w] * k + [gains.eta_v] * (k + 1))
         for what, response, bound in (
             ("state", err_x, radius_seq[k]),
-            ("input", err_d, gains.input_radius(radius_seq[k - 1])),
-            ("residual", res, thresholds[k - 1].delta_hat),
+            ("input", err_d, float(gains.input_radii(radius_seq[k - 1]))),
+            ("residual", res, float(thresholds.delta_hat[k - 1])),
         ):
             found = worst_norm(_blocks(response, k, n, l, horizon), radii)
             if found > bound * (1.0 + REL):
