@@ -91,13 +91,12 @@ def diag(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def pinv(m, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, zeroing singular values <= tol; a
-    (..., rows, cols) stack maps to the stack of its matrices' inverses.
-
-    ``tol=None`` uses the shared cutoff, so ``pinv`` and ``rank`` always
-    agree about the numerical rank.  The zero matrix (and any empty
-    matrix) maps to the transposed-shape zero matrix.
+def pinv(m) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, zeroing singular values at or below
+    the shared cutoff, so ``pinv`` and ``rank`` always agree about the
+    numerical rank; a (..., rows, cols) stack maps to the stack of its
+    matrices' inverses.  The zero matrix (and any empty matrix) maps to
+    the transposed-shape zero matrix.
 
     Column signs do not matter here: flipping u_j and v_j together
     negates both factors of every term v_j (1/s_j) u_j^T, which negation
@@ -113,7 +112,7 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     if rows == 0 or cols == 0:
         return np.zeros(a.shape[:-2] + (cols, rows))
     u, s, vt = svd(a)
-    cut = singular_value_cutoff(s, (rows, cols)) if tol is None else float(tol)
+    cut = singular_value_cutoff(s, (rows, cols))
     kept = s > np.asarray(cut)[..., None]
     inv = np.where(kept, np.divide(1.0, s, out=np.zeros_like(s), where=kept), 0.0)
     k = s.shape[-1]

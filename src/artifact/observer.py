@@ -8,13 +8,13 @@ off the feedthrough channel.  Only the drift f is nonlinear, so the whole
 update is linear in [f(x-hat_{k-1}); d1-hat_{k-1}; u_{k-1}; u_k; y_k]:
 ``step_matrix_stack`` runs the stages once per group of equally shaped
 modes on identity column blocks.
-Every mode consumes the same (u, y), so ``stack_observers`` stacks the
-modes whose step matrices share a shape and whose drifts share a kind,
-and ``step_observer`` advances all stacks with one stacked product each;
-a stack of one is the single-mode observer.  A step updates only the
-centers and emits its innovation, the residual the mode observer tests:
-the error radii read no measurement, so ``gains.radius_sequence``
-tabulates them once per mode.
+Every mode consumes the same (u, y), so ``step_observer`` advances each
+``ObserverStack`` with one stacked product; ``runner.prepare_modes``
+builds one stack per ``runner.gain_groups`` group, and a stack of one is
+the single-mode observer.  A step updates only the centers and emits its
+innovation, the residual the mode observer tests: the error radii read
+no measurement, so ``gains.radius_sequences`` tabulates them once per
+group.
 
 The input estimate is inherently one step delayed: after processing y_k
 the observer reports d-hat for step k-1.  Initialization already consumes
@@ -24,6 +24,7 @@ leave the step-1 residual unexplained by the noise word.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -32,8 +33,11 @@ import numpy as np
 from .decomposition import DecompositionStack, ModeDecomposition, split_output
 from .errors import NumericalFailure
 from .gains import GainStack, ObserverGains
+from .linalg import spectral_norms
 from .residuals import compute_residual
 from .system import ModeModel, ModeStack, drift, drift_matrices
+
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
 
 
 @dataclass(frozen=True)
@@ -100,21 +104,35 @@ def step_matrix_stack(modes: ModeStack, dec: DecompositionStack, gains: GainStac
 
 @dataclass(frozen=True)
 class ObserverStack:
-    """Observers of modes that share a step-matrix shape and drift kind,
-    stacked along a leading axis: row i belongs to bank mode ``modes[i]``.
+    """Observers of one ``runner.gain_groups`` group of modes, stacked
+    along a leading axis: row i belongs to bank mode ``modes[i]``.
 
     A step's output row is [x-hat_k | d1-hat_k | d-hat_{k-1} | residual_k],
     of widths n, p1, p and the rest.  `a` and `a_tilde` stack the modes'
-    ``system.drift_matrices``.
+    ``system.drift_matrices``, and ``limits[k - 1, i]`` is row i's
+    threshold at step k.
     """
 
     modes: tuple[int, ...]  # 0-based bank indices, ascending
     step: np.ndarray  # (Q, R, C): each mode's step map from ``step_matrix_stack``
     a: np.ndarray  # (Q, n, n)
     a_tilde: np.ndarray | None  # (Q, n, n), None for linear drifts
+    limits: np.ndarray  # (N, Q)
     n: int
     p1: int
     p: int
+
+    @classmethod
+    def of(
+        cls, modes: Sequence[int], models: Sequence[ModeModel], step: np.ndarray, p1: int,
+        limits: np.ndarray,
+    ) -> ObserverStack:
+        """The stack of one group's bank modes, whose models share every
+        shape and a drift kind, from the group's ``step_matrix_stack``
+        output, rank(H) p1 and (N, Q) thresholds."""
+        a, a_tilde = zip(*(drift_matrices(model.field) for model in models))
+        a_tilde = None if a_tilde[0] is None else np.stack(a_tilde)
+        return cls(tuple(modes), step, np.stack(a), a_tilde, limits, models[0].n, p1, models[0].p)
 
     def take(self, rows: np.ndarray) -> ObserverStack:
         """The stack of the given rows only."""
@@ -124,14 +142,23 @@ class ObserverStack:
             step=self.step[rows],
             a=self.a[rows],
             a_tilde=None if self.a_tilde is None else self.a_tilde[rows],
+            limits=self.limits[:, rows],
         )
 
     def residual_norms(self, outputs: np.ndarray) -> np.ndarray:
         """The residual norm of every output row (the last axis) in
-        `outputs`; each is the dot product a one-mode ``r @ r`` takes,
-        under its square root."""
+        `outputs`: sqrt of the dot product a one-mode ``r @ r`` takes where
+        that is a normal float, else ``linalg.spectral_norms``'s rescaled
+        norm, which neither overflows nor underflows."""
         res = outputs[..., None, self.n + self.p1 + self.p :]
-        return np.sqrt(np.matmul(res, np.swapaxes(res, -1, -2)))[..., 0, 0]
+        with np.errstate(over="ignore"):
+            squares = np.matmul(res, np.swapaxes(res, -1, -2))[..., 0, 0]
+        norms = np.sqrt(squares)
+        values = squares.ravel().tolist()  # a short list's min/max beat numpy's reductions
+        if values and not _SMALLEST_NORMAL <= min(values) <= max(values) < math.inf:
+            odd = ~((squares >= _SMALLEST_NORMAL) & (squares < math.inf))
+            norms[odd] = spectral_norms(res[odd])
+        return norms
 
     def state(self, row: np.ndarray, k: int) -> ObserverState:
         """The ObserverState of one output row after step k; at k = 0 the
@@ -145,32 +172,6 @@ class ObserverStack:
             d_hat_prev=row[n1:n2] if k else None,
             residual=row[n2:] if k else None,
         )
-
-
-def stack_observers(bank: Sequence[tuple[ModeModel, np.ndarray]]) -> list[ObserverStack]:
-    """Group a bank of (mode, step matrix) pairs into stacks of equal
-    step-matrix shape, input widths and drift kind, in order of each
-    group's first mode."""
-    groups: dict[tuple, list[int]] = {}
-    for q, (mode, step) in enumerate(bank):
-        p1 = step.shape[1] - mode.n - 2 * mode.m - mode.l
-        linear = drift_matrices(mode.field)[1] is None
-        groups.setdefault((step.shape, p1, mode.p, linear), []).append(q)
-    stacks = []
-    for (_, p1, p, linear), modes in groups.items():
-        a, a_tilde = zip(*(drift_matrices(bank[q][0].field) for q in modes))
-        stacks.append(
-            ObserverStack(
-                modes=tuple(modes),
-                step=np.stack([bank[q][1] for q in modes]),
-                a=np.stack(a),
-                a_tilde=None if linear else np.stack(a_tilde),
-                n=bank[modes[0]][0].n,
-                p1=p1,
-                p=p,
-            )
-        )
-    return stacks
 
 
 def step_observer(

@@ -12,11 +12,13 @@ formats ``steps.csv`` from the trace's arrays, a column block per mode,
 after the loop.  The loop does no radius arithmetic:
 ``prepare_modes`` tabulates each mode's state radii, lagged input radii
 and thresholds once, and a state at step k reads its radius from
-``radius_seq[k]``.  Preparation runs as stacks: ``gain_groups`` groups
-the bank by (n, m, l, p) and rank(H), and decomposes, synthesizes gains,
-builds step matrices and tabulates thresholds in one batched pass per
-group; each mode's ``PreparedMode`` holds slices of those stacks, the
-bits a lone mode's preparation gives.  Everything downstream of
+``radius_seq[k]``.  Preparation runs as stacks: ``gain_groups``, the
+one grouping of the bank, groups it by (n, m, l, p), drift kind and
+rank(H); per group, one batched pass decomposes, synthesizes gains,
+tabulates thresholds and builds the ``ObserverStack`` that ``iter_bank``
+steps as it is.  Each ``PreparedMode`` holds that stack, its row in it
+and its slices of the other stacks, the bits a lone mode's preparation
+gives.  Everything downstream of
 the master seed is deterministic, so a config plus a seed reproduces its
 CSV outputs byte for byte.
 
@@ -61,16 +63,9 @@ from .gains import (
     synthesis_errors,
     synthesize_gain_stack,
 )
-from .observer import (
-    ObserverStack,
-    ObserverState,
-    init_observer,
-    stack_observers,
-    step_matrix_stack,
-    step_observer,
-)
+from .observer import ObserverStack, ObserverState, init_observer, step_matrix_stack, step_observer
 from .residuals import ThresholdTable, build_threshold_tables
-from .system import ModeModel, ModeStack, eval_field
+from .system import ModeModel, ModeStack, drift_matrices, eval_field
 
 
 def uniform_ball(rng: np.random.Generator, radius: float, dim: int, count: int) -> np.ndarray:
@@ -198,7 +193,8 @@ class PreparedMode:
     mode: ModeModel
     dec: ModeDecomposition
     gains: ObserverGains
-    step_matrix: np.ndarray  # this mode's slice of observer.step_matrix_stack
+    stack: ObserverStack  # the observer stack of this mode's gain_groups group
+    row: int  # this mode's row in it
     radius_seq: np.ndarray  # state radii for k = 0..horizon
     input_radius_seq: np.ndarray  # lagged input radii of steps 1..horizon, read at k - 1
     thresholds: ThresholdTable  # k = 1..horizon
@@ -207,8 +203,8 @@ class PreparedMode:
 @dataclass(frozen=True)
 class BankGroup:
     """Modes of the bank that share every array shape, (n, m, l, p) and
-    rank(H), prepared as stacks; row i of each stack is bank mode
-    ``modes[i]``."""
+    rank(H), and a drift kind, prepared as stacks; row i of each stack is
+    bank mode ``modes[i]``."""
 
     modes: tuple[int, ...]  # 0-based bank indices, ascending
     model: ModeStack
@@ -218,8 +214,8 @@ class BankGroup:
 
 def gain_groups(config: ScenarioConfig) -> list[BankGroup]:
     """Decompose and synthesize the gains of the whole bank, honoring the
-    gains spec, one batched pass per group of modes of equal shape.
-    Groups come in order of their first mode.
+    gains spec, one batched pass per group of modes of equal shape and
+    drift kind.  Groups come in order of their first mode.
 
     A mode that cannot get gains raises its ``synthesis_errors`` entry;
     of several, the first mode in bank order does.  No certification
@@ -227,9 +223,10 @@ def gain_groups(config: ScenarioConfig) -> list[BankGroup]:
     separately.
     """
     system = config.system
-    shapes: dict[tuple[int, int, int, int], list[int]] = {}
+    shapes: dict[tuple[int, int, int, int, bool], list[int]] = {}
     for q, mode in enumerate(system.modes):
-        shapes.setdefault((mode.n, mode.m, mode.l, mode.p), []).append(q)
+        linear = drift_matrices(mode.field)[1] is None
+        shapes.setdefault((mode.n, mode.m, mode.l, mode.p, linear), []).append(q)
     parts = []
     for bank_rows in shapes.values():
         model = ModeStack.of([system.modes[q] for q in bank_rows])
@@ -276,7 +273,7 @@ def gain_bank(
 
 
 def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
-    """Decompose, synthesize gains, build the observer steps and tabulate
+    """Decompose, synthesize gains, build the observer stacks and tabulate
     radii and thresholds: one batched pass per ``gain_groups`` group."""
     system = config.system
     groups = gain_groups(config)
@@ -292,7 +289,13 @@ def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
     for group in groups:
         radii = radius_sequences(group.gains, system.delta_x0, config.horizon)
         tables = build_threshold_tables(group.gains, group.dec, radii, config.max_vertices)
-        steps = step_matrix_stack(group.model, group.dec, group.gains)
+        stack = ObserverStack.of(
+            group.modes,
+            [system.modes[q] for q in group.modes],
+            step_matrix_stack(group.model, group.dec, group.gains),
+            group.dec.p_h,
+            np.stack([table.delta_hat for table in tables], axis=1),
+        )
         for i, q in enumerate(group.modes):
             gains = group.gains.mode(i)
             out[q] = PreparedMode(
@@ -300,7 +303,8 @@ def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
                 mode=system.modes[q],
                 dec=group.dec.mode(i),
                 gains=gains,
-                step_matrix=steps[i],
+                stack=stack,
+                row=i,
                 radius_seq=radii[i],
                 input_radius_seq=gains.input_radii(radii[i, :-1]),
                 thresholds=tables[i],
@@ -407,14 +411,14 @@ def iter_bank(
 
     Yields the initialized bank at k = 0, then one record per step, and
     stops after the step that empties the surviving set.  Each step is
-    one ``step_observer`` call over the stacks of surviving modes; each
-    stack's residual norms come as one array and meet the stack's row of
-    its (N, Q) threshold table, and only a step where some mode exceeds
+    one ``step_observer`` call over the prepared stacks' surviving rows;
+    each stack's residual norms come as one array and meet the stack's
+    row of its (N, Q) thresholds, and only a step where some mode exceeds
     its threshold calls ``eliminate_step`` and drops that mode's rows.
     Numerical blow-ups raise NumericalFailure naming the offending mode.
     """
     horizon = config.horizon
-    stacks = stack_observers([(pm.mode, pm.step_matrix) for pm in prepared])
+    stacks = [pm.stack for pm in prepared if pm.row == 0]  # in group order
     trace = BankTrace(
         stacks=tuple(stacks),
         outputs=tuple(
@@ -427,15 +431,9 @@ def iter_bank(
             pm = prepared[q]
             init = init_observer(pm.dec, pm.gains, config.system.x_hat0, truth.y[0], truth.u[0])
             outputs[0, j, : stack.n + stack.p1] = np.concatenate((init.x_hat, init.d1_hat))
-    # per stack of surviving rows: the stack, its trace array, its rows
-    # in it and its (N, Q) threshold table
+    # per stack of surviving rows: the stack, its trace array and its rows in it
     live = [
-        (
-            stack,
-            outputs,
-            np.arange(len(stack.modes)),
-            np.stack([prepared[q].thresholds.delta_hat for q in stack.modes], axis=1),
-        )
+        (stack, outputs, np.arange(len(stack.modes)))
         for stack, outputs in zip(stacks, trace.outputs)
     ]
     states = [outputs[0] for outputs in trace.outputs]
@@ -446,25 +444,25 @@ def iter_bank(
         states = step_observer([stack for stack, *_ in live], states, signals[k - 1], k)
         residuals: dict[int, float] = {}
         exceeded = []
-        for (stack, outputs, rows, limits), out in zip(live, states):
+        for (stack, outputs, rows), out in zip(live, states):
             outputs[k, rows] = out
-            norm_list = stack.residual_norms(out).tolist()
+            norm_list, limits = stack.residual_norms(out).tolist(), stack.limits[k - 1].tolist()
             residuals.update(zip(stack.modes, norm_list))
-            exceeded.append([r > limit for r, limit in zip(norm_list, limits[k - 1].tolist())])
+            exceeded.append([r > limit for r, limit in zip(norm_list, limits)])
         if len(live) > 1:
             residuals = dict(sorted(residuals.items()))
         if any(True in over for over in exceeded):
             checks = {
                 q: (residuals[q], limit)
-                for stack, *_, limits in live
-                for q, limit in zip(stack.modes, limits[k - 1].tolist())
+                for stack, *_ in live
+                for q, limit in zip(stack.modes, stack.limits[k - 1].tolist())
             }
             mode_set = eliminate_step(mode_set, k, checks)
             kept_live, kept_states = [], []
-            for (stack, outputs, rows, limits), out, over in zip(live, states, exceeded):
+            for (stack, outputs, rows), out, over in zip(live, states, exceeded):
                 keep = np.flatnonzero(np.logical_not(over))
                 if keep.size:
-                    kept_live.append((stack.take(keep), outputs, rows[keep], limits[:, keep]))
+                    kept_live.append((stack.take(keep), outputs, rows[keep]))
                     kept_states.append(out[keep])
             live, states = kept_live, kept_states
         yield BankRecord(k=k, mode_set=mode_set, residuals=residuals, trace=trace)
@@ -478,18 +476,14 @@ def _joined(values: np.ndarray) -> list[str]:
 
 
 def _mode_lines(
-    pm: PreparedMode,
-    table: list[list[str]],
-    record: BankRecord,
-    stack: ObserverStack,
-    outputs: np.ndarray,
+    pm: PreparedMode, table: list[list[str]], record: BankRecord, outputs: np.ndarray
 ) -> list[str]:
     """One mode's residual, threshold, elimination and ball cells of the
     ``steps.csv`` rows k = 0..record.k, each row's cells joined.  `table`
     is the mode's ``threshold_rows``, and `outputs` is the mode's column
     of its stack's trace.  A dead mode's cells are blank but for the
     elimination flag."""
-    n, p = pm.mode.n, pm.mode.p
+    n, p, stack = pm.mode.n, pm.mode.p, pm.stack
     last = record._last_step(pm.index)
     radii = pm.radius_seq[: last + 1].tolist()
     lines = [f",,,,0,{_joined(outputs[:1, :n])[0]},{radii[0]!r}" + "," * (p + 1)]
@@ -558,7 +552,7 @@ def run(
     columns.append([str(len(prepared) - sum(e <= k for e in eliminated)) for k in steps])
     trace = record.trace
     blocks = {
-        q: _mode_lines(prepared[q], tables[q], record, stack, outputs[:, j])
+        q: _mode_lines(prepared[q], tables[q], record, outputs[:, j])
         for stack, outputs in zip(trace.stacks, trace.outputs)
         for j, q in enumerate(stack.modes)
     }

@@ -53,7 +53,6 @@ from artifact.observer import (
     ObserverStack,
     ObserverState,
     init_observer,
-    stack_observers,
     step_matrix_stack,
     step_observer,
 )
@@ -212,9 +211,10 @@ def stagewise_step(
 
 
 def stack_of_one(mode: ModeModel, dec: ModeDecomposition, gains: ObserverGains) -> ObserverStack:
-    """The package's observer stack holding this one mode."""
-    (stack,) = stack_observers([(mode, step_matrix(mode, dec, gains))])
-    return stack
+    """The package's observer stack holding this one mode, with no
+    thresholds."""
+    step = step_matrix_stack(ModeStack.of([mode]), DecompositionStack.of(dec), GainStack.of(gains))
+    return ObserverStack.of((0,), [mode], step, dec.p_h, np.empty((0, 1)))
 
 
 def stacked_step(
@@ -281,7 +281,8 @@ def oracle_bank(config, prepared, truth):
             pm = prepared[q]
             try:
                 state = product_step(
-                    states[q], pm.mode, pm.step_matrix, truth.u[k - 1], truth.u[k], truth.y[k]
+                    states[q], pm.mode, pm.stack.step[pm.row],
+                    truth.u[k - 1], truth.u[k], truth.y[k],
                 )
             except NumericalFailure as exc:
                 raise NumericalFailure(f"mode {q + 1}: {exc}") from exc

@@ -9,6 +9,8 @@ changed result, not rounding.
 from __future__ import annotations
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,12 +23,13 @@ from conftest import (
     oracle_steps_csv,
     oracle_threshold_csv,
     oracle_truth,
+    stack_of_one,
 )
 
 from artifact import runner
 from artifact.config import load_config, parse_config
 from artifact.errors import NumericalFailure
-from artifact.observer import stack_observers, step_observer
+from artifact.observer import step_matrix_stack, step_observer
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import SwitchedSystem
 
@@ -108,7 +111,7 @@ def _mixed_config():
 def test_mixed_bank_stacks_by_shape_and_matches_the_per_mode_product() -> None:
     config = _mixed_config()
     prepared = runner.prepare_modes(config)
-    stacks = stack_observers([(pm.mode, pm.step_matrix) for pm in prepared])
+    stacks = [pm.stack for pm in prepared if pm.row == 0]
     assert [stack.modes for stack in stacks] == [(0, 3), (1, 4), (2,)]
     assert [pm.dec.z2_dim for pm in prepared] == [1, 0, 1, 1, 0]
     assert [stack.p for stack in stacks] == [2, 2, 1]
@@ -120,6 +123,61 @@ def test_mixed_bank_stacks_by_shape_and_matches_the_per_mode_product() -> None:
         eliminated |= set(last.mode_set.eliminated_at)
     # rows leave a stack of two, and a stack of one empties
     assert {0, 2, 3} <= eliminated
+
+
+def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
+    """One grouping: iter_bank steps each gain_groups group as the stack
+    prepare_modes built, its step matrices the step_matrix_stack output
+    itself, not a regrouped copy."""
+    built, stepped = [], []
+
+    def build(*args):
+        built.append(step_matrix_stack(*args))
+        return built[-1]
+
+    def step(stacks, *args):
+        stepped.append(list(stacks))
+        return step_observer(stacks, *args)
+
+    monkeypatch.setattr(runner, "step_matrix_stack", build)
+    monkeypatch.setattr(runner, "step_observer", step)
+    configs = [(name, load_config(scenario_path(name))) for name in list_scenarios()]
+    for label, config in [*configs, ("mixed", _mixed_config())]:
+        built.clear()
+        stepped.clear()
+        prepared = runner.prepare_modes(config)
+        truth = runner.simulate_truth(config, config.seed)
+        records = runner.iter_bank(config, prepared, truth)
+        next(records), next(records)  # k = 0 and the first step
+        (stacks,) = stepped
+        assert [stack.modes for stack in stacks] == [
+            group.modes for group in runner.gain_groups(config)
+        ], label
+        if label == "test_system_a":  # one shape, two drift kinds
+            assert [stack.modes for stack in stacks] == [(0,), (1,)]
+        assert len(stacks) == len(built), label
+        for stack, steps in zip(stacks, built):
+            assert np.shares_memory(stack.step, steps), (label, stack.modes)
+            assert all(prepared[q].stack is stack for q in stack.modes), (label, stack.modes)
+
+
+def test_residual_norms_rescale_only_rows_whose_square_is_not_normal() -> None:
+    """sqrt(r @ r) keeps its bits where r @ r is a normal float; a row
+    whose square overflows or underflows reads its true norm, without a
+    RuntimeWarning."""
+    pm = runner.prepare_modes(load_config(scenario_path("test_system_a")))[0]
+    stack = stack_of_one(pm.mode, pm.dec, pm.gains)
+    start = stack.n + stack.p1 + stack.p
+    residuals = np.array([[1e200, -2e200], [1e-200, 3e-200], [0.3, -0.4], [0.0, 0.0]])
+    outputs = np.ones((len(residuals), stack.step.shape[1]))
+    outputs[:, start:] = residuals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norms = stack.residual_norms(outputs).tolist()
+    for norm, res in zip(norms[:2], residuals.tolist()):
+        assert math.isclose(norm, math.hypot(*res), rel_tol=1e-15, abs_tol=0.0), (norm, res)
+    normal = residuals[2]
+    assert norms[2:] == [math.sqrt(normal @ normal), 0.0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -142,7 +200,7 @@ def test_non_finite_measurement_names_the_first_surviving_mode(bad, step) -> Non
 def test_kernel_names_the_first_mode_across_stacks() -> None:
     config = _mixed_config()
     prepared = runner.prepare_modes(config)
-    stacks = stack_observers([(pm.mode, pm.step_matrix) for pm in prepared])
+    stacks = [pm.stack for pm in prepared if pm.row == 0]
     states = [np.zeros((len(stack.modes), stack.step.shape[1])) for stack in stacks]
     signal = np.zeros(config.system.m * 2 + config.system.l)
     # mode 4 (second row of the first stack) and mode 2 (first row of the

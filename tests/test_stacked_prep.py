@@ -91,7 +91,7 @@ def _check_prepared(config: ScenarioConfig, label: str) -> None:
         assert pm.index == q and pm.mode is config.system.modes[q], tag
         _same_fields(pm.dec, dec, f"{tag} dec")
         _same_fields(pm.gains, gains, f"{tag} gains")
-        _same(pm.step_matrix, step, f"{tag} step")
+        _same(pm.stack.step[pm.row], step, f"{tag} step")
         _same(pm.radius_seq, radii, f"{tag} radii")
         _same_table(pm.thresholds, table, f"{tag} thresholds")
         lagged = np.array([oracle_input_radius(gains, r) for r in radii[:-1]])
@@ -252,7 +252,7 @@ def test_a_column_major_mode_keeps_its_bits_alone_and_in_a_group(kind: str) -> N
         tag = f"in a group, mode {q + 1}"
         _same_fields(pm.dec, dec, f"{tag} dec")
         _same_fields(pm.gains, gains, f"{tag} gains")
-        _same(pm.step_matrix, step, f"{tag} step")
+        _same(pm.stack.step[pm.row], step, f"{tag} step")
         _same(pm.radius_seq, radii, f"{tag} radii")
         _same_table(pm.thresholds, table, f"{tag} thresholds")
     # alone: the one-mode functions, each a stack of one
