@@ -160,6 +160,15 @@ class ObserverStack:
             norms[odd] = spectral_norms(res[odd])
         return norms
 
+    def failure(self, i: int, row: np.ndarray, k: int) -> NumericalFailure:
+        """The failure of row i, whose output `row` after step k is not
+        finite: a non-finite x-hat is a state failure, else the input
+        estimate failed."""
+        part = "input" if np.isfinite(row[: self.n]).all() else "state"
+        return NumericalFailure(
+            f"mode {self.modes[i] + 1}: non-finite values in {part} estimate at step {k}"
+        )
+
     def state(self, row: np.ndarray, k: int) -> ObserverState:
         """The ObserverState of one output row after step k; at k = 0 the
         row holds only [x-hat_0 | d1-hat_0]."""
@@ -190,10 +199,11 @@ def step_observer(
     stack.
 
     A non-finite input reaches every output of its mode (0 * NaN and
-    0 * inf are NaN), so one check of the outputs covers the inputs as
-    well.  It raises NumericalFailure naming the first mode with a
-    non-finite row, so numpy's own warnings about the products are
-    silenced.
+    0 * inf are NaN), so a check of the outputs covers the inputs as
+    well.  The kernel returns such rows as they are, with numpy's
+    warnings about the products silenced: ``runner.iter_bank`` checks a
+    block of steps at once, and a row of a mode it has already
+    eliminated may be non-finite without failing the run.
     """
     outs = []
     with np.errstate(invalid="ignore", over="ignore"):
@@ -204,15 +214,4 @@ def step_observer(
             z[:, n:n1] = state[:, n:n1]
             z[:, n1:] = signal
             outs.append(np.matmul(stack.step, z[:, :, None])[:, :, 0])
-    if not all(np.isfinite(out).all() for out in outs):
-        q, stack, row = min(
-            (
-                (stack.modes[i], stack, out[i])
-                for stack, out in zip(stacks, outs)
-                for i in np.flatnonzero(~np.isfinite(out).all(axis=1))
-            ),
-            key=lambda bad: bad[0],
-        )
-        part = "input" if np.isfinite(row[: stack.n]).all() else "state"
-        raise NumericalFailure(f"mode {q + 1}: non-finite values in {part} estimate at step {k}")
     return outs

@@ -5,11 +5,13 @@ then per step feed every surviving mode hypothesis its observer update,
 compare residual norms against precomputed thresholds, and eliminate.
 That loop is written once, as the generator ``iter_bank``: it steps the
 surviving modes as stacks with one ``observer.step_observer`` call per
-step, and yields a ``BankRecord`` (step, surviving set, residual norms of
-the modes stepped, and every mode's latest observer state, read off the
-run's ``BankTrace`` on demand) for k = 0 and after every step.  ``run``
-formats ``steps.csv`` from the trace's arrays, a column block per mode,
-after the loop.  The loop does no radius arithmetic:
+step, in blocks of ``BLOCK`` steps, and decides each block's
+finiteness, residual norms and eliminations in one array pass per
+stack.  It yields a ``BankRecord`` (step, surviving set, residual norms
+of the modes stepped, and every mode's latest observer state, both read
+off the run's ``BankTrace`` on demand) for k = 0 and after every step.
+``run`` formats ``steps.csv`` from the trace's arrays, a column block
+per mode, after the loop.  The loop does no radius arithmetic:
 ``prepare_modes`` tabulates each mode's state radii, lagged input radii
 and thresholds once, and a state at step k reads its radius from
 ``radius_seq[k]``.  Preparation runs as stacks: ``gain_groups``, the
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
@@ -361,33 +363,66 @@ def _steps_header(config: ScenarioConfig) -> list[str]:
 
 @dataclass(frozen=True)
 class BankTrace:
-    """Every observer output of one bank run, filled in by ``iter_bank``.
+    """Every observer output and residual norm of one bank run, filled in
+    by ``iter_bank``.
 
     Per stack i, ``outputs[i][k, j]`` is the output row of mode
     ``stacks[i].modes[j]`` after step k (row 0 holds its initial
-    [x-hat_0 | d1-hat_0]).  Steps after a mode's elimination step stay
-    unwritten.
+    [x-hat_0 | d1-hat_0]), and ``norms[i][k - 1, j]`` is the norm of its
+    residual at step k.  Steps after a mode's elimination step stay NaN.
     """
 
     stacks: tuple[ObserverStack, ...]
     outputs: tuple[np.ndarray, ...]  # (N+1, Q, R) per stack
+    norms: tuple[np.ndarray, ...]  # (N, Q) per stack
+
+
+class _StepNorms(Mapping[int, float]):
+    """The residual norms of the modes stepped at step k, in bank order,
+    read off the trace's norms when first used."""
+
+    def __init__(self, trace: BankTrace, k: int, mode_set: ModeSet) -> None:
+        self._trace, self._k, self._mode_set = trace, k, mode_set
+
+    @cached_property
+    def _norms(self) -> dict[int, float]:
+        k, eliminated = self._k, self._mode_set.eliminated_at
+        if not k:
+            return {}
+        norms = {
+            q: norm
+            for stack, stack_norms in zip(self._trace.stacks, self._trace.norms)
+            for q, norm in zip(stack.modes, stack_norms[k - 1].tolist())
+            if eliminated.get(q, k) == k
+        }
+        return dict(sorted(norms.items()))
+
+    def __getitem__(self, q: int) -> float:
+        return self._norms[q]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._norms)
+
+    def __len__(self) -> int:
+        return len(self._norms)
 
 
 @dataclass(frozen=True)
 class BankRecord:
     """The observer bank after the updates and the elimination of step k.
 
-    `residuals` maps each mode stepped at k to its residual norm (empty
-    at k = 0).  `states` holds every mode's latest observer state, frozen
-    at the elimination step for a dead mode; it is read off the run's
-    `trace` when first used, so a record builds no per-mode objects
-    until then.  The trace's rows up to step k never change, so a record
-    reads the same states whenever it is read.
+    `residuals` maps each mode stepped at k to its residual norm, in bank
+    order (empty at k = 0).  `states` holds every mode's latest observer
+    state, frozen at the elimination step for a dead mode.  Both are read
+    off the run's `trace` when first used, so a record costs the same
+    whatever the bank holds.  The trace's rows up to step k never change
+    once the record is yielded, so a record reads the same values
+    whenever it is read.
     """
 
     k: int
     mode_set: ModeSet
-    residuals: dict[int, float]
+    residuals: Mapping[int, float]
     trace: BankTrace = field(repr=False, compare=False)
 
     def _last_step(self, q: int) -> int:
@@ -404,18 +439,28 @@ class BankRecord:
         return tuple(states[q] for q in sorted(states))
 
 
+BLOCK = 64  # bank steps per block pass
+
+
 def iter_bank(
     config: ScenarioConfig, prepared: list[PreparedMode], truth: TruthTrajectory
 ) -> Iterator[BankRecord]:
     """Run the observer bank over the horizon, one record per step.
 
     Yields the initialized bank at k = 0, then one record per step, and
-    stops after the step that empties the surviving set.  Each step is
-    one ``step_observer`` call over the prepared stacks' surviving rows;
-    each stack's residual norms come as one array and meet the stack's
-    row of its (N, Q) thresholds, and only a step where some mode exceeds
-    its threshold calls ``eliminate_step`` and drops that mode's rows.
-    Numerical blow-ups raise NumericalFailure naming the offending mode.
+    stops after the step that empties the surviving set.  The steps run
+    in blocks of ``BLOCK``, each step one ``step_observer`` call over the
+    stacks of the modes that survived the previous block.  A mode dies
+    at its first step with residual > threshold, so one pass per stack
+    decides a block: one finiteness check, one ``residual_norms`` over
+    the finite rows, and a comparison with the stack's (N, Q) thresholds
+    whose first exceedance in a column is that mode's elimination step.
+    The eliminations are replayed in step order through
+    ``eliminate_step``, the block's records are yielded, and the
+    surviving rows go on.  Rows stepped after their mode's elimination
+    are discarded unread, so they may be non-finite; a non-finite row of
+    a live mode raises NumericalFailure naming the first such mode at the
+    first such step, after the records of the steps before it.
     """
     horizon = config.horizon
     stacks = [pm.stack for pm in prepared if pm.row == 0]  # in group order
@@ -425,49 +470,81 @@ def iter_bank(
             np.full((horizon + 1, len(stack.modes), stack.step.shape[1]), np.nan)
             for stack in stacks
         ),
+        norms=tuple(np.full((horizon, len(stack.modes)), np.nan) for stack in stacks),
     )
     for stack, outputs in zip(stacks, trace.outputs):
         for j, q in enumerate(stack.modes):
             pm = prepared[q]
             init = init_observer(pm.dec, pm.gains, config.system.x_hat0, truth.y[0], truth.u[0])
             outputs[0, j, : stack.n + stack.p1] = np.concatenate((init.x_hat, init.d1_hat))
-    # per stack of surviving rows: the stack, its trace array and its rows in it
-    live = [
-        (stack, outputs, np.arange(len(stack.modes)))
-        for stack, outputs in zip(stacks, trace.outputs)
-    ]
+    # per stack of surviving rows: the stack, its rows in the trace's
+    # stack and that stack's index
+    live = [(stack, np.arange(len(stack.modes)), i) for i, stack in enumerate(stacks)]
     states = [outputs[0] for outputs in trace.outputs]
     signals = np.concatenate((truth.u[:-1], truth.u[1:], truth.y[1:]), axis=1)
     mode_set = all_modes(len(prepared))
-    yield BankRecord(k=0, mode_set=mode_set, residuals={}, trace=trace)
-    for k in range(1, horizon + 1):
-        states = step_observer([stack for stack, *_ in live], states, signals[k - 1], k)
-        residuals: dict[int, float] = {}
-        exceeded = []
-        for (stack, outputs, rows), out in zip(live, states):
-            outputs[k, rows] = out
-            norm_list, limits = stack.residual_norms(out).tolist(), stack.limits[k - 1].tolist()
-            residuals.update(zip(stack.modes, norm_list))
-            exceeded.append([r > limit for r, limit in zip(norm_list, limits)])
-        if len(live) > 1:
-            residuals = dict(sorted(residuals.items()))
-        if any(True in over for over in exceeded):
+    yield BankRecord(0, mode_set, _StepNorms(trace, 0, mode_set), trace)
+    for k0 in range(1, horizon + 1, BLOCK):
+        live_stacks = [stack for stack, *_ in live]
+        steps = []
+        for k in range(k0, min(k0 + BLOCK, horizon + 1)):
+            states = step_observer(live_stacks, states, signals[k - 1], k)
+            steps.append(states)
+        size = len(steps)
+        # per live stack: its (B, Q, R) outputs and (B, Q) norms, NaN
+        # after each row's elimination step, its (B, Q) thresholds, and
+        # each row's elimination step in the block (size if it survives)
+        passes, failures = [], []
+        for (stack, *_), outs in zip(live, zip(*steps)):
+            block = np.stack(outs)
+            finite = np.isfinite(block).all(axis=2)
+            norms = np.full(finite.shape, np.nan)
+            norms[finite] = stack.residual_norms(block[finite])
+            limits = stack.limits[k0 - 1 : k0 - 1 + size]
+            over = norms > limits
+            last = np.where(over.any(axis=0), over.argmax(axis=0), size)
+            alive = np.arange(size)[:, None] <= last
+            bad = np.argwhere(~finite & alive)
+            if len(bad):
+                b, j = bad[0].tolist()
+                failures.append((b, stack.modes[j], stack.failure(j, block[b, j], k0 + b)))
+            block[~alive] = norms[~alive] = np.nan
+            passes.append((block, norms, limits, last))
+        failure = min(failures, key=lambda bad: bad[:2], default=None)
+        end = size if failure is None else failure[0]  # the block's steps recorded
+        sets, current = {}, mode_set
+        for b in sorted({b for *_, last in passes for b in last.tolist() if b < end}):
             checks = {
-                q: (residuals[q], limit)
-                for stack, *_ in live
-                for q, limit in zip(stack.modes, stack.limits[k - 1].tolist())
+                q: (norm, limit)
+                for (stack, *_), (_, norms, limits, last) in zip(live, passes)
+                for q, norm, limit, alive in zip(
+                    stack.modes, norms[b].tolist(), limits[b].tolist(), (last >= b).tolist()
+                )
+                if alive
             }
-            mode_set = eliminate_step(mode_set, k, checks)
-            kept_live, kept_states = [], []
-            for (stack, outputs, rows), out, over in zip(live, states, exceeded):
-                keep = np.flatnonzero(np.logical_not(over))
-                if keep.size:
-                    kept_live.append((stack.take(keep), outputs, rows[keep]))
-                    kept_states.append(out[keep])
-            live, states = kept_live, kept_states
-        yield BankRecord(k=k, mode_set=mode_set, residuals=residuals, trace=trace)
+            current = sets[b] = eliminate_step(current, k0 + b, checks)
+            if current.faulted:
+                end = b + 1
+        for (_, rows, i), (block, norms, *_) in zip(live, passes):
+            trace.outputs[i][k0 : k0 + end, rows] = block[:end]
+            trace.norms[i][k0 - 1 : k0 - 1 + end, rows] = norms[:end]
+        for b in range(end):
+            mode_set = sets.get(b, mode_set)
+            yield BankRecord(k0 + b, mode_set, _StepNorms(trace, k0 + b, mode_set), trace)
+        if failure is not None:
+            raise failure[2]
         if mode_set.faulted:
             return
+        kept_live, states = [], []
+        for (stack, rows, i), (block, _, _, last) in zip(live, passes):
+            keep = np.flatnonzero(last == size)
+            if len(keep) == len(rows):
+                kept_live.append((stack, rows, i))
+                states.append(block[-1])
+            elif len(keep):
+                kept_live.append((stack.take(keep), rows[keep], i))
+                states.append(block[-1, keep])
+        live = kept_live
 
 
 def _joined(values: np.ndarray) -> list[str]:
@@ -476,19 +553,23 @@ def _joined(values: np.ndarray) -> list[str]:
 
 
 def _mode_lines(
-    pm: PreparedMode, table: list[list[str]], record: BankRecord, outputs: np.ndarray
+    pm: PreparedMode,
+    table: list[list[str]],
+    record: BankRecord,
+    outputs: np.ndarray,
+    norms: np.ndarray,
 ) -> list[str]:
     """One mode's residual, threshold, elimination and ball cells of the
     ``steps.csv`` rows k = 0..record.k, each row's cells joined.  `table`
-    is the mode's ``threshold_rows``, and `outputs` is the mode's column
-    of its stack's trace.  A dead mode's cells are blank but for the
-    elimination flag."""
-    n, p, stack = pm.mode.n, pm.mode.p, pm.stack
+    is the mode's ``threshold_rows``, and `outputs` and `norms` are the
+    mode's columns of its stack's trace.  A dead mode's cells are blank
+    but for the elimination flag."""
+    n, p = pm.mode.n, pm.mode.p
     last = record._last_step(pm.index)
     radii = pm.radius_seq[: last + 1].tolist()
     lines = [f",,,,0,{_joined(outputs[:1, :n])[0]},{radii[0]!r}" + "," * (p + 1)]
     if last:
-        n1 = n + stack.p1
+        n1 = n + pm.stack.p1
         # a state's k indexes its radius and k - 1 the lagged input's
         balls = np.column_stack(
             (
@@ -503,10 +584,7 @@ def _mode_lines(
             flags[-1] = "1"
         lines += [
             f"{res!r},{row[1]},{row[2]},{row[3]},{flag},{cells}"
-            for res, row, flag, cells in zip(
-                stack.residual_norms(outputs[1 : last + 1]).tolist(), table, flags,
-                _joined(balls),
-            )
+            for res, row, flag, cells in zip(norms[:last].tolist(), table, flags, _joined(balls))
         ]
     lines += [",,,,1" + "," * (n + p + 2)] * (record.k - last)
     return lines
@@ -552,8 +630,8 @@ def run(
     columns.append([str(len(prepared) - sum(e <= k for e in eliminated)) for k in steps])
     trace = record.trace
     blocks = {
-        q: _mode_lines(prepared[q], tables[q], record, outputs[:, j])
-        for stack, outputs in zip(trace.stacks, trace.outputs)
+        q: _mode_lines(prepared[q], tables[q], record, outputs[:, j], norms[:, j])
+        for stack, outputs, norms in zip(trace.stacks, trace.outputs, trace.norms)
         for j, q in enumerate(stack.modes)
     }
     columns += [blocks[q] for q in range(len(prepared))]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -224,10 +224,14 @@ def stacked_step(
     u_k: np.ndarray,
     y_k: np.ndarray,
 ) -> ObserverState:
-    """One ``step_observer`` call on a stack of one."""
+    """One ``step_observer`` call on a stack of one, with the bank's
+    finiteness check of its output row."""
     row = np.concatenate((state.x_hat, state.d1_hat))[None]
-    (out,) = step_observer([stack], [row], np.concatenate((u_prev, u_k, y_k)), state.k + 1)
-    return stack.state(out[0], state.k + 1)
+    k = state.k + 1
+    (out,) = step_observer([stack], [row], np.concatenate((u_prev, u_k, y_k)), k)
+    if not np.isfinite(out).all():
+        raise stack.failure(0, out[0], k)
+    return stack.state(out[0], k)
 
 
 def product_step(
@@ -294,6 +298,19 @@ def oracle_bank(config, prepared, truth):
         yield OracleRecord(k=k, mode_set=mode_set, states=tuple(states), residuals=residuals)
         if mode_set.faulted:
             return
+
+
+def tampered_truth(offset_from: int, bias: float):
+    """Wrap simulate_truth, biasing all measurements from a given step."""
+    original = runner.simulate_truth
+
+    def tampered(config, seed):
+        truth = original(config, seed)
+        y = truth.y.copy()
+        y[offset_from:] += bias
+        return replace(truth, y=y)
+
+    return tampered
 
 
 def _oracle_ball(rng: np.random.Generator, radius: float, dim: int) -> np.ndarray:

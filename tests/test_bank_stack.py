@@ -24,6 +24,7 @@ from conftest import (
     oracle_threshold_csv,
     oracle_truth,
     stack_of_one,
+    tampered_truth,
 )
 
 from artifact import runner
@@ -43,7 +44,8 @@ def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
 
 
 def _assert_bank_matches_oracle(config, prepared, truth, label) -> int:
-    """Compare iter_bank with oracle_bank record by record; returns the
+    """Compare iter_bank with oracle_bank record by record, and check
+    that the trace stays NaN after each mode's last step; returns the
     number of eliminations."""
     records = list(runner.iter_bank(config, prepared, truth))
     expected = list(oracle_bank(config, prepared, truth))
@@ -58,7 +60,13 @@ def _assert_bank_matches_oracle(config, prepared, truth, label) -> int:
             assert state.k == ref.k, where
             for name in ("x_hat", "d1_hat", "d_hat_prev", "residual"):
                 assert _same_bits(getattr(state, name), getattr(ref, name)), (*where, name)
-    return len(records[-1].mode_set.eliminated_at)
+    last = records[-1]
+    for stack, outputs, norms in zip(last.trace.stacks, last.trace.outputs, last.trace.norms):
+        for j, q in enumerate(stack.modes):
+            k = last.mode_set.eliminated_at.get(q, last.k)
+            assert np.isnan(outputs[k + 1 :, j]).all(), (label, q)
+            assert np.isnan(norms[k:, j]).all(), (label, q)
+    return len(last.mode_set.eliminated_at)
 
 
 def test_stacked_bank_matches_the_per_mode_product_on_every_bundled_scenario() -> None:
@@ -148,8 +156,8 @@ def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
         prepared = runner.prepare_modes(config)
         truth = runner.simulate_truth(config, config.seed)
         records = runner.iter_bank(config, prepared, truth)
-        next(records), next(records)  # k = 0 and the first step
-        (stacks,) = stepped
+        next(records), next(records)  # k = 0 and the first block
+        stacks = stepped[0]  # the first step's
         assert [stack.modes for stack in stacks] == [
             group.modes for group in runner.gain_groups(config)
         ], label
@@ -181,9 +189,11 @@ def test_residual_norms_rescale_only_rows_whose_square_is_not_normal() -> None:
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("step", [1, 7])
+@pytest.mark.parametrize("step", [1, 7, 64, 65, 100])
 def test_non_finite_measurement_names_the_first_surviving_mode(bad, step) -> None:
-    for config in (load_config(scenario_path("scenario1")), _mixed_config()):
+    # 64 and 65 end and begin the second block of scenario1's H = 100
+    configs = (load_config(scenario_path("scenario1")), _mixed_config())
+    for config in (config for config in configs if step <= config.horizon):
         prepared = runner.prepare_modes(config)
         truth = runner.simulate_truth(config, 3)
         y = truth.y.copy()
@@ -197,22 +207,113 @@ def test_non_finite_measurement_names_the_first_surviving_mode(bad, step) -> Non
         assert str(got.value).startswith("mode ") and f"at step {step}" in str(got.value)
 
 
-def test_kernel_names_the_first_mode_across_stacks() -> None:
+def test_kernel_names_the_first_mode_across_stacks(monkeypatch) -> None:
+    """Modes 4 (second row of the first stack) and 2 (first row of the
+    second stack) read a non-finite state at step 5; the run names mode 2,
+    the first surviving one, and mode 4 when it goes bad alone."""
     config = _mixed_config()
     prepared = runner.prepare_modes(config)
-    stacks = [pm.stack for pm in prepared if pm.row == 0]
-    states = [np.zeros((len(stack.modes), stack.step.shape[1])) for stack in stacks]
-    signal = np.zeros(config.system.m * 2 + config.system.l)
-    # mode 4 (second row of the first stack) and mode 2 (first row of the
-    # second stack) go bad; mode 2 is the first surviving one
-    states[0][1, 0] = np.nan
-    states[1][0, 1] = np.inf
+    truth = runner.simulate_truth(config, 0)
+    # zero data from x-hat_0 = 0: every residual is 0, so no mode dies
+    assert not config.system.x_hat0.any()
+    truth = dataclasses.replace(truth, u=np.zeros_like(truth.u), y=np.zeros_like(truth.y))
+    poison = {}  # bank mode -> (state column, value) at step 5
+
+    def step(stacks, states, signal, k):
+        if k == 5:
+            states = [state.copy() for state in states]
+            for stack, state in zip(stacks, states):
+                for i, q in enumerate(stack.modes):
+                    if q in poison:
+                        column, value = poison[q]
+                        state[i, column] = value
+        return step_observer(stacks, states, signal, k)
+
+    monkeypatch.setattr(runner, "step_observer", step)
+    poison.update({3: (0, np.nan), 1: (1, np.inf)})
     message = "^mode 2: non-finite values in state estimate at step 5$"
     with pytest.raises(NumericalFailure, match=message):
-        step_observer(stacks, states, signal, 5)
-    states[1][0, 1] = 0.0
+        list(runner.iter_bank(config, prepared, truth))
+    del poison[1]
     with pytest.raises(NumericalFailure, match="^mode 4: "):
-        step_observer(stacks, states, signal, 5)
+        list(runner.iter_bank(config, prepared, truth))
+
+
+def _dead_mode_run(config) -> tuple[int, int, int]:
+    """(seed, mode, elimination step) of the first eliminated mode of the
+    first seed whose run eliminates a mode while another survives to the
+    horizon."""
+    prepared = runner.prepare_modes(config)
+    for seed in range(100):
+        truth = runner.simulate_truth(config, runner.master_seed(seed))
+        *_, last = runner.iter_bank(config, prepared, truth)
+        if last.k == config.horizon and last.mode_set.eliminated_at:
+            return seed, *min(last.mode_set.eliminated_at.items(), key=lambda item: item[::-1])
+    raise AssertionError("no seed below 100 eliminates a mode and survives")
+
+
+def _outputs(out) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", ["scenario1", "mixed"])
+def test_rows_stepped_after_their_elimination_are_never_read(name, tmp_path, monkeypatch) -> None:
+    """A block steps an eliminated mode to the block's end.  Output rows
+    of a mode after its elimination step are discarded unread: poisoning
+    them with NaN changes no byte, while a NaN state at the elimination
+    step itself fails the run as a lone mode-by-mode step would."""
+    config = _mixed_config() if name == "mixed" else load_config(scenario_path(name))
+    seed, mode, step = _dead_mode_run(config)
+    assert step < config.horizon
+    runner.run(config, seed=seed, out_dir=tmp_path / "clean")
+    poison = {}
+
+    def poisoned(stacks, states, signal, k):
+        if k == poison.get("input_at"):
+            states = [state.copy() for state in states]
+            for stack, state in zip(stacks, states):
+                state[[i for i, q in enumerate(stack.modes) if q == mode]] = np.nan
+        outs = step_observer(stacks, states, signal, k)
+        if k > poison.get("outputs_after", math.inf):
+            for stack, out in zip(stacks, outs):
+                out[[i for i, q in enumerate(stack.modes) if q == mode]] = np.nan
+        return outs
+
+    monkeypatch.setattr(runner, "step_observer", poisoned)
+    poison["outputs_after"] = step
+    runner.run(config, seed=seed, out_dir=tmp_path / "poisoned")
+    assert _outputs(tmp_path / "poisoned") == _outputs(tmp_path / "clean")
+    # the input of the row at its elimination step: its output there is NaN
+    poison.update(input_at=step, outputs_after=math.inf)
+    message = f"^mode {mode + 1}: non-finite values in state estimate at step {step}$"
+    with pytest.raises(NumericalFailure, match=message):
+        runner.run(config, seed=seed, out_dir=tmp_path / "failed")
+
+
+def test_a_faulted_bank_matches_the_oracle_and_steps_one_block_at_most(monkeypatch) -> None:
+    """Measurements biased by 5 from step 3 eliminate every mode of
+    test_system_a by step 3: the records are oracle_bank's, and at
+    horizon 1000 the run still ends at k = 3 after at most one block of
+    kernel calls."""
+    config = load_config(scenario_path("test_system_a"))
+    faulted = tampered_truth(3, 5.0)
+    prepared = runner.prepare_modes(config)
+    truth = faulted(config, config.seed)
+    _assert_bank_matches_oracle(config, prepared, truth, "faulted")
+    *_, last = runner.iter_bank(config, prepared, truth)
+    assert last.k == 3 and last.mode_set.faulted
+
+    steps = []
+
+    def counted(stacks, states, signal, k):
+        steps.append(k)
+        return step_observer(stacks, states, signal, k)
+
+    monkeypatch.setattr(runner, "step_observer", counted)
+    config = dataclasses.replace(config, horizon=1000)
+    *_, last = runner.iter_bank(config, runner.prepare_modes(config), faulted(config, config.seed))
+    assert last.k == 3 and last.mode_set.faulted
+    assert steps == list(range(1, len(steps) + 1)) and len(steps) <= runner.BLOCK
 
 
 def _eliminating_seed(config) -> int:

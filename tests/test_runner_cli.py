@@ -19,7 +19,7 @@ from artifact.config import GainsSpec, ZeroInput, load_config, parse_config
 from artifact.errors import ConfigurationError
 from artifact.observer import step_observer
 from artifact.scenarios import list_scenarios, scenario_path
-from conftest import decompose, synthesize_gains
+from conftest import decompose, synthesize_gains, tampered_truth
 
 
 def _minimal_config_data(**overrides) -> dict:
@@ -312,22 +312,9 @@ def test_rerun_with_same_seed_is_byte_identical(tmp_path, name, seed) -> None:
     assert first.steps_path.read_bytes() != third.steps_path.read_bytes()
 
 
-def _tampered_truth(offset_from: int, bias: float):
-    """Wrap simulate_truth, biasing all measurements from a given step."""
-    original = runner.simulate_truth
-
-    def tampered(config, seed):
-        truth = original(config, seed)
-        y = truth.y.copy()
-        y[offset_from:] += bias
-        return dataclasses.replace(truth, y=y)
-
-    return tampered
-
-
 def test_run_reports_fault_when_every_mode_is_eliminated(tmp_path, monkeypatch) -> None:
     config = load_config(scenario_path("test_system_a"))
-    monkeypatch.setattr(runner, "simulate_truth", _tampered_truth(3, 5.0))
+    monkeypatch.setattr(runner, "simulate_truth", tampered_truth(3, 5.0))
     result = runner.run(config, seed=2024, out_dir=tmp_path / "fault")
     assert result.faulted
     assert result.fault_step == 3
@@ -357,7 +344,7 @@ def test_cli_rejects_unknown_config_with_exit_2(tmp_path, capsys) -> None:
 
 
 def test_cli_maps_fault_to_exit_3(tmp_path, monkeypatch, capsys) -> None:
-    monkeypatch.setattr(runner, "simulate_truth", _tampered_truth(3, 5.0))
+    monkeypatch.setattr(runner, "simulate_truth", tampered_truth(3, 5.0))
     code = cli.main(
         ["run", "--config", "test_system_a", "--out", str(tmp_path / "f")]
     )
