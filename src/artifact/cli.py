@@ -23,7 +23,6 @@ from pathlib import Path
 from .config import ScenarioConfig, load_config
 from .detectability import report_detectability
 from .errors import ConfigurationError, NumericalFailure, SynthesisError
-from .gains import radius_sequence
 from .residuals import build_threshold_table
 from .runner import (
     gain_bank,
@@ -107,8 +106,9 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     if args.kmax < 1:
         raise ConfigurationError("--kmax must be >= 1")
     dec, gains = gain_bank(config)[args.mode - 1]
-    radius_seq = radius_sequence(gains, config.system.delta_x0, args.kmax)
-    table = build_threshold_table(gains, dec, radius_seq, config.max_vertices)
+    table = build_threshold_table(
+        gains, dec, config.system.delta_x0, args.kmax, config.max_vertices
+    )
     path = resolve_out_dir(config, args.out) / f"thresholds_q{args.mode}.csv"
     write_threshold_csv(path, threshold_rows(table))
     print(f"wrote {path}")

@@ -156,9 +156,3 @@ def _rotate(modes: ModeStack, p_h: int, factors) -> DecompositionStack:
         g2=_clean(modes.g @ v2, modes.g),
     )
 
-
-def split_output(dec: ModeDecomposition, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate a raw measurement, or a block of measurement columns, into
-    (z1, z2)."""
-    y = np.asarray(y, dtype=float)
-    return dec.t1 @ y, dec.t2 @ y

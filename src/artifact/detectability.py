@@ -26,6 +26,13 @@ is where the scan must have stopped by blow-up: the drift convolution's
 i = 0 term alone gives tri_k >= L_f ||c2 phi|| delta_{k-1}, read off the
 radius table.  The last rung is always the cap, so the verdict never
 rests on that bound.
+
+``steady_tri`` takes one mode of ``runner.gain_bank``, lifts it to a
+stack of one once, and builds every rung with the stacked kernels
+(``gains.radius_sequences``, ``residuals.build_coefficients``,
+``residuals.triangle_sequences``).  It and ``gain_bank`` stay one-mode
+entry points because the benchmark calls them by name: its tracer wraps
+``steady_tri`` and reads each call's ``iterations``.
 """
 from __future__ import annotations
 
@@ -35,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .decomposition import ModeDecomposition
+from .decomposition import DecompositionStack, ModeDecomposition
 from .errors import SigmaMinUndefinedError
-from .gains import ObserverGains, radius_sequence
-from .residuals import build_coefficients, triangle_sequence
+from .gains import GainStack, ObserverGains, radius_sequences
+from .residuals import build_coefficients, triangle_sequences
 from .system import SwitchedSystem, jacobian_hessian_data
 
 T2_DISTINCT_TOL = 1e-9
@@ -70,22 +77,23 @@ def steady_tri(
     delta0: float,
     k_cap: int = STEADY_K_CAP,
 ) -> SteadyTriReport:
-    """Scan the triangle bound until relative stagnation or blow-up."""
+    """Scan the triangle bound until relative stagnation or blow-up,
+    every rung on the mode's stack of one."""
+    stack, decs = GainStack.of(gains), DecompositionStack.of(dec)
     slope = gains.lipschitz * linalg.spectral_norm(dec.c2 @ gains.phi)
     # the radius table grows, doubling, only until it shows the blow-up
     # bound (or reaches the cap), and then as far as each rung reads
-    radii = radius_sequence(gains, delta0, min(STEADY_FIRST_RUNG, k_cap))
+    radii = radius_sequences(stack, delta0, min(STEADY_FIRST_RUNG, k_cap))[0]
     k_stop = _blowup_bound(slope, radii, k_cap)
     while slope and k_stop == k_cap and len(radii) <= k_cap:
-        radii = _extend_radii(gains, radii, min(2 * (len(radii) - 1), k_cap))
+        radii = _extend_radii(stack, radii, min(2 * (len(radii) - 1), k_cap))
         k_stop = _blowup_bound(slope, radii, k_cap)
     first = k_stop if k_stop < k_cap else min(STEADY_FIRST_RUNG, k_cap)
     for k_max in sorted({first, k_cap}):
         if len(radii) <= k_max:
-            radii = _extend_radii(gains, radii, k_max)
-        tri_seq = triangle_sequence(
-            build_coefficients(gains, dec, k_max), gains, radii[: k_max + 1]
-        )
+            radii = _extend_radii(stack, radii, k_max)
+        coeffs = build_coefficients(stack, decs, k_max)
+        (tri_seq,) = triangle_sequences(coeffs, stack.lipschitz, radii[None, : k_max + 1])
         verdict = _scan_steady(tri_seq)
         if verdict is not None:
             break
@@ -116,11 +124,11 @@ def _scan_steady(tri_seq: np.ndarray) -> tuple[bool, float, int] | None:
     return None
 
 
-def _extend_radii(gains: ObserverGains, radii: np.ndarray, k_max: int) -> np.ndarray:
-    """The radius table [delta_0, ..., delta_kmax] from its prefix
-    `radii`.  The recursion reads only the previous radius, so continuing
-    it from the last entry gives the entries a full-length table holds."""
-    more = radius_sequence(gains, radii[-1], k_max - (len(radii) - 1))
+def _extend_radii(stack: GainStack, radii: np.ndarray, k_max: int) -> np.ndarray:
+    """The radius table [delta_0, ..., delta_kmax] of a stack of one from
+    its prefix `radii`.  The recursion reads only the previous radius, so
+    continuing it from the last entry gives a full-length table's entries."""
+    (more,) = radius_sequences(stack, radii[-1], k_max - (len(radii) - 1))
     return np.concatenate((radii, more[1:]))
 
 

@@ -7,7 +7,7 @@ channel, and l_gain is the measurement-update gain.  Everything the
 threshold and containment machinery needs later is precomputed here:
 the interconnection matrices (phi, psi, e), the noise maps, and the
 scalar constants of the radius model delta_k = theta delta_{k-1} +
-eta_bar.  That model is the only one: ``radius_sequence`` tabulates the
+eta_bar.  That model is the only one: ``radius_sequences`` tabulates the
 state radii, and ``ObserverGains.input_radii`` derives the lagged input
 radii from them.  theta bounds the error map itself,
 (L_f + ||psi||) ||e phi||; a contraction factor that does not evaluate
@@ -23,7 +23,7 @@ once: ``synthesize_gain_stack`` forms each product, pseudoinverse and
 norm as one batched call over a leading mode axis, each slice the call a
 lone mode makes (a lone mode is a stack of one), and
 ``synthesis_errors`` says beforehand which modes cannot get gains.
-``radius_sequence`` is the one-mode form of ``radius_sequences``.
+Every function here takes a stack; a lone mode is lifted with ``GainStack.of``.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .decomposition import DecompositionStack, ModeDecomposition
+from .decomposition import DecompositionStack
 from .errors import ConfigurationError, SynthesisError
 from .system import ModeStack, stack_arrays, stack_of
 
@@ -53,14 +53,7 @@ def noise_offset(stack: np.ndarray, l: int, eta_v: float, eta_w: float) -> np.nd
     return INV_RT2 * eta_v * (v_norms + v_next_norms) + eta_w * w_norms
 
 
-def check_rank_condition(dec: ModeDecomposition | DecompositionStack) -> bool | np.ndarray:
-    """True when the state-coupled input component is recoverable:
-    rank(c2 @ g2) must equal the number of d2 components.  A stack gets
-    one answer per mode."""
-    return linalg.ranks(dec.c2 @ dec.g2) == dec.g2.shape[-1]
-
-
-def heuristic_gain(dec: ModeDecomposition, phi: np.ndarray) -> np.ndarray:
+def heuristic_gain(dec: DecompositionStack, phi: np.ndarray) -> np.ndarray:
     """Default measurement-update gain phi @ pinv(c2 @ phi).
 
     Among all gains L this minimizes ||(I - L c2) phi|| in the Frobenius
@@ -131,23 +124,19 @@ class GainStack:
 
 
 def radius_sequences(gains: GainStack, delta0: float, k_max: int) -> np.ndarray:
-    """The ``radius_sequence`` of every mode of the stack, one row each."""
+    """A-priori state radii [delta_0, ..., delta_kmax] of every mode of
+    the stack, one row each, from the recursion
+    delta_k = theta delta_{k-1} + eta_bar.  An uncertified mode saturates
+    to inf where the recursion overflows (a Python float does so
+    silently); that is the honest answer there.  Once a step returns its
+    own input, a float fixed point (inf after an overflow), every later
+    step would too, so the rest of the row is filled with it."""
     return np.array(
         [
             _radii(theta, eta_bar, delta0, k_max)
             for theta, eta_bar in zip(gains.theta.tolist(), gains.eta_bar.tolist())
         ]
     )
-
-
-def radius_sequence(gains: ObserverGains, delta0: float, k_max: int) -> np.ndarray:
-    """A-priori state radii [delta_0, ..., delta_kmax] from the recursion
-    delta_k = theta delta_{k-1} + eta_bar.  An uncertified mode saturates
-    to inf where the recursion overflows (a Python float does so
-    silently); that is the honest answer there.  Once a step returns its
-    own input, a float fixed point (inf after an overflow), every later
-    step would too, so the rest of the table is filled with it."""
-    return _radii(gains.theta, gains.eta_bar, delta0, k_max)
 
 
 def _radii(theta: float, eta_bar: float, delta0: float, k_max: int) -> np.ndarray:
@@ -175,12 +164,12 @@ def synthesis_errors(
     needed = dec.g2.shape[2]
     shape = (dec.c2.shape[2], dec.t2.shape[1])
     errors: list[Exception | None] = []
-    recoverable = check_rank_condition(dec).tolist()
-    for i, user_gain in enumerate(user_gains):
+    ranks = linalg.ranks(dec.c2 @ dec.g2).tolist()
+    for rank, user_gain in zip(ranks, user_gains):
         error = None
-        if not recoverable[i]:
+        if rank != needed:
             error = SynthesisError(
-                f"rank(c2 @ g2) = {linalg.rank(dec.c2[i] @ dec.g2[i])} < {needed}: "
+                f"rank(c2 @ g2) = {rank} < {needed}: "
                 "state-coupled input component is not recoverable"
             )
         elif user_gain is not None:

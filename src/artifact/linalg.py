@@ -77,11 +77,6 @@ def ranks(stack) -> np.ndarray:
     return np.count_nonzero(s > np.asarray(cut)[..., None], axis=-1)
 
 
-def rank(m) -> int:
-    """Number of singular values above the shared relative cutoff."""
-    return int(ranks(as_matrix(m)))
-
-
 def diag(values: np.ndarray) -> np.ndarray:
     """The diagonal matrix of each (..., k) row of `values`, row-major
     like ``np.diag``'s."""
@@ -93,7 +88,7 @@ def diag(values: np.ndarray) -> np.ndarray:
 
 def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse, zeroing singular values at or below
-    the shared cutoff, so ``pinv`` and ``rank`` always agree about the
+    the shared cutoff, so ``pinv`` and ``ranks`` always agree about the
     numerical rank; a (..., rows, cols) stack maps to the stack of its
     matrices' inverses.  The zero matrix (and any empty matrix) maps to
     the transposed-shape zero matrix.

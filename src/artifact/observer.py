@@ -21,6 +21,8 @@ the observer reports d-hat for step k-1.  Initialization already consumes
 (y_0, u_0) because the first time update needs the direct component at
 step 0; starting it at zero would both break the radius guarantee and
 leave the step-1 residual unexplained by the noise word.
+``init_observer`` reads it for a whole group at once, with the same
+stage (``_direct_input``) a step ends on.
 """
 from __future__ import annotations
 
@@ -30,9 +32,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import DecompositionStack, ModeDecomposition, split_output
+from .decomposition import DecompositionStack
 from .errors import NumericalFailure
-from .gains import GainStack, ObserverGains
+from .gains import GainStack
 from .linalg import spectral_norms
 from .residuals import compute_residual
 from .system import ModeModel, ModeStack, drift, drift_matrices
@@ -59,24 +61,28 @@ class ObserverState:
 
 
 def _direct_input(
-    dec: ModeDecomposition, gains: ObserverGains, x: np.ndarray, u: np.ndarray, y: np.ndarray
+    dec: DecompositionStack, gains: GainStack, x: np.ndarray, u: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Direct-feedthrough input component m1 (z1 - c1 x - d1 u)."""
-    z1, _ = split_output(dec, y)
-    return gains.m1 @ (z1 - dec.c1 @ x - dec.d1 @ u)
+    """Direct-feedthrough input component m1 (t1 y - c1 x - d1 u) of every
+    mode of the stacks; x, u and y are blocks of column vectors, or
+    stacks of them."""
+    return gains.m1 @ (dec.t1 @ y - dec.c1 @ x - dec.d1 @ u)
 
 
 def init_observer(
-    dec: ModeDecomposition,
-    gains: ObserverGains,
+    dec: DecompositionStack,
+    gains: GainStack,
     x_hat0: np.ndarray,
     y0: np.ndarray,
     u0: np.ndarray,
-) -> ObserverState:
+) -> np.ndarray:
+    """Initial rows [x-hat_0 | d1-hat_0], (Q, n + p1), of a group's
+    stacks: d1-hat_0 is read off (y_0, u_0) by the stage a step ends on,
+    each slice the matrix-vector products of a lone mode."""
     x_hat0 = np.asarray(x_hat0, dtype=float).reshape(-1)
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
-    d1_hat = _direct_input(dec, gains, x_hat0, np.asarray(u0, dtype=float), y0)
-    return ObserverState(k=0, x_hat=x_hat0, d1_hat=d1_hat, d_hat_prev=None, residual=None)
+    column = [np.asarray(v, dtype=float).reshape(-1, 1) for v in (x_hat0, u0, y0)]
+    d1_hat = _direct_input(dec, gains, *column)[..., 0]
+    return np.concatenate((np.broadcast_to(x_hat0, (len(d1_hat), len(x_hat0))), d1_hat), axis=1)
 
 
 def step_matrix_stack(modes: ModeStack, dec: DecompositionStack, gains: GainStack) -> np.ndarray:

@@ -25,13 +25,14 @@ of a single recursion.  Two computable residual-norm bounds follow:
   steps within it.
 
 Their minimum is the elimination threshold.  A group of modes that
-shares every array shape is tabulated together: ``build_coefficient_stack``
+shares every array shape is tabulated together: ``build_coefficients``
 runs one recursion whose steps are stacked products, and
 ``triangle_sequences`` one pass, over a leading mode axis; each slice is
-the call a lone mode makes, so its bits do not depend on the group.  The
-one-mode functions (``build_coefficients``, ``triangle_sequence``,
-``build_threshold_table``) are the stack of one.  A mode's thresholds are
-held as arrays in a ``ThresholdTable``; iterating it yields per-step
+the call a lone mode makes, so its bits do not depend on the group.
+``build_threshold_table``, the ``thresholds`` command's table, is the
+stack of one; it stays one-mode because the benchmark's tracer wraps it
+by name and reads its dec and its per-step reports.  A mode's thresholds
+are held as arrays in a ``ThresholdTable``; iterating it yields per-step
 ``ThresholdReport``s.
 """
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import DecompositionStack, ModeDecomposition
-from .gains import INV_RT2, GainStack, ObserverGains, noise_offset
+from .gains import INV_RT2, GainStack, ObserverGains, noise_offset, radius_sequences
 from .linalg import spectral_norms
 from .system import stack_of
 
@@ -97,7 +98,7 @@ class CoefficientStack:
     ResidualCoefficients, its arrays views of the stack."""
 
 
-def build_coefficient_stack(
+def build_coefficients(
     gains: GainStack, dec: DecompositionStack, k_max: int
 ) -> CoefficientStack:
     """The coefficient blocks up to k_max of every mode of a stack, one
@@ -138,15 +139,6 @@ def build_coefficient_stack(
         f_norms=spectral_norms(f).T,
         noise_terms=noise_terms.T,
     )
-
-
-def build_coefficients(
-    gains: ObserverGains, dec: ModeDecomposition, k_max: int
-) -> ResidualCoefficients:
-    """One mode's coefficient blocks: the stack of one of
-    ``build_coefficient_stack``."""
-    stack = build_coefficient_stack(GainStack.of(gains), DecompositionStack.of(dec), k_max)
-    return stack.mode(0)
 
 
 def word_dim(k: int, n: int, l: int) -> int:
@@ -221,15 +213,6 @@ def triangle_sequences(
                 row[1:] = _convolve(lf_row[:-1], radius_row[1:k_max])[: k_max - 1]
         noise = np.cumsum(coeffs.noise_terms, axis=1)
         return drift + noise + (coeffs.a_norms + lf_f) * radii[:, :1]
-
-
-def triangle_sequence(
-    coeffs: ResidualCoefficients, gains: ObserverGains, radius_seq: np.ndarray
-) -> np.ndarray:
-    """One mode's ``triangle_sequences`` row, for its gains' Lipschitz
-    constant and its radius table."""
-    radii = np.asarray(radius_seq, dtype=float)[None]
-    return triangle_sequences(CoefficientStack.of(coeffs), np.array([gains.lipschitz]), radii)[0]
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -336,7 +319,7 @@ def build_threshold_tables(
     only those get a box and a dense matrix, mode by mode.
     """
     k_max = radii.shape[1] - 1
-    coeffs = build_coefficient_stack(gains, dec, k_max)
+    coeffs = build_coefficients(gains, dec, k_max)
     tri = triangle_sequences(coeffs, gains.lipschitz, radii)
     n, l = coeffs.n, coeffs.l
     enumerable = 0
@@ -362,14 +345,15 @@ def build_threshold_tables(
 def build_threshold_table(
     gains: ObserverGains,
     dec: ModeDecomposition,
-    radius_seq: np.ndarray,
+    delta0: float,
+    k_max: int,
     max_vertices: int,
 ) -> ThresholdTable:
-    """One mode's thresholds for k = 1..k_max: the stack of one of
-    ``build_threshold_tables``, for its radius table
-    [delta_0, ..., delta_kmax] from `radius_sequence`."""
-    radii = np.asarray(radius_seq, dtype=float)[None]
+    """One mode's thresholds for k = 1..k_max from the initial radius
+    delta0: ``build_threshold_tables`` on the stack of one, with its
+    radius table from ``gains.radius_sequences``."""
+    stack = GainStack.of(gains)
     (table,) = build_threshold_tables(
-        GainStack.of(gains), DecompositionStack.of(dec), radii, max_vertices
+        stack, DecompositionStack.of(dec), radius_sequences(stack, delta0, k_max), max_vertices
     )
     return table

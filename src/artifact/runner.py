@@ -18,11 +18,14 @@ and thresholds once, and a state at step k reads its radius from
 one grouping of the bank, groups it by (n, m, l, p), drift kind and
 rank(H); per group, one batched pass decomposes, synthesizes gains,
 tabulates thresholds and builds the ``ObserverStack`` that ``iter_bank``
-steps as it is.  Each ``PreparedMode`` holds that stack, its row in it
-and its slices of the other stacks, the bits a lone mode's preparation
-gives.  Everything downstream of
-the master seed is deterministic, so a config plus a seed reproduces its
-CSV outputs byte for byte.
+steps as it is; ``observer.init_observer`` gives a group's initial rows
+in one call.  Each ``PreparedMode`` holds its ``BankGroup``, that stack,
+its row in both and its slices of the gains and tables, the bits a lone
+mode's preparation gives.  ``gain_bank`` splits the groups into per-mode
+(decomposition, gains) pairs for ``check-detectability`` and
+``thresholds``; it stays one-mode because the benchmark calls it by
+name.  Everything downstream of the master seed is deterministic, so a
+config plus a seed reproduces its CSV outputs byte for byte.
 
 Output files (see README for the column-by-column schema):
 
@@ -188,21 +191,6 @@ def simulate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
 
 
 @dataclass(frozen=True)
-class PreparedMode:
-    """Per-hypothesis precomputation shared by every seed."""
-
-    index: int  # 0-based
-    mode: ModeModel
-    dec: ModeDecomposition
-    gains: ObserverGains
-    stack: ObserverStack  # the observer stack of this mode's gain_groups group
-    row: int  # this mode's row in it
-    radius_seq: np.ndarray  # state radii for k = 0..horizon
-    input_radius_seq: np.ndarray  # lagged input radii of steps 1..horizon, read at k - 1
-    thresholds: ThresholdTable  # k = 1..horizon
-
-
-@dataclass(frozen=True)
 class BankGroup:
     """Modes of the bank that share every array shape, (n, m, l, p) and
     rank(H), and a drift kind, prepared as stacks; row i of each stack is
@@ -212,6 +200,21 @@ class BankGroup:
     model: ModeStack
     dec: DecompositionStack
     gains: GainStack
+
+
+@dataclass(frozen=True)
+class PreparedMode:
+    """Per-hypothesis precomputation shared by every seed."""
+
+    index: int  # 0-based
+    mode: ModeModel
+    group: BankGroup  # this mode's gain_groups group
+    gains: ObserverGains
+    stack: ObserverStack  # the group's observer stack
+    row: int  # this mode's row in the group and the stack
+    radius_seq: np.ndarray  # state radii for k = 0..horizon
+    input_radius_seq: np.ndarray  # lagged input radii of steps 1..horizon, read at k - 1
+    thresholds: ThresholdTable  # k = 1..horizon
 
 
 def gain_groups(config: ScenarioConfig) -> list[BankGroup]:
@@ -303,7 +306,7 @@ def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
             out[q] = PreparedMode(
                 index=q,
                 mode=system.modes[q],
-                dec=group.dec.mode(i),
+                group=group,
                 gains=gains,
                 stack=stack,
                 row=i,
@@ -463,7 +466,8 @@ def iter_bank(
     first such step, after the records of the steps before it.
     """
     horizon = config.horizon
-    stacks = [pm.stack for pm in prepared if pm.row == 0]  # in group order
+    firsts = [pm for pm in prepared if pm.row == 0]  # in group order
+    stacks = [pm.stack for pm in firsts]
     trace = BankTrace(
         stacks=tuple(stacks),
         outputs=tuple(
@@ -472,11 +476,10 @@ def iter_bank(
         ),
         norms=tuple(np.full((horizon, len(stack.modes)), np.nan) for stack in stacks),
     )
-    for stack, outputs in zip(stacks, trace.outputs):
-        for j, q in enumerate(stack.modes):
-            pm = prepared[q]
-            init = init_observer(pm.dec, pm.gains, config.system.x_hat0, truth.y[0], truth.u[0])
-            outputs[0, j, : stack.n + stack.p1] = np.concatenate((init.x_hat, init.d1_hat))
+    for pm, outputs in zip(firsts, trace.outputs):
+        outputs[0, :, : pm.stack.n + pm.stack.p1] = init_observer(
+            pm.group.dec, pm.group.gains, config.system.x_hat0, truth.y[0], truth.u[0]
+        )
     # per stack of surviving rows: the stack, its rows in the trace's
     # stack and that stack's index
     live = [(stack, np.arange(len(stack.modes)), i) for i, stack in enumerate(stacks)]

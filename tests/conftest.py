@@ -14,9 +14,11 @@ step-by-step plant and ``csv.writer``, which the package's stacked bank,
 stacked plant products and joined rows must reproduce bit for bit, and
 ``oracle_prepare`` with its ``oracle_*`` parts keeps the one-mode
 preparation (decomposition, gains, step matrix, radii, coefficients,
-thresholds) that the stacked preparation must reproduce.  ``decompose``,
-``synthesize_gains`` and ``step_matrix`` prepare one mode through the
-package's stacked kernels, as a stack of one.
+thresholds) that the stacked preparation must reproduce; ``oracle_bank``
+starts each mode with ``stagewise_init``, the initialization on vectors.
+``decompose``, ``synthesize_gains``, ``step_matrix``, ``coefficients``,
+``radius_table``, ``triangle_bound`` and ``stacked_init`` run one mode
+through the package's stacked kernels, as a stack of one.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from artifact.gains import (
     GainStack,
     ObserverGains,
     noise_offset,
+    radius_sequences,
     synthesis_errors,
     synthesize_gain_stack,
 )
@@ -40,12 +43,15 @@ from artifact.config import BoundedRandomInput, GrowingRampInput, ZeroInput
 from artifact.errors import ConfigurationError, NumericalFailure, SynthesisError
 from artifact.linalg import spectral_norm, spectral_norms
 from artifact.residuals import (
+    CoefficientStack,
     ResidualCoefficients,
     ThresholdReport,
     _convolve,
     assemble_matrix,
     box_radii,
+    build_coefficients,
     delta_inf,
+    triangle_sequences,
     word_dim,
 )
 from artifact.estimator import all_modes, eliminate_step
@@ -99,6 +105,30 @@ def step_matrix(mode: ModeModel, dec: ModeDecomposition, gains: ObserverGains) -
     to the stack of one."""
     stack = step_matrix_stack(ModeStack.of([mode]), DecompositionStack.of(dec), GainStack.of(gains))
     return stack[0]
+
+
+def coefficients(gains: ObserverGains, dec: ModeDecomposition, k_max: int) -> ResidualCoefficients:
+    """One mode's coefficient blocks: the package's ``build_coefficients``
+    applied to the stack of one."""
+    return build_coefficients(GainStack.of(gains), DecompositionStack.of(dec), k_max).mode(0)
+
+
+def radius_table(gains: ObserverGains, delta0: float, k_max: int) -> np.ndarray:
+    """One mode's state radii [delta_0, ..., delta_kmax]: the package's
+    ``radius_sequences`` applied to the stack of one."""
+    (radii,) = radius_sequences(GainStack.of(gains), delta0, k_max)
+    return radii
+
+
+def triangle_bound(
+    coeffs: ResidualCoefficients, gains: ObserverGains, radii: np.ndarray
+) -> np.ndarray:
+    """One mode's triangle bounds for k = 1..coeffs.k_max: the package's
+    ``triangle_sequences`` applied to the stack of one."""
+    (tri,) = triangle_sequences(
+        CoefficientStack.of(coeffs), np.array([gains.lipschitz]), np.asarray(radii, float)[None]
+    )
+    return tri
 
 
 def sample_ball(rng: np.random.Generator, radius: float, dim: int) -> np.ndarray:
@@ -210,6 +240,21 @@ def stagewise_step(
     )
 
 
+def stagewise_init(dec: ModeDecomposition, gains: ObserverGains, x_hat0, y0, u0) -> ObserverState:
+    """Reference initialization: x-hat_0 and the direct component
+    m1 (t1 y_0 - c1 x-hat_0 - d1 u_0), on vectors."""
+    x_hat0 = np.asarray(x_hat0, dtype=float).reshape(-1)
+    d1_hat = gains.m1 @ (dec.t1 @ y0 - dec.c1 @ x_hat0 - dec.d1 @ u0)
+    return ObserverState(k=0, x_hat=x_hat0, d1_hat=d1_hat, d_hat_prev=None, residual=None)
+
+
+def stacked_init(dec: ModeDecomposition, gains: ObserverGains, x_hat0, y0, u0) -> ObserverState:
+    """One ``init_observer`` call on a stack of one, as the state at k = 0."""
+    (row,) = init_observer(DecompositionStack.of(dec), GainStack.of(gains), x_hat0, y0, u0)
+    n = len(row) - dec.p_h
+    return ObserverState(k=0, x_hat=row[:n], d1_hat=row[n:], d_hat_prev=None, residual=None)
+
+
 def stack_of_one(mode: ModeModel, dec: ModeDecomposition, gains: ObserverGains) -> ObserverStack:
     """The package's observer stack holding this one mode, with no
     thresholds."""
@@ -274,7 +319,9 @@ def oracle_bank(config, prepared, truth):
     """Frozen bank loop: every surviving mode stepped one at a time with
     ``product_step``, and ``eliminate_step`` called at every step."""
     states = [
-        init_observer(pm.dec, pm.gains, config.system.x_hat0, truth.y[0], truth.u[0])
+        stagewise_init(
+            pm.group.dec.mode(pm.row), pm.gains, config.system.x_hat0, truth.y[0], truth.u[0]
+        )
         for pm in prepared
     ]
     mode_set = all_modes(len(prepared))
@@ -511,7 +558,7 @@ def run_closed_loop(
     x = [x0]
     y = [mode.c @ x0 + mode.d @ u[0] + mode.h @ d[0] + v[0]]
     stack = stack_of_one(mode, dec, gains)
-    states = [init_observer(dec, gains, x_hat0, y[0], u[0])]
+    states = [stacked_init(dec, gains, x_hat0, y[0], u[0])]
     residuals: list[np.ndarray] = []
     for k in range(1, steps + 1):
         x_next = eval_field(mode.field, x[k - 1]) + mode.b @ u[k - 1] + mode.g @ d[k - 1] + mode.w @ w[k - 1]

@@ -37,7 +37,7 @@ from artifact.residuals import (
 )
 from artifact.scenarios import list_scenarios, scenario_path
 
-from conftest import eta_t, run_closed_loop, stacked_word
+from conftest import coefficients, eta_t, run_closed_loop, stacked_word
 
 SWEEP_RUNS = 100
 
@@ -129,7 +129,7 @@ def test_residual_equals_coefficient_matrix_times_realized_word() -> None:
         trace = run_closed_loop(
             mode, steps=10, seed=seed, eta_w=0.04, eta_v=0.04, delta0=0.25
         )
-        coeffs = build_coefficients(trace.gains, trace.dec, k_max=10)
+        coeffs = coefficients(trace.gains, trace.dec, k_max=10)
         for k in range(1, 11):
             predicted = assemble_matrix(coeffs, k) @ stacked_word(trace, k)
             err = float(np.linalg.norm(trace.residuals[k - 1] - predicted))
@@ -199,7 +199,8 @@ def test_enumeration_bound_dominates_the_scaled_word_norm_floor(
     checked = 0
     failures = []
     for pm in prepared:
-        coeffs = build_coefficients(pm.gains, pm.dec, k_max=len(pm.thresholds.delta_hat))
+        k_max = len(pm.thresholds.delta_hat)
+        coeffs = build_coefficients(pm.group.gains, pm.group.dec, k_max).mode(pm.row)
         lf = pm.mode.lipschitz
         eta_w = system.eta_w[pm.index]
         eta_v = system.eta_v[pm.index]
@@ -278,7 +279,7 @@ def test_rotation_distinctness_passes_on_benchmark_and_fails_on_twins() -> None:
     assert any(not distinct for _, _, distinct in twin_structure.t2_distinct_pairs)
 
     config = load_config(scenario_path("scenario1"))
-    decs = [pm.dec for pm in runner.prepare_modes(config)]
+    decs = [pm.group.dec.mode(pm.row) for pm in runner.prepare_modes(config)]
     structure = check_condition_ii(config.system, decs)
     assert len(structure.t2_distinct_pairs) == 10
     assert all(distinct for _, _, distinct in structure.t2_distinct_pairs)

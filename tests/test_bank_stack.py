@@ -121,7 +121,7 @@ def test_mixed_bank_stacks_by_shape_and_matches_the_per_mode_product() -> None:
     prepared = runner.prepare_modes(config)
     stacks = [pm.stack for pm in prepared if pm.row == 0]
     assert [stack.modes for stack in stacks] == [(0, 3), (1, 4), (2,)]
-    assert [pm.dec.z2_dim for pm in prepared] == [1, 0, 1, 1, 0]
+    assert [pm.group.dec.mode(pm.row).z2_dim for pm in prepared] == [1, 0, 1, 1, 0]
     assert [stack.p for stack in stacks] == [2, 2, 1]
     eliminated = set()
     for seed in range(30):
@@ -174,7 +174,7 @@ def test_residual_norms_rescale_only_rows_whose_square_is_not_normal() -> None:
     whose square overflows or underflows reads its true norm, without a
     RuntimeWarning."""
     pm = runner.prepare_modes(load_config(scenario_path("test_system_a")))[0]
-    stack = stack_of_one(pm.mode, pm.dec, pm.gains)
+    stack = stack_of_one(pm.mode, pm.group.dec.mode(pm.row), pm.gains)
     start = stack.n + stack.p1 + stack.p
     residuals = np.array([[1e200, -2e200], [1e-200, 3e-200], [0.3, -0.4], [0.0, 0.0]])
     outputs = np.ones((len(residuals), stack.step.shape[1]))

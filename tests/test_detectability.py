@@ -8,13 +8,16 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (
+    coefficients,
     decompose,
     synthesize_gains,
     blind_row_mode,
     full_feedthrough_mode,
     full_pipeline_mode,
     invertible_channel_mode,
+    radius_table,
     scalar_channel_mode,
+    triangle_bound,
 )
 
 from artifact import detectability, runner
@@ -27,8 +30,8 @@ from artifact.detectability import (
     report_detectability,
     steady_tri,
 )
-from artifact.gains import radius_sequence
-from artifact.residuals import build_coefficients, triangle_sequence
+from artifact.gains import radius_sequences
+from artifact.residuals import build_coefficients
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import LinearField, ModeModel, SwitchedSystem
 
@@ -69,9 +72,9 @@ def test_steady_tri_converges_and_agrees_with_pointwise_bound() -> None:
     report = steady_tri(0, gains, dec, delta0=0.3)
     assert report.converged
     assert report.iterations < 100
-    coeffs = build_coefficients(gains, dec, report.iterations)
-    seq = radius_sequence(gains, 0.3, report.iterations)
-    direct = triangle_sequence(coeffs, gains, seq)
+    coeffs = coefficients(gains, dec, report.iterations)
+    seq = radius_table(gains, 0.3, report.iterations)
+    direct = triangle_bound(coeffs, gains, seq)
     assert report.value == pytest.approx(direct[-1], rel=1e-12)
 
 
@@ -110,8 +113,8 @@ def _steady_cases():
 
 
 def _full_triangle_sequence(gains, dec, delta0, k_max):
-    return triangle_sequence(
-        build_coefficients(gains, dec, k_max), gains, radius_sequence(gains, delta0, k_max)
+    return triangle_bound(
+        coefficients(gains, dec, k_max), gains, radius_table(gains, delta0, k_max)
     )
 
 
@@ -192,12 +195,10 @@ def test_steady_tri_matches_a_scan_of_the_full_length_sequence(k_cap) -> None:
 
 def test_triangle_sequence_prefixes_are_bitwise_equal_to_the_full_sequence() -> None:
     for label, gains, dec, delta0 in _steady_cases():
-        radii = radius_sequence(gains, delta0, STEADY_K_CAP)
+        radii = radius_table(gains, delta0, STEADY_K_CAP)
         full = _full_triangle_sequence(gains, dec, delta0, STEADY_K_CAP)
         for k in (1, 2, 64, 143, 521, 1999):
-            prefix = triangle_sequence(
-                build_coefficients(gains, dec, k), gains, radii[: k + 1]
-            )
+            prefix = triangle_bound(coefficients(gains, dec, k), gains, radii[: k + 1])
             assert prefix.tobytes() == full[:k].tobytes(), (label, k)
 
 
@@ -237,9 +238,9 @@ def test_steady_tri_extends_the_radius_table_only_until_its_blowup_bound(monkeyp
 
     def recording(gains, delta0, k_max):
         steps.append(k_max)
-        return radius_sequence(gains, delta0, k_max)
+        return radius_sequences(gains, delta0, k_max)
 
-    monkeypatch.setattr(detectability, "radius_sequence", recording)
+    monkeypatch.setattr(detectability, "radius_sequences", recording)
     config = load_config(scenario_path("scenario1"))
     per_mode = []
     for q, (dec, gains) in enumerate(runner.gain_bank(config)):
@@ -417,6 +418,8 @@ def test_threshold_tables_and_steady_bounds_raise_no_runtime_warning() -> None:
         warnings.simplefilter("error", RuntimeWarning)
         prepared = runner.prepare_modes(config)
         report = report_detectability(
-            config.system, [pm.dec for pm in prepared], [pm.gains for pm in prepared]
+            config.system,
+            [pm.group.dec.mode(pm.row) for pm in prepared],
+            [pm.gains for pm in prepared],
         )
     assert len(report.steady) == config.system.mode_count

@@ -11,14 +11,11 @@ import pytest
 from artifact import runner
 from artifact.config import load_config
 from artifact.errors import ConfigurationError, SynthesisError
-from artifact.gains import (
-    check_rank_condition,
-    heuristic_gain,
-    radius_sequence,
-)
+from artifact.decomposition import DecompositionStack
+from artifact.gains import heuristic_gain, synthesis_errors
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import LinearField, LinearSinusoidalField, ModeModel
-from conftest import decompose, synthesize_gains
+from conftest import decompose, radius_table, synthesize_gains
 
 
 def invertible_channel_mode() -> ModeModel:
@@ -64,7 +61,7 @@ def test_m1_inverts_the_singular_block_and_m2_left_inverts_c2g2() -> None:
 
 def test_rank_condition_gate() -> None:
     mode = scalar_channel_mode()
-    assert check_rank_condition(decompose(mode))
+    assert synthesis_errors(DecompositionStack.of(decompose(mode)), [None]) == [None]
     blind = ModeModel(
         field=LinearField(a=0.2 * np.eye(2)),
         b=np.zeros((2, 1)),
@@ -74,7 +71,9 @@ def test_rank_condition_gate() -> None:
         h=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
     )
     dec = decompose(blind)
-    assert dec.g2.shape[1] == 1 and not check_rank_condition(dec)
+    (error,) = synthesis_errors(DecompositionStack.of(dec), [None])
+    assert dec.g2.shape[1] == 1 and isinstance(error, SynthesisError)
+    assert str(error).startswith("rank(c2 @ g2) = 0 < 1: ")
     with pytest.raises(SynthesisError):
         synthesize_gains(blind, dec, eta_w=0.02, eta_v=0.02)
 
@@ -172,7 +171,7 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 def test_radius_table_equals_the_plain_recursion_bit_for_bit() -> None:
     fixed_points = set()
     for label, gains, delta0 in _radius_cases():
-        radii = radius_sequence(gains, delta0, 2000)
+        radii = radius_table(gains, delta0, 2000)
         assert _same_bits(radii, _plain_radii(gains, delta0, 2000)), label
         if radii[-2] == radii[-1]:
             fixed_points.add(label)
@@ -186,14 +185,14 @@ def test_radius_table_stops_at_its_fixed_point_in_edge_cases() -> None:
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
     # theta = 0 with a positive offset: the radius is eta_bar from k = 1 on
     flat = dataclasses.replace(gains, theta=0.0, eta_bar=0.05)
-    radii = radius_sequence(flat, 0.3, 2000)
+    radii = radius_table(flat, 0.3, 2000)
     assert _same_bits(radii, _plain_radii(flat, 0.3, 2000))
     assert radii[0] == 0.3 and set(radii[1:].tolist()) == {0.05}
     # a certified mode settles on a float fixed point
     bench = load_config(scenario_path("linear_bench"))
     [(_, certified)] = runner.gain_bank(bench)
     assert certified.certified
-    radii = radius_sequence(certified, bench.system.delta_x0, 2000)
+    radii = radius_table(certified, bench.system.delta_x0, 2000)
     assert _same_bits(radii, _plain_radii(certified, bench.system.delta_x0, 2000))
     # overflow saturates to inf, which is a fixed point as well
     scenario1 = load_config(scenario_path("scenario1"))
@@ -203,10 +202,10 @@ def test_radius_table_stops_at_its_fixed_point_in_edge_cases() -> None:
         ("scenario1-q5", mode5, scenario1.system.delta_x0, 435),
         ("invertible_channel_mode, gain 5 I", expansive, 0.3, 718),
     ):
-        radii = radius_sequence(overflowing, delta0, 2000)
+        radii = radius_table(overflowing, delta0, 2000)
         assert _same_bits(radii, _plain_radii(overflowing, delta0, 2000)), label
         assert np.isfinite(radii[k_inf - 1]) and np.isinf(radii[k_inf:]).all(), label
     # an empty recursion is the initial radius alone
     for label, gains, delta0 in (("flat", flat, 0.3), ("scenario1-q5", mode5, 0.3)):
-        radii = radius_sequence(gains, delta0, 0)
+        radii = radius_table(gains, delta0, 0)
         assert _same_bits(radii, np.array([0.3])), label

@@ -15,7 +15,7 @@ from artifact.errors import NumericalFailure, SigmaMinUndefinedError
 from artifact.linalg import (
     as_matrix,
     pinv,
-    rank,
+    ranks,
     sigma_min,
     spectral_norm,
     spectral_norms,
@@ -216,10 +216,10 @@ def test_vector_norms_read_inf_for_nonfinite_and_overflowed_blocks() -> None:
 
 def test_rank_and_sigma_min_share_the_cutoff() -> None:
     a = np.diag([3.0, 2.0, 1e-20])
-    assert rank(a) == 2
+    assert ranks(a) == 2
     assert sigma_min(a) == pytest.approx(2.0)
-    assert rank(np.zeros((4, 2))) == 0
-    assert rank(np.zeros((0, 3))) == 0
+    assert ranks(np.zeros((4, 2))) == 0
+    assert ranks(np.zeros((0, 3))) == 0
 
 
 def test_sigma_min_rejects_matrices_without_nontrivial_values() -> None:

@@ -13,18 +13,18 @@ from conftest import (
     run_closed_loop,
     sample_ball,
     scalar_channel_mode,
+    radius_table,
     stack_of_one,
+    stacked_init,
     stacked_step,
+    stagewise_init,
     stagewise_step,
     step_matrix,
 )
 
 from artifact import runner
 from artifact.config import load_config
-from artifact.decomposition import split_output
 from artifact.errors import NumericalFailure
-from artifact.gains import radius_sequence
-from artifact.observer import init_observer
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import LinearField, ModeModel, eval_field
 
@@ -35,10 +35,9 @@ def test_init_consumes_the_first_measurement_for_the_direct_component() -> None:
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
     x_hat0 = np.array([0.4, 0.4])
     y0 = np.array([0.3, -0.2])
-    state = init_observer(dec, gains, x_hat0, y0, np.zeros(1))
-    z1, _ = split_output(dec, y0)
+    state = stacked_init(dec, gains, x_hat0, y0, np.zeros(1))
     np.testing.assert_allclose(
-        state.d1_hat, gains.m1 @ (z1 - dec.c1 @ x_hat0), atol=1e-14
+        state.d1_hat, gains.m1 @ (dec.t1 @ y0 - dec.c1 @ x_hat0), atol=1e-14
     )
     assert state.k == 0 and state.d_hat_prev is None and state.residual is None
     np.testing.assert_array_equal(state.x_hat, x_hat0)
@@ -51,7 +50,7 @@ def test_noise_free_consistent_run_is_tracked_exactly() -> None:
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
     stack = stack_of_one(mode, dec, gains)
     x = np.array([0.2, -0.1])
-    state = init_observer(dec, gains, x, mode.c @ x, np.zeros(1))
+    state = stacked_init(dec, gains, x, mode.c @ x, np.zeros(1))
     for k in range(1, 8):
         x = eval_field(mode.field, x)
         y = mode.c @ x
@@ -72,7 +71,7 @@ def test_unknown_input_is_reconstructed_one_step_late_when_error_collapses() -> 
     stack = stack_of_one(mode, dec, gains)
     rng = np.random.default_rng(5)
     x = np.array([0.1, 0.3])
-    state = init_observer(dec, gains, x, mode.c @ x + mode.h @ np.array([0.7]), np.zeros(1))
+    state = stacked_init(dec, gains, x, mode.c @ x + mode.h @ np.array([0.7]), np.zeros(1))
     d_seq = [np.array([0.7])]
     for k in range(1, 6):
         d_seq.append(rng.normal(size=1))
@@ -86,7 +85,7 @@ def test_radius_recursion_agrees_with_closed_form() -> None:
     mode = scalar_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
-    seq = radius_sequence(gains, 0.5, 40)
+    seq = radius_table(gains, 0.5, 40)
     th = gains.theta
     assert th != 1.0 and gains.beta != 0.0
     for k in (0, 1, 5, 17, 40):
@@ -101,7 +100,7 @@ def test_radii_upper_bound_errors_on_certified_mode() -> None:
     mode = invertible_channel_mode()
     for seed in range(40, 46):
         trace = run_closed_loop(mode, steps=25, seed=seed, eta_w=0.05, eta_v=0.05, delta0=0.3)
-        seq = radius_sequence(trace.gains, 0.3, 25)
+        seq = radius_table(trace.gains, 0.3, 25)
         for k in range(26):
             st = trace.states[k]
             assert np.linalg.norm(trace.x[k] - st.x_hat) <= seq[k] + 1e-12
@@ -117,7 +116,7 @@ def test_lagged_input_radius_stays_alpha_bar_where_the_state_radius_overflows() 
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05, user_gain=5 * np.eye(2))
     assert gains.theta > 1.0 and gains.beta == 0.0
-    seq = radius_sequence(gains, 0.3, 800)
+    seq = radius_table(gains, 0.3, 800)
     overflowed = np.flatnonzero(np.isinf(seq))
     assert overflowed.size and overflowed[0] == 718
     for k in overflowed:
@@ -143,7 +142,7 @@ def test_non_finite_measurement_raises_numerical_failure_with_step(u_prev, y_k) 
     step = step_matrix(mode, dec, gains)
     u_prev_cols = slice(mode.n + dec.p_h, mode.n + dec.p_h + mode.m)
     assert not step[:, u_prev_cols].any()
-    state = init_observer(dec, gains, np.zeros(2), np.zeros(2), np.zeros(1))
+    state = stacked_init(dec, gains, np.zeros(2), np.zeros(2), np.zeros(1))
     with pytest.raises(NumericalFailure, match="^mode 1: .*state estimate at step 1$"):
         stacked_step(
             state, stack_of_one(mode, dec, gains), np.array(u_prev), np.zeros(1), np.array(y_k)
@@ -199,7 +198,10 @@ def test_fused_step_matches_the_stagewise_reference() -> None:
 
         u_prev = rng.normal(size=mode.m) * 0.2
         y, d = measure(x, u_prev)
-        ref = init_observer(dec, gains, np.zeros(mode.n), y, u_prev)
+        ref = stacked_init(dec, gains, np.zeros(mode.n), y, u_prev)
+        want = stagewise_init(dec, gains, np.zeros(mode.n), y, u_prev)
+        for block in ("x_hat", "d1_hat"):
+            assert getattr(ref, block).tobytes() == getattr(want, block).tobytes(), (label, block)
         for k in range(1, 101):
             x = eval_field(mode.field, x) + mode.b @ u_prev + mode.g @ d
             u_k = rng.normal(size=mode.m) * 0.2

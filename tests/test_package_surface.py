@@ -1,8 +1,9 @@
 """Every public top-level function and class of the package, and every
 public method and property of its classes, is used by the package itself,
 so code that only tests call cannot accumulate.  Every package name the
-benchmark's tracer wraps or imports resolves, so a rename fails here
-before it breaks a traced benchmark run."""
+benchmark's tracer wraps or imports, and every package function its
+worker calls, resolves, so a rename fails here before it breaks a
+benchmark run."""
 from __future__ import annotations
 
 import ast
@@ -53,31 +54,55 @@ def test_every_public_definition_is_referenced_inside_the_package() -> None:
     assert unused == [], f"public definitions no package code references: {unused}"
 
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer_names() -> list[tuple[str, str]]:
-    """(module, name) pairs of the tracer's TRACED table and of its
-    `from artifact... import name` statements, read without importing it."""
-    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+def _benchmark_names() -> list[tuple[str, str]]:
+    """(module, name) pairs the benchmark needs from the package, read
+    without importing it: the tracer's TRACED table, the `from artifact...
+    import name` statements of the tracer and the worker, and every
+    `runner.*`, `config.*` or `cli.*` attribute the worker calls on the
+    modules it imports with `from artifact import ...`."""
     names: list[tuple[str, str]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
-        ):
-            names.extend((module, func) for module, func, _ in ast.literal_eval(node.value))
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("artifact"):
-            names.extend((node.module, alias.name) for alias in node.names)
+    for path in (PERFBENCH / "tracer.py", PERFBENCH / "worker.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+            ):
+                names.extend((module, func) for module, func, _ in ast.literal_eval(node.value))
+            elif isinstance(node, ast.ImportFrom) and node.module == "artifact":
+                for alias in node.names:
+                    modules[alias.asname or alias.name] = f"artifact.{alias.name}"
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("artifact"):
+                names.extend((node.module, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in modules
+            ):
+                names.append((modules[node.func.value.id], node.func.attr))
     return names
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves_on_the_package() -> None:
-    names = _tracer_names()
+    names = _benchmark_names()
     assert ("artifact.detectability", "steady_tri") in names
     assert ("artifact.residuals", "word_dim") in names
+    # the worker's set-ups and operations
+    assert {
+        ("artifact.runner", "prepare_modes"),
+        ("artifact.runner", "gain_bank"),
+        ("artifact.config", "load_config"),
+        ("artifact.cli", "main"),
+        ("artifact.scenarios", "scenario_path"),
+    } <= set(names)
     missing = [
         f"{module}.{name}"
         for module, name in names
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
-    assert missing == [], f"names perfbench/tracer.py needs but the package lacks: {missing}"
+    assert missing == [], f"names perfbench/ needs but the package lacks: {missing}"

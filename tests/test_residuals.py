@@ -15,28 +15,28 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    coefficients,
     decompose,
     synthesize_gains,
     blind_row_mode,
     eta_t,
     full_pipeline_mode,
     invertible_channel_mode,
+    radius_table,
     run_closed_loop,
     scalar_channel_mode,
     stacked_word,
+    triangle_bound,
 )
 
 from artifact import runner
 from artifact.config import load_config
-from artifact.gains import radius_sequence
 from artifact.residuals import (
     assemble_matrix,
     box_radii,
-    build_coefficients,
     build_threshold_table,
     compute_residual,
     delta_inf,
-    triangle_sequence,
     word_dim,
 )
 from artifact.scenarios import scenario_path
@@ -46,7 +46,7 @@ def assert_exact_decomposition(mode, *, seed: int, steps: int, gain_scale=None, 
     trace = run_closed_loop(
         mode, steps=steps, seed=seed, eta_w=0.05, eta_v=0.04, delta0=0.4, gain_scale=gain_scale
     )
-    coeffs = build_coefficients(trace.gains, trace.dec, steps)
+    coeffs = coefficients(trace.gains, trace.dec, steps)
     for k in range(1, steps + 1):
         word = stacked_word(trace, k)
         assert word.size == word_dim(k, mode.n, mode.l)
@@ -102,7 +102,7 @@ def test_batched_coefficients_match_the_per_step_recursion() -> None:
         bank.append((dec, synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)))
     for dec, gains in bank:
         for k_max in (1, 2, 40):
-            coeffs = build_coefficients(gains, dec, k_max)
+            coeffs = coefficients(gains, dec, k_max)
             oracle = _coefficients_by_recursion(gains, dec, k_max)
             for got, want in zip((coeffs.a_mats, coeffs.f_mats, coeffs.j_mats), oracle):
                 assert got.shape == (k_max,) + want[0].shape
@@ -128,7 +128,7 @@ def test_first_step_coefficients_match_hand_derivation() -> None:
     mode = scalar_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
-    coeffs = build_coefficients(gains, dec, 3)
+    coeffs = coefficients(gains, dec, 3)
     np.testing.assert_allclose(coeffs.a_mats[0], -dec.c2 @ gains.phi @ gains.psi, atol=1e-14)
     np.testing.assert_allclose(coeffs.f_mats[0], dec.c2 @ gains.phi, atol=1e-14)
     np.testing.assert_allclose(coeffs.j_mats[0], gains.y_cal, atol=1e-14)
@@ -163,10 +163,10 @@ def test_triangle_bound_matches_hand_sum_at_small_k() -> None:
     mode = scalar_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
-    coeffs = build_coefficients(gains, dec, 2)
-    seq = radius_sequence(gains, 0.5, 2)
+    coeffs = coefficients(gains, dec, 2)
+    seq = radius_table(gains, 0.5, 2)
     lf = gains.lipschitz
-    tri = triangle_sequence(coeffs, gains, seq)
+    tri = triangle_bound(coeffs, gains, seq)
     assert tri.shape == (2,)
     expected_k1 = (sn(coeffs.a_mats[0]) + lf * sn(coeffs.f_mats[0])) * 0.5 + jt(coeffs, 0, 0.02)
     assert tri[0] == pytest.approx(expected_k1, rel=1e-12)
@@ -183,9 +183,9 @@ def test_triangle_bound_matches_hand_sum_at_small_k() -> None:
         dec = decompose(mode)
         gains = synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)
         assert gains.certified == certified
-        coeffs = build_coefficients(gains, dec, 30)
-        seq = radius_sequence(gains, 0.4, 30)
-        tri = triangle_sequence(coeffs, gains, seq)
+        coeffs = coefficients(gains, dec, 30)
+        seq = radius_table(gains, 0.4, 30)
+        tri = triangle_bound(coeffs, gains, seq)
         assert tri.shape == (30,)
         for k in range(1, 31):
             expected = hand_sum(coeffs, k, gains.lipschitz, 0.4, 0.03, seq)
@@ -196,8 +196,7 @@ def test_triangle_bound_matches_hand_sum_at_small_k() -> None:
     # 3-5 meet their infinite radii with nonzero blocks, which gives +inf
     config = load_config(scenario_path("scenario1"))
     for q, (dec, gains) in enumerate(runner.gain_bank(config)):
-        seq = radius_sequence(gains, config.system.delta_x0, 1100)
-        table = build_threshold_table(gains, dec, seq, 1)
+        table = build_threshold_table(gains, dec, config.system.delta_x0, 1100, 1)
         tri = np.array([report.delta_tri for report in table])
         assert not np.isnan(tri).any(), f"mode {q + 1}"
         assert np.isfinite(tri[-1]) == (q < 2), f"mode {q + 1}"
@@ -207,9 +206,9 @@ def test_triangle_bound_dominates_residuals_on_certified_mode() -> None:
     mode = invertible_channel_mode()
     for seed in (21, 22, 23):
         trace = run_closed_loop(mode, steps=20, seed=seed, eta_w=0.05, eta_v=0.05, delta0=0.3)
-        coeffs = build_coefficients(trace.gains, trace.dec, 20)
-        seq = radius_sequence(trace.gains, 0.3, 20)
-        bounds = triangle_sequence(coeffs, trace.gains, seq)
+        coeffs = coefficients(trace.gains, trace.dec, 20)
+        seq = radius_table(trace.gains, 0.3, 20)
+        bounds = triangle_bound(coeffs, trace.gains, seq)
         for k in range(1, 21):
             assert np.linalg.norm(trace.residuals[k - 1]) <= bounds[k - 1] + 1e-12
 
@@ -271,7 +270,7 @@ def test_eta_t_equals_every_vertex_norm() -> None:
     mode = scalar_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.03)
-    seq = radius_sequence(gains, 0.5, 6)
+    seq = radius_table(gains, 0.5, 6)
     rng = np.random.default_rng(8)
     for k in (1, 3, 6):
         box = box_radii(k, 2, 2, gains, seq)
@@ -285,11 +284,10 @@ def test_threshold_takes_the_smaller_bound_and_respects_the_cap() -> None:
     mode = scalar_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
-    seq = radius_sequence(gains, 0.5, 4)
-    rep = next(iter(build_threshold_table(gains, dec, seq, max_vertices=1 << 20)))
+    rep = next(iter(build_threshold_table(gains, dec, 0.5, 4, max_vertices=1 << 20)))
     assert not rep.capped and rep.vertices_enumerated == 1 << (word_dim(1, 2, 2) - 1)
     assert rep.delta_hat == min(rep.delta_tri, rep.delta_inf)
-    capped = list(build_threshold_table(gains, dec, seq, max_vertices=4))[3]
+    capped = list(build_threshold_table(gains, dec, 0.5, 4, max_vertices=4))[3]
     assert capped.capped and math.isinf(capped.delta_inf)
     assert capped.delta_hat == capped.delta_tri and capped.vertices_enumerated == 0
 
@@ -298,11 +296,11 @@ def test_threshold_table_is_consistent_with_pointwise_queries() -> None:
     mode = invertible_channel_mode()
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
-    seq = radius_sequence(gains, 0.3, 6)
-    table = build_threshold_table(gains, dec, seq, max_vertices=1 << 16)
+    seq = radius_table(gains, 0.3, 6)
+    table = build_threshold_table(gains, dec, 0.3, 6, max_vertices=1 << 16)
     assert [rep.k for rep in table] == list(range(1, 7))
-    coeffs = build_coefficients(gains, dec, 6)
-    tri = triangle_sequence(coeffs, gains, seq)
+    coeffs = coefficients(gains, dec, 6)
+    tri = triangle_bound(coeffs, gains, seq)
     assert any(rep.capped for rep in table) and not all(rep.capped for rep in table)
     for rep in table:
         assert rep.delta_tri == pytest.approx(tri[rep.k - 1], rel=1e-14)
@@ -329,10 +327,10 @@ def test_full_feedthrough_mode_has_empty_residual_channel() -> None:
     gains = synthesize_gains(full, dec, eta_w=0.05, eta_v=0.05)
     r = compute_residual(dec, np.zeros(2), np.zeros(1), np.array([1.0, 2.0]))
     assert r.shape == (0,)
-    coeffs = build_coefficients(gains, dec, 3)
+    coeffs = coefficients(gains, dec, 3)
     assert all(m.shape[1] == 0 for m in (coeffs.a_mats, coeffs.f_mats, coeffs.j_mats))
-    seq = radius_sequence(gains, 0.3, 3)
-    tri = triangle_sequence(coeffs, gains, seq)
+    seq = radius_table(gains, 0.3, 3)
+    tri = triangle_bound(coeffs, gains, seq)
     np.testing.assert_array_equal(tri, np.zeros(3))
-    for rep in build_threshold_table(gains, dec, seq, max_vertices=1 << 16):
+    for rep in build_threshold_table(gains, dec, 0.3, 3, max_vertices=1 << 16):
         assert rep.delta_hat == 0.0

@@ -14,11 +14,11 @@ import pytest
 from artifact import runner
 from artifact.config import BoundedRandomInput, GainsSpec, ScenarioConfig, ZeroInput, load_config
 from artifact.errors import ConfigurationError, SynthesisError
-from artifact.gains import radius_sequence
-from artifact.residuals import build_coefficients, build_threshold_table
+from artifact.residuals import build_threshold_table
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import LinearField, LinearSinusoidalField, ModeModel, SwitchedSystem
 from conftest import (
+    coefficients,
     decompose,
     synthesize_gains,
     blind_row_mode,
@@ -34,6 +34,7 @@ from conftest import (
     oracle_step_matrix,
     oracle_synthesize_gains,
     oracle_threshold_table,
+    radius_table,
     step_matrix,
 )
 
@@ -89,7 +90,7 @@ def _check_prepared(config: ScenarioConfig, label: str) -> None:
     for q, (pm, (dec, gains, step, radii, table)) in enumerate(zip(prepared, want)):
         tag = f"{label} mode {q + 1}"
         assert pm.index == q and pm.mode is config.system.modes[q], tag
-        _same_fields(pm.dec, dec, f"{tag} dec")
+        _same_fields(pm.group.dec.mode(pm.row), dec, f"{tag} dec")
         _same_fields(pm.gains, gains, f"{tag} gains")
         _same(pm.stack.step[pm.row], step, f"{tag} step")
         _same(pm.radius_seq, radii, f"{tag} radii")
@@ -250,7 +251,7 @@ def test_a_column_major_mode_keeps_its_bits_alone_and_in_a_group(kind: str) -> N
         zip(runner.prepare_modes(column_config), want)
     ):
         tag = f"in a group, mode {q + 1}"
-        _same_fields(pm.dec, dec, f"{tag} dec")
+        _same_fields(pm.group.dec.mode(pm.row), dec, f"{tag} dec")
         _same_fields(pm.gains, gains, f"{tag} gains")
         _same(pm.stack.step[pm.row], step, f"{tag} step")
         _same(pm.radius_seq, radii, f"{tag} radii")
@@ -309,13 +310,11 @@ def test_one_mode_functions_are_stacks_of_one() -> None:
         gains = synthesize_gains(mode, dec, eta_w, eta_v)
         _same_fields(gains, want, f"{i} synthesize_gains")
         _same(step_matrix(mode, dec, gains), oracle_step_matrix(mode, want_dec, want), f"{i} step")
-        radii = radius_sequence(gains, 0.4, 7)
+        radii = radius_table(gains, 0.4, 7)
         _same(radii, oracle_radius_sequence(want, 0.4, 7), f"{i} radii")
-        _same_fields(
-            build_coefficients(gains, dec, 7), oracle_coefficients(want, want_dec, 7), f"{i} coeffs"
-        )
+        _same_fields(coefficients(gains, dec, 7), oracle_coefficients(want, want_dec, 7), f"{i} coeffs")
         _same_table(
-            build_threshold_table(gains, dec, radii, 1 << 9),
+            build_threshold_table(gains, dec, 0.4, 7, 1 << 9),
             oracle_threshold_table(want, want_dec, radii, 1 << 9),
             f"{i} table",
         )

@@ -20,12 +20,19 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import decompose, full_pipeline_mode, stack_of_one, stacked_step, synthesize_gains
+from conftest import (
+    decompose,
+    full_pipeline_mode,
+    radius_table,
+    stack_of_one,
+    stacked_init,
+    stacked_step,
+    synthesize_gains,
+)
 
 from artifact import runner
 from artifact.config import load_config
-from artifact.gains import INV_RT2, noise_offset, radius_sequence
-from artifact.observer import init_observer
+from artifact.gains import INV_RT2, noise_offset
 from artifact.residuals import build_threshold_table
 from artifact.scenarios import scenario_path
 from artifact.system import eval_field
@@ -98,7 +105,7 @@ def _responses(label: str):
             start = base[: k + 1]
         else:
             y0 = mode.c @ x0 + mode.d @ u[0] + mode.h @ d[0] + v[0]
-            start = [(x0, init_observer(dec, gains, x_hat0, y0, u[0]))]
+            start = [(x0, stacked_init(dec, gains, x_hat0, y0, u[0]))]
         return [*start, *_run(mode, stack, (u, d, w, v), k, *start[-1], horizon)]
 
     base = trajectory(x_hat0, np.zeros((horizon, n)), np.zeros((horizon + 1, l)))
@@ -195,8 +202,8 @@ def test_radii_and_thresholds_bound_the_worst_case_errors(label: str, delta0) ->
     assert gains.certified
     delta0 = bundled if delta0 is None else delta0
     n, l = mode.n, mode.l
-    radius_seq = radius_sequence(gains, delta0, horizon)
-    thresholds = build_threshold_table(gains, dec, radius_seq, max_vertices)
+    radius_seq = radius_table(gains, delta0, horizon)
+    thresholds = build_threshold_table(gains, dec, delta0, horizon, max_vertices)
     err_x, err_d, res = _responses(label)
     violations = []
     for k in sorted({1, 2, 5, horizon}):
