@@ -11,6 +11,7 @@ so a typo cannot silently fall back to a default.  See the README for the full s
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union
@@ -114,12 +115,13 @@ def _require(mapping: dict, key: str, context: str) -> Any:
 
 
 def _integer(obj: Any, context: str) -> int:
-    """An integral number; a bool, a string or a fractional float is an error."""
+    """An integral number, numpy's integers included, as an int; a bool, a
+    string or a fractional float is an error."""
     if isinstance(obj, float) and obj.is_integer():
         obj = int(obj)
-    if isinstance(obj, bool) or not isinstance(obj, int):
+    if isinstance(obj, bool) or not isinstance(obj, numbers.Integral):
         raise ConfigurationError(f"{context} must be an integer, got {obj!r}")
-    return obj
+    return int(obj)
 
 
 def master_seed(obj: Any) -> int:

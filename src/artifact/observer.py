@@ -207,7 +207,7 @@ def step_observer(
     A non-finite input reaches every output of its mode (0 * NaN and
     0 * inf are NaN), so a check of the outputs covers the inputs as
     well.  The kernel returns such rows as they are, with numpy's
-    warnings about the products silenced: ``runner.iter_bank`` checks a
+    warnings about the products silenced: ``runner.run_bank`` checks a
     block of steps at once, and a row of a mode it has already
     eliminated may be non-finite without failing the run.
     """

@@ -3,21 +3,20 @@
 A run follows one loop: simulate the true plant for the whole horizon,
 then per step feed every surviving mode hypothesis its observer update,
 compare residual norms against precomputed thresholds, and eliminate.
-That loop is written once, as the generator ``iter_bank``: it steps the
-surviving modes as stacks with one ``observer.step_observer`` call per
-step, in blocks of ``BLOCK`` steps, and decides each block's
-finiteness, residual norms and eliminations in one array pass per
-stack.  It yields a ``BankRecord`` (step, surviving set, residual norms
-of the modes stepped, and every mode's latest observer state, both read
-off the run's ``BankTrace`` on demand) for k = 0 and after every step.
-``run`` formats ``steps.csv`` from the trace's arrays, a column block
-per mode, after the loop.  The loop does no radius arithmetic:
+That loop is written once, as ``run_bank``: it steps the surviving
+modes as stacks with one ``observer.step_observer`` call per step, in
+blocks of ``BLOCK`` steps, and decides each block's finiteness, residual
+norms and eliminations in one array pass per stack.  It returns one
+``BankRun``: the last step, the final surviving set and, per stack, the
+arrays of every output row and residual norm, from which the final
+observer states are read.  ``run`` formats ``steps.csv`` from those
+arrays, a column block per mode.  The loop does no radius arithmetic:
 ``prepare_modes`` tabulates each mode's state radii, lagged input radii
 and thresholds once, and a state at step k reads its radius from
 ``radius_seq[k]``.  Preparation runs as stacks: ``gain_groups``, the
 one grouping of the bank, groups it by (n, m, l, p), drift kind and
 rank(H); per group, one batched pass decomposes, synthesizes gains,
-tabulates thresholds and builds the ``ObserverStack`` that ``iter_bank``
+tabulates thresholds and builds the ``ObserverStack`` that ``run_bank``
 steps as it is; ``observer.init_observer`` gives a group's initial rows
 in one call.  Each ``PreparedMode`` holds its ``BankGroup``, that stack,
 its row in both and its slices of the gains and tables, the bits a lone
@@ -44,9 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -365,93 +362,47 @@ def _steps_header(config: ScenarioConfig) -> list[str]:
 
 
 @dataclass(frozen=True)
-class BankTrace:
-    """Every observer output and residual norm of one bank run, filled in
-    by ``iter_bank``.
+class BankRun:
+    """The observer bank run over the horizon, as arrays.
 
-    Per stack i, ``outputs[i][k, j]`` is the output row of mode
-    ``stacks[i].modes[j]`` after step k (row 0 holds its initial
-    [x-hat_0 | d1-hat_0]), and ``norms[i][k - 1, j]`` is the norm of its
-    residual at step k.  Steps after a mode's elimination step stay NaN.
-    """
-
-    stacks: tuple[ObserverStack, ...]
-    outputs: tuple[np.ndarray, ...]  # (N+1, Q, R) per stack
-    norms: tuple[np.ndarray, ...]  # (N, Q) per stack
-
-
-class _StepNorms(Mapping[int, float]):
-    """The residual norms of the modes stepped at step k, in bank order,
-    read off the trace's norms when first used."""
-
-    def __init__(self, trace: BankTrace, k: int, mode_set: ModeSet) -> None:
-        self._trace, self._k, self._mode_set = trace, k, mode_set
-
-    @cached_property
-    def _norms(self) -> dict[int, float]:
-        k, eliminated = self._k, self._mode_set.eliminated_at
-        if not k:
-            return {}
-        norms = {
-            q: norm
-            for stack, stack_norms in zip(self._trace.stacks, self._trace.norms)
-            for q, norm in zip(stack.modes, stack_norms[k - 1].tolist())
-            if eliminated.get(q, k) == k
-        }
-        return dict(sorted(norms.items()))
-
-    def __getitem__(self, q: int) -> float:
-        return self._norms[q]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._norms)
-
-    def __len__(self) -> int:
-        return len(self._norms)
-
-
-@dataclass(frozen=True)
-class BankRecord:
-    """The observer bank after the updates and the elimination of step k.
-
-    `residuals` maps each mode stepped at k to its residual norm, in bank
-    order (empty at k = 0).  `states` holds every mode's latest observer
-    state, frozen at the elimination step for a dead mode.  Both are read
-    off the run's `trace` when first used, so a record costs the same
-    whatever the bank holds.  The trace's rows up to step k never change
-    once the record is yielded, so a record reads the same values
-    whenever it is read.
+    `k` is the last step run: the horizon, or the step that emptied the
+    surviving set, and `mode_set` the surviving set after it.  Per stack
+    i, ``outputs[i][s, j]`` is the output row of mode ``stacks[i].modes[j]``
+    after step s (row 0 holds its initial [x-hat_0 | d1-hat_0]), and
+    ``norms[i][s - 1, j]`` is the norm of its residual at step s; rows
+    after a mode's ``last_step`` stay NaN.
     """
 
     k: int
     mode_set: ModeSet
-    residuals: Mapping[int, float]
-    trace: BankTrace = field(repr=False, compare=False)
+    stacks: tuple[ObserverStack, ...]
+    outputs: tuple[np.ndarray, ...]  # (N+1, Q, R) per stack
+    norms: tuple[np.ndarray, ...]  # (N, Q) per stack
 
-    def _last_step(self, q: int) -> int:
+    def last_step(self, q: int) -> int:
         """The step of mode q's latest state: its elimination step or k."""
         return self.mode_set.eliminated_at.get(q, self.k)
 
-    @cached_property
+    @property
     def states(self) -> tuple[ObserverState, ...]:
-        states: dict[int, ObserverState] = {}
-        for stack, outputs in zip(self.trace.stacks, self.trace.outputs):
-            for j, q in enumerate(stack.modes):
-                k = self._last_step(q)
-                states[q] = stack.state(outputs[k, j], k)
+        """Every mode's latest observer state, in bank order."""
+        states = {
+            q: stack.state(outputs[self.last_step(q), j], self.last_step(q))
+            for stack, outputs in zip(self.stacks, self.outputs)
+            for j, q in enumerate(stack.modes)
+        }
         return tuple(states[q] for q in sorted(states))
 
 
 BLOCK = 64  # bank steps per block pass
 
 
-def iter_bank(
+def run_bank(
     config: ScenarioConfig, prepared: list[PreparedMode], truth: TruthTrajectory
-) -> Iterator[BankRecord]:
-    """Run the observer bank over the horizon, one record per step.
+) -> BankRun:
+    """Run the observer bank over the horizon.
 
-    Yields the initialized bank at k = 0, then one record per step, and
-    stops after the step that empties the surviving set.  The steps run
+    Stops after the step that empties the surviving set.  The steps run
     in blocks of ``BLOCK``, each step one ``step_observer`` call over the
     stacks of the modes that survived the previous block.  A mode dies
     at its first step with residual > threshold, so one pass per stack
@@ -459,34 +410,30 @@ def iter_bank(
     the finite rows, and a comparison with the stack's (N, Q) thresholds
     whose first exceedance in a column is that mode's elimination step.
     The eliminations are replayed in step order through
-    ``eliminate_step``, the block's records are yielded, and the
-    surviving rows go on.  Rows stepped after their mode's elimination
-    are discarded unread, so they may be non-finite; a non-finite row of
-    a live mode raises NumericalFailure naming the first such mode at the
-    first such step, after the records of the steps before it.
+    ``eliminate_step``, the block's rows go into the run's arrays, and
+    the surviving rows go on.  Rows stepped after their mode's
+    elimination are discarded unread, so they may be non-finite; a
+    non-finite row of a live mode raises NumericalFailure naming the
+    first such mode at the first such step, after the eliminations of
+    the steps before it.
     """
     horizon = config.horizon
     firsts = [pm for pm in prepared if pm.row == 0]  # in group order
-    stacks = [pm.stack for pm in firsts]
-    trace = BankTrace(
-        stacks=tuple(stacks),
-        outputs=tuple(
-            np.full((horizon + 1, len(stack.modes), stack.step.shape[1]), np.nan)
-            for stack in stacks
-        ),
-        norms=tuple(np.full((horizon, len(stack.modes)), np.nan) for stack in stacks),
+    stacks = tuple(pm.stack for pm in firsts)
+    outputs = tuple(
+        np.full((horizon + 1, len(stack.modes), stack.step.shape[1]), np.nan) for stack in stacks
     )
-    for pm, outputs in zip(firsts, trace.outputs):
-        outputs[0, :, : pm.stack.n + pm.stack.p1] = init_observer(
+    all_norms = tuple(np.full((horizon, len(stack.modes)), np.nan) for stack in stacks)
+    for pm, out in zip(firsts, outputs):
+        out[0, :, : pm.stack.n + pm.stack.p1] = init_observer(
             pm.group.dec, pm.group.gains, config.system.x_hat0, truth.y[0], truth.u[0]
         )
-    # per stack of surviving rows: the stack, its rows in the trace's
-    # stack and that stack's index
+    # per stack of surviving rows: the stack, its rows in the run's stack
+    # and that stack's index
     live = [(stack, np.arange(len(stack.modes)), i) for i, stack in enumerate(stacks)]
-    states = [outputs[0] for outputs in trace.outputs]
+    states = [out[0] for out in outputs]
     signals = np.concatenate((truth.u[:-1], truth.u[1:], truth.y[1:]), axis=1)
-    mode_set = all_modes(len(prepared))
-    yield BankRecord(0, mode_set, _StepNorms(trace, 0, mode_set), trace)
+    mode_set, k_last = all_modes(len(prepared)), 0
     for k0 in range(1, horizon + 1, BLOCK):
         live_stacks = [stack for stack, *_ in live]
         steps = []
@@ -514,8 +461,7 @@ def iter_bank(
             block[~alive] = norms[~alive] = np.nan
             passes.append((block, norms, limits, last))
         failure = min(failures, key=lambda bad: bad[:2], default=None)
-        end = size if failure is None else failure[0]  # the block's steps recorded
-        sets, current = {}, mode_set
+        end = size if failure is None else failure[0]  # the block's steps kept
         for b in sorted({b for *_, last in passes for b in last.tolist() if b < end}):
             checks = {
                 q: (norm, limit)
@@ -525,19 +471,17 @@ def iter_bank(
                 )
                 if alive
             }
-            current = sets[b] = eliminate_step(current, k0 + b, checks)
-            if current.faulted:
+            mode_set = eliminate_step(mode_set, k0 + b, checks)
+            if mode_set.faulted:
                 end = b + 1
-        for (_, rows, i), (block, norms, *_) in zip(live, passes):
-            trace.outputs[i][k0 : k0 + end, rows] = block[:end]
-            trace.norms[i][k0 - 1 : k0 - 1 + end, rows] = norms[:end]
-        for b in range(end):
-            mode_set = sets.get(b, mode_set)
-            yield BankRecord(k0 + b, mode_set, _StepNorms(trace, k0 + b, mode_set), trace)
         if failure is not None:
             raise failure[2]
+        for (_, rows, i), (block, norms, *_) in zip(live, passes):
+            outputs[i][k0 : k0 + end, rows] = block[:end]
+            all_norms[i][k0 - 1 : k0 - 1 + end, rows] = norms[:end]
+        k_last = k0 + end - 1
         if mode_set.faulted:
-            return
+            break
         kept_live, states = [], []
         for (stack, rows, i), (block, _, _, last) in zip(live, passes):
             keep = np.flatnonzero(last == size)
@@ -548,6 +492,7 @@ def iter_bank(
                 kept_live.append((stack.take(keep), rows[keep], i))
                 states.append(block[-1, keep])
         live = kept_live
+    return BankRun(k_last, mode_set, stacks, outputs, all_norms)
 
 
 def _joined(values: np.ndarray) -> list[str]:
@@ -558,17 +503,17 @@ def _joined(values: np.ndarray) -> list[str]:
 def _mode_lines(
     pm: PreparedMode,
     table: list[list[str]],
-    record: BankRecord,
+    bank: BankRun,
     outputs: np.ndarray,
     norms: np.ndarray,
 ) -> list[str]:
     """One mode's residual, threshold, elimination and ball cells of the
-    ``steps.csv`` rows k = 0..record.k, each row's cells joined.  `table`
+    ``steps.csv`` rows k = 0..bank.k, each row's cells joined.  `table`
     is the mode's ``threshold_rows``, and `outputs` and `norms` are the
-    mode's columns of its stack's trace.  A dead mode's cells are blank
+    mode's columns of its stack's arrays.  A dead mode's cells are blank
     but for the elimination flag."""
     n, p = pm.mode.n, pm.mode.p
-    last = record._last_step(pm.index)
+    last = bank.last_step(pm.index)
     radii = pm.radius_seq[: last + 1].tolist()
     lines = [f",,,,0,{_joined(outputs[:1, :n])[0]},{radii[0]!r}" + "," * (p + 1)]
     if last:
@@ -583,13 +528,13 @@ def _mode_lines(
             )
         )
         flags = ["0"] * last
-        if pm.index in record.mode_set.eliminated_at:
+        if pm.index in bank.mode_set.eliminated_at:
             flags[-1] = "1"
         lines += [
             f"{res!r},{row[1]},{row[2]},{row[3]},{flag},{cells}"
             for res, row, flag, cells in zip(norms[:last].tolist(), table, flags, _joined(balls))
         ]
-    lines += [",,,,1" + "," * (n + p + 2)] * (record.k - last)
+    lines += [",,,,1" + "," * (n + p + 2)] * (bank.k - last)
     return lines
 
 
@@ -610,31 +555,28 @@ def run(
     fault in the outputs (the caller decides the exit code); numerical
     blow-ups raise NumericalFailure with the offending mode and step.
     ``steps.csv`` is formatted column block by column block from the
-    truth and the bank's trace after the loop, not record by record.
+    truth and the bank's arrays.
     """
-    seed = config.seed if seed is None else master_seed(int(seed))
+    seed = config.seed if seed is None else master_seed(seed)
     resolved_out = resolve_out_dir(config, out_dir)
 
     prepared = prepare_modes(config)
     truth = simulate_truth(config, seed)
 
-    # the last record holds the run's trace and final surviving set
-    for record in iter_bank(config, prepared, truth):
-        pass
-    mode_set = record.mode_set
-    fault_step = record.k if mode_set.faulted else None
+    bank = run_bank(config, prepared, truth)
+    mode_set = bank.mode_set
+    fault_step = bank.k if mode_set.faulted else None
 
     tables = [threshold_rows(pm.thresholds) for pm in prepared]
-    steps = range(record.k + 1)
-    columns = [[str(k) for k in steps], _joined(truth.x[: record.k + 1])]
+    steps = range(bank.k + 1)
+    columns = [[str(k) for k in steps], _joined(truth.x[: bank.k + 1])]
     if truth.d.shape[1]:
-        columns.append(_joined(truth.d[: record.k + 1]))
+        columns.append(_joined(truth.d[: bank.k + 1]))
     eliminated = mode_set.eliminated_at.values()
     columns.append([str(len(prepared) - sum(e <= k for e in eliminated)) for k in steps])
-    trace = record.trace
     blocks = {
-        q: _mode_lines(prepared[q], tables[q], record, outputs[:, j], norms[:, j])
-        for stack, outputs, norms in zip(trace.stacks, trace.outputs, trace.norms)
+        q: _mode_lines(prepared[q], tables[q], bank, outputs[:, j], norms[:, j])
+        for stack, outputs, norms in zip(bank.stacks, bank.outputs, bank.norms)
         for j, q in enumerate(stack.modes)
     }
     columns += [blocks[q] for q in range(len(prepared))]
@@ -645,7 +587,7 @@ def run(
     for pm, table in zip(prepared, tables):
         write_threshold_csv(resolved_out / f"thresholds_q{pm.index + 1}.csv", table)
 
-    report = _build_report(config, seed, prepared, mode_set, record.states, fault_step)
+    report = _build_report(config, seed, prepared, mode_set, bank.states, fault_step)
     write_json(resolved_out / "report.json", report)
     (resolved_out / "report.txt").write_text(_render_report_text(report))
 

@@ -10,8 +10,9 @@ reference for the observer: it runs the step's stages one by one on the
 signal vectors, which the package composes into one matrix per mode.
 ``product_step``, ``oracle_bank``, ``oracle_truth`` and
 ``oracle_steps_csv`` keep the one-mode-at-a-time step loop, the
-step-by-step plant and ``csv.writer``, which the package's stacked bank,
-stacked plant products and joined rows must reproduce bit for bit, and
+step-by-step plant and ``csv.writer``, which the package's stacked bank
+(walked step by step with ``bank_steps``), stacked plant products and
+joined rows must reproduce bit for bit, and
 ``oracle_prepare`` with its ``oracle_*`` parts keeps the one-mode
 preparation (decomposition, gains, step matrix, radii, coefficients,
 thresholds) that the stacked preparation must reproduce; ``oracle_bank``
@@ -54,7 +55,7 @@ from artifact.residuals import (
     triangle_sequences,
     word_dim,
 )
-from artifact.estimator import all_modes, eliminate_step
+from artifact.estimator import ModeSet, all_modes, eliminate_step
 from artifact.observer import (
     ObserverStack,
     ObserverState,
@@ -306,13 +307,35 @@ def product_step(
 
 
 @dataclass(frozen=True)
-class OracleRecord:
-    """One step of ``oracle_bank``: the fields of ``runner.BankRecord``."""
+class BankStep:
+    """The observer bank after the updates and the elimination of step k:
+    the surviving set, every mode's latest state (frozen at its
+    elimination step for a dead mode) and the residual norm of each mode
+    stepped at k, in bank order (empty at k = 0)."""
 
     k: int
-    mode_set: object
+    mode_set: ModeSet
     states: tuple[ObserverState, ...]
     residuals: dict[int, float]
+
+
+def bank_steps(bank: runner.BankRun):
+    """The ``BankStep`` of every step 0..bank.k of a ``runner.run_bank``
+    result, read off its arrays: at step k the run reads as if it had
+    stopped there, so its ``states`` are the latest states at k."""
+    eliminated = bank.mode_set.eliminated_at
+    count = sum(len(stack.modes) for stack in bank.stacks)
+    for k in range(bank.k + 1):
+        gone = {q: e for q, e in eliminated.items() if e <= k}
+        surviving = tuple(q for q in range(count) if q not in gone)
+        at_k = replace(bank, k=k, mode_set=ModeSet(surviving, gone))
+        residuals = {
+            q: float(norms[k - 1, j])
+            for stack, norms in zip(bank.stacks, bank.norms)
+            for j, q in enumerate(stack.modes)
+            if k and at_k.last_step(q) == k
+        }
+        yield BankStep(k, at_k.mode_set, at_k.states, dict(sorted(residuals.items())))
 
 
 def oracle_bank(config, prepared, truth):
@@ -325,7 +348,7 @@ def oracle_bank(config, prepared, truth):
         for pm in prepared
     ]
     mode_set = all_modes(len(prepared))
-    yield OracleRecord(k=0, mode_set=mode_set, states=tuple(states), residuals={})
+    yield BankStep(k=0, mode_set=mode_set, states=tuple(states), residuals={})
     for k in range(1, config.horizon + 1):
         checks: dict[int, tuple[float, float]] = {}
         for q in mode_set.surviving:
@@ -342,7 +365,7 @@ def oracle_bank(config, prepared, truth):
             checks[q] = (math.sqrt(res @ res), float(pm.thresholds.delta_hat[k - 1]))
         mode_set = eliminate_step(mode_set, k, checks)
         residuals = {q: res_norm for q, (res_norm, _) in checks.items()}
-        yield OracleRecord(k=k, mode_set=mode_set, states=tuple(states), residuals=residuals)
+        yield BankStep(k=k, mode_set=mode_set, states=tuple(states), residuals=residuals)
         if mode_set.faulted:
             return
 

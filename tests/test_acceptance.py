@@ -37,7 +37,7 @@ from artifact.residuals import (
 )
 from artifact.scenarios import list_scenarios, scenario_path
 
-from conftest import coefficients, eta_t, run_closed_loop, stacked_word
+from conftest import bank_steps, coefficients, eta_t, run_closed_loop, stacked_word
 
 SWEEP_RUNS = 100
 
@@ -46,7 +46,8 @@ def _bank_sweep(config, seeds):
     """Run the full observer bank for many seeds, collecting violations.
 
     Thresholds and gains are seed-independent, so they are prepared once;
-    each seed runs runner.iter_bank without the file output.
+    each seed runs runner.run_bank without the file output and walks its
+    steps with bank_steps.
     """
     prepared = runner.prepare_modes(config)
     true_q = config.true_mode - 1
@@ -63,7 +64,8 @@ def _bank_sweep(config, seeds):
     t0 = time.perf_counter()
     for seed in seeds:
         truth = runner.simulate_truth(config, seed)
-        for record in itertools.islice(runner.iter_bank(config, prepared, truth), 1, None):
+        bank = runner.run_bank(config, prepared, truth)
+        for record in itertools.islice(bank_steps(bank), 1, None):
             k = record.k
             # the bank reports each stepped mode's own innovation, unrecomputed
             stats["residual_record_mismatches"] += sum(
@@ -241,7 +243,7 @@ def _surviving_and_fused_radii(name: str):
     config = load_config(scenario_path(name))
     prepared = runner.prepare_modes(config)
     truth = runner.simulate_truth(config, config.seed)
-    records = list(runner.iter_bank(config, prepared, truth))
+    records = list(bank_steps(runner.run_bank(config, prepared, truth)))
     final = records[-1].mode_set
     assert not final.faulted
     radii = [

@@ -9,6 +9,7 @@ changed result, not rounding.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 import yaml
 from conftest import (
+    bank_steps,
     blind_row_mode,
     full_feedthrough_mode,
     full_pipeline_mode,
@@ -44,10 +46,11 @@ def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
 
 
 def _assert_bank_matches_oracle(config, prepared, truth, label) -> int:
-    """Compare iter_bank with oracle_bank record by record, and check
-    that the trace stays NaN after each mode's last step; returns the
-    number of eliminations."""
-    records = list(runner.iter_bank(config, prepared, truth))
+    """Compare run_bank with oracle_bank step by step, and check that its
+    arrays stay NaN after each mode's last step; returns the number of
+    eliminations."""
+    bank = runner.run_bank(config, prepared, truth)
+    records = list(bank_steps(bank))
     expected = list(oracle_bank(config, prepared, truth))
     assert len(records) == len(expected), label
     for got, want in zip(records, expected):
@@ -60,13 +63,12 @@ def _assert_bank_matches_oracle(config, prepared, truth, label) -> int:
             assert state.k == ref.k, where
             for name in ("x_hat", "d1_hat", "d_hat_prev", "residual"):
                 assert _same_bits(getattr(state, name), getattr(ref, name)), (*where, name)
-    last = records[-1]
-    for stack, outputs, norms in zip(last.trace.stacks, last.trace.outputs, last.trace.norms):
+    for stack, outputs, norms in zip(bank.stacks, bank.outputs, bank.norms):
         for j, q in enumerate(stack.modes):
-            k = last.mode_set.eliminated_at.get(q, last.k)
+            k = bank.last_step(q)
             assert np.isnan(outputs[k + 1 :, j]).all(), (label, q)
             assert np.isnan(norms[k:, j]).all(), (label, q)
-    return len(last.mode_set.eliminated_at)
+    return len(bank.mode_set.eliminated_at)
 
 
 def test_stacked_bank_matches_the_per_mode_product_on_every_bundled_scenario() -> None:
@@ -127,14 +129,14 @@ def test_mixed_bank_stacks_by_shape_and_matches_the_per_mode_product() -> None:
     for seed in range(30):
         truth = runner.simulate_truth(config, seed)
         _assert_bank_matches_oracle(config, prepared, truth, ("mixed", seed))
-        *_, last = runner.iter_bank(config, prepared, truth)
+        last = runner.run_bank(config, prepared, truth)
         eliminated |= set(last.mode_set.eliminated_at)
     # rows leave a stack of two, and a stack of one empties
     assert {0, 2, 3} <= eliminated
 
 
 def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
-    """One grouping: iter_bank steps each gain_groups group as the stack
+    """One grouping: run_bank steps each gain_groups group as the stack
     prepare_modes built, its step matrices the step_matrix_stack output
     itself, not a regrouped copy."""
     built, stepped = [], []
@@ -155,8 +157,7 @@ def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
         stepped.clear()
         prepared = runner.prepare_modes(config)
         truth = runner.simulate_truth(config, config.seed)
-        records = runner.iter_bank(config, prepared, truth)
-        next(records), next(records)  # k = 0 and the first block
+        runner.run_bank(config, prepared, truth)
         stacks = stepped[0]  # the first step's
         assert [stack.modes for stack in stacks] == [
             group.modes for group in runner.gain_groups(config)
@@ -202,7 +203,7 @@ def test_non_finite_measurement_names_the_first_surviving_mode(bad, step) -> Non
         with pytest.raises(NumericalFailure) as expected:
             list(oracle_bank(config, prepared, truth))
         with pytest.raises(NumericalFailure) as got:
-            list(runner.iter_bank(config, prepared, truth))
+            runner.run_bank(config, prepared, truth)
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith("mode ") and f"at step {step}" in str(got.value)
 
@@ -233,10 +234,10 @@ def test_kernel_names_the_first_mode_across_stacks(monkeypatch) -> None:
     poison.update({3: (0, np.nan), 1: (1, np.inf)})
     message = "^mode 2: non-finite values in state estimate at step 5$"
     with pytest.raises(NumericalFailure, match=message):
-        list(runner.iter_bank(config, prepared, truth))
+        runner.run_bank(config, prepared, truth)
     del poison[1]
     with pytest.raises(NumericalFailure, match="^mode 4: "):
-        list(runner.iter_bank(config, prepared, truth))
+        runner.run_bank(config, prepared, truth)
 
 
 def _dead_mode_run(config) -> tuple[int, int, int]:
@@ -246,7 +247,7 @@ def _dead_mode_run(config) -> tuple[int, int, int]:
     prepared = runner.prepare_modes(config)
     for seed in range(100):
         truth = runner.simulate_truth(config, runner.master_seed(seed))
-        *_, last = runner.iter_bank(config, prepared, truth)
+        last = runner.run_bank(config, prepared, truth)
         if last.k == config.horizon and last.mode_set.eliminated_at:
             return seed, *min(last.mode_set.eliminated_at.items(), key=lambda item: item[::-1])
     raise AssertionError("no seed below 100 eliminates a mode and survives")
@@ -292,7 +293,7 @@ def test_rows_stepped_after_their_elimination_are_never_read(name, tmp_path, mon
 
 def test_a_faulted_bank_matches_the_oracle_and_steps_one_block_at_most(monkeypatch) -> None:
     """Measurements biased by 5 from step 3 eliminate every mode of
-    test_system_a by step 3: the records are oracle_bank's, and at
+    test_system_a by step 3: the steps are oracle_bank's, and at
     horizon 1000 the run still ends at k = 3 after at most one block of
     kernel calls."""
     config = load_config(scenario_path("test_system_a"))
@@ -300,7 +301,7 @@ def test_a_faulted_bank_matches_the_oracle_and_steps_one_block_at_most(monkeypat
     prepared = runner.prepare_modes(config)
     truth = faulted(config, config.seed)
     _assert_bank_matches_oracle(config, prepared, truth, "faulted")
-    *_, last = runner.iter_bank(config, prepared, truth)
+    last = runner.run_bank(config, prepared, truth)
     assert last.k == 3 and last.mode_set.faulted
 
     steps = []
@@ -311,16 +312,31 @@ def test_a_faulted_bank_matches_the_oracle_and_steps_one_block_at_most(monkeypat
 
     monkeypatch.setattr(runner, "step_observer", counted)
     config = dataclasses.replace(config, horizon=1000)
-    *_, last = runner.iter_bank(config, runner.prepare_modes(config), faulted(config, config.seed))
+    last = runner.run_bank(config, runner.prepare_modes(config), faulted(config, config.seed))
     assert last.k == 3 and last.mode_set.faulted
     assert steps == list(range(1, len(steps) + 1)) and len(steps) <= runner.BLOCK
+
+
+def test_a_faulted_run_writes_the_oracle_steps_csv(tmp_path, monkeypatch) -> None:
+    """The files of a run that faults at step 3: steps.csv is the
+    oracle's, rows k = 0..3, and report.json names the fault step."""
+    config = load_config(scenario_path("test_system_a"))
+    faulted = tampered_truth(3, 5.0)
+    monkeypatch.setattr(runner, "simulate_truth", faulted)
+    result = runner.run(config, out_dir=tmp_path)
+    truth = faulted(config, config.seed)
+    expected = oracle_steps_csv(config, runner.prepare_modes(config), truth)
+    assert result.steps_path.read_bytes() == expected.encode()
+    assert len(expected.splitlines()) == 1 + 4
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["faulted"] is True and report["fault_step"] == 3
 
 
 def _eliminating_seed(config) -> int:
     prepared = runner.prepare_modes(config)
     for seed in range(100):
         truth = runner.simulate_truth(config, runner.master_seed(seed))
-        *_, last = runner.iter_bank(config, prepared, truth)
+        last = runner.run_bank(config, prepared, truth)
         if last.mode_set.eliminated_at:
             return seed
     raise AssertionError("no seed below 100 eliminates a mode")

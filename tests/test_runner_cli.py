@@ -312,6 +312,23 @@ def test_rerun_with_same_seed_is_byte_identical(tmp_path, name, seed) -> None:
     assert first.steps_path.read_bytes() != third.steps_path.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [2.7, True, -1], ids=["fractional", "bool", "negative"])
+def test_run_rejects_a_seed_that_is_not_a_non_negative_integer(tmp_path, seed) -> None:
+    config = load_config(scenario_path("test_system_a"))
+    with pytest.raises(ConfigurationError, match="^seed must be"):
+        runner.run(config, seed=seed, out_dir=tmp_path)
+
+
+def test_run_reads_an_integral_seed_of_any_number_type_as_that_integer(tmp_path) -> None:
+    config = load_config(scenario_path("test_system_a"))
+    outputs = []
+    for i, seed in enumerate((3, 3.0, np.int64(3))):
+        out = runner.run(config, seed=seed, out_dir=tmp_path / str(i)).out_dir
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert json.loads(outputs[0]["report.json"])["seed"] == 3
+
+
 def test_run_reports_fault_when_every_mode_is_eliminated(tmp_path, monkeypatch) -> None:
     config = load_config(scenario_path("test_system_a"))
     monkeypatch.setattr(runner, "simulate_truth", tampered_truth(3, 5.0))
