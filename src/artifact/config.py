@@ -20,13 +20,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError
-from .system import (
-    FieldDescriptor,
-    LinearField,
-    LinearSinusoidalField,
-    ModeModel,
-    SwitchedSystem,
-)
+from .system import ModeModel, SwitchedSystem
 
 DEFAULT_MAX_VERTICES = 2**20
 
@@ -182,38 +176,42 @@ def _matrix(obj: Any, context: str) -> np.ndarray:
     return arr
 
 
-def _field(obj: Any, context: str) -> FieldDescriptor:
+def _field(obj: Any, context: str) -> dict[str, np.ndarray]:
+    """The drift's ``ModeModel`` arguments, a and (for a sinusoidal
+    drift) a_tilde."""
     spec = _expect_mapping(obj, context)
     kind = _require(spec, "kind", context)
     if kind == "linear":
         _check_keys(spec, {"kind", "a"}, context)
-        return LinearField(a=_matrix(_require(spec, "a", context), f"{context}.a"))
+        return {"a": _matrix(_require(spec, "a", context), f"{context}.a")}
     if kind == "linear_sinusoidal":
         _check_keys(spec, {"kind", "a_hat", "a_tilde"}, context)
-        return LinearSinusoidalField(
-            a_hat=_matrix(_require(spec, "a_hat", context), f"{context}.a_hat"),
-            a_tilde=_matrix(_require(spec, "a_tilde", context), f"{context}.a_tilde"),
-        )
+        return {
+            "a": _matrix(_require(spec, "a_hat", context), f"{context}.a_hat"),
+            "a_tilde": _matrix(_require(spec, "a_tilde", context), f"{context}.a_tilde"),
+        }
     raise ConfigurationError(
         f"{context}.kind must be 'linear' or 'linear_sinusoidal', got {kind!r}"
     )
 
 
 def _mode(obj: Any, context: str) -> ModeModel:
+    """A mode; a ConfigurationError of ``ModeModel`` names `context`."""
     spec = _expect_mapping(obj, context)
     _check_keys(
         spec, {"field", "b", "g", "c", "d", "h", "w", "lipschitz"}, context
     )
-    kwargs: dict[str, Any] = {
-        "field": _field(_require(spec, "field", context), f"{context}.field")
-    }
+    kwargs = _field(_require(spec, "field", context), f"{context}.field")
     for key in ("b", "g", "c", "d", "h"):
         kwargs[key] = _matrix(_require(spec, key, context), f"{context}.{key}")
     if spec.get("w") is not None:
         kwargs["w"] = _matrix(spec["w"], f"{context}.w")
     if spec.get("lipschitz") is not None:
         kwargs["lipschitz"] = _real(spec["lipschitz"], f"{context}.lipschitz")
-    return ModeModel(**kwargs)
+    try:
+        return ModeModel(**kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{context}: {exc}") from exc
 
 
 def _per_mode_floats(obj: Any, count: int, context: str) -> tuple[float, ...]:

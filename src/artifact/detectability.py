@@ -46,7 +46,7 @@ from .decomposition import DecompositionStack, ModeDecomposition
 from .errors import SigmaMinUndefinedError
 from .gains import GainStack, ObserverGains, radius_sequences
 from .residuals import build_coefficients, triangle_sequences
-from .system import SwitchedSystem, jacobian_hessian_data
+from .system import SwitchedSystem
 
 T2_DISTINCT_TOL = 1e-9
 # relative change between successive triangle bounds that counts as stagnation
@@ -255,7 +255,7 @@ def check_condition_ii(
     jac_norms = []
     hess = []
     for mode in system.modes:
-        j0, hb = jacobian_hessian_data(mode.field)
+        j0, hb = mode.jacobian_hessian()
         jac_norms.append(linalg.spectral_norm(j0))
         hess.append(hb)
     passed = (

@@ -10,8 +10,9 @@ update is linear in [f(x-hat_{k-1}); d1-hat_{k-1}; u_{k-1}; u_k; y_k]:
 modes on identity column blocks.
 Every mode consumes the same (u, y), so ``step_observer`` advances each
 ``ObserverStack`` with one stacked product; ``runner.prepare_modes``
-builds one stack per ``runner.gain_groups`` group, and a stack of one is
-the single-mode observer.  A step updates only the centers and emits its
+builds one stack per ``runner.gain_groups`` group, with the drift
+matrices its ``ModeStack`` stacked, and a stack of one is the
+single-mode observer.  A step updates only the centers and emits its
 innovation, the residual the mode observer tests: the error radii read
 no measurement, so ``gains.radius_sequences`` tabulates them once per
 group.
@@ -37,7 +38,7 @@ from .errors import NumericalFailure
 from .gains import GainStack
 from .linalg import spectral_norms
 from .residuals import compute_residual
-from .system import ModeModel, ModeStack, drift, drift_matrices
+from .system import ModeStack, drift
 
 _SMALLEST_NORMAL = np.finfo(float).smallest_normal
 
@@ -114,8 +115,8 @@ class ObserverStack:
     along a leading axis: row i belongs to bank mode ``modes[i]``.
 
     A step's output row is [x-hat_k | d1-hat_k | d-hat_{k-1} | residual_k],
-    of widths n, p1, p and the rest.  `a` and `a_tilde` stack the modes'
-    ``system.drift_matrices``, and ``limits[k - 1, i]`` is row i's
+    of widths n, p1, p and the rest.  `a` and `a_tilde` are the group
+    ``ModeStack``'s drift matrices, and ``limits[k - 1, i]`` is row i's
     threshold at step k.
     """
 
@@ -130,15 +131,12 @@ class ObserverStack:
 
     @classmethod
     def of(
-        cls, modes: Sequence[int], models: Sequence[ModeModel], step: np.ndarray, p1: int,
-        limits: np.ndarray,
+        cls, modes: Sequence[int], model: ModeStack, step: np.ndarray, p1: int, limits: np.ndarray
     ) -> ObserverStack:
-        """The stack of one group's bank modes, whose models share every
-        shape and a drift kind, from the group's ``step_matrix_stack``
-        output, rank(H) p1 and (N, Q) thresholds."""
-        a, a_tilde = zip(*(drift_matrices(model.field) for model in models))
-        a_tilde = None if a_tilde[0] is None else np.stack(a_tilde)
-        return cls(tuple(modes), step, np.stack(a), a_tilde, limits, models[0].n, p1, models[0].p)
+        """The stack of one group's bank modes from the group's
+        ``ModeStack``, its ``step_matrix_stack`` output, rank(H) p1 and
+        (N, Q) thresholds."""
+        return cls(tuple(modes), step, model.a, model.a_tilde, limits, model.n, p1, model.p)
 
     def take(self, rows: np.ndarray) -> ObserverStack:
         """The stack of the given rows only."""

@@ -67,7 +67,7 @@ from .gains import (
 )
 from .observer import ObserverStack, ObserverState, init_observer, step_matrix_stack, step_observer
 from .residuals import ThresholdTable, build_threshold_tables
-from .system import ModeModel, ModeStack, drift_matrices, eval_field
+from .system import ModeModel, ModeStack
 
 
 def uniform_ball(rng: np.random.Generator, radius: float, dim: int, count: int) -> np.ndarray:
@@ -126,7 +126,7 @@ def simulate_plant(
     x = np.empty((steps + 1, mode.n))
     x[0] = x0
     for k in range(steps):
-        x[k + 1] = eval_field(mode.field, x[k]) + bu[k] + gd[k] + ww[k]
+        x[k + 1] = mode.f(x[k]) + bu[k] + gd[k] + ww[k]
     y = _apply(mode.c, x) + _apply(mode.d, u) + _apply(mode.h, d) + v
     return x, y
 
@@ -227,8 +227,8 @@ def gain_groups(config: ScenarioConfig) -> list[BankGroup]:
     system = config.system
     shapes: dict[tuple[int, int, int, int, bool], list[int]] = {}
     for q, mode in enumerate(system.modes):
-        linear = drift_matrices(mode.field)[1] is None
-        shapes.setdefault((mode.n, mode.m, mode.l, mode.p, linear), []).append(q)
+        key = (mode.n, mode.m, mode.l, mode.p, mode.a_tilde is None)
+        shapes.setdefault(key, []).append(q)
     parts = []
     for bank_rows in shapes.values():
         model = ModeStack.of([system.modes[q] for q in bank_rows])
@@ -293,7 +293,7 @@ def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
         tables = build_threshold_tables(group.gains, group.dec, radii, config.max_vertices)
         stack = ObserverStack.of(
             group.modes,
-            [system.modes[q] for q in group.modes],
+            group.model,
             step_matrix_stack(group.model, group.dec, group.gains),
             group.dec.p_h,
             np.stack([table.delta_hat for table in tables], axis=1),

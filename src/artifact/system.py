@@ -7,74 +7,23 @@ A mode is a discrete-time plant
 
 with a globally Lipschitz drift f, known input u, unknown (possibly
 unbounded) input d, and norm-bounded process/measurement noise w, v.
-The drift comes from a small family of field descriptors for which a
-Lipschitz constant and curvature data are available in closed form.
+The drift is f(x) = a x + a_tilde sin(x)/2, elementwise sine, with
+a_tilde None for a linear drift; ``ModeModel`` holds a and a_tilde and
+gives f, its Lipschitz constant and its curvature data in closed form.
+``ModeStack`` stacks them once per group of equally shaped modes of one
+drift kind, and ``drift`` evaluates the stacked form.
 """
 from __future__ import annotations
 
+import math
 import typing
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field as dc_field, fields
-from typing import Union
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .linalg import as_matrix, spectral_norm
-
-
-@dataclass(frozen=True)
-class LinearField:
-    """Drift f(x) = a @ x."""
-
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = as_matrix(self.a, "a")
-        if a.shape[0] != a.shape[1]:
-            raise ConfigurationError(f"linear drift matrix must be square, got {a.shape}")
-        object.__setattr__(self, "a", a)
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass(frozen=True)
-class LinearSinusoidalField:
-    """Drift f(x) = a_hat @ x + a_tilde @ (sin(x) / 2), elementwise sine.
-
-    f(0) = 0 by construction, so the zero state is an equilibrium of the
-    unforced dynamics.
-    """
-
-    a_hat: np.ndarray
-    a_tilde: np.ndarray
-
-    def __post_init__(self) -> None:
-        a_hat = as_matrix(self.a_hat, "a_hat")
-        a_tilde = as_matrix(self.a_tilde, "a_tilde")
-        if a_hat.shape != a_tilde.shape or a_hat.shape[0] != a_hat.shape[1]:
-            raise ConfigurationError(
-                f"drift matrices must be square and equal-shaped, got {a_hat.shape} and {a_tilde.shape}"
-            )
-        object.__setattr__(self, "a_hat", a_hat)
-        object.__setattr__(self, "a_tilde", a_tilde)
-
-    @property
-    def dim(self) -> int:
-        return self.a_hat.shape[0]
-
-
-FieldDescriptor = Union[LinearField, LinearSinusoidalField]
-
-
-def drift_matrices(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray | None]:
-    """(a, a_tilde) of the drift a x + a_tilde sin(x)/2; a_tilde is None
-    for a linear drift."""
-    if isinstance(field, LinearField):
-        return field.a, None
-    return field.a_hat, field.a_tilde
 
 
 def drift(a: np.ndarray, a_tilde: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -86,58 +35,36 @@ def drift(a: np.ndarray, a_tilde: np.ndarray | None, x: np.ndarray) -> np.ndarra
     return a @ x + a_tilde @ (0.5 * np.sin(x))
 
 
-def eval_field(field: FieldDescriptor, x: np.ndarray) -> np.ndarray:
-    return drift(*drift_matrices(field), np.asarray(x, dtype=float))
-
-
-def lipschitz_constant(field: FieldDescriptor) -> float:
-    """Global Lipschitz constant of the drift in the Euclidean norm.
-
-    For the sinusoidal family the bound ||a_hat|| + ||a_tilde||/2 follows
-    from |d/dt sin t| <= 1 applied elementwise.
-    """
-    if isinstance(field, LinearField):
-        return spectral_norm(field.a)
-    return spectral_norm(field.a_hat) + 0.5 * spectral_norm(field.a_tilde)
-
-
-def jacobian_hessian_data(field: FieldDescriptor) -> tuple[np.ndarray, float]:
-    """(Jacobian of f at the origin, global bound on second derivatives).
-
-    The second value bounds the spectral norm of every component Hessian
-    uniformly over the state space; it is 0 for linear drifts.
-    """
-    if isinstance(field, LinearField):
-        return field.a.copy(), 0.0
-    return field.a_hat + 0.5 * field.a_tilde, 0.5 * spectral_norm(field.a_tilde)
-
-
 @dataclass(frozen=True)
 class ModeModel:
-    """One mode hypothesis: drift plus the five structural matrices.
+    """One mode hypothesis: the drift f(x) = a x + a_tilde sin(x)/2
+    (elementwise sine; a_tilde is None for a linear drift) plus the five
+    structural matrices.
 
-    Shapes: b (n,m), g (n,p), c (l,n), d (l,m), h (l,p), w (n,n).
-    `lipschitz` defaults to the field's analytic constant; an explicit
-    value may only loosen it.
+    Shapes: a, a_tilde (n,n), b (n,m), g (n,p), c (l,n), d (l,m),
+    h (l,p), w (n,n).  `lipschitz` defaults to the drift's analytic
+    constant ||a|| + ||a_tilde||/2, which follows from |d/dt sin t| <= 1
+    elementwise; an explicit value must be finite and may only loosen it.
     """
 
-    field: FieldDescriptor
+    a: np.ndarray
     b: np.ndarray
     g: np.ndarray
     c: np.ndarray
     d: np.ndarray
     h: np.ndarray
+    a_tilde: np.ndarray | None = None
     w: np.ndarray | None = None
     lipschitz: float | None = None
 
     def __post_init__(self) -> None:
-        n = self.field.dim
-        b = as_matrix(self.b, "b")
-        g = as_matrix(self.g, "g")
-        c = as_matrix(self.c, "c")
-        d = as_matrix(self.d, "d")
-        h = as_matrix(self.h, "h")
+        a, b, g, c, d, h = (as_matrix(getattr(self, name), name) for name in "abgcdh")
+        n = a.shape[0]
+        a_tilde = None if self.a_tilde is None else as_matrix(self.a_tilde, "a_tilde")
         w = np.eye(n) if self.w is None else as_matrix(self.w, "w")
+        if a.shape != (n, n) or a_tilde is not None and a_tilde.shape != (n, n):
+            shapes = [a.shape] if a_tilde is None else [a.shape, a_tilde.shape]
+            raise ConfigurationError(f"drift matrices must be square and equal-shaped, got {shapes}")
         if b.shape[0] != n or g.shape[0] != n or w.shape != (n, n):
             raise ConfigurationError("b, g, w row counts must match the state dimension")
         if c.shape[1] != n:
@@ -147,15 +74,30 @@ class ModeModel:
             raise ConfigurationError(f"d must be {(l, b.shape[1])}, got {d.shape}")
         if h.shape != (l, g.shape[1]):
             raise ConfigurationError(f"h must be {(l, g.shape[1])}, got {h.shape}")
-        analytic = lipschitz_constant(self.field)
+        analytic = spectral_norm(a) + (0.0 if a_tilde is None else 0.5 * spectral_norm(a_tilde))
         lf = analytic if self.lipschitz is None else float(self.lipschitz)
-        if lf < analytic - 1e-9:
+        if not (math.isfinite(lf) and lf >= analytic - 1e-9):
             raise ConfigurationError(
-                f"declared Lipschitz constant {lf} is below the analytic value {analytic}"
+                f"declared Lipschitz constant {lf} must be finite and at least the analytic"
+                f" value {analytic}"
             )
-        for name, val in (("b", b), ("g", g), ("c", c), ("d", d), ("h", h), ("w", w)):
+        values = dict(a=a, a_tilde=a_tilde, b=b, g=g, c=c, d=d, h=h, w=w, lipschitz=lf)
+        for name, val in values.items():
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "lipschitz", lf)
+
+    def f(self, x: np.ndarray) -> np.ndarray:
+        """The drift at the state x."""
+        return drift(self.a, self.a_tilde, np.asarray(x, dtype=float))
+
+    def jacobian_hessian(self) -> tuple[np.ndarray, float]:
+        """(Jacobian of f at the origin, global bound on second derivatives).
+
+        The second value bounds the spectral norm of every component
+        Hessian uniformly over the state space; it is 0 for a linear drift.
+        """
+        if self.a_tilde is None:
+            return self.a.copy(), 0.0
+        return self.a + 0.5 * self.a_tilde, 0.5 * spectral_norm(self.a_tilde)
 
     @property
     def n(self) -> int:
@@ -227,10 +169,13 @@ def _row(kind: type, value, i: int):
 
 @dataclass(frozen=True)
 class ModeStack:
-    """The matrices of modes that share (n, m, l, p), stacked along a
-    leading mode axis: row i holds the i-th mode's b, g, c, d, h, w and
-    Lipschitz constant.  A stack of one is the single-mode case."""
+    """The matrices of modes that share (n, m, l, p) and a drift kind,
+    stacked along a leading mode axis: row i holds the i-th mode's a,
+    a_tilde (None for linear drifts), b, g, c, d, h, w and Lipschitz
+    constant.  A stack of one is the single-mode case."""
 
+    a: np.ndarray  # (Q, n, n)
+    a_tilde: np.ndarray | None  # (Q, n, n), None for linear drifts
     b: np.ndarray  # (Q, n, m)
     g: np.ndarray  # (Q, n, p)
     c: np.ndarray  # (Q, l, n)
@@ -241,14 +186,21 @@ class ModeStack:
 
     @classmethod
     def of(cls, modes: Sequence[ModeModel]) -> ModeStack:
+        """The stack of the modes, which share every shape and a drift
+        kind: a mix would drop a_tilde."""
+        linear = {m.a_tilde is None for m in modes}
+        if len(linear) != 1:
+            raise ValueError("a mode stack needs modes of one drift kind")
         return cls(
-            **{name: stack_arrays([getattr(m, name) for m in modes]) for name in "bgcdhw"},
+            **{name: stack_arrays([getattr(m, name) for m in modes]) for name in "abgcdhw"},
+            a_tilde=None if linear.pop() else stack_arrays([m.a_tilde for m in modes]),
             lipschitz=np.array([m.lipschitz for m in modes]),
         )
 
     def take(self, rows) -> ModeStack:
         """The stack of the given rows only."""
-        return ModeStack(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+        arrays = {f.name: getattr(self, f.name) for f in fields(self)}
+        return ModeStack(**{name: v if v is None else v[rows] for name, v in arrays.items()})
 
     @property
     def n(self) -> int:
@@ -261,6 +213,10 @@ class ModeStack:
     @property
     def m(self) -> int:
         return self.b.shape[2]
+
+    @property
+    def p(self) -> int:
+        return self.g.shape[2]
 
 
 @dataclass(frozen=True)

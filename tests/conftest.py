@@ -63,13 +63,7 @@ from artifact.observer import (
     step_matrix_stack,
     step_observer,
 )
-from artifact.system import (
-    LinearField,
-    LinearSinusoidalField,
-    ModeModel,
-    ModeStack,
-    eval_field,
-)
+from artifact.system import ModeModel, ModeStack
 
 
 def decompose(mode: ModeModel) -> ModeDecomposition:
@@ -149,10 +143,8 @@ def invertible_channel_mode() -> ModeModel:
     """c1 = 0 and an invertible free channel: the observer error collapses
     to a pure measurement-noise term under the heuristic gain."""
     return ModeModel(
-        field=LinearSinusoidalField(
-            a_hat=np.array([[0.3, 0.1], [0.0, 0.25]]),
-            a_tilde=np.array([[0.2, 0.0], [0.1, 0.2]]),
-        ),
+        a=np.array([[0.3, 0.1], [0.0, 0.25]]),
+        a_tilde=np.array([[0.2, 0.0], [0.1, 0.2]]),
         b=np.zeros((2, 1)),
         g=np.array([[0.5], [-0.3]]),
         c=np.array([[1.0, 0.2], [-0.1, 1.0], [0.0, 0.0]]),
@@ -164,10 +156,8 @@ def invertible_channel_mode() -> ModeModel:
 def scalar_channel_mode() -> ModeModel:
     """One feedthrough direction, one free output row, nonzero psi."""
     return ModeModel(
-        field=LinearSinusoidalField(
-            a_hat=np.array([[-0.5, 0.0], [1.0, -0.5]]),
-            a_tilde=np.array([[0.6, -0.1], [0.1, -0.6]]),
-        ),
+        a=np.array([[-0.5, 0.0], [1.0, -0.5]]),
+        a_tilde=np.array([[0.6, -0.1], [0.1, -0.6]]),
         b=np.zeros((2, 1)),
         g=np.array([[-0.2], [0.1]]),
         c=np.array([[0.5, -0.1], [0.6, -0.1]]),
@@ -180,7 +170,7 @@ def full_pipeline_mode() -> ModeModel:
     """Every block active: rank-1 feedthrough with p = 2, so both input
     components, a non-identity process-noise shaping, and known input."""
     return ModeModel(
-        field=LinearField(a=np.array([[0.4, -0.2], [0.1, 0.3]])),
+        a=np.array([[0.4, -0.2], [0.1, 0.3]]),
         b=np.array([[0.1], [-0.2]]),
         g=np.array([[0.5, -0.3], [0.2, 0.8]]),
         c=np.array([[1.0, 0.3], [-0.2, 0.9], [0.4, -0.5]]),
@@ -193,10 +183,8 @@ def full_pipeline_mode() -> ModeModel:
 def blind_row_mode() -> ModeModel:
     """Identical output rows: the free channel sees nothing (c2 = 0)."""
     return ModeModel(
-        field=LinearSinusoidalField(
-            a_hat=np.array([[0.3, 0.0], [0.4, -0.7]]),
-            a_tilde=np.array([[0.8, -0.4], [0.4, -0.8]]),
-        ),
+        a=np.array([[0.3, 0.0], [0.4, -0.7]]),
+        a_tilde=np.array([[0.8, -0.4], [0.4, -0.8]]),
         b=np.zeros((2, 1)),
         g=np.array([[0.4], [-0.1]]),
         c=np.array([[0.8, 0.1], [0.8, 0.1]]),
@@ -208,7 +196,7 @@ def blind_row_mode() -> ModeModel:
 def full_feedthrough_mode() -> ModeModel:
     """Invertible H: the residual has zero rows."""
     return ModeModel(
-        field=LinearField(a=np.array([[0.5, 0.1], [0.0, 0.3]])),
+        a=np.array([[0.5, 0.1], [0.0, 0.3]]),
         b=np.array([[0.2], [0.0]]),
         g=np.array([[0.5, 0.0], [0.0, 0.3]]),
         c=np.array([[1.0, 0.2], [-0.1, 1.0]]),
@@ -229,7 +217,7 @@ def stagewise_step(
     """Reference observer step: time update, recovery of the state-coupled
     input from the feedthrough-free innovation, gain correction on the
     same channel, then the direct input component, each on vectors."""
-    x_pred = eval_field(mode.field, state.x_hat) + mode.b @ u_prev + dec.g1 @ state.d1_hat
+    x_pred = mode.f(state.x_hat) + mode.b @ u_prev + dec.g1 @ state.d1_hat
     d2_prev = gains.m2 @ (dec.t2 @ y_k - dec.c2 @ x_pred - dec.d2 @ u_k)
     x_star = x_pred + dec.g2 @ d2_prev
     residual = dec.t2 @ y_k - dec.c2 @ x_star - dec.d2 @ u_k
@@ -259,8 +247,9 @@ def stacked_init(dec: ModeDecomposition, gains: ObserverGains, x_hat0, y0, u0) -
 def stack_of_one(mode: ModeModel, dec: ModeDecomposition, gains: ObserverGains) -> ObserverStack:
     """The package's observer stack holding this one mode, with no
     thresholds."""
-    step = step_matrix_stack(ModeStack.of([mode]), DecompositionStack.of(dec), GainStack.of(gains))
-    return ObserverStack.of((0,), [mode], step, dec.p_h, np.empty((0, 1)))
+    model = ModeStack.of([mode])
+    step = step_matrix_stack(model, DecompositionStack.of(dec), GainStack.of(gains))
+    return ObserverStack.of((0,), model, step, dec.p_h, np.empty((0, 1)))
 
 
 def stacked_step(
@@ -294,7 +283,7 @@ def product_step(
     n = x_hat.shape[0]
     n1 = n + state.d1_hat.shape[0]
     n2 = n1 + mode.p
-    z = np.concatenate((eval_field(mode.field, x_hat), state.d1_hat, u_prev, u_k, y_k))
+    z = np.concatenate((mode.f(x_hat), state.d1_hat, u_prev, u_k, y_k))
     with np.errstate(invalid="ignore", over="ignore"):
         out = step @ z
     k = state.k + 1
@@ -395,7 +384,7 @@ def _oracle_ball(rng: np.random.Generator, radius: float, dim: int) -> np.ndarra
 
 
 def _oracle_plant(mode, x_k, u_k, d_k, w_k, v_k):
-    x_next = eval_field(mode.field, x_k) + mode.b @ u_k + mode.g @ d_k + mode.w @ w_k
+    x_next = mode.f(x_k) + mode.b @ u_k + mode.g @ d_k + mode.w @ w_k
     y_k = mode.c @ x_k + mode.d @ u_k + mode.h @ d_k + v_k
     return x_next, y_k
 
@@ -584,7 +573,7 @@ def run_closed_loop(
     states = [stacked_init(dec, gains, x_hat0, y[0], u[0])]
     residuals: list[np.ndarray] = []
     for k in range(1, steps + 1):
-        x_next = eval_field(mode.field, x[k - 1]) + mode.b @ u[k - 1] + mode.g @ d[k - 1] + mode.w @ w[k - 1]
+        x_next = mode.f(x[k - 1]) + mode.b @ u[k - 1] + mode.g @ d[k - 1] + mode.w @ w[k - 1]
         x.append(x_next)
         y.append(mode.c @ x_next + mode.d @ u[k] + mode.h @ d[k] + v[k])
         state = stacked_step(states[-1], stack, u[k - 1], u[k], y[k])
@@ -633,7 +622,7 @@ def stacked_word(trace: ClosedLoopTrace, k: int) -> np.ndarray:
     parts += [trace.v[j] for j in range(k + 1)]
     parts += [trace.w[j] for j in range(k)]
     parts += [
-        eval_field(mode.field, trace.x[j]) - eval_field(mode.field, trace.states[j].x_hat)
+        mode.f(trace.x[j]) - mode.f(trace.states[j].x_hat)
         for j in range(k)
     ]
     return np.concatenate(parts)

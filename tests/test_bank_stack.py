@@ -84,14 +84,8 @@ def test_stacked_bank_matches_the_per_mode_product_on_every_bundled_scenario() -
 
 def _twin(mode, scale: float):
     """The mode with its drift scaled: same shapes, other numbers."""
-    field = mode.field
-    if hasattr(field, "a"):
-        field = dataclasses.replace(field, a=scale * field.a)
-    else:
-        field = dataclasses.replace(
-            field, a_hat=scale * field.a_hat, a_tilde=scale * field.a_tilde
-        )
-    return dataclasses.replace(mode, field=field, lipschitz=None)
+    a_tilde = None if mode.a_tilde is None else scale * mode.a_tilde
+    return dataclasses.replace(mode, a=scale * mode.a, a_tilde=a_tilde, lipschitz=None)
 
 
 def _mixed_config():
@@ -138,7 +132,8 @@ def test_mixed_bank_stacks_by_shape_and_matches_the_per_mode_product() -> None:
 def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
     """One grouping: run_bank steps each gain_groups group as the stack
     prepare_modes built, its step matrices the step_matrix_stack output
-    itself, not a regrouped copy."""
+    itself and its drift matrices the group ModeStack's own arrays, not
+    regrouped copies."""
     built, stepped = [], []
 
     def build(*args):
@@ -168,6 +163,22 @@ def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
         for stack, steps in zip(stacks, built):
             assert np.shares_memory(stack.step, steps), (label, stack.modes)
             assert all(prepared[q].stack is stack for q in stack.modes), (label, stack.modes)
+            model = prepared[stack.modes[0]].group.model
+            assert stack.a is model.a and stack.a_tilde is model.a_tilde, (label, stack.modes)
+
+
+def test_take_keeps_the_drift_rows_of_its_modes() -> None:
+    """An elimination's ObserverStack.take keeps the a and a_tilde rows
+    of the modes it keeps, in their order."""
+    config = load_config(scenario_path("scenario1"))
+    stack = max((pm.stack for pm in runner.prepare_modes(config)), key=lambda s: len(s.modes))
+    assert len(stack.modes) > 2 and stack.a_tilde is not None
+    rows = np.array([2, 0])
+    part = stack.take(rows)
+    assert part.modes == (stack.modes[2], stack.modes[0])
+    for j, q in enumerate(part.modes):
+        mode = config.system.modes[q]
+        assert _same_bits(part.a[j], mode.a) and _same_bits(part.a_tilde[j], mode.a_tilde)
 
 
 def test_residual_norms_rescale_only_rows_whose_square_is_not_normal() -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from artifact.system import LinearField, ModeModel
+from artifact.system import ModeModel
 from conftest import decompose
 
 ATOL = 1e-10
@@ -14,7 +14,7 @@ def _mode(h: np.ndarray, c: np.ndarray | None = None, g: np.ndarray | None = Non
     l, p = h.shape
     n = 2
     return ModeModel(
-        field=LinearField(a=0.1 * np.eye(n)),
+        a=0.1 * np.eye(n),
         b=np.zeros((n, 1)),
         g=np.arange(1.0, 1.0 + n * p).reshape(n, p) / 10.0 if g is None else g,
         c=np.ones((l, n)) if c is None else c,

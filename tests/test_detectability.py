@@ -33,7 +33,7 @@ from artifact.detectability import (
 from artifact.gains import radius_sequences
 from artifact.residuals import build_coefficients
 from artifact.scenarios import list_scenarios, scenario_path
-from artifact.system import LinearField, ModeModel, SwitchedSystem
+from artifact.system import ModeModel, SwitchedSystem
 
 
 def _prepared(mode, eta_w=0.05, eta_v=0.05):
@@ -45,7 +45,7 @@ def _prepared(mode, eta_w=0.05, eta_v=0.05):
 def _second_channel_mode() -> ModeModel:
     """Same dimensions as invertible_channel_mode, different feedthrough."""
     return ModeModel(
-        field=LinearField(a=np.array([[0.25, -0.1], [0.05, 0.3]])),
+        a=np.array([[0.25, -0.1], [0.05, 0.3]]),
         b=np.zeros((2, 1)),
         g=np.array([[-0.4], [0.2]]),
         c=np.array([[0.9, -0.3], [0.0, 0.0], [0.2, 1.1]]),
@@ -324,7 +324,7 @@ def test_quantitative_check_fails_when_a_threshold_diverges() -> None:
 
 def test_quantitative_check_marks_mismatched_feedthrough_ranks() -> None:
     zero_h = ModeModel(
-        field=LinearField(a=np.array([[0.2, 0.0], [0.0, 0.2]])),
+        a=np.array([[0.2, 0.0], [0.0, 0.2]]),
         b=np.zeros((2, 1)),
         g=np.array([[0.5], [-0.3]]),
         c=np.array([[1.0, 0.2], [-0.1, 1.0], [0.0, 1.0]]),
@@ -364,7 +364,7 @@ def test_structural_check_rejects_shared_feedthrough_geometry() -> None:
 
 def test_structural_check_rejects_expansive_origin_jacobian() -> None:
     expansive = ModeModel(
-        field=LinearField(a=1.5 * np.eye(2)),
+        a=1.5 * np.eye(2),
         b=np.zeros((2, 1)),
         g=np.array([[-0.4], [0.2]]),
         c=np.array([[0.9, -0.3], [0.0, 0.0], [0.2, 1.1]]),

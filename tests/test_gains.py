@@ -14,7 +14,7 @@ from artifact.errors import ConfigurationError, SynthesisError
 from artifact.decomposition import DecompositionStack
 from artifact.gains import heuristic_gain, synthesis_errors
 from artifact.scenarios import list_scenarios, scenario_path
-from artifact.system import LinearField, LinearSinusoidalField, ModeModel
+from artifact.system import ModeModel
 from conftest import decompose, radius_table, synthesize_gains
 
 
@@ -22,10 +22,8 @@ def invertible_channel_mode() -> ModeModel:
     # third output row is feedthrough-only (c1 = 0), the free channel sees an
     # invertible 2x2 map, and no unknown-input component hides in the state
     return ModeModel(
-        field=LinearSinusoidalField(
-            a_hat=np.array([[0.3, 0.1], [0.0, 0.25]]),
-            a_tilde=np.array([[0.2, 0.0], [0.1, 0.2]]),
-        ),
+        a=np.array([[0.3, 0.1], [0.0, 0.25]]),
+        a_tilde=np.array([[0.2, 0.0], [0.1, 0.2]]),
         b=np.zeros((2, 1)),
         g=np.array([[0.5], [-0.3]]),
         c=np.array([[1.0, 0.2], [-0.1, 1.0], [0.0, 0.0]]),
@@ -36,10 +34,8 @@ def invertible_channel_mode() -> ModeModel:
 
 def scalar_channel_mode() -> ModeModel:
     return ModeModel(
-        field=LinearSinusoidalField(
-            a_hat=np.array([[-0.5, 0.0], [1.0, -0.5]]),
-            a_tilde=np.array([[0.6, -0.1], [0.1, -0.6]]),
-        ),
+        a=np.array([[-0.5, 0.0], [1.0, -0.5]]),
+        a_tilde=np.array([[0.6, -0.1], [0.1, -0.6]]),
         b=np.zeros((2, 1)),
         g=np.array([[-0.2], [0.1]]),
         c=np.array([[0.5, -0.1], [0.6, -0.1]]),
@@ -63,7 +59,7 @@ def test_rank_condition_gate() -> None:
     mode = scalar_channel_mode()
     assert synthesis_errors(DecompositionStack.of(decompose(mode)), [None]) == [None]
     blind = ModeModel(
-        field=LinearField(a=0.2 * np.eye(2)),
+        a=0.2 * np.eye(2),
         b=np.zeros((2, 1)),
         g=np.array([[0.3, 0.0], [0.0, 0.4]]),
         c=np.zeros((3, 2)),

@@ -22,7 +22,7 @@ from artifact.linalg import (
     svd,
     singular_value_cutoff,
 )
-from artifact.system import LinearField, ModeModel
+from artifact.system import ModeModel
 from conftest import decompose
 
 
@@ -43,7 +43,7 @@ def _signed_factors(h: np.ndarray):
     n = 2
     dec = decompose(
         ModeModel(
-            field=LinearField(a=0.1 * np.eye(n)),
+            a=0.1 * np.eye(n),
             b=np.zeros((n, 1)),
             g=np.ones((n, p)),
             c=np.ones((l, n)),

@@ -26,7 +26,7 @@ from artifact import runner
 from artifact.config import load_config
 from artifact.errors import NumericalFailure
 from artifact.scenarios import list_scenarios, scenario_path
-from artifact.system import LinearField, ModeModel, eval_field
+from artifact.system import ModeModel
 
 
 def test_init_consumes_the_first_measurement_for_the_direct_component() -> None:
@@ -52,7 +52,7 @@ def test_noise_free_consistent_run_is_tracked_exactly() -> None:
     x = np.array([0.2, -0.1])
     state = stacked_init(dec, gains, x, mode.c @ x, np.zeros(1))
     for k in range(1, 8):
-        x = eval_field(mode.field, x)
+        x = mode.f(x)
         y = mode.c @ x
         state = stacked_step(state, stack, np.zeros(1), np.zeros(1), y)
         np.testing.assert_allclose(state.x_hat, x, atol=1e-12)
@@ -75,7 +75,7 @@ def test_unknown_input_is_reconstructed_one_step_late_when_error_collapses() -> 
     d_seq = [np.array([0.7])]
     for k in range(1, 6):
         d_seq.append(rng.normal(size=1))
-        x = eval_field(mode.field, x) + mode.g @ d_seq[k - 1]
+        x = mode.f(x) + mode.g @ d_seq[k - 1]
         y = mode.c @ x + mode.h @ d_seq[k]
         state = stacked_step(state, stack, np.zeros(1), np.zeros(1), y)
         np.testing.assert_allclose(state.d_hat_prev, d_seq[k - 1], atol=1e-10)
@@ -152,7 +152,7 @@ def test_non_finite_measurement_raises_numerical_failure_with_step(u_prev, y_k) 
 def _no_feedthrough_mode() -> ModeModel:
     """H = 0: the direct input component d1-hat has zero width."""
     return ModeModel(
-        field=LinearField(a=np.array([[0.5, 0.2], [-0.1, 0.4]])),
+        a=np.array([[0.5, 0.2], [-0.1, 0.4]]),
         b=np.array([[0.3], [0.1]]),
         g=np.array([[0.4], [-0.2]]),
         c=np.array([[1.0, 0.0], [0.3, 0.8]]),
@@ -203,12 +203,12 @@ def test_fused_step_matches_the_stagewise_reference() -> None:
         for block in ("x_hat", "d1_hat"):
             assert getattr(ref, block).tobytes() == getattr(want, block).tobytes(), (label, block)
         for k in range(1, 101):
-            x = eval_field(mode.field, x) + mode.b @ u_prev + mode.g @ d
+            x = mode.f(x) + mode.b @ u_prev + mode.g @ d
             u_k = rng.normal(size=mode.m) * 0.2
             y, d = measure(x, u_k)
             got = stacked_step(ref, stack, u_prev, u_k, y)
             want = stagewise_step(ref, mode, dec, gains, u_prev, u_k, y)
-            inputs = np.concatenate((eval_field(mode.field, ref.x_hat), ref.d1_hat, u_prev, u_k, y))
+            inputs = np.concatenate((mode.f(ref.x_hat), ref.d1_hat, u_prev, u_k, y))
             bound = STEP_REL * np.max(np.abs(step) @ np.abs(inputs))
             for block in ("x_hat", "d1_hat", "d_hat_prev", "residual"):
                 a, b = getattr(got, block), getattr(want, block)

@@ -1,13 +1,16 @@
 """README's examples run as written: every Python block, and every
 `artifact` line of its shell blocks through `cli.main`, in an empty
-working directory."""
+working directory; every YAML block is a config that parses."""
 from __future__ import annotations
 
 import re
 import shlex
 from pathlib import Path
 
+import yaml
+
 from artifact import cli
+from artifact.config import parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```", README.read_text(), flags=re.M | re.S)
@@ -33,3 +36,10 @@ def test_readme_artifact_commands_exit_0(tmp_path, monkeypatch) -> None:
     assert len(lines) == 4
     for line in lines:
         assert cli.main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_yaml_blocks_parse(tmp_path) -> None:
+    sources = [body for lang, body in BLOCKS if lang == "yaml"]
+    assert sources
+    for source in sources:
+        parse_config(yaml.safe_load(source), base_dir=tmp_path)

@@ -315,7 +315,8 @@ def test_threshold_table_is_consistent_with_pointwise_queries() -> None:
 def test_full_feedthrough_mode_has_empty_residual_channel() -> None:
     mode = invertible_channel_mode()
     full = type(mode)(
-        field=mode.field,
+        a=mode.a,
+        a_tilde=mode.a_tilde,
         b=np.zeros((2, 1)),
         g=np.array([[0.5, 0.0], [0.0, 0.3]]),
         c=np.array([[1.0, 0.2], [-0.1, 1.0]]),

@@ -63,6 +63,15 @@ def test_parse_config_rejects_unknown_field_kind() -> None:
         parse_config(data)
 
 
+def test_parse_config_names_the_mode_of_a_mode_model_error() -> None:
+    data = yaml.safe_load(scenario_path("scenario1").read_text())
+    data["system"]["modes"][2]["d"] = [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(
+        ConfigurationError, match=r"^system\.modes\[3\]: d must be \(2, 1\), got \(2, 2\)$"
+    ):
+        parse_config(data)
+
+
 def test_parse_config_rejects_out_of_range_true_mode() -> None:
     with pytest.raises(ConfigurationError, match="true_mode"):
         parse_config(_minimal_config_data(true_mode=2))

@@ -16,7 +16,7 @@ from artifact.config import BoundedRandomInput, GainsSpec, ScenarioConfig, ZeroI
 from artifact.errors import ConfigurationError, SynthesisError
 from artifact.residuals import build_threshold_table
 from artifact.scenarios import list_scenarios, scenario_path
-from artifact.system import LinearField, LinearSinusoidalField, ModeModel, SwitchedSystem
+from artifact.system import ModeModel, SwitchedSystem
 from conftest import (
     coefficients,
     decompose,
@@ -140,13 +140,10 @@ def _random_mode(rng, n: int, l: int, m: int, p: int, p_h: int, integer: bool) -
 
     h = mat(l, p_h) @ mat(p_h, p) if p_h else np.zeros((l, p))
     a = 0.4 * mat(n, n) / max(1.0, math.sqrt(n))
-    field = (
-        LinearField(a=a)
-        if rng.uniform() < 0.4
-        else LinearSinusoidalField(a_hat=a, a_tilde=0.3 * mat(n, n) / max(1.0, math.sqrt(n)))
-    )
+    a_tilde = None if rng.uniform() < 0.4 else 0.3 * mat(n, n) / max(1.0, math.sqrt(n))
     return ModeModel(
-        field=field,
+        a=a,
+        a_tilde=a_tilde,
         b=mat(n, m),
         g=mat(n, p),
         c=mat(l, n),
@@ -323,7 +320,7 @@ def test_one_mode_functions_are_stacks_of_one() -> None:
 def _deficient_mode(p: int) -> ModeModel:
     """No free output row sees the state, so rank(c2 @ g2) = 0 < p."""
     return ModeModel(
-        field=LinearField(a=0.2 * np.eye(2)),
+        a=0.2 * np.eye(2),
         b=np.zeros((2, 1)),
         g=np.arange(1.0, 2 * p + 1).reshape(2, p) / 10,
         c=np.zeros((3, 2)),

@@ -35,7 +35,6 @@ from artifact.config import load_config
 from artifact.gains import INV_RT2, noise_offset
 from artifact.residuals import build_threshold_table
 from artifact.scenarios import scenario_path
-from artifact.system import eval_field
 
 REL = 1e-9
 
@@ -66,7 +65,7 @@ def _run(mode, stack, signals, k, x, state, horizon):
     u, d, w, v = signals
     out = []
     for j in range(k + 1, horizon + 1):
-        x = eval_field(mode.field, x) + mode.b @ u[j - 1] + mode.g @ d[j - 1] + mode.w @ w[j - 1]
+        x = mode.f(x) + mode.b @ u[j - 1] + mode.g @ d[j - 1] + mode.w @ w[j - 1]
         y = mode.c @ x + mode.d @ u[j] + mode.h @ d[j] + v[j]
         state = stacked_step(state, stack, u[j - 1], u[j], y)
         out.append((x, state))
