@@ -21,8 +21,10 @@ import sys
 from pathlib import Path
 
 from .config import ScenarioConfig, load_config
+from .decomposition import ModeDecomposition
 from .detectability import report_detectability
 from .errors import ConfigurationError, NumericalFailure, SynthesisError
+from .gains import ObserverGains
 from .residuals import build_threshold_table
 from .runner import (
     gain_bank,
@@ -67,9 +69,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _mode_bank(config: ScenarioConfig) -> list[tuple[ModeDecomposition, ObserverGains]]:
+    """Each mode's decomposition and gains, in bank order: the rows of the
+    ``gain_bank`` groups, for the one-mode kernels of ``check-detectability``
+    and ``thresholds``."""
+    rows = {
+        q: (group.dec.mode(i), group.gains.mode(i))
+        for group in gain_bank(config)
+        for i, q in enumerate(group.modes)
+    }
+    return [rows[q] for q in range(config.system.mode_count)]
+
+
 def _cmd_check_detectability(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
-    bank = gain_bank(config)
+    bank = _mode_bank(config)
     report = report_detectability(
         config.system,
         [dec for dec, _ in bank],
@@ -105,7 +119,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--mode must be in 1..{count}, got {args.mode}")
     if args.kmax < 1:
         raise ConfigurationError("--kmax must be >= 1")
-    dec, gains = gain_bank(config)[args.mode - 1]
+    dec, gains = _mode_bank(config)[args.mode - 1]
     table = build_threshold_table(
         gains, dec, config.system.delta_x0, args.kmax, config.max_vertices
     )

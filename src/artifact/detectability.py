@@ -27,12 +27,12 @@ i = 0 term alone gives tri_k >= L_f ||c2 phi|| delta_{k-1}, read off the
 radius table.  The last rung is always the cap, so the verdict never
 rests on that bound.
 
-``steady_tri`` takes one mode of ``runner.gain_bank``, lifts it to a
-stack of one once, and builds every rung with the stacked kernels
-(``gains.radius_sequences``, ``residuals.build_coefficients``,
-``residuals.triangle_sequences``).  It and ``gain_bank`` stay one-mode
-entry points because the benchmark calls them by name: its tracer wraps
-``steady_tri`` and reads each call's ``iterations``.
+``steady_tri`` takes one mode, a row of a ``runner.gain_bank`` group
+that the CLI splits off, lifts it to a stack of one once, and builds
+every rung with the stacked kernels (``gains.radius_sequences``,
+``residuals.build_coefficients``, ``residuals.triangle_sequences``).  It
+stays a one-mode entry point because the benchmark calls it by name: its
+tracer wraps ``steady_tri`` and reads each call's ``iterations``.
 """
 from __future__ import annotations
 
@@ -174,50 +174,40 @@ def check_condition_i(
     for q in range(count):
         for qp in range(q + 1, count):
             da, db = decs[q], decs[qp]
-            if missing or da.p_h != db.p_h:
-                reports.append(
-                    PairReport(
-                        q=q,
-                        q_other=qp,
-                        applicable=False,
-                        passed=False,
-                        sigma_min_w=math.nan,
-                        required=math.nan,
-                        r_z=math.nan,
-                        reason=(
-                            "r_x / r_y magnitude bounds not configured"
-                            if missing
-                            else "feedthrough ranks differ; stacked blocks do not conform"
-                        ),
-                    )
+            sig = required = r_z = math.nan
+            if missing:
+                applicable, reason = False, "r_x / r_y magnitude bounds not configured"
+            elif da.p_h != db.p_h:
+                applicable = False
+                reason = "feedthrough ranks differ; stacked blocks do not conform"
+            else:
+                r = da.z2_dim
+                stacked = np.hstack(
+                    [
+                        da.c2 - db.c2,
+                        da.t2 - db.t2,
+                        -np.eye(r),
+                        np.eye(r),
+                        da.d2,
+                        -db.d2,
+                    ]
                 )
-                continue
-            r = da.z2_dim
-            stacked = np.hstack(
-                [
-                    da.c2 - db.c2,
-                    da.t2 - db.t2,
-                    -np.eye(r),
-                    np.eye(r),
-                    da.d2,
-                    -db.d2,
-                ]
-            )
-            try:
-                sig = linalg.sigma_min(stacked)
-            except SigmaMinUndefinedError:
-                sig = 0.0
-            r_z = float(system.r_y) * linalg.spectral_norm(da.t2 - db.t2)
-            eta_v = min(system.eta_v[q], system.eta_v[qp])
-            denom = math.sqrt(float(system.r_x) ** 2 + eta_v**2)
-            required = (steady[q].value + steady[qp].value + r_z) / denom
-            passed = math.isfinite(required) and sig > required
-            reason = "" if math.isfinite(required) else "a threshold sequence diverges"
+                try:
+                    sig = linalg.sigma_min(stacked)
+                except SigmaMinUndefinedError:
+                    sig = 0.0
+                r_z = float(system.r_y) * linalg.spectral_norm(da.t2 - db.t2)
+                eta_v = min(system.eta_v[q], system.eta_v[qp])
+                denom = math.sqrt(float(system.r_x) ** 2 + eta_v**2)
+                required = (steady[q].value + steady[qp].value + r_z) / denom
+                applicable = True
+                reason = "" if math.isfinite(required) else "a threshold sequence diverges"
+            passed = applicable and math.isfinite(required) and sig > required
             reports.append(
                 PairReport(
                     q=q,
                     q_other=qp,
-                    applicable=True,
+                    applicable=applicable,
                     passed=passed,
                     sigma_min_w=sig,
                     required=required,
@@ -292,10 +282,9 @@ def report_detectability(
     ]
     cond_i = check_condition_i(system, decs, steady)
     cond_ii = check_condition_ii(system, decs)
-    if cond_i and all(r.applicable and r.passed for r in cond_i):
+    # a single hypothesis has no pair, so nothing to confuse: all([]) passes
+    if all(r.applicable and r.passed for r in cond_i):
         overall = "pass"
-    elif not cond_i:
-        overall = "pass"  # a single hypothesis has nothing to confuse
     elif cond_ii.passed:
         overall = "conditional"
     else:

@@ -24,6 +24,8 @@ norm as one batched call over a leading mode axis, each slice the call a
 lone mode makes (a lone mode is a stack of one), and
 ``synthesis_errors`` says beforehand which modes cannot get gains.
 Every function here takes a stack; a lone mode is lifted with ``GainStack.of``.
+A ``BankGroup`` is one such group of the bank with its model,
+decomposition and gain stacks, the unit the run path works in.
 """
 from __future__ import annotations
 
@@ -121,6 +123,19 @@ class GainStack:
     """ObserverGains of modes that share every array shape, stacked along
     a leading mode axis; each scalar field is a (Q,) array.  ``mode(i)``
     is row i's ObserverGains, its matrices views of the stack."""
+
+
+@dataclass(frozen=True)
+class BankGroup:
+    """Modes of the bank that share every array shape, (n, m, l, p) and
+    rank(H), and a drift kind, prepared as stacks; row i of each stack is
+    bank mode ``modes[i]``.  ``runner.gain_bank`` builds them, and the
+    bank is prepared, stepped and written group by group."""
+
+    modes: tuple[int, ...]  # 0-based bank indices, ascending
+    model: ModeStack
+    dec: DecompositionStack
+    gains: GainStack
 
 
 def radius_sequences(gains: GainStack, delta0: float, k_max: int) -> np.ndarray:

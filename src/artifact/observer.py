@@ -10,9 +10,12 @@ update is linear in [f(x-hat_{k-1}); d1-hat_{k-1}; u_{k-1}; u_k; y_k]:
 modes on identity column blocks.
 Every mode consumes the same (u, y), so ``step_observer`` advances each
 ``ObserverStack`` with one stacked product; ``runner.prepare_modes``
-builds one stack per ``runner.gain_groups`` group, with the drift
-matrices its ``ModeStack`` stacked, and a stack of one is the
-single-mode observer.  A step updates only the centers and emits its
+builds one stack per ``gains.BankGroup``, and the stack reads its drift
+matrices off the group's ``ModeStack``; a stack of one is the
+single-mode observer.  A stack is never re-sliced: the bank steps a
+mode it has eliminated with the rest of its stack and masks its rows,
+so the rows of a stack are its group's rows throughout a run.  A step
+updates only the centers and emits its
 innovation, the residual the mode observer tests: the error radii read
 no measurement, so ``gains.radius_sequences`` tabulates them once per
 group.
@@ -29,13 +32,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decomposition import DecompositionStack
 from .errors import NumericalFailure
-from .gains import GainStack
+from .gains import BankGroup, GainStack
 from .linalg import spectral_norms
 from .residuals import compute_residual
 from .system import ModeStack, drift
@@ -111,43 +114,32 @@ def step_matrix_stack(modes: ModeStack, dec: DecompositionStack, gains: GainStac
 
 @dataclass(frozen=True)
 class ObserverStack:
-    """Observers of one ``runner.gain_groups`` group of modes, stacked
-    along a leading axis: row i belongs to bank mode ``modes[i]``.
+    """Observers of one ``BankGroup``, stacked along a leading axis: row i
+    belongs to bank mode ``modes[i]``, and its drift is row i of the
+    group's ``ModeStack``.
 
     A step's output row is [x-hat_k | d1-hat_k | d-hat_{k-1} | residual_k],
-    of widths n, p1, p and the rest.  `a` and `a_tilde` are the group
-    ``ModeStack``'s drift matrices, and ``limits[k - 1, i]`` is row i's
-    threshold at step k.
+    of widths n, p1, p and the rest.
     """
 
-    modes: tuple[int, ...]  # 0-based bank indices, ascending
+    group: BankGroup
     step: np.ndarray  # (Q, R, C): each mode's step map from ``step_matrix_stack``
-    a: np.ndarray  # (Q, n, n)
-    a_tilde: np.ndarray | None  # (Q, n, n), None for linear drifts
-    limits: np.ndarray  # (N, Q)
-    n: int
-    p1: int
-    p: int
 
-    @classmethod
-    def of(
-        cls, modes: Sequence[int], model: ModeStack, step: np.ndarray, p1: int, limits: np.ndarray
-    ) -> ObserverStack:
-        """The stack of one group's bank modes from the group's
-        ``ModeStack``, its ``step_matrix_stack`` output, rank(H) p1 and
-        (N, Q) thresholds."""
-        return cls(tuple(modes), step, model.a, model.a_tilde, limits, model.n, p1, model.p)
+    @property
+    def modes(self) -> tuple[int, ...]:
+        return self.group.modes
 
-    def take(self, rows: np.ndarray) -> ObserverStack:
-        """The stack of the given rows only."""
-        return replace(
-            self,
-            modes=tuple(self.modes[i] for i in rows),
-            step=self.step[rows],
-            a=self.a[rows],
-            a_tilde=None if self.a_tilde is None else self.a_tilde[rows],
-            limits=self.limits[:, rows],
-        )
+    @property
+    def n(self) -> int:
+        return self.group.model.n
+
+    @property
+    def p1(self) -> int:
+        return self.group.dec.p_h
+
+    @property
+    def p(self) -> int:
+        return self.group.model.p
 
     def residual_norms(self, outputs: np.ndarray) -> np.ndarray:
         """The residual norm of every output row (the last axis) in
@@ -212,9 +204,10 @@ def step_observer(
     outs = []
     with np.errstate(invalid="ignore", over="ignore"):
         for stack, state in zip(stacks, states):
-            n, n1 = stack.n, stack.n + stack.p1
+            model = stack.group.model
+            n, n1 = model.n, model.n + stack.p1
             z = np.empty((len(state), stack.step.shape[2]))
-            z[:, :n] = drift(stack.a, stack.a_tilde, state[:, :n, None])[:, :, 0]
+            z[:, :n] = drift(model.a, model.a_tilde, state[:, :n, None])[:, :, 0]
             z[:, n:n1] = state[:, n:n1]
             z[:, n1:] = signal
             outs.append(np.matmul(stack.step, z[:, :, None])[:, :, 0])

@@ -29,11 +29,13 @@ shares every array shape is tabulated together: ``build_coefficients``
 runs one recursion whose steps are stacked products, and
 ``triangle_sequences`` one pass, over a leading mode axis; each slice is
 the call a lone mode makes, so its bits do not depend on the group.
+A group's thresholds are held as (Q, k_max) arrays in a
+``ThresholdStack``, and ``runner.run_bank`` reads a block of every row's
+``delta_hat`` at once; row i is mode i's ``ThresholdTable``, and
+iterating that yields per-step ``ThresholdReport``s.
 ``build_threshold_table``, the ``thresholds`` command's table, is the
 stack of one; it stays one-mode because the benchmark's tracer wraps it
-by name and reads its dec and its per-step reports.  A mode's thresholds
-are held as arrays in a ``ThresholdTable``; iterating it yields per-step
-``ThresholdReport``s.
+by name and reads its dec and its per-step reports.
 """
 from __future__ import annotations
 
@@ -304,12 +306,19 @@ class ThresholdTable:
             yield ThresholdReport(k, *row)
 
 
+@stack_of(ThresholdTable)
+class ThresholdStack:
+    """ThresholdTables of the modes of a stack: (Q, k_max) arrays, row i
+    the thresholds of mode i.  ``mode(i)`` is row i's ThresholdTable, its
+    arrays views of the stack."""
+
+
 def build_threshold_tables(
     gains: GainStack,
     dec: DecompositionStack,
     radii: np.ndarray,
     max_vertices: int,
-) -> list[ThresholdTable]:
+) -> ThresholdStack:
     """Thresholds for k = 1..k_max of every mode of a stack, sharing one
     coefficient recursion and one triangle pass.
 
@@ -337,9 +346,7 @@ def build_threshold_tables(
             )
     # min(tri, inf): inf only where it is strictly smaller
     hat = np.where(inf < tri, inf, tri)
-    return [
-        ThresholdTable(tri[i], inf[i], hat[i], vertices[i], capped[i]) for i in range(len(tri))
-    ]
+    return ThresholdStack(tri, inf, hat, vertices, capped)
 
 
 def build_threshold_table(
@@ -353,7 +360,5 @@ def build_threshold_table(
     delta0: ``build_threshold_tables`` on the stack of one, with its
     radius table from ``gains.radius_sequences``."""
     stack = GainStack.of(gains)
-    (table,) = build_threshold_tables(
-        stack, DecompositionStack.of(dec), radius_sequences(stack, delta0, k_max), max_vertices
-    )
-    return table
+    radii = radius_sequences(stack, delta0, k_max)
+    return build_threshold_tables(stack, DecompositionStack.of(dec), radii, max_vertices).mode(0)

@@ -3,28 +3,25 @@
 A run follows one loop: simulate the true plant for the whole horizon,
 then per step feed every surviving mode hypothesis its observer update,
 compare residual norms against precomputed thresholds, and eliminate.
-That loop is written once, as ``run_bank``: it steps the surviving
-modes as stacks with one ``observer.step_observer`` call per step, in
-blocks of ``BLOCK`` steps, and decides each block's finiteness, residual
-norms and eliminations in one array pass per stack.  It returns one
-``BankRun``: the last step, the final surviving set and, per stack, the
-arrays of every output row and residual norm, from which the final
-observer states are read.  ``run`` formats ``steps.csv`` from those
-arrays, a column block per mode.  The loop does no radius arithmetic:
-``prepare_modes`` tabulates each mode's state radii, lagged input radii
-and thresholds once, and a state at step k reads its radius from
-``radius_seq[k]``.  Preparation runs as stacks: ``gain_groups``, the
-one grouping of the bank, groups it by (n, m, l, p), drift kind and
-rank(H); per group, one batched pass decomposes, synthesizes gains,
-tabulates thresholds and builds the ``ObserverStack`` that ``run_bank``
-steps as it is; ``observer.init_observer`` gives a group's initial rows
-in one call.  Each ``PreparedMode`` holds its ``BankGroup``, that stack,
-its row in both and its slices of the gains and tables, the bits a lone
-mode's preparation gives.  ``gain_bank`` splits the groups into per-mode
-(decomposition, gains) pairs for ``check-detectability`` and
-``thresholds``; it stays one-mode because the benchmark calls it by
-name.  Everything downstream of the master seed is deterministic, so a
-config plus a seed reproduces its CSV outputs byte for byte.
+The gain group (``gains.BankGroup``: modes of one (n, m, l, p), drift
+kind and rank(H)) is the one unit of that path.  ``gain_bank`` groups
+the bank and, per group, decomposes and synthesizes gains in one
+batched pass; ``prepare_modes`` turns each group into one
+``PreparedGroup``: its ``ObserverStack``, its (Q, N+1) state radii,
+(Q, N) lagged input radii and threshold tables, tabulated once, so the
+loop does no radius arithmetic and a state at step k reads its radius
+from ``radii[:, k]``.  ``run_bank`` steps those stacks as they are,
+with one ``observer.step_observer`` call per step, in blocks of
+``BLOCK`` steps, and decides each block's finiteness, residual norms
+and eliminations in one array pass per stack; an eliminated mode's rows
+are masked, not sliced off.  It returns one ``BankRun``: the last step,
+the final surviving set and, per stack, the arrays of every output row
+and residual norm, from which the final observer states are read.
+``run`` formats ``steps.csv`` from those arrays, a column block per row
+of a group.  ``check-detectability`` and ``thresholds`` split the
+groups per mode themselves.  Everything downstream of the master seed
+is deterministic, so a config plus a seed reproduces its CSV outputs
+byte for byte.
 
 Output files (see README for the column-by-column schema):
 
@@ -55,18 +52,12 @@ from .config import (
     ZeroInput,
     master_seed,
 )
-from .decomposition import DecompositionStack, ModeDecomposition, decompose_stack
+from .decomposition import decompose_stack
 from .errors import ConfigurationError
 from .estimator import Ball, ModeSet, all_modes, bounding_ball, eliminate_step
-from .gains import (
-    GainStack,
-    ObserverGains,
-    radius_sequences,
-    synthesis_errors,
-    synthesize_gain_stack,
-)
+from .gains import BankGroup, radius_sequences, synthesis_errors, synthesize_gain_stack
 from .observer import ObserverStack, ObserverState, init_observer, step_matrix_stack, step_observer
-from .residuals import ThresholdTable, build_threshold_tables
+from .residuals import ThresholdStack, ThresholdTable, build_threshold_tables
 from .system import ModeModel, ModeStack
 
 
@@ -188,36 +179,21 @@ def simulate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
 
 
 @dataclass(frozen=True)
-class BankGroup:
-    """Modes of the bank that share every array shape, (n, m, l, p) and
-    rank(H), and a drift kind, prepared as stacks; row i of each stack is
-    bank mode ``modes[i]``."""
+class PreparedGroup:
+    """One ``BankGroup``'s precomputation, shared by every seed: its
+    observer stack and its radius and threshold tables, row i of each
+    for bank mode ``stack.modes[i]``."""
 
-    modes: tuple[int, ...]  # 0-based bank indices, ascending
-    model: ModeStack
-    dec: DecompositionStack
-    gains: GainStack
-
-
-@dataclass(frozen=True)
-class PreparedMode:
-    """Per-hypothesis precomputation shared by every seed."""
-
-    index: int  # 0-based
-    mode: ModeModel
-    group: BankGroup  # this mode's gain_groups group
-    gains: ObserverGains
-    stack: ObserverStack  # the group's observer stack
-    row: int  # this mode's row in the group and the stack
-    radius_seq: np.ndarray  # state radii for k = 0..horizon
-    input_radius_seq: np.ndarray  # lagged input radii of steps 1..horizon, read at k - 1
-    thresholds: ThresholdTable  # k = 1..horizon
+    stack: ObserverStack
+    radii: np.ndarray  # (Q, N+1) state radii for k = 0..horizon
+    input_radii: np.ndarray  # (Q, N) lagged input radii of steps 1..horizon, read at k - 1
+    thresholds: ThresholdStack  # (Q, N) arrays for k = 1..horizon
 
 
-def gain_groups(config: ScenarioConfig) -> list[BankGroup]:
+def gain_bank(config: ScenarioConfig) -> list[BankGroup]:
     """Decompose and synthesize the gains of the whole bank, honoring the
-    gains spec, one batched pass per group of modes of equal shape and
-    drift kind.  Groups come in order of their first mode.
+    gains spec, one batched pass per group of modes of equal shape, drift
+    kind and rank(H).  Groups come in order of their first mode.
 
     A mode that cannot get gains raises its ``synthesis_errors`` entry;
     of several, the first mode in bank order does.  No certification
@@ -261,24 +237,12 @@ def gain_groups(config: ScenarioConfig) -> list[BankGroup]:
     ]
 
 
-def gain_bank(
-    config: ScenarioConfig,
-) -> list[tuple[ModeDecomposition, ObserverGains]]:
-    """Each mode's decomposition and gains from ``gain_groups``, in bank
-    order."""
-    per_mode = {
-        q: (group.dec.mode(i), group.gains.mode(i))
-        for group in gain_groups(config)
-        for i, q in enumerate(group.modes)
-    }
-    return [per_mode[q] for q in range(config.system.mode_count)]
-
-
-def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
+def prepare_modes(config: ScenarioConfig) -> list[PreparedGroup]:
     """Decompose, synthesize gains, build the observer stacks and tabulate
-    radii and thresholds: one batched pass per ``gain_groups`` group."""
+    radii and thresholds: one batched pass per ``gain_bank`` group, in
+    its order."""
     system = config.system
-    groups = gain_groups(config)
+    groups = gain_bank(config)
     theta = {q: float(t) for group in groups for q, t in zip(group.modes, group.gains.theta)}
     if not config.allow_uncertified:
         for q in range(system.mode_count):
@@ -287,31 +251,22 @@ def prepare_modes(config: ScenarioConfig) -> list[PreparedMode]:
                     f"mode {q + 1} gains are uncertified (contraction {theta[q]:.4g}"
                     " >= 1); set allow_uncertified to proceed without guarantees"
                 )
-    out: dict[int, PreparedMode] = {}
+    prepared = []
     for group in groups:
         radii = radius_sequences(group.gains, system.delta_x0, config.horizon)
-        tables = build_threshold_tables(group.gains, group.dec, radii, config.max_vertices)
-        stack = ObserverStack.of(
-            group.modes,
-            group.model,
-            step_matrix_stack(group.model, group.dec, group.gains),
-            group.dec.p_h,
-            np.stack([table.delta_hat for table in tables], axis=1),
-        )
-        for i, q in enumerate(group.modes):
-            gains = group.gains.mode(i)
-            out[q] = PreparedMode(
-                index=q,
-                mode=system.modes[q],
-                group=group,
-                gains=gains,
-                stack=stack,
-                row=i,
-                radius_seq=radii[i],
-                input_radius_seq=gains.input_radii(radii[i, :-1]),
-                thresholds=tables[i],
+        prepared.append(
+            PreparedGroup(
+                stack=ObserverStack(group, step_matrix_stack(group.model, group.dec, group.gains)),
+                radii=radii,
+                input_radii=np.array(
+                    [group.gains.mode(i).input_radii(row) for i, row in enumerate(radii[:, :-1])]
+                ),
+                thresholds=build_threshold_tables(
+                    group.gains, group.dec, radii, config.max_vertices
+                ),
             )
-    return [out[q] for q in range(system.mode_count)]
+        )
+    return prepared
 
 
 @dataclass(frozen=True)
@@ -398,61 +353,65 @@ BLOCK = 64  # bank steps per block pass
 
 
 def run_bank(
-    config: ScenarioConfig, prepared: list[PreparedMode], truth: TruthTrajectory
+    config: ScenarioConfig, prepared: list[PreparedGroup], truth: TruthTrajectory
 ) -> BankRun:
     """Run the observer bank over the horizon.
 
     Stops after the step that empties the surviving set.  The steps run
     in blocks of ``BLOCK``, each step one ``step_observer`` call over the
-    stacks of the modes that survived the previous block.  A mode dies
-    at its first step with residual > threshold, so one pass per stack
-    decides a block: one finiteness check, one ``residual_norms`` over
-    the finite rows, and a comparison with the stack's (N, Q) thresholds
-    whose first exceedance in a column is that mode's elimination step.
-    The eliminations are replayed in step order through
-    ``eliminate_step``, the block's rows go into the run's arrays, and
-    the surviving rows go on.  Rows stepped after their mode's
-    elimination are discarded unread, so they may be non-finite; a
-    non-finite row of a live mode raises NumericalFailure naming the
-    first such mode at the first such step, after the eliminations of
-    the steps before it.
+    prepared stacks that hold a mode surviving the previous block; a
+    stack is stepped whole, and the rows of its eliminated modes are
+    masked, never sliced off.  A mode dies at its first step with
+    residual > threshold, so one pass per stack decides a block: one
+    finiteness check, one ``residual_norms`` over the finite rows, and a
+    comparison with the block of the stack's thresholds whose first
+    exceedance in a column is that mode's elimination step.  The
+    eliminations are replayed in step order through ``eliminate_step``,
+    and the block's rows go into the run's arrays.  Rows stepped after
+    their mode's elimination are NaN in those arrays and never read, so
+    they may be non-finite; a non-finite row of a live mode raises
+    NumericalFailure naming the first such mode at the first such step,
+    after the eliminations of the steps before it.
     """
     horizon = config.horizon
-    firsts = [pm for pm in prepared if pm.row == 0]  # in group order
-    stacks = tuple(pm.stack for pm in firsts)
+    stacks = tuple(group.stack for group in prepared)
     outputs = tuple(
         np.full((horizon + 1, len(stack.modes), stack.step.shape[1]), np.nan) for stack in stacks
     )
     all_norms = tuple(np.full((horizon, len(stack.modes)), np.nan) for stack in stacks)
-    for pm, out in zip(firsts, outputs):
-        out[0, :, : pm.stack.n + pm.stack.p1] = init_observer(
-            pm.group.dec, pm.group.gains, config.system.x_hat0, truth.y[0], truth.u[0]
+    for stack, out in zip(stacks, outputs):
+        out[0, :, : stack.n + stack.p1] = init_observer(
+            stack.group.dec, stack.group.gains, config.system.x_hat0, truth.y[0], truth.u[0]
         )
-    # per stack of surviving rows: the stack, its rows in the run's stack
-    # and that stack's index
-    live = [(stack, np.arange(len(stack.modes)), i) for i, stack in enumerate(stacks)]
+    # the indices of the stacks with a surviving mode, and per stack the
+    # rows of the modes eliminated in an earlier block
+    live = list(range(len(stacks)))
+    gone = [np.zeros(len(stack.modes), dtype=bool) for stack in stacks]
     states = [out[0] for out in outputs]
     signals = np.concatenate((truth.u[:-1], truth.u[1:], truth.y[1:]), axis=1)
-    mode_set, k_last = all_modes(len(prepared)), 0
+    mode_set, k_last = all_modes(config.system.mode_count), 0
     for k0 in range(1, horizon + 1, BLOCK):
-        live_stacks = [stack for stack, *_ in live]
+        live_stacks = [stacks[i] for i in live]
         steps = []
         for k in range(k0, min(k0 + BLOCK, horizon + 1)):
             states = step_observer(live_stacks, states, signals[k - 1], k)
             steps.append(states)
         size = len(steps)
-        # per live stack: its (B, Q, R) outputs and (B, Q) norms, NaN
-        # after each row's elimination step, its (B, Q) thresholds, and
-        # each row's elimination step in the block (size if it survives)
+        # per live stack: its (B, Q) thresholds, its (B, Q, R) outputs
+        # and (B, Q) norms, NaN after each row's elimination step, and
+        # each row's last live step in the block (size if it survives,
+        # -1 if it died in an earlier block)
         passes, failures = [], []
-        for (stack, *_), outs in zip(live, zip(*steps)):
+        for i, outs in zip(live, zip(*steps)):
+            stack = stacks[i]
             block = np.stack(outs)
             finite = np.isfinite(block).all(axis=2)
             norms = np.full(finite.shape, np.nan)
             norms[finite] = stack.residual_norms(block[finite])
-            limits = stack.limits[k0 - 1 : k0 - 1 + size]
+            limits = prepared[i].thresholds.delta_hat[:, k0 - 1 : k0 - 1 + size].T
             over = norms > limits
             last = np.where(over.any(axis=0), over.argmax(axis=0), size)
+            last[gone[i]] = -1
             alive = np.arange(size)[:, None] <= last
             bad = np.argwhere(~finite & alive)
             if len(bad):
@@ -462,12 +421,12 @@ def run_bank(
             passes.append((block, norms, limits, last))
         failure = min(failures, key=lambda bad: bad[:2], default=None)
         end = size if failure is None else failure[0]  # the block's steps kept
-        for b in sorted({b for *_, last in passes for b in last.tolist() if b < end}):
+        for b in sorted({b for *_, last in passes for b in last.tolist() if 0 <= b < end}):
             checks = {
                 q: (norm, limit)
-                for (stack, *_), (_, norms, limits, last) in zip(live, passes)
+                for i, (_, norms, limits, last) in zip(live, passes)
                 for q, norm, limit, alive in zip(
-                    stack.modes, norms[b].tolist(), limits[b].tolist(), (last >= b).tolist()
+                    stacks[i].modes, norms[b].tolist(), limits[b].tolist(), (last >= b).tolist()
                 )
                 if alive
             }
@@ -476,22 +435,16 @@ def run_bank(
                 end = b + 1
         if failure is not None:
             raise failure[2]
-        for (_, rows, i), (block, norms, *_) in zip(live, passes):
-            outputs[i][k0 : k0 + end, rows] = block[:end]
-            all_norms[i][k0 - 1 : k0 - 1 + end, rows] = norms[:end]
+        for i, (block, norms, *_) in zip(live, passes):
+            outputs[i][k0 : k0 + end] = block[:end]
+            all_norms[i][k0 - 1 : k0 - 1 + end] = norms[:end]
         k_last = k0 + end - 1
         if mode_set.faulted:
             break
-        kept_live, states = [], []
-        for (stack, rows, i), (block, _, _, last) in zip(live, passes):
-            keep = np.flatnonzero(last == size)
-            if len(keep) == len(rows):
-                kept_live.append((stack, rows, i))
-                states.append(block[-1])
-            elif len(keep):
-                kept_live.append((stack.take(keep), rows[keep], i))
-                states.append(block[-1, keep])
-        live = kept_live
+        for i, (*_, last) in zip(live, passes):
+            gone[i] = last < size
+        kept = [(i, block[-1]) for i, (block, *_) in zip(live, passes) if not gone[i].all()]
+        live, states = [i for i, _ in kept], [state for _, state in kept]
     return BankRun(k_last, mode_set, stacks, outputs, all_norms)
 
 
@@ -501,34 +454,36 @@ def _joined(values: np.ndarray) -> list[str]:
 
 
 def _mode_lines(
-    pm: PreparedMode,
+    group: PreparedGroup,
+    j: int,
     table: list[list[str]],
     bank: BankRun,
     outputs: np.ndarray,
     norms: np.ndarray,
 ) -> list[str]:
-    """One mode's residual, threshold, elimination and ball cells of the
-    ``steps.csv`` rows k = 0..bank.k, each row's cells joined.  `table`
-    is the mode's ``threshold_rows``, and `outputs` and `norms` are the
-    mode's columns of its stack's arrays.  A dead mode's cells are blank
-    but for the elimination flag."""
-    n, p = pm.mode.n, pm.mode.p
-    last = bank.last_step(pm.index)
-    radii = pm.radius_seq[: last + 1].tolist()
+    """The residual, threshold, elimination and ball cells of row j of a
+    group in the ``steps.csv`` rows k = 0..bank.k, each row's cells
+    joined.  `table` is the row's ``threshold_rows``, and `outputs` and
+    `norms` are its columns of its stack's arrays.  A dead mode's cells
+    are blank but for the elimination flag."""
+    stack = group.stack
+    q, n, p = stack.modes[j], stack.n, stack.p
+    last = bank.last_step(q)
+    radii = group.radii[j, : last + 1].tolist()
     lines = [f",,,,0,{_joined(outputs[:1, :n])[0]},{radii[0]!r}" + "," * (p + 1)]
     if last:
-        n1 = n + pm.stack.p1
+        n1 = n + stack.p1
         # a state's k indexes its radius and k - 1 the lagged input's
         balls = np.column_stack(
             (
                 outputs[1 : last + 1, :n],
                 radii[1:],
                 outputs[1 : last + 1, n1 : n1 + p],
-                pm.input_radius_seq[:last],
+                group.input_radii[j, :last],
             )
         )
         flags = ["0"] * last
-        if pm.index in bank.mode_set.eliminated_at:
+        if q in bank.mode_set.eliminated_at:
             flags[-1] = "1"
         lines += [
             f"{res!r},{row[1]},{row[2]},{row[3]},{flag},{cells}"
@@ -567,25 +522,25 @@ def run(
     mode_set = bank.mode_set
     fault_step = bank.k if mode_set.faulted else None
 
-    tables = [threshold_rows(pm.thresholds) for pm in prepared]
+    count = config.system.mode_count
+    tables, blocks = {}, {}
+    for group, outputs, norms in zip(prepared, bank.outputs, bank.norms):
+        for j, q in enumerate(group.stack.modes):
+            tables[q] = threshold_rows(group.thresholds.mode(j))
+            blocks[q] = _mode_lines(group, j, tables[q], bank, outputs[:, j], norms[:, j])
     steps = range(bank.k + 1)
     columns = [[str(k) for k in steps], _joined(truth.x[: bank.k + 1])]
     if truth.d.shape[1]:
         columns.append(_joined(truth.d[: bank.k + 1]))
     eliminated = mode_set.eliminated_at.values()
-    columns.append([str(len(prepared) - sum(e <= k for e in eliminated)) for k in steps])
-    blocks = {
-        q: _mode_lines(prepared[q], tables[q], bank, outputs[:, j], norms[:, j])
-        for stack, outputs, norms in zip(bank.stacks, bank.outputs, bank.norms)
-        for j, q in enumerate(stack.modes)
-    }
-    columns += [blocks[q] for q in range(len(prepared))]
+    columns.append([str(count - sum(e <= k for e in eliminated)) for k in steps])
+    columns += [blocks[q] for q in range(count)]
 
     steps_path = resolved_out / "steps.csv"
     _write_csv(steps_path, _steps_header(config), [",".join(row) for row in zip(*columns)])
 
-    for pm, table in zip(prepared, tables):
-        write_threshold_csv(resolved_out / f"thresholds_q{pm.index + 1}.csv", table)
+    for q in range(count):
+        write_threshold_csv(resolved_out / f"thresholds_q{q + 1}.csv", tables[q])
 
     report = _build_report(config, seed, prepared, mode_set, bank.states, fault_step)
     write_json(resolved_out / "report.json", report)
@@ -647,45 +602,46 @@ def json_safe(obj):
     return obj
 
 
-def _final_ball_payload(pm: PreparedMode, state: ObserverState) -> dict:
+def _final_ball_payload(group: PreparedGroup, j: int, state: ObserverState) -> dict:
     payload = {
         "x_hat": [float(v) for v in state.x_hat],
-        "delta_x": float(pm.radius_seq[state.k]),
+        "delta_x": float(group.radii[j, state.k]),
     }
     if state.d_hat_prev is not None:
         payload["d_hat_prev"] = [float(v) for v in state.d_hat_prev]
-        payload["delta_d_prev"] = float(pm.input_radius_seq[state.k - 1])
+        payload["delta_d_prev"] = float(group.input_radii[j, state.k - 1])
     return payload
 
 
 def _build_report(
     config: ScenarioConfig,
     seed: int,
-    prepared: list[PreparedMode],
+    prepared: list[PreparedGroup],
     mode_set: ModeSet,
     states: tuple[ObserverState, ...],
     fault_step: int | None,
 ) -> dict:
+    # each bank mode's group and row in it
+    rows = {q: (group, j) for group in prepared for j, q in enumerate(group.stack.modes)}
     modes_payload = []
-    for pm in prepared:
+    for q in range(config.system.mode_count):
+        group, j = rows[q]
+        gains = group.stack.group.gains.mode(j)
         modes_payload.append(
             {
-                "mode": pm.index + 1,
-                "certified": bool(pm.gains.certified),
-                "theta": float(pm.gains.theta),
-                "meas_contraction": float(pm.gains.meas_contraction),
-                "eliminated_at": mode_set.eliminated_at.get(pm.index),
+                "mode": q + 1,
+                "certified": bool(gains.certified),
+                "theta": float(gains.theta),
+                "meas_contraction": float(gains.meas_contraction),
+                "eliminated_at": mode_set.eliminated_at.get(q),
             }
         )
-    final = {
-        str(q + 1): _final_ball_payload(prepared[q], states[q])
-        for q in mode_set.surviving
-    }
+    final = {str(q + 1): _final_ball_payload(*rows[q], states[q]) for q in mode_set.surviving}
     enclosing = None
     if mode_set.surviving:
         ball = bounding_ball(
             [
-                Ball(center=states[q].x_hat, radius=prepared[q].radius_seq[states[q].k])
+                Ball(center=states[q].x_hat, radius=rows[q][0].radii[rows[q][1], states[q].k])
                 for q in mode_set.surviving
             ]
         )

@@ -62,6 +62,10 @@ class ModeModel:
         n = a.shape[0]
         a_tilde = None if self.a_tilde is None else as_matrix(self.a_tilde, "a_tilde")
         w = np.eye(n) if self.w is None else as_matrix(self.w, "w")
+        arrays = dict(a=a, a_tilde=a_tilde, b=b, g=g, c=c, d=d, h=h, w=w)
+        for name, val in arrays.items():
+            if val is not None and not np.isfinite(val).all():
+                raise ConfigurationError(f"{name} must have finite entries")
         if a.shape != (n, n) or a_tilde is not None and a_tilde.shape != (n, n):
             shapes = [a.shape] if a_tilde is None else [a.shape, a_tilde.shape]
             raise ConfigurationError(f"drift matrices must be square and equal-shaped, got {shapes}")
@@ -81,8 +85,7 @@ class ModeModel:
                 f"declared Lipschitz constant {lf} must be finite and at least the analytic"
                 f" value {analytic}"
             )
-        values = dict(a=a, a_tilde=a_tilde, b=b, g=g, c=c, d=d, h=h, w=w, lipschitz=lf)
-        for name, val in values.items():
+        for name, val in dict(arrays, lipschitz=lf).items():
             object.__setattr__(self, name, val)
 
     def f(self, x: np.ndarray) -> np.ndarray:
@@ -257,12 +260,18 @@ class SwitchedSystem:
             raise ConfigurationError("noise bounds must be finite and positive")
         if not self.delta_x0 > 0:
             raise ConfigurationError("delta_x0 must be positive")
+        if not math.isfinite(self.delta_x0):
+            raise ConfigurationError("delta_x0 must be finite")
         x_hat0 = np.asarray(self.x_hat0, dtype=float).reshape(-1)
         if x_hat0.size != n:
             raise ConfigurationError(f"x_hat0 must have {n} entries, got {x_hat0.size}")
+        if not np.isfinite(x_hat0).all():
+            raise ConfigurationError("x_hat0 must have finite entries")
         for bound, bname in ((self.r_x, "r_x"), (self.r_y, "r_y")):
             if bound is not None and not bound > 0:
                 raise ConfigurationError(f"{bname} must be positive when given")
+            if bound is not None and not math.isfinite(bound):
+                raise ConfigurationError(f"{bname} must be finite when given")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "eta_w", eta_w)
         object.__setattr__(self, "eta_v", eta_v)

@@ -19,7 +19,10 @@ thresholds) that the stacked preparation must reproduce; ``oracle_bank``
 starts each mode with ``stagewise_init``, the initialization on vectors.
 ``decompose``, ``synthesize_gains``, ``step_matrix``, ``coefficients``,
 ``radius_table``, ``triangle_bound`` and ``stacked_init`` run one mode
-through the package's stacked kernels, as a stack of one.
+through the package's stacked kernels, as a stack of one.  The package
+prepares the bank by gain group; ``mode_bank`` and ``prepared_rows``
+read its groups back row by row, as the one-mode oracles and per-mode
+checks take them.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ import numpy as np
 
 from artifact.decomposition import DecompositionStack, ModeDecomposition, decompose_stack
 from artifact.gains import (
+    BankGroup,
     GainStack,
     ObserverGains,
     noise_offset,
@@ -47,6 +51,7 @@ from artifact.residuals import (
     CoefficientStack,
     ResidualCoefficients,
     ThresholdReport,
+    ThresholdTable,
     _convolve,
     assemble_matrix,
     box_radii,
@@ -245,11 +250,55 @@ def stacked_init(dec: ModeDecomposition, gains: ObserverGains, x_hat0, y0, u0) -
 
 
 def stack_of_one(mode: ModeModel, dec: ModeDecomposition, gains: ObserverGains) -> ObserverStack:
-    """The package's observer stack holding this one mode, with no
-    thresholds."""
-    model = ModeStack.of([mode])
-    step = step_matrix_stack(model, DecompositionStack.of(dec), GainStack.of(gains))
-    return ObserverStack.of((0,), model, step, dec.p_h, np.empty((0, 1)))
+    """The package's observer stack holding this one mode."""
+    group = BankGroup((0,), ModeStack.of([mode]), DecompositionStack.of(dec), GainStack.of(gains))
+    return ObserverStack(group, step_matrix_stack(group.model, group.dec, group.gains))
+
+
+def mode_bank(config) -> list[tuple[ModeDecomposition, ObserverGains]]:
+    """Each mode's decomposition and gains, in bank order: the rows of
+    the ``runner.gain_bank`` groups."""
+    rows = {
+        q: (group.dec.mode(i), group.gains.mode(i))
+        for group in runner.gain_bank(config)
+        for i, q in enumerate(group.modes)
+    }
+    return [rows[q] for q in range(config.system.mode_count)]
+
+
+@dataclass(frozen=True)
+class PreparedRow:
+    """One mode's row of the ``runner.PreparedGroup`` that holds it: the
+    arrays a lone mode's preparation gives."""
+
+    index: int  # 0-based bank index
+    mode: ModeModel
+    dec: ModeDecomposition
+    gains: ObserverGains
+    step: np.ndarray
+    radius_seq: np.ndarray
+    input_radius_seq: np.ndarray
+    thresholds: ThresholdTable
+
+
+def prepared_rows(config, prepared) -> list[PreparedRow]:
+    """Every mode's row of the ``runner.prepare_modes`` groups, in bank
+    order."""
+    rows = {}
+    for prep in prepared:
+        group = prep.stack.group
+        for j, q in enumerate(group.modes):
+            rows[q] = PreparedRow(
+                index=q,
+                mode=config.system.modes[q],
+                dec=group.dec.mode(j),
+                gains=group.gains.mode(j),
+                step=prep.stack.step[j],
+                radius_seq=prep.radii[j],
+                input_radius_seq=prep.input_radii[j],
+                thresholds=prep.thresholds.mode(j),
+            )
+    return [rows[q] for q in range(config.system.mode_count)]
 
 
 def stacked_step(
@@ -330,10 +379,9 @@ def bank_steps(bank: runner.BankRun):
 def oracle_bank(config, prepared, truth):
     """Frozen bank loop: every surviving mode stepped one at a time with
     ``product_step``, and ``eliminate_step`` called at every step."""
+    prepared = prepared_rows(config, prepared)
     states = [
-        stagewise_init(
-            pm.group.dec.mode(pm.row), pm.gains, config.system.x_hat0, truth.y[0], truth.u[0]
-        )
+        stagewise_init(pm.dec, pm.gains, config.system.x_hat0, truth.y[0], truth.u[0])
         for pm in prepared
     ]
     mode_set = all_modes(len(prepared))
@@ -344,7 +392,7 @@ def oracle_bank(config, prepared, truth):
             pm = prepared[q]
             try:
                 state = product_step(
-                    states[q], pm.mode, pm.stack.step[pm.row],
+                    states[q], pm.mode, pm.step,
                     truth.u[k - 1], truth.u[k], truth.y[k],
                 )
             except NumericalFailure as exc:
@@ -486,7 +534,7 @@ def oracle_steps_csv(config, prepared, truth) -> str:
     for record in oracle_bank(config, prepared, truth):
         cells = [str(record.k), *_fmt_all(truth.x[record.k]), *_fmt_all(truth.d[record.k])]
         cells.append(str(len(record.mode_set.surviving)))
-        for pm in prepared:
+        for pm in prepared_rows(config, prepared):
             q, mode = pm.index, pm.mode
             if record.k == 0:
                 cells += ["", "", "", "", "0"]

@@ -32,12 +32,19 @@ from artifact.estimator import Ball, bounding_ball
 from artifact.residuals import (
     assemble_matrix,
     box_radii,
-    build_coefficients,
     delta_inf,
 )
 from artifact.scenarios import list_scenarios, scenario_path
 
-from conftest import bank_steps, coefficients, eta_t, run_closed_loop, stacked_word
+from conftest import (
+    bank_steps,
+    coefficients,
+    eta_t,
+    mode_bank,
+    prepared_rows,
+    run_closed_loop,
+    stacked_word,
+)
 
 SWEEP_RUNS = 100
 
@@ -51,7 +58,8 @@ def _bank_sweep(config, seeds):
     """
     prepared = runner.prepare_modes(config)
     true_q = config.true_mode - 1
-    gains, radius_seq = prepared[true_q].gains, prepared[true_q].radius_seq
+    true_row = prepared_rows(config, prepared)[true_q]
+    gains, radius_seq = true_row.gains, true_row.radius_seq
     stats = {
         "elapsed": 0.0,
         "true_mode_eliminations": 0,
@@ -84,7 +92,7 @@ def _bank_sweep(config, seeds):
                 > float(gains.input_radii(radius_seq[k - 1]))
             ):
                 stats["input_containment_violations"] += 1
-            if record.residuals[true_q] > prepared[true_q].thresholds.delta_hat[k - 1]:
+            if record.residuals[true_q] > true_row.thresholds.delta_hat[k - 1]:
                 stats["residual_bound_violations"] += 1
     stats["elapsed"] = time.perf_counter() - t0
     return stats
@@ -102,7 +110,7 @@ def scenario1_prepared():
     t0 = time.perf_counter()
     prepared = runner.prepare_modes(config)
     elapsed = time.perf_counter() - t0
-    return config, prepared, elapsed
+    return config, prepared_rows(config, prepared), elapsed
 
 
 def test_true_mode_is_never_eliminated_across_certified_runs(certified_sweep) -> None:
@@ -202,7 +210,7 @@ def test_enumeration_bound_dominates_the_scaled_word_norm_floor(
     failures = []
     for pm in prepared:
         k_max = len(pm.thresholds.delta_hat)
-        coeffs = build_coefficients(pm.group.gains, pm.group.dec, k_max).mode(pm.row)
+        coeffs = coefficients(pm.gains, pm.dec, k_max)
         lf = pm.mode.lipschitz
         eta_w = system.eta_w[pm.index]
         eta_v = system.eta_v[pm.index]
@@ -242,13 +250,14 @@ def test_enumeration_bound_exceeds_triangle_bound_at_last_enumerated_step(
 def _surviving_and_fused_radii(name: str):
     config = load_config(scenario_path(name))
     prepared = runner.prepare_modes(config)
+    rows = prepared_rows(config, prepared)
     truth = runner.simulate_truth(config, config.seed)
     records = list(bank_steps(runner.run_bank(config, prepared, truth)))
     final = records[-1].mode_set
     assert not final.faulted
     radii = [
         bounding_ball(
-            [Ball(center=record.states[q].x_hat, radius=prepared[q].radius_seq[record.k])
+            [Ball(center=record.states[q].x_hat, radius=rows[q].radius_seq[record.k])
              for q in record.mode_set.surviving]
         ).radius
         for record in records[1:]
@@ -275,13 +284,13 @@ def test_rotation_distinctness_passes_on_benchmark_and_fails_on_twins() -> None:
     # parallel, so any deterministic rotation construction gives them the
     # same free-channel row and distinctness cannot hold (see README).
     twins = load_config(scenario_path("duplicate_modes"))
-    twin_decs = [dec for dec, _ in runner.gain_bank(twins)]
+    twin_decs = [dec for dec, _ in mode_bank(twins)]
     twin_structure = check_condition_ii(twins.system, twin_decs)
     assert not twin_structure.passed
     assert any(not distinct for _, _, distinct in twin_structure.t2_distinct_pairs)
 
     config = load_config(scenario_path("scenario1"))
-    decs = [pm.group.dec.mode(pm.row) for pm in runner.prepare_modes(config)]
+    decs = [pm.dec for pm in prepared_rows(config, runner.prepare_modes(config))]
     structure = check_condition_ii(config.system, decs)
     assert len(structure.t2_distinct_pairs) == 10
     assert all(distinct for _, _, distinct in structure.t2_distinct_pairs)
@@ -291,7 +300,7 @@ def test_rotation_invariants_hold_for_every_bundled_mode() -> None:
     rng = np.random.default_rng(3)
     for name in list_scenarios():
         config = load_config(scenario_path(name))
-        for q, (dec, _) in enumerate(runner.gain_bank(config)):
+        for q, (dec, _) in enumerate(mode_bank(config)):
             mode = config.system.modes[q]
             label = f"{name} mode {q + 1}"
             # feedthrough-free channel is exactly blind to the input

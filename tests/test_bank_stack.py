@@ -25,6 +25,7 @@ from conftest import (
     oracle_steps_csv,
     oracle_threshold_csv,
     oracle_truth,
+    prepared_rows,
     stack_of_one,
     tampered_truth,
 )
@@ -115,9 +116,9 @@ def _mixed_config():
 def test_mixed_bank_stacks_by_shape_and_matches_the_per_mode_product() -> None:
     config = _mixed_config()
     prepared = runner.prepare_modes(config)
-    stacks = [pm.stack for pm in prepared if pm.row == 0]
+    stacks = [group.stack for group in prepared]
     assert [stack.modes for stack in stacks] == [(0, 3), (1, 4), (2,)]
-    assert [pm.group.dec.mode(pm.row).z2_dim for pm in prepared] == [1, 0, 1, 1, 0]
+    assert [pm.dec.z2_dim for pm in prepared_rows(config, prepared)] == [1, 0, 1, 1, 0]
     assert [stack.p for stack in stacks] == [2, 2, 1]
     eliminated = set()
     for seed in range(30):
@@ -129,12 +130,21 @@ def test_mixed_bank_stacks_by_shape_and_matches_the_per_mode_product() -> None:
     assert {0, 2, 3} <= eliminated
 
 
+def _same_objects(got, want) -> bool:
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
 def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
-    """One grouping: run_bank steps each gain_groups group as the stack
-    prepare_modes built, its step matrices the step_matrix_stack output
-    itself and its drift matrices the group ModeStack's own arrays, not
-    regrouped copies."""
-    built, stepped = [], []
+    """One unit: prepare_modes gives one record per gain_bank group, in
+    group order, holding that group and a stack whose step matrices are
+    the step_matrix_stack output itself; run_bank steps exactly those
+    stack objects, never a re-sliced copy, all of them at step 1."""
+    built, groups, stepped = [], [], []
+    gain_bank = runner.gain_bank
+
+    def bank(config):
+        groups.extend(gain_bank(config))
+        return groups
 
     def build(*args):
         built.append(step_matrix_stack(*args))
@@ -144,49 +154,40 @@ def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
         stepped.append(list(stacks))
         return step_observer(stacks, *args)
 
+    monkeypatch.setattr(runner, "gain_bank", bank)
     monkeypatch.setattr(runner, "step_matrix_stack", build)
     monkeypatch.setattr(runner, "step_observer", step)
     configs = [(name, load_config(scenario_path(name))) for name in list_scenarios()]
     for label, config in [*configs, ("mixed", _mixed_config())]:
         built.clear()
+        groups.clear()
         stepped.clear()
         prepared = runner.prepare_modes(config)
-        truth = runner.simulate_truth(config, config.seed)
-        runner.run_bank(config, prepared, truth)
-        stacks = stepped[0]  # the first step's
-        assert [stack.modes for stack in stacks] == [
-            group.modes for group in runner.gain_groups(config)
-        ], label
         if label == "test_system_a":  # one shape, two drift kinds
-            assert [stack.modes for stack in stacks] == [(0,), (1,)]
-        assert len(stacks) == len(built), label
-        for stack, steps in zip(stacks, built):
-            assert np.shares_memory(stack.step, steps), (label, stack.modes)
-            assert all(prepared[q].stack is stack for q in stack.modes), (label, stack.modes)
-            model = prepared[stack.modes[0]].group.model
-            assert stack.a is model.a and stack.a_tilde is model.a_tilde, (label, stack.modes)
-
-
-def test_take_keeps_the_drift_rows_of_its_modes() -> None:
-    """An elimination's ObserverStack.take keeps the a and a_tilde rows
-    of the modes it keeps, in their order."""
-    config = load_config(scenario_path("scenario1"))
-    stack = max((pm.stack for pm in runner.prepare_modes(config)), key=lambda s: len(s.modes))
-    assert len(stack.modes) > 2 and stack.a_tilde is not None
-    rows = np.array([2, 0])
-    part = stack.take(rows)
-    assert part.modes == (stack.modes[2], stack.modes[0])
-    for j, q in enumerate(part.modes):
-        mode = config.system.modes[q]
-        assert _same_bits(part.a[j], mode.a) and _same_bits(part.a_tilde[j], mode.a_tilde)
+            assert [group.modes for group in groups] == [(0,), (1,)]
+        assert _same_objects([record.stack.group for record in prepared], groups), label
+        assert _same_objects([record.stack.step for record in prepared], built), label
+        for record in prepared:
+            rows, horizon = len(record.stack.modes), config.horizon
+            assert record.radii.shape == (rows, horizon + 1), label
+            assert record.input_radii.shape == (rows, horizon), label
+            assert record.thresholds.delta_hat.shape == (rows, horizon), label
+        stacks = [record.stack for record in prepared]
+        truth = runner.simulate_truth(config, config.seed)
+        bank = runner.run_bank(config, prepared, truth)
+        assert _same_objects(bank.stacks, stacks), label
+        assert _same_objects(stepped[0], stacks), label
+        for at_k in stepped:
+            assert all(any(stack is s for s in stacks) for stack in at_k), label
 
 
 def test_residual_norms_rescale_only_rows_whose_square_is_not_normal() -> None:
     """sqrt(r @ r) keeps its bits where r @ r is a normal float; a row
     whose square overflows or underflows reads its true norm, without a
     RuntimeWarning."""
-    pm = runner.prepare_modes(load_config(scenario_path("test_system_a")))[0]
-    stack = stack_of_one(pm.mode, pm.group.dec.mode(pm.row), pm.gains)
+    config = load_config(scenario_path("test_system_a"))
+    pm = prepared_rows(config, runner.prepare_modes(config))[0]
+    stack = stack_of_one(pm.mode, pm.dec, pm.gains)
     start = stack.n + stack.p1 + stack.p
     residuals = np.array([[1e200, -2e200], [1e-200, 3e-200], [0.3, -0.4], [0.0, 0.0]])
     outputs = np.ones((len(residuals), stack.step.shape[1]))
@@ -302,6 +303,37 @@ def test_rows_stepped_after_their_elimination_are_never_read(name, tmp_path, mon
         runner.run(config, seed=seed, out_dir=tmp_path / "failed")
 
 
+def test_a_mode_dead_since_the_first_block_is_masked_in_later_blocks(tmp_path, monkeypatch) -> None:
+    """A mode eliminated in the first block stays in its stack: later
+    blocks step its rows with the rest and mask them.  Poisoning those
+    rows with NaN, going in and coming out, from the second block on
+    changes no output byte and raises nothing."""
+    config = load_config(scenario_path("scenario1"))
+    config = dataclasses.replace(config, horizon=2 * runner.BLOCK + 1)
+    seed, mode, step = _dead_mode_run(config)
+    assert step <= runner.BLOCK
+    runner.run(config, seed=seed, out_dir=tmp_path / "clean")
+    poisoned_rows = []
+
+    def poisoned(stacks, states, signal, k):
+        if k <= runner.BLOCK:
+            return step_observer(stacks, states, signal, k)
+        states = [state.copy() for state in states]
+        rows = [[i for i, q in enumerate(stack.modes) if q == mode] for stack in stacks]
+        for state, row in zip(states, rows):
+            state[row] = np.nan
+        outs = step_observer(stacks, states, signal, k)
+        for out, row in zip(outs, rows):
+            out[row] = np.nan
+        poisoned_rows.extend(row for row in rows if row)
+        return outs
+
+    monkeypatch.setattr(runner, "step_observer", poisoned)
+    runner.run(config, seed=seed, out_dir=tmp_path / "poisoned")
+    assert len(poisoned_rows) == config.horizon - runner.BLOCK
+    assert _outputs(tmp_path / "poisoned") == _outputs(tmp_path / "clean")
+
+
 def test_a_faulted_bank_matches_the_oracle_and_steps_one_block_at_most(monkeypatch) -> None:
     """Measurements biased by 5 from step 3 eliminate every mode of
     test_system_a by step 3: the steps are oracle_bank's, and at
@@ -366,7 +398,7 @@ def test_csv_files_are_the_bytes_csv_writer_writes(name, tmp_path) -> None:
         truth = runner.simulate_truth(config, runner.master_seed(seed))
         steps = (out / "steps.csv").read_bytes()
         assert steps == oracle_steps_csv(config, prepared, truth).encode(), (name, seed)
-        for pm in prepared:
+        for pm in prepared_rows(config, prepared):
             table = (out / f"thresholds_q{pm.index + 1}.csv").read_bytes()
             assert table == oracle_threshold_csv(pm.thresholds).encode(), (name, pm.index)
 

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (
+    mode_bank,
+    prepared_rows,
     coefficients,
     decompose,
     synthesize_gains,
@@ -91,7 +93,7 @@ def test_steady_tri_report_does_not_depend_on_the_cap_past_its_stop() -> None:
     # coefficient blocks overflow near k = 3527, which must only read +inf
     config = load_config(scenario_path("scenario1"))
     delta0 = config.system.delta_x0
-    for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+    for q, (dec, gains) in enumerate(mode_bank(config)):
         capped = steady_tri(q, gains, dec, delta0, k_cap=2000)
         assert capped.iterations < 2000
         assert steady_tri(q, gains, dec, delta0, k_cap=5000) == capped
@@ -108,7 +110,7 @@ def _steady_cases():
         yield build.__name__, gains, dec, 0.3
     for name in list_scenarios():
         config = load_config(scenario_path(name))
-        for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+        for q, (dec, gains) in enumerate(mode_bank(config)):
             yield f"{name}-q{q + 1}", gains, dec, config.system.delta_x0
 
 
@@ -221,7 +223,7 @@ def test_steady_tri_builds_only_the_prefix_its_scan_reads(monkeypatch) -> None:
     built = _record_builds(monkeypatch)
     config = load_config(scenario_path("scenario1"))
     per_mode = []
-    for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+    for q, (dec, gains) in enumerate(mode_bank(config)):
         built.clear()
         steady_tri(q, gains, dec, config.system.delta_x0)
         per_mode.append(list(built))
@@ -243,7 +245,7 @@ def test_steady_tri_extends_the_radius_table_only_until_its_blowup_bound(monkeyp
     monkeypatch.setattr(detectability, "radius_sequences", recording)
     config = load_config(scenario_path("scenario1"))
     per_mode = []
-    for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+    for q, (dec, gains) in enumerate(mode_bank(config)):
         steps.clear()
         steady_tri(q, gains, dec, config.system.delta_x0)
         per_mode.append(sum(steps))
@@ -254,7 +256,7 @@ def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeyp
     # a k_stop before the real stop leaves the first rung without a
     # verdict; the cap rung must still give the full-length scan's answer
     config = load_config(scenario_path("scenario1"))
-    bank = runner.gain_bank(config)
+    bank = mode_bank(config)
     delta0 = config.system.delta_x0
     honest = [steady_tri(q, gains, dec, delta0) for q, (dec, gains) in enumerate(bank)]
     monkeypatch.setattr(detectability, "_blowup_bound", lambda slope, radii, k_cap: 10)
@@ -416,10 +418,10 @@ def test_threshold_tables_and_steady_bounds_raise_no_runtime_warning() -> None:
     config = load_config(scenario_path("scenario1"))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        prepared = runner.prepare_modes(config)
+        prepared = prepared_rows(config, runner.prepare_modes(config))
         report = report_detectability(
             config.system,
-            [pm.group.dec.mode(pm.row) for pm in prepared],
+            [pm.dec for pm in prepared],
             [pm.gains for pm in prepared],
         )
     assert len(report.steady) == config.system.mode_count

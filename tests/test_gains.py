@@ -8,14 +8,13 @@ import conftest
 import numpy as np
 import pytest
 
-from artifact import runner
 from artifact.config import load_config
 from artifact.errors import ConfigurationError, SynthesisError
 from artifact.decomposition import DecompositionStack
 from artifact.gains import heuristic_gain, synthesis_errors
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import ModeModel
-from conftest import decompose, radius_table, synthesize_gains
+from conftest import decompose, radius_table, synthesize_gains, mode_bank
 
 
 def invertible_channel_mode() -> ModeModel:
@@ -149,7 +148,7 @@ def _radius_cases():
     """(label, gains, delta0) for every bundled mode and the conftest modes."""
     for name in list_scenarios():
         config = load_config(scenario_path(name))
-        for q, (_, gains) in enumerate(runner.gain_bank(config)):
+        for q, (_, gains) in enumerate(mode_bank(config)):
             yield f"{name}-q{q + 1}", gains, config.system.delta_x0
     for build in (
         conftest.invertible_channel_mode, conftest.scalar_channel_mode,
@@ -186,13 +185,13 @@ def test_radius_table_stops_at_its_fixed_point_in_edge_cases() -> None:
     assert radii[0] == 0.3 and set(radii[1:].tolist()) == {0.05}
     # a certified mode settles on a float fixed point
     bench = load_config(scenario_path("linear_bench"))
-    [(_, certified)] = runner.gain_bank(bench)
+    [(_, certified)] = mode_bank(bench)
     assert certified.certified
     radii = radius_table(certified, bench.system.delta_x0, 2000)
     assert _same_bits(radii, _plain_radii(certified, bench.system.delta_x0, 2000))
     # overflow saturates to inf, which is a fixed point as well
     scenario1 = load_config(scenario_path("scenario1"))
-    _, mode5 = runner.gain_bank(scenario1)[4]
+    _, mode5 = mode_bank(scenario1)[4]
     expansive = synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05, user_gain=5.0 * np.eye(2))
     for label, overflowing, delta0, k_inf in (
         ("scenario1-q5", mode5, scenario1.system.delta_x0, 435),

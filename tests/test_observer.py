@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import (
+    mode_bank,
     decompose,
     synthesize_gains,
     blind_row_mode,
@@ -22,7 +23,6 @@ from conftest import (
     step_matrix,
 )
 
-from artifact import runner
 from artifact.config import load_config
 from artifact.errors import NumericalFailure
 from artifact.scenarios import list_scenarios, scenario_path
@@ -171,7 +171,7 @@ def _observer_cases():
         yield build.__name__, mode, dec, synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05)
     for name in list_scenarios():
         config = load_config(scenario_path(name))
-        for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+        for q, (dec, gains) in enumerate(mode_bank(config)):
             yield f"{name}-q{q + 1}", config.system.modes[q], dec, gains
 
 

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    mode_bank,
     coefficients,
     decompose,
     synthesize_gains,
@@ -29,7 +30,6 @@ from conftest import (
     triangle_bound,
 )
 
-from artifact import runner
 from artifact.config import load_config
 from artifact.residuals import (
     assemble_matrix,
@@ -96,7 +96,7 @@ def _coefficients_by_recursion(gains, dec, k_max: int):
 
 def test_batched_coefficients_match_the_per_step_recursion() -> None:
     sn = lambda m: float(np.linalg.norm(m, 2)) if m.size else 0.0
-    bank = runner.gain_bank(load_config(scenario_path("scenario1")))
+    bank = mode_bank(load_config(scenario_path("scenario1")))
     for mode in (invertible_channel_mode(), scalar_channel_mode(), full_pipeline_mode()):
         dec = decompose(mode)
         bank.append((dec, synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)))
@@ -195,7 +195,7 @@ def test_triangle_bound_matches_hand_sum_at_small_k() -> None:
     # radius overflows to +inf, which adds 0 (never 0 * inf = nan); modes
     # 3-5 meet their infinite radii with nonzero blocks, which gives +inf
     config = load_config(scenario_path("scenario1"))
-    for q, (dec, gains) in enumerate(runner.gain_bank(config)):
+    for q, (dec, gains) in enumerate(mode_bank(config)):
         table = build_threshold_table(gains, dec, config.system.delta_x0, 1100, 1)
         tri = np.array([report.delta_tri for report in table])
         assert not np.isnan(tri).any(), f"mode {q + 1}"

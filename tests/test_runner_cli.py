@@ -19,7 +19,7 @@ from artifact.config import GainsSpec, ZeroInput, load_config, parse_config
 from artifact.errors import ConfigurationError
 from artifact.observer import step_observer
 from artifact.scenarios import list_scenarios, scenario_path
-from conftest import decompose, synthesize_gains, tampered_truth
+from conftest import decompose, synthesize_gains, tampered_truth, mode_bank
 
 
 def _minimal_config_data(**overrides) -> dict:
@@ -144,7 +144,7 @@ def test_gain_bank_user_gains_match_direct_synthesis() -> None:
     user = [[0.3, 0.1], [-0.2, 0.4]]
     data["gains"] = {"kind": "user", "matrices": [user, None]}
     config = parse_config(data)
-    bank = runner.gain_bank(config)
+    bank = mode_bank(config)
     assert len(bank) == 2
     for mode, (dec, gains), user_gain in zip(config.system.modes, bank, (user, None)):
         direct = synthesize_gains(mode, decompose(mode), 0.05, 0.05, user_gain=user_gain)

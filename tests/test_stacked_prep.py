@@ -27,6 +27,7 @@ from conftest import (
     invertible_channel_mode,
     oracle_coefficients,
     oracle_decompose,
+    mode_bank,
     oracle_gain_bank,
     oracle_input_radius,
     oracle_prepare,
@@ -34,6 +35,7 @@ from conftest import (
     oracle_step_matrix,
     oracle_synthesize_gains,
     oracle_threshold_table,
+    prepared_rows,
     radius_table,
     step_matrix,
 )
@@ -86,19 +88,25 @@ def _check_prepared(config: ScenarioConfig, label: str) -> None:
             runner.prepare_modes(config)
         assert str(got.value) == str(exc), label
         return
-    prepared = runner.prepare_modes(config)
+    groups = runner.prepare_modes(config)
+    for group in groups:
+        model = group.stack.group.model
+        for j, q in enumerate(group.stack.modes):
+            mode = config.system.modes[q]
+            assert model.a[j].tobytes() == np.ascontiguousarray(mode.a).tobytes(), label
+    prepared = prepared_rows(config, groups)
     for q, (pm, (dec, gains, step, radii, table)) in enumerate(zip(prepared, want)):
         tag = f"{label} mode {q + 1}"
-        assert pm.index == q and pm.mode is config.system.modes[q], tag
-        _same_fields(pm.group.dec.mode(pm.row), dec, f"{tag} dec")
+        assert pm.index == q, tag
+        _same_fields(pm.dec, dec, f"{tag} dec")
         _same_fields(pm.gains, gains, f"{tag} gains")
-        _same(pm.stack.step[pm.row], step, f"{tag} step")
+        _same(pm.step, step, f"{tag} step")
         _same(pm.radius_seq, radii, f"{tag} radii")
         _same_table(pm.thresholds, table, f"{tag} thresholds")
         lagged = np.array([oracle_input_radius(gains, r) for r in radii[:-1]])
         assert pm.input_radius_seq.tobytes() == lagged.tobytes(), tag
     for q, ((dec, gains), (want_dec, want_gains, *_)) in enumerate(
-        zip(runner.gain_bank(config), want)
+        zip(mode_bank(config), want)
     ):
         _same_fields(dec, want_dec, f"{label} bank {q + 1} dec")
         _same_fields(gains, want_gains, f"{label} bank {q + 1} gains")
@@ -245,12 +253,12 @@ def test_a_column_major_mode_keeps_its_bits_alone_and_in_a_group(kind: str) -> N
         gains=column_gains,
     )
     for q, (pm, (dec, gains, step, radii, table)) in enumerate(
-        zip(runner.prepare_modes(column_config), want)
+        zip(prepared_rows(column_config, runner.prepare_modes(column_config)), want)
     ):
         tag = f"in a group, mode {q + 1}"
-        _same_fields(pm.group.dec.mode(pm.row), dec, f"{tag} dec")
+        _same_fields(pm.dec, dec, f"{tag} dec")
         _same_fields(pm.gains, gains, f"{tag} gains")
-        _same(pm.stack.step[pm.row], step, f"{tag} step")
+        _same(pm.step, step, f"{tag} step")
         _same(pm.radius_seq, radii, f"{tag} radii")
         _same_table(pm.thresholds, table, f"{tag} thresholds")
     # alone: the one-mode functions, each a stack of one
@@ -380,7 +388,8 @@ def test_input_radius_table_has_the_one_radius_rule_bits(name: str) -> None:
     config = load_config(scenario_path(name))
     horizons = (config.horizon, 1000) if name == "scenario1" else (config.horizon,)
     for horizon in horizons:
-        prepared = runner.prepare_modes(replace(config, horizon=horizon))
+        config = replace(config, horizon=horizon)
+        prepared = prepared_rows(config, runner.prepare_modes(config))
         for pm in prepared:
             want = [oracle_input_radius(pm.gains, r) for r in pm.radius_seq[:-1].tolist()]
             assert pm.input_radius_seq.tobytes() == np.array(want).tobytes(), (name, pm.index)

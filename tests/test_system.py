@@ -110,6 +110,19 @@ def test_mode_model_rejects_a_declared_lipschitz_that_is_not_finite(lipschitz: f
         dataclasses.replace(mode, lipschitz=lipschitz)
 
 
+@pytest.mark.parametrize("field", ["a", "a_tilde", "b", "g", "c", "d", "h", "w"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_mode_model_names_a_matrix_with_a_non_finite_entry(field: str, bad: float) -> None:
+    """A library caller gets the config loader's check: a NaN or inf
+    entry is refused by name, not read as an infinite Lipschitz constant
+    or passed on to the gains."""
+    base = _sinusoidal()
+    matrix = np.array(getattr(base, field), dtype=float)
+    matrix[0, 0] = bad
+    with pytest.raises(ConfigurationError, match=f"^{field} must have finite entries$"):
+        dataclasses.replace(base, **{field: matrix}, lipschitz=None)
+
+
 def test_mode_stack_stacks_the_drift_once_and_rejects_mixed_kinds() -> None:
     lin, sin = _mode(), _sinusoidal()
     alone = ModeStack.of([sin])
@@ -140,3 +153,23 @@ def test_switched_system_validates_shared_dimensions_and_bounds() -> None:
     wide = _mode(c=np.array([[1.0, 0.0]]), d=np.zeros((1, 1)), h=np.zeros((1, 1)))
     with pytest.raises(ConfigurationError):
         SwitchedSystem(modes=(modes[0], wide), eta_w=(0.02, 0.02), eta_v=(0.02, 0.02), delta_x0=0.5, x_hat0=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    ("overrides", "message"),
+    [
+        ({"delta_x0": math.inf}, "^delta_x0 must be finite$"),
+        ({"r_x": math.inf}, "^r_x must be finite when given$"),
+        ({"r_y": math.inf}, "^r_y must be finite when given$"),
+        ({"x_hat0": np.array([0.0, math.nan])}, "^x_hat0 must have finite entries$"),
+        ({"x_hat0": np.array([math.inf, 0.0])}, "^x_hat0 must have finite entries$"),
+    ],
+)
+def test_switched_system_names_a_non_finite_bound_or_initial_center(overrides, message) -> None:
+    """The config loader refuses these before SwitchedSystem sees them;
+    a library caller gets the same refusal from SwitchedSystem itself."""
+    spec = dict(
+        modes=(_mode(),), eta_w=(0.02,), eta_v=(0.02,), delta_x0=0.5, x_hat0=np.zeros(2)
+    )
+    with pytest.raises(ConfigurationError, match=message):
+        SwitchedSystem(**dict(spec, **overrides))

@@ -54,3 +54,24 @@ def test_traced_commands_run_their_count_hooks_and_leave_no_wrapper(tmp_path, ca
     assert counts["residuals.coeff_blocks"] > 0 and counts["detectability.iterations"] > 0
     assert counts["residuals.entries"] == 12 and counts["residuals.word_coords"] > 0
     assert counts["observer.steps"] == 100
+
+
+def test_a_traced_run_alone_shows_the_gain_bank_layer(tmp_path, capsys) -> None:
+    """``prepare_modes`` builds its groups through ``runner.gain_bank``,
+    so a traced ``run`` alone charges time to the ``gains.bank`` layer,
+    nested in ``runner.prepare``."""
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["run", "--config", "scenario1", "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer_module.wrappers_left() == 0
+    spans = tracer.spans
+    banks = [span for span in spans if span[0] == "gains.bank"]
+    assert len(banks) == 1
+    layer, start, end, parent = banks[0]
+    assert end > start and spans[parent][0] == "runner.prepare"

@@ -21,6 +21,7 @@ import functools
 import numpy as np
 import pytest
 from conftest import (
+    mode_bank,
     decompose,
     full_pipeline_mode,
     radius_table,
@@ -30,7 +31,6 @@ from conftest import (
     synthesize_gains,
 )
 
-from artifact import runner
 from artifact.config import load_config
 from artifact.gains import INV_RT2, noise_offset
 from artifact.residuals import build_threshold_table
@@ -50,7 +50,7 @@ def _case(label: str):
         return mode, dec, synthesize_gains(mode, dec, eta_w=0.05, eta_v=0.05), 0.3, 30, 1 << 14
     name, q = label.rsplit("-q", 1)
     config = load_config(scenario_path(name))
-    dec, gains = runner.gain_bank(config)[int(q) - 1]
+    dec, gains = mode_bank(config)[int(q) - 1]
     mode = config.system.modes[int(q) - 1]
     return mode, dec, gains, config.system.delta_x0, config.horizon, config.max_vertices
 
