@@ -24,8 +24,28 @@ from .system import ModeModel, SwitchedSystem
 
 DEFAULT_MAX_VERTICES = 2**20
 
-# libyaml's parser when PyYAML was built with it; same tags and constructors
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader (libyaml's parser when PyYAML was built with it;
+    same tags and constructors) whose mappings refuse a repeated key
+    instead of keeping its last value; a key merged in with ``<<`` may
+    still be overridden."""
+
+    def _mapping(self, node: yaml.MappingNode):
+        keys = []
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in keys:
+                    raise yaml.constructor.ConstructorError(
+                        problem=f"found duplicate key {key!r}", problem_mark=key_node.start_mark
+                    )
+                keys.append(key)
+        yield from self.construct_yaml_map(node)
+
+
+_StrictLoader.add_constructor("tag:yaml.org,2002:map", _StrictLoader._mapping)
+_YAML_LOADER = _StrictLoader
 
 
 @dataclass(frozen=True)
@@ -98,7 +118,7 @@ def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigurationError(
-            f"unknown key(s) {sorted(unknown)} in {context}; allowed: {sorted(allowed)}"
+            f"unknown key(s) {sorted(unknown, key=repr)} in {context}; allowed: {sorted(allowed)}"
         )
 
 

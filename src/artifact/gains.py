@@ -8,7 +8,7 @@ threshold and containment machinery needs later is precomputed here:
 the interconnection matrices (phi, psi, e), the noise maps, and the
 scalar constants of the radius model delta_k = theta delta_{k-1} +
 eta_bar.  That model is the only one: ``radius_sequences`` tabulates the
-state radii, and ``ObserverGains.input_radii`` derives the lagged input
+state radii, and ``GainStack.input_radii`` derives the lagged input
 radii from them.  theta bounds the error map itself,
 (L_f + ||psi||) ||e phi||; a contraction factor that does not evaluate
 this map certifies nothing.
@@ -38,7 +38,7 @@ import numpy as np
 from . import linalg
 from .decomposition import DecompositionStack
 from .errors import ConfigurationError, SynthesisError
-from .system import ModeStack, stack_arrays, stack_of
+from .system import ModeStack, stack_of
 
 # the noise word [v_{k-1}/sqrt2; w_{k-1}; v_k/sqrt2] weights each v block
 INV_RT2 = 1.0 / math.sqrt(2.0)
@@ -75,7 +75,7 @@ class ObserverGains:
     lagged input radius delta_d_{k-1} = beta * delta_{k-1} + alpha_bar.
     `meas_contraction` is the bare ||(I - l_gain c2) phi|| factor without
     the Lipschitz amplification; it is reported but does not drive the
-    recursion.  `certified` means theta < 1 (the recursion contracts).
+    recursion.
 
     w_cal maps the noise word [v_{k-1}/sqrt2; w_{k-1}; v_k/sqrt2] to
     the post-update state error and y_cal to the feedthrough-free
@@ -102,27 +102,26 @@ class ObserverGains:
     beta: float
     alpha_bar: float
 
-    @property
-    def certified(self) -> bool:
-        return self.theta < 1.0
-
-    def input_radii(self, delta_x: np.ndarray) -> np.ndarray:
-        """Lagged input radii beta * delta_x + alpha_bar for an array of
-        state radii delta_x, each one step earlier than its input
-        radius.  They saturate to inf with delta_x, and a zero beta
-        ignores an infinite delta_x instead of turning it into NaN."""
-        delta_x = np.asarray(delta_x, dtype=float)
-        if self.beta == 0.0:
-            return np.full(delta_x.shape, self.alpha_bar)
-        with np.errstate(over="ignore"):
-            return self.beta * delta_x + self.alpha_bar
-
 
 @stack_of(ObserverGains)
 class GainStack:
     """ObserverGains of modes that share every array shape, stacked along
     a leading mode axis; each scalar field is a (Q,) array.  ``mode(i)``
     is row i's ObserverGains, its matrices views of the stack."""
+
+    @property
+    def certified(self) -> np.ndarray:
+        """Whether each mode's radius recursion contracts, theta < 1."""
+        return self.theta < 1.0
+
+    def input_radii(self, delta_x: np.ndarray) -> np.ndarray:
+        """Lagged input radii beta delta_x + alpha_bar for each row of the
+        (Q, K) state radii delta_x, each one step earlier; they saturate
+        to inf with delta_x, and a zero beta reads alpha_bar, never the
+        NaN of 0 * inf."""
+        beta, alpha_bar = self.beta[:, None], self.alpha_bar[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(beta == 0.0, alpha_bar, beta * delta_x + alpha_bar)
 
 
 @dataclass(frozen=True)
@@ -222,16 +221,13 @@ def synthesize_gain_stack(
     m2 = linalg.pinv(c2g2)
     phi = eye_n - dec.g2 @ m2 @ dec.c2
     psi = dec.g1 @ m1 @ dec.c1
-    if any(gain is None for gain in user_gains):
-        l_gain = heuristic_gain(dec, phi)
-        if factor is not None:
-            # the scaled gain is a multiple of the heuristic one
-            l_gain = factor * l_gain
-        for i, gain in enumerate(user_gains):
-            if gain is not None:
-                l_gain[i] = gain
-    else:
-        l_gain = stack_arrays([linalg.as_matrix(gain, "gain") for gain in user_gains])
+    l_gain = heuristic_gain(dec, phi)
+    if factor is not None:
+        # the scaled gain is a multiple of the heuristic one
+        l_gain = factor * l_gain
+    for i, gain in enumerate(user_gains):
+        if gain is not None:
+            l_gain[i] = gain
     e = eye_n - l_gain @ dec.c2
 
     rt2 = 1.0 / INV_RT2  # exactly sqrt(2.0)

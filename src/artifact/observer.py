@@ -15,10 +15,9 @@ matrices off the group's ``ModeStack``; a stack of one is the
 single-mode observer.  A stack is never re-sliced: the bank steps a
 mode it has eliminated with the rest of its stack and masks its rows,
 so the rows of a stack are its group's rows throughout a run.  A step
-updates only the centers and emits its
-innovation, the residual the mode observer tests: the error radii read
-no measurement, so ``gains.radius_sequences`` tabulates them once per
-group.
+updates only the centers and emits its innovation, the residual the
+mode observer tests: the radii and thresholds read no measurement, so
+the stack carries their tables, built once per group.
 
 The input estimate is inherently one step delayed: after processing y_k
 the observer reports d-hat for step k-1.  Initialization already consumes
@@ -40,7 +39,7 @@ from .decomposition import DecompositionStack
 from .errors import NumericalFailure
 from .gains import BankGroup, GainStack
 from .linalg import spectral_norms
-from .residuals import compute_residual
+from .residuals import ThresholdStack, compute_residual
 from .system import ModeStack, drift
 
 _SMALLEST_NORMAL = np.finfo(float).smallest_normal
@@ -114,9 +113,10 @@ def step_matrix_stack(modes: ModeStack, dec: DecompositionStack, gains: GainStac
 
 @dataclass(frozen=True)
 class ObserverStack:
-    """Observers of one ``BankGroup``, stacked along a leading axis: row i
-    belongs to bank mode ``modes[i]``, and its drift is row i of the
-    group's ``ModeStack``.
+    """Observers of one ``BankGroup``, stacked along a leading axis, with
+    the tables a run reads: row i belongs to bank mode ``modes[i]``, its
+    drift is row i of the group's ``ModeStack``, and row i of each table
+    is its radii and thresholds.  The tables are shared by every seed.
 
     A step's output row is [x-hat_k | d1-hat_k | d-hat_{k-1} | residual_k],
     of widths n, p1, p and the rest.
@@ -124,6 +124,9 @@ class ObserverStack:
 
     group: BankGroup
     step: np.ndarray  # (Q, R, C): each mode's step map from ``step_matrix_stack``
+    radii: np.ndarray  # (Q, N+1) state radii for k = 0..horizon
+    input_radii: np.ndarray  # (Q, N) lagged input radii of steps 1..horizon, read at k - 1
+    thresholds: ThresholdStack  # (Q, N) arrays for k = 1..horizon
 
     @property
     def modes(self) -> tuple[int, ...]:

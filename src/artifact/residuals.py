@@ -168,21 +168,21 @@ def assemble_matrix(coeffs: ResidualCoefficients, k: int) -> np.ndarray:
     return m
 
 
-def box_radii(
-    k: int, n: int, l: int, gains: ObserverGains, radius_seq: np.ndarray
-) -> np.ndarray:
-    """Per-coordinate radii of the word hypercube at step k.
+def box_radii(k: int, n: int, l: int, gains: GainStack, radii: np.ndarray) -> np.ndarray:
+    """Per-coordinate radii of the word hypercube at step k, one row per
+    mode of the stack.
 
-    radius_seq holds the a-priori state radii [delta_0, delta_1, ...];
+    radii holds each mode's a-priori state radii [delta_0, delta_1, ...];
     the drift-mismatch group for step j gets radius lipschitz * delta_j.
     """
     return np.concatenate(
         [
-            np.full(n, float(radius_seq[0])),
-            np.full(l * (k + 1), gains.eta_v),
-            np.full(n * k, gains.eta_w),
-            np.repeat(gains.lipschitz * np.asarray(radius_seq[:k], dtype=float), n),
-        ]
+            np.repeat(radii[:, :1], n, axis=1),
+            np.repeat(gains.eta_v[:, None], l * (k + 1), axis=1),
+            np.repeat(gains.eta_w[:, None], n * k, axis=1),
+            np.repeat(gains.lipschitz[:, None] * radii[:, :k], n, axis=1),
+        ],
+        axis=1,
     )
 
 
@@ -325,7 +325,8 @@ def build_threshold_tables(
     radii holds each mode's radius table [delta_0, ..., delta_kmax] from
     ``radius_sequences``, one row each; its length sets k_max.  The word
     grows with k, so the steps within the vertex budget are a prefix;
-    only those get a box and a dense matrix, mode by mode.
+    only those get boxes (one stacked ``box_radii`` per step) and dense
+    matrices, mode by mode.
     """
     k_max = radii.shape[1] - 1
     coeffs = build_coefficients(gains, dec, k_max)
@@ -337,12 +338,12 @@ def build_threshold_tables(
     inf = np.full(tri.shape, math.inf)
     vertices = np.zeros(tri.shape, dtype=int)
     capped = np.ones(tri.shape, dtype=bool)
-    for i in range(len(tri) if enumerable else 0):
-        mode_gains, mode_coeffs = gains.mode(i), coeffs.mode(i)
-        for k in range(1, enumerable + 1):
-            box = box_radii(k, n, l, mode_gains, radii[i])
+    mode_coeffs = [coeffs.mode(i) for i in range(len(tri) if enumerable else 0)]
+    for k in range(1, enumerable + 1):
+        boxes = box_radii(k, n, l, gains, radii)
+        for i, (mode, box) in enumerate(zip(mode_coeffs, boxes)):
             inf[i, k - 1], vertices[i, k - 1], capped[i, k - 1] = delta_inf(
-                assemble_matrix(mode_coeffs, k), box, max_vertices
+                assemble_matrix(mode, k), box, max_vertices
             )
     # min(tri, inf): inf only where it is strictly smaller
     hat = np.where(inf < tri, inf, tri)

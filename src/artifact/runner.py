@@ -7,10 +7,11 @@ The gain group (``gains.BankGroup``: modes of one (n, m, l, p), drift
 kind and rank(H)) is the one unit of that path.  ``gain_bank`` groups
 the bank and, per group, decomposes and synthesizes gains in one
 batched pass; ``prepare_modes`` turns each group into one
-``PreparedGroup``: its ``ObserverStack``, its (Q, N+1) state radii,
-(Q, N) lagged input radii and threshold tables, tabulated once, so the
-loop does no radius arithmetic and a state at step k reads its radius
-from ``radii[:, k]``.  ``run_bank`` steps those stacks as they are,
+``ObserverStack``, the one record of a group on the run path: its step
+matrices, (Q, N+1) state radii, (Q, N) lagged input radii and threshold
+tables, tabulated once, so the loop does no radius arithmetic and a
+state at step k reads its radius from ``radii[:, k]``.  ``run_bank``
+steps those stacks as they are,
 with one ``observer.step_observer`` call per step, in blocks of
 ``BLOCK`` steps, and decides each block's finiteness, residual norms
 and eliminations in one array pass per stack; an eliminated mode's rows
@@ -57,7 +58,7 @@ from .errors import ConfigurationError
 from .estimator import Ball, ModeSet, all_modes, bounding_ball, eliminate_step
 from .gains import BankGroup, radius_sequences, synthesis_errors, synthesize_gain_stack
 from .observer import ObserverStack, ObserverState, init_observer, step_matrix_stack, step_observer
-from .residuals import ThresholdStack, ThresholdTable, build_threshold_tables
+from .residuals import ThresholdTable, build_threshold_tables
 from .system import ModeModel, ModeStack
 
 
@@ -178,18 +179,6 @@ def simulate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
     return TruthTrajectory(x=x, y=y, u=u, d=d, w=w, v=v)
 
 
-@dataclass(frozen=True)
-class PreparedGroup:
-    """One ``BankGroup``'s precomputation, shared by every seed: its
-    observer stack and its radius and threshold tables, row i of each
-    for bank mode ``stack.modes[i]``."""
-
-    stack: ObserverStack
-    radii: np.ndarray  # (Q, N+1) state radii for k = 0..horizon
-    input_radii: np.ndarray  # (Q, N) lagged input radii of steps 1..horizon, read at k - 1
-    thresholds: ThresholdStack  # (Q, N) arrays for k = 1..horizon
-
-
 def gain_bank(config: ScenarioConfig) -> list[BankGroup]:
     """Decompose and synthesize the gains of the whole bank, honoring the
     gains spec, one batched pass per group of modes of equal shape, drift
@@ -237,36 +226,33 @@ def gain_bank(config: ScenarioConfig) -> list[BankGroup]:
     ]
 
 
-def prepare_modes(config: ScenarioConfig) -> list[PreparedGroup]:
+def prepare_modes(config: ScenarioConfig) -> list[ObserverStack]:
     """Decompose, synthesize gains, build the observer stacks and tabulate
     radii and thresholds: one batched pass per ``gain_bank`` group, in
     its order."""
     system = config.system
     groups = gain_bank(config)
-    theta = {q: float(t) for group in groups for q, t in zip(group.modes, group.gains.theta)}
     if not config.allow_uncertified:
-        for q in range(system.mode_count):
-            if not theta[q] < 1.0:
+        rows = {q: (group.gains, j) for group in groups for j, q in enumerate(group.modes)}
+        for q, (gains, j) in sorted(rows.items()):
+            if not gains.certified[j]:
                 raise ConfigurationError(
-                    f"mode {q + 1} gains are uncertified (contraction {theta[q]:.4g}"
+                    f"mode {q + 1} gains are uncertified (contraction {gains.theta[j]:.4g}"
                     " >= 1); set allow_uncertified to proceed without guarantees"
                 )
-    prepared = []
+    stacks = []
     for group in groups:
         radii = radius_sequences(group.gains, system.delta_x0, config.horizon)
-        prepared.append(
-            PreparedGroup(
-                stack=ObserverStack(group, step_matrix_stack(group.model, group.dec, group.gains)),
-                radii=radii,
-                input_radii=np.array(
-                    [group.gains.mode(i).input_radii(row) for i, row in enumerate(radii[:, :-1])]
-                ),
-                thresholds=build_threshold_tables(
-                    group.gains, group.dec, radii, config.max_vertices
-                ),
+        stacks.append(
+            ObserverStack(
+                group,
+                step_matrix_stack(group.model, group.dec, group.gains),
+                radii,
+                group.gains.input_radii(radii[:, :-1]),
+                build_threshold_tables(group.gains, group.dec, radii, config.max_vertices),
             )
         )
-    return prepared
+    return stacks
 
 
 @dataclass(frozen=True)
@@ -353,15 +339,15 @@ BLOCK = 64  # bank steps per block pass
 
 
 def run_bank(
-    config: ScenarioConfig, prepared: list[PreparedGroup], truth: TruthTrajectory
+    config: ScenarioConfig, stacks: list[ObserverStack], truth: TruthTrajectory
 ) -> BankRun:
     """Run the observer bank over the horizon.
 
     Stops after the step that empties the surviving set.  The steps run
     in blocks of ``BLOCK``, each step one ``step_observer`` call over the
-    prepared stacks that hold a mode surviving the previous block; a
-    stack is stepped whole, and the rows of its eliminated modes are
-    masked, never sliced off.  A mode dies at its first step with
+    ``prepare_modes`` stacks that hold a mode surviving the previous
+    block; a stack is stepped whole, and the rows of its eliminated modes
+    are masked, never sliced off.  A mode dies at its first step with
     residual > threshold, so one pass per stack decides a block: one
     finiteness check, one ``residual_norms`` over the finite rows, and a
     comparison with the block of the stack's thresholds whose first
@@ -374,7 +360,7 @@ def run_bank(
     after the eliminations of the steps before it.
     """
     horizon = config.horizon
-    stacks = tuple(group.stack for group in prepared)
+    stacks = tuple(stacks)
     outputs = tuple(
         np.full((horizon + 1, len(stack.modes), stack.step.shape[1]), np.nan) for stack in stacks
     )
@@ -408,7 +394,7 @@ def run_bank(
             finite = np.isfinite(block).all(axis=2)
             norms = np.full(finite.shape, np.nan)
             norms[finite] = stack.residual_norms(block[finite])
-            limits = prepared[i].thresholds.delta_hat[:, k0 - 1 : k0 - 1 + size].T
+            limits = stack.thresholds.delta_hat[:, k0 - 1 : k0 - 1 + size].T
             over = norms > limits
             last = np.where(over.any(axis=0), over.argmax(axis=0), size)
             last[gone[i]] = -1
@@ -454,7 +440,7 @@ def _joined(values: np.ndarray) -> list[str]:
 
 
 def _mode_lines(
-    group: PreparedGroup,
+    stack: ObserverStack,
     j: int,
     table: list[list[str]],
     bank: BankRun,
@@ -462,14 +448,13 @@ def _mode_lines(
     norms: np.ndarray,
 ) -> list[str]:
     """The residual, threshold, elimination and ball cells of row j of a
-    group in the ``steps.csv`` rows k = 0..bank.k, each row's cells
+    stack in the ``steps.csv`` rows k = 0..bank.k, each row's cells
     joined.  `table` is the row's ``threshold_rows``, and `outputs` and
-    `norms` are its columns of its stack's arrays.  A dead mode's cells
+    `norms` are its columns of the stack's arrays.  A dead mode's cells
     are blank but for the elimination flag."""
-    stack = group.stack
     q, n, p = stack.modes[j], stack.n, stack.p
     last = bank.last_step(q)
-    radii = group.radii[j, : last + 1].tolist()
+    radii = stack.radii[j, : last + 1].tolist()
     lines = [f",,,,0,{_joined(outputs[:1, :n])[0]},{radii[0]!r}" + "," * (p + 1)]
     if last:
         n1 = n + stack.p1
@@ -479,7 +464,7 @@ def _mode_lines(
                 outputs[1 : last + 1, :n],
                 radii[1:],
                 outputs[1 : last + 1, n1 : n1 + p],
-                group.input_radii[j, :last],
+                stack.input_radii[j, :last],
             )
         )
         flags = ["0"] * last
@@ -515,19 +500,19 @@ def run(
     seed = config.seed if seed is None else master_seed(seed)
     resolved_out = resolve_out_dir(config, out_dir)
 
-    prepared = prepare_modes(config)
+    stacks = prepare_modes(config)
     truth = simulate_truth(config, seed)
 
-    bank = run_bank(config, prepared, truth)
+    bank = run_bank(config, stacks, truth)
     mode_set = bank.mode_set
     fault_step = bank.k if mode_set.faulted else None
 
     count = config.system.mode_count
     tables, blocks = {}, {}
-    for group, outputs, norms in zip(prepared, bank.outputs, bank.norms):
-        for j, q in enumerate(group.stack.modes):
-            tables[q] = threshold_rows(group.thresholds.mode(j))
-            blocks[q] = _mode_lines(group, j, tables[q], bank, outputs[:, j], norms[:, j])
+    for stack, outputs, norms in zip(bank.stacks, bank.outputs, bank.norms):
+        for j, q in enumerate(stack.modes):
+            tables[q] = threshold_rows(stack.thresholds.mode(j))
+            blocks[q] = _mode_lines(stack, j, tables[q], bank, outputs[:, j], norms[:, j])
     steps = range(bank.k + 1)
     columns = [[str(k) for k in steps], _joined(truth.x[: bank.k + 1])]
     if truth.d.shape[1]:
@@ -542,7 +527,7 @@ def run(
     for q in range(count):
         write_threshold_csv(resolved_out / f"thresholds_q{q + 1}.csv", tables[q])
 
-    report = _build_report(config, seed, prepared, mode_set, bank.states, fault_step)
+    report = _build_report(config, seed, bank.stacks, mode_set, bank.states, fault_step)
     write_json(resolved_out / "report.json", report)
     (resolved_out / "report.txt").write_text(_render_report_text(report))
 
@@ -602,48 +587,42 @@ def json_safe(obj):
     return obj
 
 
-def _final_ball_payload(group: PreparedGroup, j: int, state: ObserverState) -> dict:
+def _final_ball_payload(stack: ObserverStack, j: int, state: ObserverState) -> dict:
     payload = {
         "x_hat": [float(v) for v in state.x_hat],
-        "delta_x": float(group.radii[j, state.k]),
+        "delta_x": float(stack.radii[j, state.k]),
     }
     if state.d_hat_prev is not None:
         payload["d_hat_prev"] = [float(v) for v in state.d_hat_prev]
-        payload["delta_d_prev"] = float(group.input_radii[j, state.k - 1])
+        payload["delta_d_prev"] = float(stack.input_radii[j, state.k - 1])
     return payload
 
 
 def _build_report(
     config: ScenarioConfig,
     seed: int,
-    prepared: list[PreparedGroup],
+    stacks: tuple[ObserverStack, ...],
     mode_set: ModeSet,
     states: tuple[ObserverState, ...],
     fault_step: int | None,
 ) -> dict:
-    # each bank mode's group and row in it
-    rows = {q: (group, j) for group in prepared for j, q in enumerate(group.stack.modes)}
-    modes_payload = []
-    for q in range(config.system.mode_count):
-        group, j = rows[q]
-        gains = group.stack.group.gains.mode(j)
-        modes_payload.append(
-            {
+    modes, final = {}, {}
+    for stack in stacks:
+        gains = stack.group.gains
+        for j, q in enumerate(stack.modes):
+            modes[q] = {
                 "mode": q + 1,
-                "certified": bool(gains.certified),
-                "theta": float(gains.theta),
-                "meas_contraction": float(gains.meas_contraction),
+                "certified": bool(gains.certified[j]),
+                "theta": float(gains.theta[j]),
+                "meas_contraction": float(gains.meas_contraction[j]),
                 "eliminated_at": mode_set.eliminated_at.get(q),
             }
-        )
-    final = {str(q + 1): _final_ball_payload(*rows[q], states[q]) for q in mode_set.surviving}
+            if q in mode_set.surviving:
+                final[q] = _final_ball_payload(stack, j, states[q])
     enclosing = None
     if mode_set.surviving:
         ball = bounding_ball(
-            [
-                Ball(center=states[q].x_hat, radius=rows[q][0].radii[rows[q][1], states[q].k])
-                for q in mode_set.surviving
-            ]
+            [Ball(center=states[q].x_hat, radius=final[q]["delta_x"]) for q in mode_set.surviving]
         )
         enclosing = {
             "center": [float(v) for v in ball.center],
@@ -661,8 +640,8 @@ def _build_report(
         "eliminated_at": {
             str(q + 1): step for q, step in sorted(mode_set.eliminated_at.items())
         },
-        "modes": modes_payload,
-        "final": final,
+        "modes": [modes[q] for q in sorted(modes)],
+        "final": {str(q + 1): final[q] for q in mode_set.surviving},
         "enclosing_state_ball": enclosing,
     }
 

@@ -18,7 +18,8 @@ preparation (decomposition, gains, step matrix, radii, coefficients,
 thresholds) that the stacked preparation must reproduce; ``oracle_bank``
 starts each mode with ``stagewise_init``, the initialization on vectors.
 ``decompose``, ``synthesize_gains``, ``step_matrix``, ``coefficients``,
-``radius_table``, ``triangle_bound`` and ``stacked_init`` run one mode
+``radius_table``, ``input_radius_table``, ``word_box``,
+``triangle_bound``, ``stacked_init`` and ``stack_of_one`` run one mode
 through the package's stacked kernels, as a stack of one.  The package
 prepares the bank by gain group; ``mode_bank`` and ``prepared_rows``
 read its groups back row by row, as the one-mode oracles and per-mode
@@ -56,6 +57,7 @@ from artifact.residuals import (
     assemble_matrix,
     box_radii,
     build_coefficients,
+    build_threshold_tables,
     delta_inf,
     triangle_sequences,
     word_dim,
@@ -118,6 +120,23 @@ def radius_table(gains: ObserverGains, delta0: float, k_max: int) -> np.ndarray:
     ``radius_sequences`` applied to the stack of one."""
     (radii,) = radius_sequences(GainStack.of(gains), delta0, k_max)
     return radii
+
+
+def input_radius_table(gains: ObserverGains, radii: np.ndarray) -> np.ndarray:
+    """One mode's lagged input radii for its state radii, each one step
+    earlier than its input radius: the package's ``GainStack.input_radii``
+    applied to the stack of one."""
+    (table,) = GainStack.of(gains).input_radii(np.asarray(radii, dtype=float)[None])
+    return table
+
+
+def word_box(
+    k: int, n: int, l: int, gains: ObserverGains, radius_seq: np.ndarray
+) -> np.ndarray:
+    """One mode's word-hypercube radii at step k: the package's
+    ``box_radii`` applied to the stack of one."""
+    (box,) = box_radii(k, n, l, GainStack.of(gains), np.asarray(radius_seq, dtype=float)[None])
+    return box
 
 
 def triangle_bound(
@@ -250,9 +269,19 @@ def stacked_init(dec: ModeDecomposition, gains: ObserverGains, x_hat0, y0, u0) -
 
 
 def stack_of_one(mode: ModeModel, dec: ModeDecomposition, gains: ObserverGains) -> ObserverStack:
-    """The package's observer stack holding this one mode."""
+    """The package's observer stack holding this one mode, built by the
+    per-group calls of ``runner.prepare_modes``; its tables cover one
+    step from a zero initial radius, without vertex enumeration, since
+    the callers step the stack and read no table."""
     group = BankGroup((0,), ModeStack.of([mode]), DecompositionStack.of(dec), GainStack.of(gains))
-    return ObserverStack(group, step_matrix_stack(group.model, group.dec, group.gains))
+    radii = radius_sequences(group.gains, 0.0, 1)
+    return ObserverStack(
+        group,
+        step_matrix_stack(group.model, group.dec, group.gains),
+        radii,
+        group.gains.input_radii(radii[:, :-1]),
+        build_threshold_tables(group.gains, group.dec, radii, 1),
+    )
 
 
 def mode_bank(config) -> list[tuple[ModeDecomposition, ObserverGains]]:
@@ -268,7 +297,7 @@ def mode_bank(config) -> list[tuple[ModeDecomposition, ObserverGains]]:
 
 @dataclass(frozen=True)
 class PreparedRow:
-    """One mode's row of the ``runner.PreparedGroup`` that holds it: the
+    """One mode's row of the ``observer.ObserverStack`` that holds it: the
     arrays a lone mode's preparation gives."""
 
     index: int  # 0-based bank index
@@ -282,21 +311,21 @@ class PreparedRow:
 
 
 def prepared_rows(config, prepared) -> list[PreparedRow]:
-    """Every mode's row of the ``runner.prepare_modes`` groups, in bank
+    """Every mode's row of the ``runner.prepare_modes`` stacks, in bank
     order."""
     rows = {}
-    for prep in prepared:
-        group = prep.stack.group
+    for stack in prepared:
+        group = stack.group
         for j, q in enumerate(group.modes):
             rows[q] = PreparedRow(
                 index=q,
                 mode=config.system.modes[q],
                 dec=group.dec.mode(j),
                 gains=group.gains.mode(j),
-                step=prep.stack.step[j],
-                radius_seq=prep.radii[j],
-                input_radius_seq=prep.input_radii[j],
-                thresholds=prep.thresholds.mode(j),
+                step=stack.step[j],
+                radius_seq=stack.radii[j],
+                input_radius_seq=stack.input_radii[j],
+                thresholds=stack.thresholds.mode(j),
             )
     return [rows[q] for q in range(config.system.mode_count)]
 
@@ -885,7 +914,7 @@ def oracle_threshold_table(gains, dec, radius_seq, max_vertices) -> list[Thresho
     table = []
     for k, tri_k in enumerate(tri.tolist(), start=1):
         if k <= enumerable:
-            box = box_radii(k, n, l, gains, radius_seq)
+            box = word_box(k, n, l, gains, radius_seq)
             inf_val, count, capped = delta_inf(assemble_matrix(coeffs, k), box, max_vertices)
         else:
             inf_val, count, capped = math.inf, 0, True
@@ -930,7 +959,7 @@ def oracle_prepare(config):
     bank = oracle_gain_bank(config)
     out = []
     for q, (dec, gains) in enumerate(bank):
-        if not gains.certified and not config.allow_uncertified:
+        if not gains.theta < 1.0 and not config.allow_uncertified:
             raise ConfigurationError(
                 f"mode {q + 1} gains are uncertified (contraction {gains.theta:.4g}"
                 " >= 1); set allow_uncertified to proceed without guarantees"

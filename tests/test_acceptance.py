@@ -29,21 +29,19 @@ from artifact import runner
 from artifact.config import load_config
 from artifact.detectability import check_condition_ii
 from artifact.estimator import Ball, bounding_ball
-from artifact.residuals import (
-    assemble_matrix,
-    box_radii,
-    delta_inf,
-)
+from artifact.residuals import assemble_matrix, delta_inf
 from artifact.scenarios import list_scenarios, scenario_path
 
 from conftest import (
     bank_steps,
     coefficients,
     eta_t,
+    input_radius_table,
     mode_bank,
     prepared_rows,
     run_closed_loop,
     stacked_word,
+    word_box,
 )
 
 SWEEP_RUNS = 100
@@ -59,7 +57,8 @@ def _bank_sweep(config, seeds):
     prepared = runner.prepare_modes(config)
     true_q = config.true_mode - 1
     true_row = prepared_rows(config, prepared)[true_q]
-    gains, radius_seq = true_row.gains, true_row.radius_seq
+    radius_seq = true_row.radius_seq
+    input_radii = input_radius_table(true_row.gains, radius_seq[:-1])
     stats = {
         "elapsed": 0.0,
         "true_mode_eliminations": 0,
@@ -89,7 +88,7 @@ def _bank_sweep(config, seeds):
                 stats["state_containment_violations"] += 1
             if (
                 np.linalg.norm(truth.d[k - 1] - state.d_hat_prev)
-                > float(gains.input_radii(radius_seq[k - 1]))
+                > input_radii[k - 1]
             ):
                 stats["input_containment_violations"] += 1
             if record.residuals[true_q] > true_row.thresholds.delta_hat[k - 1]:
@@ -219,7 +218,7 @@ def test_enumeration_bound_dominates_the_scaled_word_norm_floor(
                 continue
             k = report.k
             matrix = assemble_matrix(coeffs, k)
-            box = box_radii(k, pm.mode.n, pm.mode.l, pm.gains, pm.radius_seq)
+            box = word_box(k, pm.mode.n, pm.mode.l, pm.gains, pm.radius_seq)
             floor = float(np.linalg.norm(matrix * box[None, :]))
             ceiling = eta_t(
                 k, pm.mode.n, pm.mode.l, lf, system.delta_x0, eta_v, eta_w,

@@ -33,7 +33,7 @@ from conftest import (
 from artifact import runner
 from artifact.config import load_config, parse_config
 from artifact.errors import NumericalFailure
-from artifact.observer import step_matrix_stack, step_observer
+from artifact.observer import ObserverStack, step_matrix_stack, step_observer
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import SwitchedSystem
 
@@ -116,10 +116,9 @@ def _mixed_config():
 def test_mixed_bank_stacks_by_shape_and_matches_the_per_mode_product() -> None:
     config = _mixed_config()
     prepared = runner.prepare_modes(config)
-    stacks = [group.stack for group in prepared]
-    assert [stack.modes for stack in stacks] == [(0, 3), (1, 4), (2,)]
+    assert [stack.modes for stack in prepared] == [(0, 3), (1, 4), (2,)]
     assert [pm.dec.z2_dim for pm in prepared_rows(config, prepared)] == [1, 0, 1, 1, 0]
-    assert [stack.p for stack in stacks] == [2, 2, 1]
+    assert [stack.p for stack in prepared] == [2, 2, 1]
     eliminated = set()
     for seed in range(30):
         truth = runner.simulate_truth(config, seed)
@@ -135,10 +134,11 @@ def _same_objects(got, want) -> bool:
 
 
 def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
-    """One unit: prepare_modes gives one record per gain_bank group, in
-    group order, holding that group and a stack whose step matrices are
-    the step_matrix_stack output itself; run_bank steps exactly those
-    stack objects, never a re-sliced copy, all of them at step 1."""
+    """One unit: prepare_modes gives one ObserverStack per gain_bank
+    group, in group order, holding that group, step matrices that are the
+    step_matrix_stack output itself and the group's tables; run_bank
+    steps exactly those stack objects, never a re-sliced copy, all of
+    them at step 1."""
     built, groups, stepped = [], [], []
     gain_bank = runner.gain_bank
 
@@ -165,20 +165,20 @@ def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
         prepared = runner.prepare_modes(config)
         if label == "test_system_a":  # one shape, two drift kinds
             assert [group.modes for group in groups] == [(0,), (1,)]
-        assert _same_objects([record.stack.group for record in prepared], groups), label
-        assert _same_objects([record.stack.step for record in prepared], built), label
-        for record in prepared:
-            rows, horizon = len(record.stack.modes), config.horizon
-            assert record.radii.shape == (rows, horizon + 1), label
-            assert record.input_radii.shape == (rows, horizon), label
-            assert record.thresholds.delta_hat.shape == (rows, horizon), label
-        stacks = [record.stack for record in prepared]
+        assert all(type(stack) is ObserverStack for stack in prepared), label
+        assert _same_objects([stack.group for stack in prepared], groups), label
+        assert _same_objects([stack.step for stack in prepared], built), label
+        for stack in prepared:
+            rows, horizon = len(stack.modes), config.horizon
+            assert stack.radii.shape == (rows, horizon + 1), label
+            assert stack.input_radii.shape == (rows, horizon), label
+            assert stack.thresholds.delta_hat.shape == (rows, horizon), label
         truth = runner.simulate_truth(config, config.seed)
         bank = runner.run_bank(config, prepared, truth)
-        assert _same_objects(bank.stacks, stacks), label
-        assert _same_objects(stepped[0], stacks), label
+        assert _same_objects(bank.stacks, prepared), label
+        assert _same_objects(stepped[0], prepared), label
         for at_k in stepped:
-            assert all(any(stack is s for s in stacks) for stack in at_k), label
+            assert all(any(stack is s for s in prepared) for stack in at_k), label
 
 
 def test_residual_norms_rescale_only_rows_whose_square_is_not_normal() -> None:

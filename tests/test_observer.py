@@ -10,6 +10,7 @@ from conftest import (
     blind_row_mode,
     full_feedthrough_mode,
     full_pipeline_mode,
+    input_radius_table,
     invertible_channel_mode,
     run_closed_loop,
     sample_ball,
@@ -86,6 +87,7 @@ def test_radius_recursion_agrees_with_closed_form() -> None:
     dec = decompose(mode)
     gains = synthesize_gains(mode, dec, eta_w=0.02, eta_v=0.02)
     seq = radius_table(gains, 0.5, 40)
+    input_radii = input_radius_table(gains, seq)
     th = gains.theta
     assert th != 1.0 and gains.beta != 0.0
     for k in (0, 1, 5, 17, 40):
@@ -93,7 +95,7 @@ def test_radius_recursion_agrees_with_closed_form() -> None:
         closed = 0.5 * th**k + gains.eta_bar * (1.0 - th**k) / (1.0 - th)
         assert seq[k] == pytest.approx(closed, rel=1e-12, abs=1e-12)
         # the lagged input radius is the affine image of the state radius
-        assert float(gains.input_radii(seq[k])) == gains.beta * seq[k] + gains.alpha_bar
+        assert input_radii[k] == gains.beta * seq[k] + gains.alpha_bar
 
 
 def test_radii_upper_bound_errors_on_certified_mode() -> None:
@@ -101,12 +103,13 @@ def test_radii_upper_bound_errors_on_certified_mode() -> None:
     for seed in range(40, 46):
         trace = run_closed_loop(mode, steps=25, seed=seed, eta_w=0.05, eta_v=0.05, delta0=0.3)
         seq = radius_table(trace.gains, 0.3, 25)
+        input_radii = input_radius_table(trace.gains, seq[:-1])
         for k in range(26):
             st = trace.states[k]
             assert np.linalg.norm(trace.x[k] - st.x_hat) <= seq[k] + 1e-12
             if k >= 1:
                 gap = np.linalg.norm(trace.d[k - 1] - st.d_hat_prev)
-                assert gap <= float(trace.gains.input_radii(seq[k - 1])) + 1e-12
+                assert gap <= input_radii[k - 1] + 1e-12
 
 
 def test_lagged_input_radius_stays_alpha_bar_where_the_state_radius_overflows() -> None:
@@ -119,8 +122,9 @@ def test_lagged_input_radius_stays_alpha_bar_where_the_state_radius_overflows() 
     seq = radius_table(gains, 0.3, 800)
     overflowed = np.flatnonzero(np.isinf(seq))
     assert overflowed.size and overflowed[0] == 718
+    input_radii = input_radius_table(gains, seq)
     for k in overflowed:
-        assert float(gains.input_radii(seq[k])) == gains.alpha_bar
+        assert input_radii[k] == gains.alpha_bar
 
 
 @pytest.mark.parametrize(

@@ -28,12 +28,12 @@ from conftest import (
     scalar_channel_mode,
     stacked_word,
     triangle_bound,
+    word_box,
 )
 
 from artifact.config import load_config
 from artifact.residuals import (
     assemble_matrix,
-    box_radii,
     build_threshold_table,
     compute_residual,
     delta_inf,
@@ -182,7 +182,7 @@ def test_triangle_bound_matches_hand_sum_at_small_k() -> None:
     for mode, certified in ((invertible_channel_mode(), True), (scalar_channel_mode(), False)):
         dec = decompose(mode)
         gains = synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)
-        assert gains.certified == certified
+        assert (gains.theta < 1.0) == certified
         coeffs = coefficients(gains, dec, 30)
         seq = radius_table(gains, 0.4, 30)
         tri = triangle_bound(coeffs, gains, seq)
@@ -273,7 +273,7 @@ def test_eta_t_equals_every_vertex_norm() -> None:
     seq = radius_table(gains, 0.5, 6)
     rng = np.random.default_rng(8)
     for k in (1, 3, 6):
-        box = box_radii(k, 2, 2, gains, seq)
+        box = word_box(k, 2, 2, gains, seq)
         val = eta_t(k, 2, 2, gains.lipschitz, 0.5, 0.03, 0.02, seq)
         assert val == pytest.approx(float(np.linalg.norm(box)), rel=1e-12)
         vertex = np.where(rng.uniform(size=box.size) < 0.5, box, -box)
@@ -304,7 +304,7 @@ def test_threshold_table_is_consistent_with_pointwise_queries() -> None:
     assert any(rep.capped for rep in table) and not all(rep.capped for rep in table)
     for rep in table:
         assert rep.delta_tri == pytest.approx(tri[rep.k - 1], rel=1e-14)
-        box = box_radii(rep.k, 2, 3, gains, seq)
+        box = word_box(rep.k, 2, 3, gains, seq)
         again, count, capped = delta_inf(assemble_matrix(coeffs, rep.k), box, 1 << 16)
         assert capped == rep.capped and count == rep.vertices_enumerated
         if not capped:

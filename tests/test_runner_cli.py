@@ -17,6 +17,7 @@ import artifact
 from artifact import cli, config, runner
 from artifact.config import GainsSpec, ZeroInput, load_config, parse_config
 from artifact.errors import ConfigurationError
+from artifact.gains import GainStack
 from artifact.observer import step_observer
 from artifact.scenarios import list_scenarios, scenario_path
 from conftest import decompose, synthesize_gains, tampered_truth, mode_bank
@@ -121,6 +122,39 @@ def test_config_loader_parses_bundled_scenarios_like_the_pure_python_loader() ->
         assert yaml.load(text, Loader=config._YAML_LOADER) == yaml.load(
             text, Loader=yaml.SafeLoader
         ), name
+
+
+def test_a_duplicated_key_is_a_config_error_naming_the_key_and_its_line(tmp_path) -> None:
+    text = scenario_path("scenario1").read_text()
+    line = text.count("\n") + 1
+    path = tmp_path / "scenario1.yaml"
+    path.write_text(text + "horizon: 5\n")
+    with pytest.raises(ConfigurationError, match=rf"duplicate key 'horizon'\n.*line {line},"):
+        load_config(path)
+    # a nested mapping and a gains file are read by the same loader
+    path.write_text(text.replace("bound: 0.4", "bound: 0.4\n  bound: 0.3"))
+    with pytest.raises(ConfigurationError, match="duplicate key 'bound'"):
+        load_config(path)
+    (tmp_path / "gains.yaml").write_text("matrices: [[[0.1]]]\nmatrices: [[[0.2]]]\n")
+    data = _minimal_config_data(gains={"kind": "file", "path": "gains.yaml"})
+    path.write_text(yaml.safe_dump(data))
+    with pytest.raises(ConfigurationError, match=r"duplicate key 'matrices'\n.*line 2,"):
+        load_config(path)
+    # a key merged in with << may still be overridden
+    merged = "base: &base {kind: bounded_random, bound: 0.4}\nd: {<<: *base, bound: 0.2}\n"
+    assert yaml.load(merged, Loader=config._YAML_LOADER)["d"] == {
+        "kind": "bounded_random", "bound": 0.2
+    }
+
+
+def test_cli_unknown_keys_of_mixed_types_are_exit_2(tmp_path, capsys) -> None:
+    data = _minimal_config_data()
+    data.update({1: "a", "zzz": "b"})
+    path = tmp_path / "mixed.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "unknown key(s) ['zzz', 1] in config" in capsys.readouterr().err
 
 
 def test_cli_malformed_gains_file_is_exit_2(tmp_path, capsys) -> None:
@@ -336,6 +370,22 @@ def test_run_reads_an_integral_seed_of_any_number_type_as_that_integer(tmp_path)
         outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     assert json.loads(outputs[0]["report.json"])["seed"] == 3
+
+
+@pytest.mark.parametrize("name", ["scenario1", "test_system_a"])
+def test_run_reads_the_gain_groups_arrays_without_per_mode_gains(
+    tmp_path, monkeypatch, name
+) -> None:
+    # the run path reads each group's arrays; no ObserverGains is built
+    config = load_config(scenario_path(name))
+    want = runner.run(config, out_dir=tmp_path / "plain").out_dir
+
+    def refuse(self, i):
+        raise AssertionError(f"GainStack.mode({i}) on the run path")
+
+    monkeypatch.setattr(GainStack, "mode", refuse)
+    got = runner.run(config, out_dir=tmp_path / "guarded").out_dir
+    assert _files(got) == _files(want)
 
 
 def test_run_reports_fault_when_every_mode_is_eliminated(tmp_path, monkeypatch) -> None:

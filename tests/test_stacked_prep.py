@@ -35,6 +35,7 @@ from conftest import (
     oracle_step_matrix,
     oracle_synthesize_gains,
     oracle_threshold_table,
+    input_radius_table,
     prepared_rows,
     radius_table,
     step_matrix,
@@ -88,13 +89,12 @@ def _check_prepared(config: ScenarioConfig, label: str) -> None:
             runner.prepare_modes(config)
         assert str(got.value) == str(exc), label
         return
-    groups = runner.prepare_modes(config)
-    for group in groups:
-        model = group.stack.group.model
-        for j, q in enumerate(group.stack.modes):
+    stacks = runner.prepare_modes(config)
+    for stack in stacks:
+        for j, q in enumerate(stack.modes):
             mode = config.system.modes[q]
-            assert model.a[j].tobytes() == np.ascontiguousarray(mode.a).tobytes(), label
-    prepared = prepared_rows(config, groups)
+            assert stack.group.model.a[j].tobytes() == np.ascontiguousarray(mode.a).tobytes(), label
+    prepared = prepared_rows(config, stacks)
     for q, (pm, (dec, gains, step, radii, table)) in enumerate(zip(prepared, want)):
         tag = f"{label} mode {q + 1}"
         assert pm.index == q, tag
@@ -393,7 +393,8 @@ def test_input_radius_table_has_the_one_radius_rule_bits(name: str) -> None:
         for pm in prepared:
             want = [oracle_input_radius(pm.gains, r) for r in pm.radius_seq[:-1].tolist()]
             assert pm.input_radius_seq.tobytes() == np.array(want).tobytes(), (name, pm.index)
-            assert [float(pm.gains.input_radii(r)) for r in pm.radius_seq[:-1]] == want
+            lagged = input_radius_table(pm.gains, pm.radius_seq[:-1])
+            assert lagged.tobytes() == np.array(want).tobytes(), (name, pm.index)
         if horizon == 1000:
             # scenario1's radii overflow to inf there, and the lagged
             # input radii follow unless beta is 0
