@@ -69,26 +69,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _mode_bank(config: ScenarioConfig) -> list[tuple[ModeDecomposition, ObserverGains]]:
-    """Each mode's decomposition and gains, in bank order: the rows of the
-    ``gain_bank`` groups, for the one-mode kernels of ``check-detectability``
-    and ``thresholds``."""
-    rows = {
-        q: (group.dec.mode(i), group.gains.mode(i))
+def _mode_row(config: ScenarioConfig, q: int) -> tuple[ModeDecomposition, ObserverGains]:
+    """Mode q's decomposition and gains, its row of a ``gain_bank``
+    group, for the one-mode table of ``thresholds``."""
+    return next(
+        (group.dec.mode(i), group.gains.mode(i))
         for group in gain_bank(config)
-        for i, q in enumerate(group.modes)
-    }
-    return [rows[q] for q in range(config.system.mode_count)]
+        for i, mode in enumerate(group.modes)
+        if mode == q
+    )
 
 
 def _cmd_check_detectability(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
-    bank = _mode_bank(config)
-    report = report_detectability(
-        config.system,
-        [dec for dec, _ in bank],
-        [gains for _, gains in bank],
-    )
+    report = report_detectability(config.system, gain_bank(config))
     out = resolve_out_dir(config, args.out)
     write_json(out / "detectability.json", report)
     lines = [f"overall: {report.overall}"]
@@ -119,7 +113,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--mode must be in 1..{count}, got {args.mode}")
     if args.kmax < 1:
         raise ConfigurationError("--kmax must be >= 1")
-    dec, gains = _mode_bank(config)[args.mode - 1]
+    dec, gains = _mode_row(config, args.mode - 1)
     table = build_threshold_table(
         gains, dec, config.system.delta_x0, args.kmax, config.max_vertices
     )

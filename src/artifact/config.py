@@ -430,15 +430,16 @@ def parse_config(data: Any, *, name: str = "", base_dir: Path | None = None) -> 
 
 
 def _read_yaml(path: Path, what: str) -> Any:
-    """Parse one YAML file; unreadable or malformed files are config errors."""
+    """Parse one YAML file; unreadable or malformed files are config errors.
+    The loader reads the open file, so a YAML error's marks name it."""
     try:
-        text = path.read_text()
+        with path.open("rb") as stream:
+            try:
+                return yaml.load(stream, Loader=_YAML_LOADER)
+            except yaml.YAMLError as exc:
+                raise ConfigurationError(f"invalid YAML in {path}: {exc}") from exc
     except OSError as exc:
         raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        return yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"invalid YAML in {path}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

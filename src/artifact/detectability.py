@@ -19,24 +19,30 @@ use) for relative stagnation, or for blow-up past 1e100, up to a cap of
 STEADY_K_CAP steps; that scanned value is the one steady threshold every
 verdict reads.  The scan reads a prefix of the sequence, and entries
 1..K come out bitwise equal whatever length the sequence is built to, so
-it is built on at most two prefix lengths ("rungs"), stopping at the
-first where the scan reaches a verdict: k_stop and the cap when k_stop
-falls before the cap, otherwise STEADY_FIRST_RUNG and the cap.  k_stop
-is where the scan must have stopped by blow-up: the drift convolution's
-i = 0 term alone gives tri_k >= L_f ||c2 phi|| delta_{k-1}, read off the
-radius table.  The last rung is always the cap, so the verdict never
-rests on that bound.
+each mode is scanned on at most two prefix lengths ("rungs"), stopping
+at the first where the scan reaches a verdict: its own first rung, then
+the cap.  A mode's first rung is k_stop when k_stop falls before the
+cap, otherwise STEADY_FIRST_RUNG.  k_stop is where the scan must have
+stopped by blow-up: the drift convolution's i = 0 term alone gives
+tri_k >= L_f ||c2 phi|| delta_{k-1}, read off the radius table.  The
+last rung is always the cap, so the verdict never rests on that bound.
 
-``steady_tri`` takes one mode, a row of a ``runner.gain_bank`` group
-that the CLI splits off, lifts it to a stack of one once, and builds
-every rung with the stacked kernels (``gains.radius_sequences``,
-``residuals.build_coefficients``, ``residuals.triangle_sequences``).  It
-stays a one-mode entry point because the benchmark calls it by name: its
-tracer wraps ``steady_tri`` and reads each call's ``iterations``.
+``report_detectability`` takes the ``runner.gain_bank`` groups, and
+``steady_reports`` scans a group's stack: each round is one stacked
+recursion (``residuals.build_coefficients``, then
+``residuals.triangle_sequences``) over the rows it builds, the first
+over every row to the longest of their first rungs, the second over the
+rows still without a verdict to the cap.  Each slice of a stacked
+product is the call a lone mode makes, so a row's scanned prefix holds
+a lone mode's bits.  ``steady_tri`` turns one row's scanned prefix into
+its report, once per mode; it stays a one-mode entry point because the
+benchmark's tracer wraps it by name and reads each call's
+``iterations``.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +50,7 @@ import numpy as np
 from . import linalg
 from .decomposition import DecompositionStack, ModeDecomposition
 from .errors import SigmaMinUndefinedError
-from .gains import GainStack, ObserverGains, radius_sequences
+from .gains import BankGroup, GainStack, radius_sequences
 from .residuals import build_coefficients, triangle_sequences
 from .system import SwitchedSystem
 
@@ -70,34 +76,50 @@ class SteadyTriReport:
     iterations: int
 
 
-def steady_tri(
-    mode_index: int,
-    gains: ObserverGains,
-    dec: ModeDecomposition,
+def steady_reports(
+    gains: GainStack,
+    dec: DecompositionStack,
+    modes: Sequence[int],
     delta0: float,
     k_cap: int = STEADY_K_CAP,
+) -> list[SteadyTriReport]:
+    """Each row's ``steady_tri`` report, in row order, for a stack whose
+    row i is mode ``modes[i]``: every round one stacked recursion over
+    the rows it builds."""
+    slopes = (gains.lipschitz * linalg.spectral_norms(dec.c2 @ gains.phi)).tolist()
+    tables, reach = _radius_tables(gains, slopes, delta0, k_cap)
+    reports: dict[int, SteadyTriReport] = {}
+    rows = list(range(len(slopes)))
+    while rows:
+        k_max = max(reach[i] for i in rows)
+        if len(rows) == len(slopes):
+            rows_gains, rows_dec = gains, dec
+        else:
+            rows_gains, rows_dec = gains.take(rows), dec.take(rows)
+        coeffs = build_coefficients(rows_gains, rows_dec, k_max)
+        tri = triangle_sequences(coeffs, rows_gains.lipschitz, _round_radii(tables, rows, k_max))
+        for i, row in zip(rows, tri):
+            # past its reach a row was built on filler radii; it is never scanned there
+            scanned = row[: reach[i]]
+            if reach[i] == k_cap or _scan_steady(scanned) is not None:
+                reports[i] = steady_tri(modes[i], scanned, k_cap)
+        rows = [i for i in rows if i not in reports]
+        for i in rows:
+            tables[i] = _extend_radii(gains, i, tables[i], k_cap)
+            reach[i] = k_cap
+    return [reports[i] for i in range(len(slopes))]
+
+
+def steady_tri(
+    mode_index: int, tri_seq: np.ndarray, k_cap: int = STEADY_K_CAP
 ) -> SteadyTriReport:
-    """Scan the triangle bound until relative stagnation or blow-up,
-    every rung on the mode's stack of one."""
-    stack, decs = GainStack.of(gains), DecompositionStack.of(dec)
-    slope = gains.lipschitz * linalg.spectral_norm(dec.c2 @ gains.phi)
-    # the radius table grows, doubling, only until it shows the blow-up
-    # bound (or reaches the cap), and then as far as each rung reads
-    radii = radius_sequences(stack, delta0, min(STEADY_FIRST_RUNG, k_cap))[0]
-    k_stop = _blowup_bound(slope, radii, k_cap)
-    while slope and k_stop == k_cap and len(radii) <= k_cap:
-        radii = _extend_radii(stack, radii, min(2 * (len(radii) - 1), k_cap))
-        k_stop = _blowup_bound(slope, radii, k_cap)
-    first = k_stop if k_stop < k_cap else min(STEADY_FIRST_RUNG, k_cap)
-    for k_max in sorted({first, k_cap}):
-        if len(radii) <= k_max:
-            radii = _extend_radii(stack, radii, k_max)
-        coeffs = build_coefficients(stack, decs, k_max)
-        (tri_seq,) = triangle_sequences(coeffs, stack.lipschitz, radii[None, : k_max + 1])
-        verdict = _scan_steady(tri_seq)
-        if verdict is not None:
-            break
-    else:
+    """One mode's report from a prefix of its triangle-bound sequence:
+    the scan's verdict, or, when a prefix of k_cap entries has none, not
+    converged within the cap."""
+    verdict = _scan_steady(tri_seq)
+    if verdict is None:
+        if len(tri_seq) < k_cap:
+            raise ValueError(f"a prefix of {len(tri_seq)} < k_cap = {k_cap} entries has no verdict")
         # no stagnation within the cap: any finite number would be an
         # unsound limit claim
         verdict = (False, math.inf, k_cap)
@@ -124,12 +146,53 @@ def _scan_steady(tri_seq: np.ndarray) -> tuple[bool, float, int] | None:
     return None
 
 
-def _extend_radii(stack: GainStack, radii: np.ndarray, k_max: int) -> np.ndarray:
-    """The radius table [delta_0, ..., delta_kmax] of a stack of one from
-    its prefix `radii`.  The recursion reads only the previous radius, so
-    continuing it from the last entry gives a full-length table's entries."""
-    (more,) = radius_sequences(stack, radii[-1], k_max - (len(radii) - 1))
+def _radius_tables(
+    gains: GainStack, slopes: list[float], delta0: float, k_cap: int
+) -> tuple[list[np.ndarray], list[int]]:
+    """Each row's radius table and reach, its first rung.
+
+    Every table starts at STEADY_FIRST_RUNG steps (or the cap); the rows
+    with a drift slope that have not shown their blow-up bound grow
+    together, doubling, until they show it or reach the cap.
+    """
+    first = min(STEADY_FIRST_RUNG, k_cap)
+    radii = radius_sequences(gains, delta0, first)
+    tables = list(radii)
+    stops = [_blowup_bound(slope, table, k_cap) for slope, table in zip(slopes, tables)]
+    grow = [i for i, slope in enumerate(slopes) if slope and stops[i] == k_cap]
+    radii = radii[grow]
+    while grow and radii.shape[1] <= k_cap:
+        done = radii.shape[1] - 1
+        more = radius_sequences(gains, radii[:, -1], min(2 * done, k_cap) - done, rows=grow)
+        radii = np.concatenate((radii, more[:, 1:]), axis=1)
+        for i, table in zip(grow, radii):
+            tables[i] = table
+            stops[i] = _blowup_bound(slopes[i], table, k_cap)
+        still = [j for j, i in enumerate(grow) if stops[i] == k_cap]
+        grow, radii = [grow[j] for j in still], radii[still]
+    return tables, [stop if stop < k_cap else first for stop in stops]
+
+
+def _extend_radii(gains: GainStack, row: int, radii: np.ndarray, k_max: int) -> np.ndarray:
+    """Row `row`'s radius table [delta_0, ..., delta_kmax] from its prefix
+    `radii`: the recursion continued from the last entry."""
+    if len(radii) > k_max:
+        return radii
+    (more,) = radius_sequences(gains, radii[-1], k_max - (len(radii) - 1), rows=[row])
     return np.concatenate((radii, more[1:]))
+
+
+def _round_radii(tables: list[np.ndarray], rows: list[int], k_max: int) -> np.ndarray:
+    """The (len(rows), k_max + 1) radii of one round: each row's table,
+    cut to k_max + 1 entries or continued with its last entry.  That
+    filler lies past the row's reach, and an entry of the triangle bound
+    reads only earlier radii, so no scanned entry reads it."""
+    out = np.empty((len(rows), k_max + 1))
+    for row, i in zip(out, rows):
+        table = tables[i][: k_max + 1]
+        row[: len(table)] = table
+        row[len(table) :] = table[-1]
+    return out
 
 
 def _blowup_bound(slope: float, radii: np.ndarray, k_cap: int) -> int:
@@ -272,16 +335,22 @@ class DetectabilityReport:
 
 def report_detectability(
     system: SwitchedSystem,
-    decs: list[ModeDecomposition],
-    gains_list: list[ObserverGains],
+    groups: Sequence[BankGroup],
     k_cap: int = STEADY_K_CAP,
 ) -> DetectabilityReport:
-    steady = [
-        steady_tri(q, gains_list[q], decs[q], system.delta_x0, k_cap=k_cap)
-        for q in range(system.mode_count)
-    ]
-    cond_i = check_condition_i(system, decs, steady)
-    cond_ii = check_condition_ii(system, decs)
+    """The detectability verdict of the bank whose ``runner.gain_bank``
+    groups are `groups`; the steady thresholds are scanned group by group."""
+    steady: dict[int, SteadyTriReport] = {}
+    decs: dict[int, ModeDecomposition] = {}
+    for group in groups:
+        reports = steady_reports(group.gains, group.dec, group.modes, system.delta_x0, k_cap)
+        for i, (q, report) in enumerate(zip(group.modes, reports)):
+            steady[q], decs[q] = report, group.dec.mode(i)
+    order = range(system.mode_count)
+    steady_list = [steady[q] for q in order]
+    dec_list = [decs[q] for q in order]
+    cond_i = check_condition_i(system, dec_list, steady_list)
+    cond_ii = check_condition_ii(system, dec_list)
     # a single hypothesis has no pair, so nothing to confuse: all([]) passes
     if all(r.applicable and r.passed for r in cond_i):
         overall = "pass"
@@ -290,7 +359,7 @@ def report_detectability(
     else:
         overall = "fail"
     return DetectabilityReport(
-        steady=tuple(steady),
+        steady=tuple(steady_list),
         condition_i=tuple(cond_i),
         condition_ii=cond_ii,
         overall=overall,

@@ -137,18 +137,28 @@ class BankGroup:
     gains: GainStack
 
 
-def radius_sequences(gains: GainStack, delta0: float, k_max: int) -> np.ndarray:
+def radius_sequences(
+    gains: GainStack,
+    delta0: float | np.ndarray,
+    k_max: int,
+    rows: Sequence[int] | slice = slice(None),
+) -> np.ndarray:
     """A-priori state radii [delta_0, ..., delta_kmax] of every mode of
-    the stack, one row each, from the recursion
-    delta_k = theta delta_{k-1} + eta_bar.  An uncertified mode saturates
-    to inf where the recursion overflows (a Python float does so
-    silently); that is the honest answer there.  Once a step returns its
-    own input, a float fixed point (inf after an overflow), every later
-    step would too, so the rest of the row is filled with it."""
+    the stack, or of its rows `rows`, one row each, from the recursion
+    delta_k = theta delta_{k-1} + eta_bar.  delta0 is every row's
+    initial radius or one per row, so a table continues from its last
+    entry (the recursion reads only the previous radius).  An
+    uncertified mode saturates to inf where the recursion overflows (a
+    Python float does so silently); that is the honest answer there.
+    Once a step returns its own input, a float fixed point (inf after an
+    overflow), every later step would too, so the rest of the row is
+    filled with it."""
+    theta, eta_bar = gains.theta[rows], gains.eta_bar[rows]
+    starts = np.broadcast_to(np.asarray(delta0, dtype=float), theta.shape)
     return np.array(
         [
-            _radii(theta, eta_bar, delta0, k_max)
-            for theta, eta_bar in zip(gains.theta.tolist(), gains.eta_bar.tolist())
+            _radii(*row, k_max)
+            for row in zip(theta.tolist(), eta_bar.tolist(), starts.tolist())
         ]
     )
 

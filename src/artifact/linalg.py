@@ -146,11 +146,27 @@ def _block_norms(a: np.ndarray) -> np.ndarray:
         norms[finite] = _block_norms(a[finite])
         return norms
     if rows == 1 or cols == 1:
-        v = np.abs(a.reshape(a.shape[:-2] + (rows * cols,)))
-        top = v.max(axis=-1, keepdims=True)
-        scaled = v / np.where(top > 0.0, top, 1.0)
+        width = rows * cols
+        v = np.abs(a.reshape(a.shape[:-2] + (width,)))
+        if width >= 8:
+            top = v.max(axis=-1, keepdims=True)
+            scaled = v / np.where(top > 0.0, top, 1.0)
+            total = np.sum(scaled * scaled, axis=-1)
+            top = top[..., 0]
+        else:
+            # column by column, which beats a reduction along a short last
+            # axis; numpy sums fewer than 8 entries in order, so adding the
+            # columns in order gives np.sum's bits
+            top = v[..., 0]
+            for i in range(1, width):
+                top = np.maximum(top, v[..., i])
+            scale = np.where(top > 0.0, top, 1.0)
+            total = 0.0
+            for i in range(width):
+                scaled = v[..., i] / scale
+                total = total + scaled * scaled
         with np.errstate(over="ignore"):
-            return top[..., 0] * np.sqrt(np.sum(scaled * scaled, axis=-1))
+            return top * np.sqrt(total)
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 

@@ -136,8 +136,10 @@ def stack_of(item: type) -> Callable[[type], type]:
     axis.  An array field gains the axis and a float field becomes a
     (Q,) array; an int field, a size the modes share, stays one int.
     ``Stack.of(x)`` is the stack of one holding `x`, its arrays as views,
-    and ``stack.mode(i)`` row i as an `item`, its arrays views of the
-    stack."""
+    ``stack.mode(i)`` row i as an `item`, its arrays views of the stack,
+    and ``stack.take(rows)`` the stack of those rows, in that order, its
+    arrays copies in which a row that is contiguous in the stack keeps
+    its layout (a strided row comes out compact)."""
     hints = typing.get_type_hints(item)
     kinds = {f.name: hints[f.name] for f in fields(item)}
 
@@ -147,12 +149,19 @@ def stack_of(item: type) -> Callable[[type], type]:
     def mode(self, i: int):
         return item(**{name: _row(kind, getattr(self, name), i) for name, kind in kinds.items()})
 
+    def take(self, rows: Sequence[int]):
+        rows = list(rows)
+        return type(self)(
+            **{name: _take(kind, getattr(self, name), rows) for name, kind in kinds.items()}
+        )
+
     def decorate(cls: type) -> type:
         cls.__annotations__ = {
             name: int if kind is int else np.ndarray for name, kind in kinds.items()
         }
         cls.of = classmethod(of)
         cls.mode = mode
+        cls.take = take
         return dataclass(frozen=True)(cls)
 
     return decorate
@@ -162,6 +171,10 @@ def _lift(kind: type, value):
     if kind is int:
         return value
     return np.array([value]) if kind is float else value[None]
+
+
+def _take(kind: type, value, rows: list[int]):
+    return value if kind is int else value[rows]
 
 
 def _row(kind: type, value, i: int):

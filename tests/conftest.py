@@ -19,11 +19,12 @@ thresholds) that the stacked preparation must reproduce; ``oracle_bank``
 starts each mode with ``stagewise_init``, the initialization on vectors.
 ``decompose``, ``synthesize_gains``, ``step_matrix``, ``coefficients``,
 ``radius_table``, ``input_radius_table``, ``word_box``,
-``triangle_bound``, ``stacked_init`` and ``stack_of_one`` run one mode
-through the package's stacked kernels, as a stack of one.  The package
-prepares the bank by gain group; ``mode_bank`` and ``prepared_rows``
-read its groups back row by row, as the one-mode oracles and per-mode
-checks take them.
+``triangle_bound``, ``steady_report``, ``stacked_init`` and
+``stack_of_one`` run one mode through the package's stacked kernels, as
+a stack of one.  The package prepares the bank by gain group;
+``mode_bank`` and ``prepared_rows`` read its groups back row by row, as
+the one-mode oracles and per-mode checks take them, and ``bank_groups``
+builds the groups of a bare ``SwitchedSystem``.
 """
 from __future__ import annotations
 
@@ -45,7 +46,8 @@ from artifact.gains import (
     synthesize_gain_stack,
 )
 from artifact import runner
-from artifact.config import BoundedRandomInput, GrowingRampInput, ZeroInput
+from artifact.config import BoundedRandomInput, GrowingRampInput, ZeroInput, load_config
+from artifact.detectability import STEADY_K_CAP, SteadyTriReport, steady_reports
 from artifact.errors import ConfigurationError, NumericalFailure, SynthesisError
 from artifact.linalg import spectral_norm, spectral_norms
 from artifact.residuals import (
@@ -70,7 +72,8 @@ from artifact.observer import (
     step_matrix_stack,
     step_observer,
 )
-from artifact.system import ModeModel, ModeStack
+from artifact.scenarios import scenario_path
+from artifact.system import ModeModel, ModeStack, SwitchedSystem
 
 
 def decompose(mode: ModeModel) -> ModeDecomposition:
@@ -148,6 +151,21 @@ def triangle_bound(
         CoefficientStack.of(coeffs), np.array([gains.lipschitz]), np.asarray(radii, float)[None]
     )
     return tri
+
+
+def steady_report(
+    gains: ObserverGains,
+    dec: ModeDecomposition,
+    delta0: float,
+    k_cap: int = STEADY_K_CAP,
+    mode: int = 0,
+) -> SteadyTriReport:
+    """One mode's steady-threshold report, labelled `mode`: the package's
+    ``steady_reports`` applied to the stack of one."""
+    (report,) = steady_reports(
+        GainStack.of(gains), DecompositionStack.of(dec), (mode,), delta0, k_cap
+    )
+    return report
 
 
 def sample_ball(rng: np.random.Generator, radius: float, dim: int) -> np.ndarray:
@@ -293,6 +311,13 @@ def mode_bank(config) -> list[tuple[ModeDecomposition, ObserverGains]]:
         for i, q in enumerate(group.modes)
     }
     return [rows[q] for q in range(config.system.mode_count)]
+
+
+def bank_groups(system: SwitchedSystem) -> list[BankGroup]:
+    """The ``runner.gain_bank`` groups of a bank with heuristic gains
+    (``test_system_a``'s gains spec)."""
+    base = load_config(scenario_path("test_system_a"))
+    return runner.gain_bank(replace(base, system=system, true_mode=1))
 
 
 @dataclass(frozen=True)

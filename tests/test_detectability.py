@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (
+    bank_groups,
     mode_bank,
-    prepared_rows,
     coefficients,
     decompose,
     synthesize_gains,
@@ -19,8 +19,10 @@ from conftest import (
     invertible_channel_mode,
     radius_table,
     scalar_channel_mode,
+    steady_report,
     triangle_bound,
 )
+from test_bank_stack import _mixed_config, _twin
 
 from artifact import detectability, runner
 from artifact.config import load_config
@@ -30,10 +32,11 @@ from artifact.detectability import (
     check_condition_i,
     check_condition_ii,
     report_detectability,
+    steady_reports,
     steady_tri,
 )
 from artifact.gains import radius_sequences
-from artifact.residuals import build_coefficients
+from artifact.residuals import build_coefficients, triangle_sequences
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import ModeModel, SwitchedSystem
 
@@ -71,7 +74,7 @@ def _system(modes, eta=0.05, r_x=None, r_y=None) -> SwitchedSystem:
 
 def test_steady_tri_converges_and_agrees_with_pointwise_bound() -> None:
     dec, gains = _prepared(invertible_channel_mode())
-    report = steady_tri(0, gains, dec, delta0=0.3)
+    report = steady_report(gains, dec, delta0=0.3)
     assert report.converged
     assert report.iterations < 100
     coeffs = coefficients(gains, dec, report.iterations)
@@ -83,7 +86,7 @@ def test_steady_tri_converges_and_agrees_with_pointwise_bound() -> None:
 def test_steady_tri_flags_divergence_with_infinite_value() -> None:
     dec, gains = _prepared(scalar_channel_mode())
     assert gains.theta > 1.0
-    report = steady_tri(0, gains, dec, delta0=0.5, k_cap=400)
+    report = steady_report(gains, dec, delta0=0.5, k_cap=400)
     assert not report.converged
     assert math.isinf(report.value)
 
@@ -94,9 +97,9 @@ def test_steady_tri_report_does_not_depend_on_the_cap_past_its_stop() -> None:
     config = load_config(scenario_path("scenario1"))
     delta0 = config.system.delta_x0
     for q, (dec, gains) in enumerate(mode_bank(config)):
-        capped = steady_tri(q, gains, dec, delta0, k_cap=2000)
+        capped = steady_report(gains, dec, delta0, k_cap=2000, mode=q)
         assert capped.iterations < 2000
-        assert steady_tri(q, gains, dec, delta0, k_cap=5000) == capped
+        assert steady_report(gains, dec, delta0, k_cap=5000, mode=q) == capped
 
 
 def _steady_cases():
@@ -181,7 +184,7 @@ def test_steady_tri_matches_a_scan_of_the_full_length_sequence(k_cap) -> None:
     assert any(dec.z2_dim == 0 for _, _, dec, _ in cases)
     verdicts = set()
     for label, gains, dec, delta0 in cases:
-        report = steady_tri(0, gains, dec, delta0, k_cap=k_cap)
+        report = steady_report(gains, dec, delta0, k_cap=k_cap)
         converged, value, iterations = _reference_scan(
             _full_triangle_sequence(gains, dec, delta0, k_cap)
         ) or (False, math.inf, k_cap)
@@ -204,16 +207,23 @@ def test_triangle_sequence_prefixes_are_bitwise_equal_to_the_full_sequence() -> 
             assert prefix.tobytes() == full[:k].tobytes(), (label, k)
 
 
-def _record_builds(monkeypatch) -> list[int]:
-    """The k_max of every build_coefficients call steady_tri makes."""
-    built: list[int] = []
+def _record_builds(monkeypatch) -> list[tuple[int, int]]:
+    """(k_max, rows) of every build_coefficients call the scan makes."""
+    built: list[tuple[int, int]] = []
 
     def recording(gains, dec, k_max):
-        built.append(k_max)
+        built.append((k_max, len(gains.theta)))
         return build_coefficients(gains, dec, k_max)
 
     monkeypatch.setattr(detectability, "build_coefficients", recording)
     return built
+
+
+def _scenario1_group():
+    config = load_config(scenario_path("scenario1"))
+    (group,) = runner.gain_bank(config)
+    assert group.modes == (0, 1, 2, 3, 4)
+    return config, group
 
 
 def test_steady_tri_builds_only_the_prefix_its_scan_reads(monkeypatch) -> None:
@@ -225,10 +235,40 @@ def test_steady_tri_builds_only_the_prefix_its_scan_reads(monkeypatch) -> None:
     per_mode = []
     for q, (dec, gains) in enumerate(mode_bank(config)):
         built.clear()
-        steady_tri(q, gains, dec, config.system.delta_x0)
+        steady_report(gains, dec, config.system.delta_x0, mode=q)
         per_mode.append(list(built))
-    assert per_mode == [[STEADY_FIRST_RUNG], [521], [327], [308], [143]]
-    assert sum(map(sum, per_mode)) == 1363
+    assert per_mode == [
+        [(STEADY_FIRST_RUNG, 1)], [(521, 1)], [(327, 1)], [(308, 1)], [(143, 1)]
+    ]
+    assert sum(k for builds in per_mode for k, _ in builds) == 1363
+
+
+def test_scenario1_builds_one_recursion_over_its_group(monkeypatch) -> None:
+    # the group's first round runs to the longest first rung, mode 2's
+    # 521, and every mode reaches its verdict there
+    built = _record_builds(monkeypatch)
+    config = load_config(scenario_path("scenario1"))
+    report = report_detectability(config.system, runner.gain_bank(config))
+    assert built == [(521, 5)]
+    assert [s.iterations for s in report.steady] == [2, 519, 326, 307, 142]
+
+
+def _record_radius_steps(monkeypatch) -> tuple[list[int], list[int]]:
+    """(recursion steps per row, rows per call) of every radius_sequences
+    call the scan makes; rows are counted in the stack the call reads."""
+    per_row: list[int] = []
+    calls: list[int] = []
+
+    def recording(gains, delta0, k_max, rows=slice(None)):
+        indices = range(len(gains.theta))[rows] if isinstance(rows, slice) else rows
+        per_row.extend([0] * (len(gains.theta) - len(per_row)))
+        for i in indices:
+            per_row[i] += k_max
+        calls.append(len(indices))
+        return radius_sequences(gains, delta0, k_max, rows)
+
+    monkeypatch.setattr(detectability, "radius_sequences", recording)
+    return per_row, calls
 
 
 def test_steady_tri_extends_the_radius_table_only_until_its_blowup_bound(monkeypatch) -> None:
@@ -236,20 +276,22 @@ def test_steady_tri_extends_the_radius_table_only_until_its_blowup_bound(monkeyp
     # blow-up bound: mode 1 (slope 0) stays at 64 radius steps, the others
     # stop at the first doubling past 521, 327, 308 and 143, where a
     # full-length table would run its recursion to overflow or the cap
-    steps: list[int] = []
-
-    def recording(gains, delta0, k_max):
-        steps.append(k_max)
-        return radius_sequences(gains, delta0, k_max)
-
-    monkeypatch.setattr(detectability, "radius_sequences", recording)
+    per_row, calls = _record_radius_steps(monkeypatch)
     config = load_config(scenario_path("scenario1"))
     per_mode = []
     for q, (dec, gains) in enumerate(mode_bank(config)):
-        steps.clear()
-        steady_tri(q, gains, dec, config.system.delta_x0)
-        per_mode.append(sum(steps))
+        per_row.clear()
+        steady_report(gains, dec, config.system.delta_x0, mode=q)
+        per_mode.append(sum(per_row))
     assert per_mode == [64, 1024, 512, 512, 256]
+    # the group's rows grow together and each to the same length; the
+    # rows past their reach are built on filler, not on more radii
+    config, group = _scenario1_group()
+    per_row.clear()
+    calls.clear()
+    steady_reports(group.gains, group.dec, group.modes, config.system.delta_x0)
+    assert per_row == [64, 1024, 512, 512, 256]
+    assert calls == [5, 4, 4, 3, 1]
 
 
 def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeypatch) -> None:
@@ -258,21 +300,81 @@ def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeyp
     config = load_config(scenario_path("scenario1"))
     bank = mode_bank(config)
     delta0 = config.system.delta_x0
-    honest = [steady_tri(q, gains, dec, delta0) for q, (dec, gains) in enumerate(bank)]
+    honest = [steady_report(gains, dec, delta0, mode=q) for q, (dec, gains) in enumerate(bank)]
     monkeypatch.setattr(detectability, "_blowup_bound", lambda slope, radii, k_cap: 10)
     built = _record_builds(monkeypatch)
     for q, (dec, gains) in enumerate(bank):
         built.clear()
-        report = steady_tri(q, gains, dec, delta0)
+        report = steady_report(gains, dec, delta0, mode=q)
         assert report == honest[q], q
         # mode 1 stagnates at k = 2, inside the short rung
-        assert built == ([10] if q == 0 else [10, STEADY_K_CAP]), q
+        assert built == ([(10, 1)] if q == 0 else [(10, 1), (STEADY_K_CAP, 1)]), q
         converged, value, iterations = _reference_scan(
             _full_triangle_sequence(gains, dec, delta0, STEADY_K_CAP)
         )
         assert (report.converged, report.value, report.iterations) == (
             converged, value, iterations
         )
+    # the group's second round runs only the four rows left without a verdict
+    _, group = _scenario1_group()
+    built.clear()
+    assert steady_reports(group.gains, group.dec, group.modes, delta0) == honest
+    assert built == [(10, 5), (STEADY_K_CAP, 4)]
+
+
+def _group_cases():
+    """(label, config) of every bundled scenario and the mixed-shape bank."""
+    for name in list_scenarios():
+        yield name, load_config(scenario_path(name))
+    yield "mixed", _mixed_config()
+
+
+@pytest.mark.parametrize("k_cap", [60, 120, STEADY_K_CAP])
+def test_group_reports_equal_the_stack_of_one_scans(k_cap) -> None:
+    # at k_cap = 120 the second round runs a strict subset of scenario1's
+    # rows, and at the cap one of the mixed bank's pairs
+    for label, config in _group_cases():
+        delta0 = config.system.delta_x0
+        for group in runner.gain_bank(config):
+            want = [
+                steady_report(group.gains.mode(i), group.dec.mode(i), delta0, k_cap, mode=q)
+                for i, q in enumerate(group.modes)
+            ]
+            got = steady_reports(group.gains, group.dec, group.modes, delta0, k_cap)
+            assert got == want, (label, group.modes, k_cap)
+
+
+def test_a_row_built_past_its_stop_neither_warns_nor_moves_a_verdict(monkeypatch) -> None:
+    # scenario1's mode 1 (first rung 64) beside a twin of mode 5 whose
+    # drift is 1e5 times larger: the twin blows up within a few steps, and
+    # the group builds it to 64, past an overflow of its radius table
+    config = load_config(scenario_path("scenario1"))
+    slow, fast = config.system.modes[0], _twin(config.system.modes[4], 1e5)
+    system = dataclasses.replace(
+        config.system, modes=(slow, fast), eta_w=(0.02,) * 2, eta_v=(0.02,) * 2
+    )
+    (group,) = runner.gain_bank(dataclasses.replace(config, system=system, true_mode=1))
+    delta0 = system.delta_x0
+    built = []
+
+    def recording(coeffs, lipschitz, radii):
+        built.append(triangle_sequences(coeffs, lipschitz, radii))
+        return built[-1]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = [
+            steady_report(group.gains.mode(i), group.dec.mode(i), delta0, mode=i)
+            for i in range(2)
+        ]
+        monkeypatch.setattr(detectability, "triangle_sequences", recording)
+        reports = steady_reports(group.gains, group.dec, group.modes, delta0)
+    assert reports == alone
+    assert reports[0].converged and reports[0].iterations == 2
+    assert not reports[1].converged and reports[1].iterations < 30
+    (tri,) = built
+    assert tri.shape == (2, STEADY_FIRST_RUNG)
+    assert not np.isfinite(tri[1, reports[1].iterations :]).all()
 
 
 def test_quantitative_check_requires_magnitude_bounds() -> None:
@@ -282,7 +384,7 @@ def test_quantitative_check_requires_magnitude_bounds() -> None:
         synthesize_gains(m, d, eta_w=0.05, eta_v=0.05)
         for m, d in zip(system.modes, decs)
     ]
-    steady = [steady_tri(q, gains[q], decs[q], 0.3) for q in range(2)]
+    steady = [steady_report(gains[q], decs[q], 0.3, mode=q) for q in range(2)]
     reports = check_condition_i(system, decs, steady)
     assert len(reports) == 1
     assert not reports[0].applicable
@@ -300,7 +402,7 @@ def test_quantitative_check_passes_with_generous_state_bound() -> None:
         synthesize_gains(m, d, eta_w=0.05, eta_v=0.05)
         for m, d in zip(system.modes, decs)
     ]
-    steady = [steady_tri(q, gains[q], decs[q], 0.3) for q in range(2)]
+    steady = [steady_report(gains[q], decs[q], 0.3, mode=q) for q in range(2)]
     assert all(s.converged for s in steady)
     reports = check_condition_i(system, decs, steady)
     assert reports[0].applicable
@@ -317,7 +419,7 @@ def test_quantitative_check_fails_when_a_threshold_diverges() -> None:
         synthesize_gains(m, d, eta_w=0.05, eta_v=0.05)
         for m, d in zip(system.modes, decs)
     ]
-    steady = [steady_tri(q, gains[q], decs[q], 0.5, k_cap=200) for q in range(2)]
+    steady = [steady_report(gains[q], decs[q], 0.5, k_cap=200, mode=q) for q in range(2)]
     reports = check_condition_i(system, decs, steady)
     assert reports[0].applicable
     assert not reports[0].passed
@@ -340,7 +442,7 @@ def test_quantitative_check_marks_mismatched_feedthrough_ranks() -> None:
         synthesize_gains(m, d, eta_w=0.05, eta_v=0.05)
         for m, d in zip(system.modes, decs)
     ]
-    steady = [steady_tri(q, gains[q], decs[q], 0.3, k_cap=60) for q in range(2)]
+    steady = [steady_report(gains[q], decs[q], 0.3, k_cap=60, mode=q) for q in range(2)]
     reports = check_condition_i(system, decs, steady)
     assert not reports[0].applicable
     assert "conform" in reports[0].reason
@@ -384,32 +486,37 @@ def test_overall_verdict_levels() -> None:
     mode_a, mode_b = invertible_channel_mode(), _second_channel_mode()
 
     single = _system([mode_a])
-    report = report_detectability(
-        single, [decompose(mode_a)], [_prepared(mode_a)[1]], k_cap=60
-    )
+    report = report_detectability(single, bank_groups(single), k_cap=60)
     assert report.overall == "pass"
 
     unbounded = _system([mode_a, mode_b])
-    decs = [decompose(m) for m in unbounded.modes]
-    gains = [
-        synthesize_gains(m, d, eta_w=0.05, eta_v=0.05)
-        for m, d in zip(unbounded.modes, decs)
-    ]
-    report = report_detectability(unbounded, decs, gains, k_cap=120)
+    groups = bank_groups(unbounded)
+    report = report_detectability(unbounded, groups, k_cap=120)
     assert report.overall == "conditional"
 
     bounded = _system([mode_a, mode_b], r_x=1e6, r_y=10.0)
-    report = report_detectability(bounded, decs, gains, k_cap=120)
+    report = report_detectability(bounded, groups, k_cap=120)
     assert report.overall == "pass"
 
     twins = _system([scalar_channel_mode(), scalar_channel_mode()])
-    twin_decs = [decompose(m) for m in twins.modes]
-    twin_gains = [
-        synthesize_gains(m, d, eta_w=0.05, eta_v=0.05)
-        for m, d in zip(twins.modes, twin_decs)
-    ]
-    report = report_detectability(twins, twin_decs, twin_gains, k_cap=60)
+    twin_groups = bank_groups(twins)
+    # the twins share every shape, so one group scans both
+    assert [group.modes for group in twin_groups] == [(0, 1)]
+    report = report_detectability(twins, twin_groups, k_cap=60)
     assert report.overall == "fail"
+
+
+def test_steady_tri_reads_the_prefix_it_is_given() -> None:
+    # a verdict within the prefix, the cap fallback on a prefix of k_cap
+    # entries, and a refusal of a shorter prefix without a verdict
+    assert steady_tri(3, np.array([0.25, 0.5, 0.5])) == detectability.SteadyTriReport(
+        3, True, 0.5, 3
+    )
+    assert steady_tri(1, np.array([1.0, 2.0]), k_cap=2) == detectability.SteadyTriReport(
+        1, False, math.inf, 2
+    )
+    with pytest.raises(ValueError, match="no verdict"):
+        steady_tri(0, np.array([1.0, 2.0]), k_cap=3)
 
 
 def test_threshold_tables_and_steady_bounds_raise_no_runtime_warning() -> None:
@@ -418,10 +525,6 @@ def test_threshold_tables_and_steady_bounds_raise_no_runtime_warning() -> None:
     config = load_config(scenario_path("scenario1"))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        prepared = prepared_rows(config, runner.prepare_modes(config))
-        report = report_detectability(
-            config.system,
-            [pm.dec for pm in prepared],
-            [pm.gains for pm in prepared],
-        )
+        prepared = runner.prepare_modes(config)
+        report = report_detectability(config.system, [stack.group for stack in prepared])
     assert len(report.steady) == config.system.mode_count

@@ -334,6 +334,28 @@ def test_norm_kernels_are_bitwise_equal_on_stacks_with_nonfinite_blocks() -> Non
     assert _same_bits(spectral_norms(stack), _oracle_spectral_norms(stack))
 
 
+def test_column_wise_vector_norms_keep_the_axis_formula_bits() -> None:
+    # blocks of width 1-7 are normed column by column, wider ones by a
+    # reduction along the last axis; np.sum adds fewer than 8 entries in
+    # order, so both give the oracle's axis-formula bits
+    rng = np.random.default_rng(2028)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for width in range(1, 10):
+            for _ in range(30):
+                depth = int(rng.integers(1, 400))
+                scales = 10.0 ** rng.uniform(-300.0, 300.0, size=(depth, 1, 1))
+                stack = scales * rng.normal(size=(depth, 1, width))
+                kind = rng.integers(0, 6, size=depth)
+                stack[kind == 1] = 0.0
+                stack[kind == 2] *= 1e-300  # tiny: underflows to subnormals or zero
+                stack[kind == 3, 0, rng.integers(width)] = np.inf
+                stack[kind == 4, 0, rng.integers(width)] = np.nan
+                for block in (stack, np.swapaxes(stack, 1, 2)):
+                    assert _same_bits(spectral_norms(block), _oracle_spectral_norms(block))
+                    assert _same_bits(spectral_norm(block[0]), _oracle_spectral_norm(block[0]))
+
+
 def test_pinv_reports_a_failed_factorization(monkeypatch) -> None:
     def diverging(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

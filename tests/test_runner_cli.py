@@ -147,6 +147,23 @@ def test_a_duplicated_key_is_a_config_error_naming_the_key_and_its_line(tmp_path
     }
 
 
+def test_a_yaml_error_mark_names_the_file(tmp_path, capsys) -> None:
+    text = scenario_path("scenario1").read_text()
+    path = tmp_path / "scenario1.yaml"
+    path.write_text(text + "horizon: 5\n")
+    with pytest.raises(ConfigurationError) as info:
+        load_config(path)
+    first, mark = str(info.value).splitlines()
+    assert first == f"invalid YAML in {path}: found duplicate key 'horizon'"
+    assert mark.strip() == f'in "{path}", line {text.count(chr(10)) + 1}, column 1'
+    # bytes that are not UTF-8 are a YAML error of the file, not a traceback
+    path.write_bytes(text.encode() + b"name: caf\xe9\n")
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: invalid YAML in {path}" in err and f'in "{path}"' in err
+
+
 def test_cli_unknown_keys_of_mixed_types_are_exit_2(tmp_path, capsys) -> None:
     data = _minimal_config_data()
     data.update({1: "a", "zzz": "b"})

@@ -325,6 +325,30 @@ def test_one_mode_functions_are_stacks_of_one() -> None:
         )
 
 
+@pytest.mark.parametrize("name", list_scenarios())
+def test_take_copies_rows_with_their_bits_and_layouts(name: str) -> None:
+    # a group's rows taken in reverse order are the rows of the group,
+    # bit for bit, and a row contiguous in the group (every field the
+    # steady scan's second round builds on) is laid out alike; a strided
+    # row, such as t1's rows of a transposed rotation, comes out compact
+    for group in runner.gain_bank(load_config(scenario_path(name))):
+        rows = list(range(len(group.modes)))[::-1]
+        for stack in (group.gains, group.dec):
+            taken = stack.take(rows)
+            assert type(taken) is type(stack)
+            for j, i in enumerate(rows):
+                got, want = taken.mode(j), stack.mode(i)
+                for f in fields(want):
+                    label = f"{name} {type(stack).__name__} {i} {f.name}"
+                    value = getattr(want, f.name)
+                    if isinstance(value, np.ndarray) and not (
+                        value.flags.c_contiguous or value.flags.f_contiguous
+                    ):
+                        assert getattr(got, f.name).tobytes() == value.tobytes(), label
+                    else:
+                        _same(getattr(got, f.name), value, label)
+
+
 def _deficient_mode(p: int) -> ModeModel:
     """No free output row sees the state, so rank(c2 @ g2) = 0 < p."""
     return ModeModel(
