@@ -28,16 +28,22 @@ tri_k >= L_f ||c2 phi|| delta_{k-1}, read off the radius table.  The
 last rung is always the cap, so the verdict never rests on that bound.
 
 ``report_detectability`` takes the ``runner.gain_bank`` groups, and
-``steady_reports`` scans a group's stack: each round is one stacked
-recursion (``residuals.build_coefficients``, then
-``residuals.triangle_sequences``) over the rows it builds, the first
-over every row to the longest of their first rungs, the second over the
-rows still without a verdict to the cap.  Each slice of a stacked
-product is the call a lone mode makes, so a row's scanned prefix holds
-a lone mode's bits.  ``steady_tri`` turns one row's scanned prefix into
-its report, once per mode; it stays a one-mode entry point because the
-benchmark's tracer wraps it by name and reads each call's
-``iterations``.
+``steady_reports`` scans a group's stack.  Its radius tables are one
+``gains.radius_sequences`` call to the cap, each row stopped after its
+first radius above 2 STEADY_BLOWUP / (L_f ||c2 phi||), which shows its
+k_stop; past that the row holds that radius, which only entries after
+the scan's blow-up read, since entry k of the triangle bound reads only
+delta_0 .. delta_{k-1}.  A row left for the cap round has its stopped
+table rebuilt without a ceiling.  Each round is one stacked recursion
+(``residuals.build_coefficients``, then
+``residuals.triangle_sequences``) over the rows it builds, on a slice of
+their tables, the first over every row to the longest of their first
+rungs, the second over the rows still without a verdict to the cap.
+Each slice of a stacked product is the call a lone mode makes, so a
+row's scanned prefix holds a lone mode's bits.  ``steady_tri`` turns one
+row's scanned prefix into its report, once per mode; it stays a one-mode
+entry point because the benchmark's tracer wraps it by name and reads
+each call's ``iterations``.
 """
 from __future__ import annotations
 
@@ -87,7 +93,11 @@ def steady_reports(
     row i is mode ``modes[i]``: every round one stacked recursion over
     the rows it builds."""
     slopes = (gains.lipschitz * linalg.spectral_norms(dec.c2 @ gains.phi)).tolist()
-    tables, reach = _radius_tables(gains, slopes, delta0, k_cap)
+    ceilings = [2.0 * STEADY_BLOWUP / slope if slope else math.inf for slope in slopes]
+    tables = radius_sequences(gains, delta0, k_cap, ceiling=ceilings)
+    first = min(STEADY_FIRST_RUNG, k_cap)
+    stops = [_blowup_bound(slope, table, k_cap) for slope, table in zip(slopes, tables)]
+    reach = [stop if stop < k_cap else first for stop in stops]
     reports: dict[int, SteadyTriReport] = {}
     rows = list(range(len(slopes)))
     while rows:
@@ -97,15 +107,18 @@ def steady_reports(
         else:
             rows_gains, rows_dec = gains.take(rows), dec.take(rows)
         coeffs = build_coefficients(rows_gains, rows_dec, k_max)
-        tri = triangle_sequences(coeffs, rows_gains.lipschitz, _round_radii(tables, rows, k_max))
+        tri = triangle_sequences(coeffs, rows_gains.lipschitz, tables[rows, : k_max + 1])
         for i, row in zip(rows, tri):
-            # past its reach a row was built on filler radii; it is never scanned there
+            # past its reach a row may read its stopped table's filler; it is never scanned there
             scanned = row[: reach[i]]
             if reach[i] == k_cap or _scan_steady(scanned) is not None:
                 reports[i] = steady_tri(modes[i], scanned, k_cap)
         rows = [i for i in rows if i not in reports]
+        # the cap round reads whole tables, so none may rest on a ceiling
+        stopped = [i for i in rows if tables[i, -1] > ceilings[i]]
+        if stopped:
+            tables[stopped] = radius_sequences(gains, delta0, k_cap, rows=stopped)
         for i in rows:
-            tables[i] = _extend_radii(gains, i, tables[i], k_cap)
             reach[i] = k_cap
     return [reports[i] for i in range(len(slopes))]
 
@@ -146,58 +159,9 @@ def _scan_steady(tri_seq: np.ndarray) -> tuple[bool, float, int] | None:
     return None
 
 
-def _radius_tables(
-    gains: GainStack, slopes: list[float], delta0: float, k_cap: int
-) -> tuple[list[np.ndarray], list[int]]:
-    """Each row's radius table and reach, its first rung.
-
-    Every table starts at STEADY_FIRST_RUNG steps (or the cap); the rows
-    with a drift slope that have not shown their blow-up bound grow
-    together, doubling, until they show it or reach the cap.
-    """
-    first = min(STEADY_FIRST_RUNG, k_cap)
-    radii = radius_sequences(gains, delta0, first)
-    tables = list(radii)
-    stops = [_blowup_bound(slope, table, k_cap) for slope, table in zip(slopes, tables)]
-    grow = [i for i, slope in enumerate(slopes) if slope and stops[i] == k_cap]
-    radii = radii[grow]
-    while grow and radii.shape[1] <= k_cap:
-        done = radii.shape[1] - 1
-        more = radius_sequences(gains, radii[:, -1], min(2 * done, k_cap) - done, rows=grow)
-        radii = np.concatenate((radii, more[:, 1:]), axis=1)
-        for i, table in zip(grow, radii):
-            tables[i] = table
-            stops[i] = _blowup_bound(slopes[i], table, k_cap)
-        still = [j for j, i in enumerate(grow) if stops[i] == k_cap]
-        grow, radii = [grow[j] for j in still], radii[still]
-    return tables, [stop if stop < k_cap else first for stop in stops]
-
-
-def _extend_radii(gains: GainStack, row: int, radii: np.ndarray, k_max: int) -> np.ndarray:
-    """Row `row`'s radius table [delta_0, ..., delta_kmax] from its prefix
-    `radii`: the recursion continued from the last entry."""
-    if len(radii) > k_max:
-        return radii
-    (more,) = radius_sequences(gains, radii[-1], k_max - (len(radii) - 1), rows=[row])
-    return np.concatenate((radii, more[1:]))
-
-
-def _round_radii(tables: list[np.ndarray], rows: list[int], k_max: int) -> np.ndarray:
-    """The (len(rows), k_max + 1) radii of one round: each row's table,
-    cut to k_max + 1 entries or continued with its last entry.  That
-    filler lies past the row's reach, and an entry of the triangle bound
-    reads only earlier radii, so no scanned entry reads it."""
-    out = np.empty((len(rows), k_max + 1))
-    for row, i in zip(out, rows):
-        table = tables[i][: k_max + 1]
-        row[: len(table)] = table
-        row[len(table) :] = table[-1]
-    return out
-
-
 def _blowup_bound(slope: float, radii: np.ndarray, k_cap: int) -> int:
-    """First k with slope * delta_{k-1} > 2 STEADY_BLOWUP, else k_cap;
-    a prefix of the radius table answers for the steps it holds.
+    """First k <= k_cap with slope * delta_{k-1} > 2 STEADY_BLOWUP, read
+    off the radius table, else k_cap.
 
     With slope = L_f ||c2 phi|| that product is the drift convolution's
     i = 0 term, a lower bound on the triangle bound tri_k, so the scan

@@ -255,43 +255,48 @@ def test_scenario1_builds_one_recursion_over_its_group(monkeypatch) -> None:
 
 def _record_radius_steps(monkeypatch) -> tuple[list[int], list[int]]:
     """(recursion steps per row, rows per call) of every radius_sequences
-    call the scan makes; rows are counted in the stack the call reads."""
+    call the scan makes; rows are counted in the stack the call reads, and
+    a row's steps end where its constant fill begins."""
     per_row: list[int] = []
     calls: list[int] = []
 
-    def recording(gains, delta0, k_max, rows=slice(None)):
+    def recording(gains, delta0, k_max, rows=slice(None), ceiling=math.inf):
+        radii = radius_sequences(gains, delta0, k_max, rows, ceiling)
         indices = range(len(gains.theta))[rows] if isinstance(rows, slice) else rows
         per_row.extend([0] * (len(gains.theta) - len(per_row)))
-        for i in indices:
-            per_row[i] += k_max
+        for i, table in zip(indices, radii):
+            moved = np.flatnonzero(table[1:] != table[:-1])
+            per_row[i] += int(moved[-1]) + 1 if moved.size else 0
         calls.append(len(indices))
-        return radius_sequences(gains, delta0, k_max, rows)
+        return radii
 
     monkeypatch.setattr(detectability, "radius_sequences", recording)
     return per_row, calls
 
 
 def test_steady_tri_extends_the_radius_table_only_until_its_blowup_bound(monkeypatch) -> None:
-    # the table starts at the first rung and doubles until it shows the
-    # blow-up bound: mode 1 (slope 0) stays at 64 radius steps, the others
-    # stop at the first doubling past 521, 327, 308 and 143, where a
-    # full-length table would run its recursion to overflow or the cap
+    # one call builds each table to the cap, stopped after its first
+    # radius above its blow-up ceiling: mode 1 (slope 0, no ceiling) runs
+    # to its float fixed point at 967 steps, the others stop at 520, 326,
+    # 307 and 142, one step short of their stops at 521, 327, 308 and 143,
+    # where a table without a ceiling runs its recursion to overflow
     per_row, calls = _record_radius_steps(monkeypatch)
     config = load_config(scenario_path("scenario1"))
     per_mode = []
     for q, (dec, gains) in enumerate(mode_bank(config)):
         per_row.clear()
+        calls.clear()
         steady_report(gains, dec, config.system.delta_x0, mode=q)
         per_mode.append(sum(per_row))
-    assert per_mode == [64, 1024, 512, 512, 256]
-    # the group's rows grow together and each to the same length; the
-    # rows past their reach are built on filler, not on more radii
+        assert calls == [1], q
+    assert per_mode == [967, 520, 326, 307, 142]
+    # the group builds every row in one call, to the same steps
     config, group = _scenario1_group()
     per_row.clear()
     calls.clear()
     steady_reports(group.gains, group.dec, group.modes, config.system.delta_x0)
-    assert per_row == [64, 1024, 512, 512, 256]
-    assert calls == [5, 4, 4, 3, 1]
+    assert per_row == [967, 520, 326, 307, 142]
+    assert calls == [5]
 
 
 def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeypatch) -> None:
@@ -318,8 +323,11 @@ def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeyp
     # the group's second round runs only the four rows left without a verdict
     _, group = _scenario1_group()
     built.clear()
+    _, calls = _record_radius_steps(monkeypatch)
     assert steady_reports(group.gains, group.dec, group.modes, delta0) == honest
     assert built == [(10, 5), (STEADY_K_CAP, 4)]
+    # and rebuilds their tables, which their ceilings stopped, without one
+    assert calls == [5, 4]
 
 
 def _group_cases():
@@ -347,7 +355,8 @@ def test_group_reports_equal_the_stack_of_one_scans(k_cap) -> None:
 def test_a_row_built_past_its_stop_neither_warns_nor_moves_a_verdict(monkeypatch) -> None:
     # scenario1's mode 1 (first rung 64) beside a twin of mode 5 whose
     # drift is 1e5 times larger: the twin blows up within a few steps, and
-    # the group builds it to 64, past an overflow of its radius table
+    # the group builds it to 64, past its radius table's stop at its
+    # ceiling, where a table without one overflows at k = 60
     config = load_config(scenario_path("scenario1"))
     slow, fast = config.system.modes[0], _twin(config.system.modes[4], 1e5)
     system = dataclasses.replace(
@@ -374,7 +383,8 @@ def test_a_row_built_past_its_stop_neither_warns_nor_moves_a_verdict(monkeypatch
     assert not reports[1].converged and reports[1].iterations < 30
     (tri,) = built
     assert tri.shape == (2, STEADY_FIRST_RUNG)
-    assert not np.isfinite(tri[1, reports[1].iterations :]).all()
+    # past its reach the twin's row reads the stopped table's filler
+    assert np.isfinite(tri[1]).all()
 
 
 def test_quantitative_check_requires_magnitude_bounds() -> None:

@@ -40,6 +40,8 @@ def test_snapshots_of_linear_bench_hold_every_compared_file_alike(tmp_path) -> N
         "linear_bench/detectability/detectability.json",
         "linear_bench/detectability/detectability.txt",
         "linear_bench/thresholds/thresholds_q1.csv",
+        "linear_bench/detectability-k60/detectability.json",
+        "linear_bench/detectability-k120/detectability.json",
     }
     assert first == _files(tmp_path / "second")
     log = first["commands.txt"].decode().splitlines()

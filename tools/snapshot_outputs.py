@@ -12,7 +12,11 @@ and writes under OUT, one directory per bundled scenario:
   test_system_a only;
 * ``detectability``: ``artifact check-detectability``;
 * ``thresholds``: ``artifact thresholds --mode q --kmax 40`` for every
-  mode q.
+  mode q;
+* ``detectability-k60``, ``detectability-k120``: ``detectability.json``
+  of ``report_detectability`` at a cap of 60 and 120 steps, written with
+  ``runner.write_json`` (no command sets the cap, and at the default cap
+  no bundled scenario reaches the scan's cap round).
 
 ``commands.txt`` lists every command with its exit code and what it
 printed to stderr.  Snapshots of two checkouts hold the same outputs
@@ -57,6 +61,8 @@ def snapshot(out: Path, names: list[str] | None = None) -> None:
     the imported ``artifact`` package into `out`."""
     from artifact import cli
     from artifact.config import load_config
+    from artifact.detectability import report_detectability
+    from artifact.runner import gain_bank, write_json
     from artifact.scenarios import list_scenarios, scenario_path
 
     out.mkdir(parents=True, exist_ok=True)
@@ -64,14 +70,19 @@ def snapshot(out: Path, names: list[str] | None = None) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         for name in names or list_scenarios():
             config = str(scenario_path(name))
-            modes = load_config(config).system.mode_count
-            for folder, args in _commands(name, config, modes, Path(scratch)):
+            loaded = load_config(config)
+            for folder, args in _commands(name, config, loaded.system.mode_count, Path(scratch)):
                 stderr = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                     code = cli.main([*args, "--out", str(out / name / folder)])
                 shown = [Path(a).name if a.endswith(".yaml") else a for a in args]
                 log.append(f"{name}/{folder}: artifact {' '.join(shown)}: exit {code}")
                 log += [f"  {line}" for line in stderr.getvalue().splitlines()]
+            for k_cap in (60, 120):
+                folder = out / name / f"detectability-k{k_cap}"
+                folder.mkdir(exist_ok=True)
+                report = report_detectability(loaded.system, gain_bank(loaded), k_cap)
+                write_json(folder / "detectability.json", report)
     (out / "commands.txt").write_text("\n".join(log) + "\n")
 
 
