@@ -96,7 +96,7 @@ def steady_reports(
     ceilings = [2.0 * STEADY_BLOWUP / slope if slope else math.inf for slope in slopes]
     tables = radius_sequences(gains, delta0, k_cap, ceiling=ceilings)
     first = min(STEADY_FIRST_RUNG, k_cap)
-    stops = [_blowup_bound(slope, table, k_cap) for slope, table in zip(slopes, tables)]
+    stops = [_blowup_bound(table, ceiling, k_cap) for table, ceiling in zip(tables, ceilings)]
     reach = [stop if stop < k_cap else first for stop in stops]
     reports: dict[int, SteadyTriReport] = {}
     rows = list(range(len(slopes)))
@@ -159,19 +159,18 @@ def _scan_steady(tri_seq: np.ndarray) -> tuple[bool, float, int] | None:
     return None
 
 
-def _blowup_bound(slope: float, radii: np.ndarray, k_cap: int) -> int:
-    """First k <= k_cap with slope * delta_{k-1} > 2 STEADY_BLOWUP, read
-    off the radius table, else k_cap.
+def _blowup_bound(radii: np.ndarray, ceiling: float, k_cap: int) -> int:
+    """First k <= k_cap with delta_{k-1} above the row's ceiling
+    2 STEADY_BLOWUP / slope, read off the radius table, else k_cap.
 
-    With slope = L_f ||c2 phi|| that product is the drift convolution's
-    i = 0 term, a lower bound on the triangle bound tri_k, so the scan
-    stops by blow-up at this k at the latest; the factor 2 covers
-    rounding in the norm and the sums.
+    With slope = L_f ||c2 phi|| the product slope * delta_{k-1} is the
+    drift convolution's i = 0 term, a lower bound on the triangle bound
+    tri_k, so the scan stops by blow-up at this k at the latest; the
+    factor 2 covers rounding in the ceiling, the norm and the sums.  A
+    table built with this ceiling stops after that radius, so this reads
+    where it stopped.
     """
-    if slope == 0.0:
-        return k_cap
-    with np.errstate(over="ignore"):
-        past = np.flatnonzero(slope * radii[:k_cap] > 2.0 * STEADY_BLOWUP)
+    past = np.flatnonzero(radii[:k_cap] > ceiling)
     return int(past[0]) + 1 if past.size else k_cap
 
 

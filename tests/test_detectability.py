@@ -306,7 +306,7 @@ def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeyp
     bank = mode_bank(config)
     delta0 = config.system.delta_x0
     honest = [steady_report(gains, dec, delta0, mode=q) for q, (dec, gains) in enumerate(bank)]
-    monkeypatch.setattr(detectability, "_blowup_bound", lambda slope, radii, k_cap: 10)
+    monkeypatch.setattr(detectability, "_blowup_bound", lambda radii, ceiling, k_cap: 10)
     built = _record_builds(monkeypatch)
     for q, (dec, gains) in enumerate(bank):
         built.clear()
@@ -354,11 +354,13 @@ def test_group_reports_equal_the_stack_of_one_scans(k_cap) -> None:
 
 def test_a_row_built_past_its_stop_neither_warns_nor_moves_a_verdict(monkeypatch) -> None:
     # scenario1's mode 1 (first rung 64) beside a twin of mode 5 whose
-    # drift is 1e5 times larger: the twin blows up within a few steps, and
-    # the group builds it to 64, past its radius table's stop at its
-    # ceiling, where a table without one overflows at k = 60
+    # drift is 1e5 and input 1e6 times larger: the twin blows up within a
+    # few steps, and the group builds it to 64, past its radius table's
+    # stop at its ceiling and past an overflow of its coefficient norms
     config = load_config(scenario_path("scenario1"))
-    slow, fast = config.system.modes[0], _twin(config.system.modes[4], 1e5)
+    fifth = config.system.modes[4]
+    slow = config.system.modes[0]
+    fast = dataclasses.replace(_twin(fifth, 1e5), g=1e6 * fifth.g)
     system = dataclasses.replace(
         config.system, modes=(slow, fast), eta_w=(0.02,) * 2, eta_v=(0.02,) * 2
     )
@@ -383,8 +385,7 @@ def test_a_row_built_past_its_stop_neither_warns_nor_moves_a_verdict(monkeypatch
     assert not reports[1].converged and reports[1].iterations < 30
     (tri,) = built
     assert tri.shape == (2, STEADY_FIRST_RUNG)
-    # past its reach the twin's row reads the stopped table's filler
-    assert np.isfinite(tri[1]).all()
+    assert not np.isfinite(tri[1, reports[1].iterations :]).all()
 
 
 def test_quantitative_check_requires_magnitude_bounds() -> None:
