@@ -8,7 +8,8 @@ to a YAML file or the name of a bundled scenario:
 * ``thresholds``           tabulate one mode's elimination thresholds.
 
 Exit codes: 0 success; 2 configuration or model-validation error
-(including uncertified gains without allow_uncertified); 3 model
+(including uncertified gains without allow_uncertified, and an output
+directory or file that cannot be written); 3 model
 mismatch (every hypothesis eliminated); 4 numerical failure (a
 non-finite center estimate or a failed factorization).  A diverging
 radius of an uncertified mode is not a failure: it saturates to inf.
@@ -32,6 +33,7 @@ from .runner import (
     run,
     threshold_rows,
     write_json,
+    write_output,
     write_threshold_csv,
 )
 from .scenarios import list_scenarios, scenario_path
@@ -100,7 +102,7 @@ def _cmd_check_detectability(args: argparse.Namespace) -> int:
         + f" (rotations distinct: {distinct};"
         " requires unlimited input energy)"
     )
-    (out / "detectability.txt").write_text("\n".join(lines) + "\n")
+    write_output(out / "detectability.txt", "\n".join(lines) + "\n")
     print(f"wrote {out / 'detectability.json'}")
     print(f"overall: {report.overall}")
     return EXIT_OK

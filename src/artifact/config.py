@@ -196,23 +196,31 @@ def _matrix(obj: Any, context: str) -> np.ndarray:
     return arr
 
 
+def _kind(obj: Any, context: str, keys: dict[str, set[str]]) -> tuple[str, dict]:
+    """A mapping whose ``kind`` is one of `keys` and whose other keys are
+    that kind's; returns the kind and the mapping.  A kind that is not
+    one of them, a string or not, is an error listing them."""
+    spec = _expect_mapping(obj, context)
+    kind = _require(spec, "kind", context)
+    if not isinstance(kind, str) or kind not in keys:
+        *names, last = map(repr, keys)
+        raise ConfigurationError(
+            f"{context}.kind must be {', '.join(names)} or {last}, got {kind!r}"
+        )
+    _check_keys(spec, {"kind", *keys[kind]}, context)
+    return kind, spec
+
+
 def _field(obj: Any, context: str) -> dict[str, np.ndarray]:
     """The drift's ``ModeModel`` arguments, a and (for a sinusoidal
     drift) a_tilde."""
-    spec = _expect_mapping(obj, context)
-    kind = _require(spec, "kind", context)
+    kind, spec = _kind(obj, context, {"linear": {"a"}, "linear_sinusoidal": {"a_hat", "a_tilde"}})
     if kind == "linear":
-        _check_keys(spec, {"kind", "a"}, context)
         return {"a": _matrix(_require(spec, "a", context), f"{context}.a")}
-    if kind == "linear_sinusoidal":
-        _check_keys(spec, {"kind", "a_hat", "a_tilde"}, context)
-        return {
-            "a": _matrix(_require(spec, "a_hat", context), f"{context}.a_hat"),
-            "a_tilde": _matrix(_require(spec, "a_tilde", context), f"{context}.a_tilde"),
-        }
-    raise ConfigurationError(
-        f"{context}.kind must be 'linear' or 'linear_sinusoidal', got {kind!r}"
-    )
+    return {
+        "a": _matrix(_require(spec, "a_hat", context), f"{context}.a_hat"),
+        "a_tilde": _matrix(_require(spec, "a_tilde", context), f"{context}.a_tilde"),
+    }
 
 
 def _mode(obj: Any, context: str) -> ModeModel:
@@ -277,7 +285,6 @@ def _system(obj: Any, name: str) -> SwitchedSystem:
 
 def _sequence_input(spec: dict, needed: int, dim: int, context: str) -> SequenceInput:
     """A `sequence` signal: at least `needed` vectors of `dim` entries."""
-    _check_keys(spec, {"kind", "values"}, context)
     obj = _require(spec, "values", context)
     if not isinstance(obj, list) or len(obj) < needed:
         raise ConfigurationError(
@@ -296,78 +303,49 @@ def _sequence_input(spec: dict, needed: int, dim: int, context: str) -> Sequence
 
 
 def _unknown_input(obj: Any, needed: int, dim: int) -> UnknownInputSignal:
-    spec = _expect_mapping(obj, "unknown_input")
-    kind = _require(spec, "kind", "unknown_input")
-    if kind == "bounded_random":
-        _check_keys(spec, {"kind", "bound"}, "unknown_input")
-        bound = _real(_require(spec, "bound", "unknown_input"), "unknown_input.bound")
-        if bound < 0:
-            raise ConfigurationError("unknown_input.bound must be >= 0")
-        return BoundedRandomInput(bound=bound)
-    if kind == "growing_ramp":
-        _check_keys(spec, {"kind", "rate"}, "unknown_input")
-        rate = _real(_require(spec, "rate", "unknown_input"), "unknown_input.rate")
-        if rate < 0:
-            raise ConfigurationError("unknown_input.rate must be >= 0")
-        return GrowingRampInput(rate=rate)
+    kinds = {"bounded_random": {"bound"}, "growing_ramp": {"rate"}, "sequence": {"values"}}
+    kind, spec = _kind(obj, "unknown_input", kinds)
     if kind == "sequence":
         return _sequence_input(spec, needed, dim, "unknown_input")
-    raise ConfigurationError(
-        "unknown_input.kind must be 'bounded_random', 'growing_ramp' or 'sequence',"
-        f" got {kind!r}"
-    )
+    key = "bound" if kind == "bounded_random" else "rate"
+    value = _real(_require(spec, key, "unknown_input"), f"unknown_input.{key}")
+    if value < 0:
+        raise ConfigurationError(f"unknown_input.{key} must be >= 0")
+    return BoundedRandomInput(value) if kind == "bounded_random" else GrowingRampInput(value)
 
 
 def _known_input(obj: Any, needed: int, dim: int) -> KnownInputSignal:
     if obj is None:
         return ZeroInput()
-    spec = _expect_mapping(obj, "known_input")
-    kind = _require(spec, "kind", "known_input")
-    if kind == "zero":
-        _check_keys(spec, {"kind"}, "known_input")
-        return ZeroInput()
-    if kind == "sequence":
-        return _sequence_input(spec, needed, dim, "known_input")
-    raise ConfigurationError(
-        f"known_input.kind must be 'zero' or 'sequence', got {kind!r}"
-    )
+    kind, spec = _kind(obj, "known_input", {"zero": set(), "sequence": {"values"}})
+    return ZeroInput() if kind == "zero" else _sequence_input(spec, needed, dim, "known_input")
 
 
 def _gains(obj: Any, count: int, base_dir: Path) -> GainsSpec:
     if obj is None:
         return GainsSpec(kind="heuristic")
-    spec = _expect_mapping(obj, "gains")
-    kind = _require(spec, "kind", "gains")
+    kinds = {"heuristic": set(), "scaled": {"factor"}, "user": {"matrices"}, "file": {"path"}}
+    kind, spec = _kind(obj, "gains", kinds)
     if kind == "heuristic":
-        _check_keys(spec, {"kind"}, "gains")
         return GainsSpec(kind="heuristic")
     if kind == "scaled":
-        _check_keys(spec, {"kind", "factor"}, "gains")
         factor = _real(_require(spec, "factor", "gains"), "gains.factor")
         if factor <= 0:
             raise ConfigurationError("gains.factor must be positive")
         return GainsSpec(kind="scaled", factor=factor)
-    if kind in ("user", "file"):
-        if kind == "file":
-            _check_keys(spec, {"kind", "path"}, "gains")
-            path = base_dir / _string(_require(spec, "path", "gains"), "gains.path")
-            payload = _expect_mapping(_read_yaml(path, "gains file"), f"gains file {path}")
-            raw = _require(payload, "matrices", f"gains file {path}")
-        else:
-            _check_keys(spec, {"kind", "matrices"}, "gains")
-            raw = _require(spec, "matrices", "gains")
-        if not isinstance(raw, list) or len(raw) != count:
-            raise ConfigurationError(
-                f"gains.matrices must list one entry per mode ({count})"
-            )
-        matrices = tuple(
-            None if entry is None else _matrix(entry, f"gains.matrices[{i + 1}]")
-            for i, entry in enumerate(raw)
-        )
-        return GainsSpec(kind="user", matrices=matrices)
-    raise ConfigurationError(
-        f"gains.kind must be 'heuristic', 'scaled', 'user' or 'file', got {kind!r}"
+    if kind == "file":
+        path = base_dir / _string(_require(spec, "path", "gains"), "gains.path")
+        payload = _expect_mapping(_read_yaml(path, "gains file"), f"gains file {path}")
+        raw = _require(payload, "matrices", f"gains file {path}")
+    else:
+        raw = _require(spec, "matrices", "gains")
+    if not isinstance(raw, list) or len(raw) != count:
+        raise ConfigurationError(f"gains.matrices must list one entry per mode ({count})")
+    matrices = tuple(
+        None if entry is None else _matrix(entry, f"gains.matrices[{i + 1}]")
+        for i, entry in enumerate(raw)
     )
+    return GainsSpec(kind="user", matrices=matrices)
 
 
 _TOP_KEYS = {

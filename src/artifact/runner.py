@@ -11,20 +11,23 @@ batched pass; ``prepare_modes`` turns each group into one
 matrices, (Q, N+1) state radii, (Q, N) lagged input radii and threshold
 tables, tabulated once, so the loop does no radius arithmetic and a
 state at step k reads its radius from ``radii[:, k]``.  ``run_bank``
-steps those stacks as they are,
-with one ``observer.step_observer`` call per step, in blocks of
-``BLOCK`` steps, and decides each block's finiteness, residual norms
-and eliminations in one array pass per stack; an eliminated mode's rows
-are masked, not sliced off.  It returns one ``BankRun``: the last step,
-the final surviving set and, per stack, the arrays of every output row
-and residual norm, from which the final observer states are read.
+steps those stacks as they are, with one ``observer.step_observer``
+call per step written straight into the run's arrays, in blocks of
+``BLOCK`` steps, and decides each block in place, in one pass per stack
+over its views of those arrays: finiteness, residual norms, and each
+row's first exceedance, kept in one elimination-step array (``ends``)
+per stack.  An eliminated mode's rows are masked, not sliced off.  It
+returns one ``BankRun``: the last step, the final surviving set and,
+per stack, the arrays of every output row and residual norm, from
+which the final observer states are read.
 ``run`` formats ``steps.csv`` from those arrays, a column block per row
 of a group.  ``check-detectability`` and ``thresholds`` split the
 groups per mode themselves.  Everything downstream of the master seed
 is deterministic, so a config plus a seed reproduces its CSV outputs
 byte for byte.
 
-Output files (see README for the column-by-column schema):
+Output files (see README for the column-by-column schema), each written
+by ``write_output``:
 
 * ``steps.csv``         one row per step: truth, surviving count, and
                         per-mode residual/threshold/estimate columns;
@@ -341,23 +344,21 @@ BLOCK = 64  # bank steps per block pass
 def run_bank(
     config: ScenarioConfig, stacks: list[ObserverStack], truth: TruthTrajectory
 ) -> BankRun:
-    """Run the observer bank over the horizon.
+    """Run the observer bank over the horizon; stop after the step that
+    empties the surviving set.
 
-    Stops after the step that empties the surviving set.  The steps run
-    in blocks of ``BLOCK``, each step one ``step_observer`` call over the
-    ``prepare_modes`` stacks that hold a mode surviving the previous
-    block; a stack is stepped whole, and the rows of its eliminated modes
-    are masked, never sliced off.  A mode dies at its first step with
-    residual > threshold, so one pass per stack decides a block: one
-    finiteness check, one ``residual_norms`` over the finite rows, and a
-    comparison with the block of the stack's thresholds whose first
-    exceedance in a column is that mode's elimination step.  The
-    eliminations are replayed in step order through ``eliminate_step``,
-    and the block's rows go into the run's arrays.  Rows stepped after
-    their mode's elimination are NaN in those arrays and never read, so
-    they may be non-finite; a non-finite row of a live mode raises
-    NumericalFailure naming the first such mode at the first such step,
-    after the eliminations of the steps before it.
+    The steps run in blocks of ``BLOCK``, each step one ``step_observer``
+    call over the stacks that hold a mode surviving the previous block,
+    its outputs written straight into the run's arrays.  A stack is
+    stepped whole: a mode dies at its first residual > threshold, and its
+    rows after that step are masked with NaN, never sliced off.  One pass
+    per stack decides a block in place, on views of the run's arrays:
+    finiteness, ``residual_norms`` of the finite rows, and each row's
+    first exceedance, which lowers its entry of ``ends`` (its elimination
+    step, horizon + 1 while it survives).  ``eliminate_step`` replays the
+    block's eliminations in step order.  A non-finite row of a live mode
+    raises NumericalFailure naming the first such mode at the first such
+    step, after the eliminations of the steps before it.
     """
     horizon = config.horizon
     stacks = tuple(stacks)
@@ -369,69 +370,49 @@ def run_bank(
         out[0, :, : stack.n + stack.p1] = init_observer(
             stack.group.dec, stack.group.gains, config.system.x_hat0, truth.y[0], truth.u[0]
         )
-    # the indices of the stacks with a surviving mode, and per stack the
-    # rows of the modes eliminated in an earlier block
-    live = list(range(len(stacks)))
-    gone = [np.zeros(len(stack.modes), dtype=bool) for stack in stacks]
-    states = [out[0] for out in outputs]
+    ends = [np.full(len(stack.modes), horizon + 1) for stack in stacks]
+    rows = {q: (i, j) for i, stack in enumerate(stacks) for j, q in enumerate(stack.modes)}
+    limits = [stack.thresholds.delta_hat for stack in stacks]
+    live = list(range(len(stacks)))  # the stacks with a surviving mode
     signals = np.concatenate((truth.u[:-1], truth.u[1:], truth.y[1:]), axis=1)
-    mode_set, k_last = all_modes(config.system.mode_count), 0
+    mode_set = all_modes(config.system.mode_count)
     for k0 in range(1, horizon + 1, BLOCK):
+        k1 = min(k0 + BLOCK, horizon + 1)
         live_stacks = [stacks[i] for i in live]
-        steps = []
-        for k in range(k0, min(k0 + BLOCK, horizon + 1)):
+        states = [outputs[i][k0 - 1] for i in live]
+        for k in range(k0, k1):
             states = step_observer(live_stacks, states, signals[k - 1], k)
-            steps.append(states)
-        size = len(steps)
-        # per live stack: its (B, Q) thresholds, its (B, Q, R) outputs
-        # and (B, Q) norms, NaN after each row's elimination step, and
-        # each row's last live step in the block (size if it survives,
-        # -1 if it died in an earlier block)
-        passes, failures = [], []
-        for i, outs in zip(live, zip(*steps)):
-            stack = stacks[i]
-            block = np.stack(outs)
+            for i, state in zip(live, states):
+                outputs[i][k] = state
+        failures = []
+        for i in live:
+            stack, block, norms = stacks[i], outputs[i][k0:k1], all_norms[i][k0 - 1 : k1 - 1]
             finite = np.isfinite(block).all(axis=2)
-            norms = np.full(finite.shape, np.nan)
             norms[finite] = stack.residual_norms(block[finite])
-            limits = stack.thresholds.delta_hat[:, k0 - 1 : k0 - 1 + size].T
-            over = norms > limits
-            last = np.where(over.any(axis=0), over.argmax(axis=0), size)
-            last[gone[i]] = -1
-            alive = np.arange(size)[:, None] <= last
+            over = norms > limits[i][:, k0 - 1 : k1 - 1].T
+            first = np.where(over.any(axis=0), k0 + over.argmax(axis=0), horizon + 1)
+            ends[i] = np.minimum(ends[i], first)
+            alive = np.arange(k0, k1)[:, None] <= ends[i]
             bad = np.argwhere(~finite & alive)
             if len(bad):
                 b, j = bad[0].tolist()
-                failures.append((b, stack.modes[j], stack.failure(j, block[b, j], k0 + b)))
+                failures.append((k0 + b, stack.modes[j], stack.failure(j, block[b, j], k0 + b)))
             block[~alive] = norms[~alive] = np.nan
-            passes.append((block, norms, limits, last))
         failure = min(failures, key=lambda bad: bad[:2], default=None)
-        end = size if failure is None else failure[0]  # the block's steps kept
-        for b in sorted({b for *_, last in passes for b in last.tolist() if 0 <= b < end}):
+        stop = k1 if failure is None else failure[0]
+        for k in sorted({end for i in live for end in ends[i].tolist() if k0 <= end < stop}):
             checks = {
-                q: (norm, limit)
-                for i, (_, norms, limits, last) in zip(live, passes)
-                for q, norm, limit, alive in zip(
-                    stacks[i].modes, norms[b].tolist(), limits[b].tolist(), (last >= b).tolist()
-                )
-                if alive
+                q: (all_norms[i][k - 1, j].item(), limits[i][j, k - 1].item())
+                for q in mode_set.surviving
+                for i, j in [rows[q]]
             }
-            mode_set = eliminate_step(mode_set, k0 + b, checks)
+            mode_set = eliminate_step(mode_set, k, checks)
             if mode_set.faulted:
-                end = b + 1
+                return BankRun(k, mode_set, stacks, outputs, all_norms)
         if failure is not None:
             raise failure[2]
-        for i, (block, norms, *_) in zip(live, passes):
-            outputs[i][k0 : k0 + end] = block[:end]
-            all_norms[i][k0 - 1 : k0 - 1 + end] = norms[:end]
-        k_last = k0 + end - 1
-        if mode_set.faulted:
-            break
-        for i, (*_, last) in zip(live, passes):
-            gone[i] = last < size
-        kept = [(i, block[-1]) for i, (block, *_) in zip(live, passes) if not gone[i].all()]
-        live, states = [i for i, _ in kept], [state for _, state in kept]
-    return BankRun(k_last, mode_set, stacks, outputs, all_norms)
+        live = [i for i in live if ends[i].max() > horizon]
+    return BankRun(horizon, mode_set, stacks, outputs, all_norms)
 
 
 def _joined(values: np.ndarray) -> list[str]:
@@ -481,7 +462,7 @@ def _mode_lines(
 def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
     """Write a header and comma-joined rows.  No cell holds a comma, a
     quote or a line break, so these are the bytes ``csv.writer`` writes."""
-    path.write_text("\n".join([",".join(header), *lines, ""]), newline="")
+    write_output(path, "\n".join([",".join(header), *lines, ""]))
 
 
 def run(
@@ -529,7 +510,7 @@ def run(
 
     report = _build_report(config, seed, bank.stacks, mode_set, bank.states, fault_step)
     write_json(resolved_out / "report.json", report)
-    (resolved_out / "report.txt").write_text(_render_report_text(report))
+    write_output(resolved_out / "report.txt", _render_report_text(report))
 
     return RunResult(
         out_dir=resolved_out,
@@ -566,9 +547,18 @@ def resolve_out_dir(config: ScenarioConfig, out_dir: str | Path | None) -> Path:
     return path
 
 
+def write_output(path: Path, text: str) -> None:
+    """Write one output file, its lines ended by "\\n" alone; a file that
+    cannot be written (a directory at its path, say) is a ConfigurationError."""
+    try:
+        path.write_text(text, newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+
 def write_json(path: Path, obj) -> None:
     """Strict, sorted, indented JSON with a trailing newline."""
-    path.write_text(json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n")
+    write_output(path, json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n")
 
 
 def json_safe(obj):

@@ -179,6 +179,9 @@ def test_the_bank_steps_the_stacks_preparation_builds(monkeypatch) -> None:
         assert _same_objects(stepped[0], prepared), label
         for at_k in stepped:
             assert all(any(stack is s for s in prepared) for stack in at_k), label
+        if label == "test_system_a":  # mode 2 dies at step 1, alone in its stack
+            assert bank.mode_set.eliminated_at == {1: 1}
+            assert [len(at_k) for at_k in stepped] == [2] * runner.BLOCK + [1] * 36
 
 
 def test_residual_norms_rescale_only_rows_whose_square_is_not_normal() -> None:
@@ -334,19 +337,19 @@ def test_a_mode_dead_since_the_first_block_is_masked_in_later_blocks(tmp_path, m
     assert _outputs(tmp_path / "poisoned") == _outputs(tmp_path / "clean")
 
 
-def test_a_faulted_bank_matches_the_oracle_and_steps_one_block_at_most(monkeypatch) -> None:
-    """Measurements biased by 5 from step 3 eliminate every mode of
-    test_system_a by step 3: the steps are oracle_bank's, and at
-    horizon 1000 the run still ends at k = 3 after at most one block of
-    kernel calls."""
-    config = load_config(scenario_path("test_system_a"))
-    faulted = tampered_truth(3, 5.0)
+@pytest.mark.parametrize("step, calls", [(3, 64), (64, 64), (65, 128), (70, 128)])
+def test_a_faulted_bank_matches_the_oracle_and_steps_to_the_end_of_its_block(
+    step, calls, monkeypatch
+) -> None:
+    """Measurements biased by 5 from a step eliminate every mode of
+    test_system_a at that step: the steps are oracle_bank's, and at
+    horizon 1000 the run ends there after the kernel calls of the blocks
+    up to the fault's, which it steps to its end."""
+    config = dataclasses.replace(load_config(scenario_path("test_system_a")), horizon=1000)
+    faulted = tampered_truth(step, 5.0)
     prepared = runner.prepare_modes(config)
     truth = faulted(config, config.seed)
     _assert_bank_matches_oracle(config, prepared, truth, "faulted")
-    last = runner.run_bank(config, prepared, truth)
-    assert last.k == 3 and last.mode_set.faulted
-
     steps = []
 
     def counted(stacks, states, signal, k):
@@ -354,10 +357,9 @@ def test_a_faulted_bank_matches_the_oracle_and_steps_one_block_at_most(monkeypat
         return step_observer(stacks, states, signal, k)
 
     monkeypatch.setattr(runner, "step_observer", counted)
-    config = dataclasses.replace(config, horizon=1000)
-    last = runner.run_bank(config, runner.prepare_modes(config), faulted(config, config.seed))
-    assert last.k == 3 and last.mode_set.faulted
-    assert steps == list(range(1, len(steps) + 1)) and len(steps) <= runner.BLOCK
+    last = runner.run_bank(config, prepared, truth)
+    assert last.k == step and last.mode_set.faulted
+    assert steps == list(range(1, calls + 1))
 
 
 def test_a_faulted_run_writes_the_oracle_steps_csv(tmp_path, monkeypatch) -> None:

@@ -531,12 +531,23 @@ def test_cli_uncertified_without_opt_in_is_exit_2(tmp_path, capsys) -> None:
             {"kind": "sequence", "values": [[0.0]] * 100 + [[[0.0]]]},
             "known_input.values[100] must be a flat list of 1 numbers, got shape (1, 1)",
         ),
+        (
+            ("system", "modes", 0, "field", "kind"),
+            ["linear"],
+            "modes[1].field.kind must be 'linear' or 'linear_sinusoidal', got ['linear']",
+        ),
+        (
+            ("known_input",),
+            {"kind": {"zero": None}},
+            "known_input.kind must be 'zero' or 'sequence', got {'zero': None}",
+        ),
     ],
     ids=["negative-seed", "negative-seed-flag", "quoted-bool", "fractional-horizon", "bool-true-mode", "string-seed",
          "fractional-max-vertices", "nan-eta-w", "inf-eta-v", "nan-bound", "inf-bound",
          "inf-delta-x0", "inf-r-x", "inf-g-entry", "bool-eta-w", "bool-delta-x0",
          "bool-x-hat0-entry", "nested-x-hat0", "list-name", "bool-output-dir",
-         "int-gains-path", "nested-unknown-sequence", "nested-known-sequence"],
+         "int-gains-path", "nested-unknown-sequence", "nested-known-sequence", "list-field-kind",
+         "mapping-known-kind"],
 )
 def test_cli_rejects_mistyped_scalars_with_exit_2(tmp_path, capsys, path, value, message) -> None:
     # each value once ran, died later with exit 4 or crashed instead of
@@ -591,6 +602,30 @@ def test_cli_out_naming_an_existing_file_is_exit_2(tmp_path, capsys, command) ->
         assert f"cannot create output directory {str(out)!r}" in capsys.readouterr().err
     assert occupied.read_text() == "keep\n"
     assert sorted(tmp_path.iterdir()) == [occupied]
+
+
+@pytest.mark.parametrize(
+    ("command", "name"),
+    [
+        (["run", "--config", "test_system_a"], "steps.csv"),
+        (["check-detectability", "--config", "test_system_a"], "detectability.json"),
+        (
+            ["thresholds", "--config", "test_system_a", "--mode", "1", "--kmax", "3"],
+            "thresholds_q1.csv",
+        ),
+    ],
+    ids=["run", "check-detectability", "thresholds"],
+)
+def test_cli_an_output_file_that_cannot_be_written_is_exit_2(
+    tmp_path, capsys, command, name
+) -> None:
+    # a directory at the path of an output file once died with an
+    # IsADirectoryError traceback
+    blocked = tmp_path / name
+    blocked.mkdir()
+    assert cli.main([*command, "--out", str(tmp_path)]) == 2
+    assert f"error: cannot write {str(blocked)!r}: Is a directory" in capsys.readouterr().err
+    assert blocked.is_dir() and not any(blocked.iterdir())
 
 
 def test_cli_thresholds_writes_requested_horizon(tmp_path) -> None:
