@@ -29,12 +29,12 @@ from .gains import ObserverGains
 from .residuals import build_threshold_table
 from .runner import (
     gain_bank,
+    json_text,
     resolve_out_dir,
     run,
+    threshold_csv,
     threshold_rows,
-    write_json,
-    write_output,
-    write_threshold_csv,
+    write_outputs,
 )
 from .scenarios import list_scenarios, scenario_path
 
@@ -86,7 +86,6 @@ def _cmd_check_detectability(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
     report = report_detectability(config.system, gain_bank(config))
     out = resolve_out_dir(config, args.out)
-    write_json(out / "detectability.json", report)
     lines = [f"overall: {report.overall}"]
     for pair in report.condition_i:
         status = (
@@ -102,7 +101,8 @@ def _cmd_check_detectability(args: argparse.Namespace) -> int:
         + f" (rotations distinct: {distinct};"
         " requires unlimited input energy)"
     )
-    write_output(out / "detectability.txt", "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    write_outputs({out / "detectability.json": json_text(report), out / "detectability.txt": text})
     print(f"wrote {out / 'detectability.json'}")
     print(f"overall: {report.overall}")
     return EXIT_OK
@@ -120,7 +120,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         gains, dec, config.system.delta_x0, args.kmax, config.max_vertices
     )
     path = resolve_out_dir(config, args.out) / f"thresholds_q{args.mode}.csv"
-    write_threshold_csv(path, threshold_rows(table))
+    write_outputs({path: threshold_csv(threshold_rows(table))})
     print(f"wrote {path}")
     return EXIT_OK
 

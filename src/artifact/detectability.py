@@ -40,10 +40,12 @@ table rebuilt without a ceiling.  Each round is one stacked recursion
 their tables, the first over every row to the longest of their first
 rungs, the second over the rows still without a verdict to the cap.
 Each slice of a stacked product is the call a lone mode makes, so a
-row's scanned prefix holds a lone mode's bits.  ``steady_tri`` turns one
-row's scanned prefix into its report, once per mode; it stays a one-mode
-entry point because the benchmark's tracer wraps it by name and reads
-each call's ``iterations``.
+row's scanned prefix holds a lone mode's bits.  ``steady_tri`` scans
+one row's prefix into its report, once per row per round: a prefix
+short of the cap without a verdict raises ValueError, which sends the
+row to the cap round.  It stays a one-mode entry point because the
+benchmark's tracer wraps it by name and reads each call's
+``iterations``.
 """
 from __future__ import annotations
 
@@ -110,9 +112,11 @@ def steady_reports(
         tri = triangle_sequences(coeffs, rows_gains.lipschitz, tables[rows, : k_max + 1])
         for i, row in zip(rows, tri):
             # past its reach a row may read its stopped table's filler; it is never scanned there
-            scanned = row[: reach[i]]
-            if reach[i] == k_cap or _scan_steady(scanned) is not None:
-                reports[i] = steady_tri(modes[i], scanned, k_cap)
+            try:
+                reports[i] = steady_tri(modes[i], row[: reach[i]], k_cap)
+            except ValueError:  # no verdict short of the cap: the row goes to the cap round
+                if reach[i] == k_cap:
+                    raise
         rows = [i for i in rows if i not in reports]
         # the cap round reads whole tables, so none may rest on a ceiling
         stopped = [i for i in rows if tables[i, -1] > ceilings[i]]

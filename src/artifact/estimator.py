@@ -32,21 +32,23 @@ def all_modes(count: int) -> ModeSet:
     return ModeSet(surviving=tuple(range(count)))
 
 
-def eliminate_step(
-    mode_set: ModeSet, k: int, checks: dict[int, tuple[float, float]]
-) -> ModeSet:
-    """Apply one round of strict residual-vs-threshold elimination.
+def eliminate_step(mode_set: ModeSet, k: int, checks: dict[int, tuple]) -> ModeSet:
+    """Apply strict residual-vs-threshold elimination over consecutive
+    steps from k; the package's one elimination rule.
 
-    `checks` maps each surviving mode to (residual_norm, threshold).
-    Retention is non-strict: a residual exactly on the threshold keeps
-    the hypothesis alive.
+    `checks` maps a mode to (residual_norms, thresholds): two floats for
+    step k alone, or two equal-length arrays over steps k, k + 1, ....
+    A surviving mode dies at its first step whose residual norm exceeds
+    its threshold.  Retention is non-strict: a residual exactly on the
+    threshold keeps the hypothesis alive, and so does a NaN norm.  A
+    surviving mode without an entry is untouched.
     """
     kept: list[int] = []
     eliminated = dict(mode_set.eliminated_at)
     for q in mode_set.surviving:
-        res_norm, threshold = checks[q]
-        if res_norm > threshold:
-            eliminated[q] = k
+        over = np.flatnonzero(np.greater(*checks[q])) if q in checks else ()
+        if len(over):
+            eliminated[q] = k + int(over[0])
         else:
             kept.append(q)
     return ModeSet(surviving=tuple(kept), eliminated_at=eliminated)

@@ -14,20 +14,20 @@ state at step k reads its radius from ``radii[:, k]``.  ``run_bank``
 steps those stacks as they are, with one ``observer.step_observer``
 call per step written straight into the run's arrays, in blocks of
 ``BLOCK`` steps, and decides each block in place, in one pass per stack
-over its views of those arrays: finiteness, residual norms, and each
-row's first exceedance, kept in one elimination-step array (``ends``)
-per stack.  An eliminated mode's rows are masked, not sliced off.  It
-returns one ``BankRun``: the last step, the final surviving set and,
-per stack, the arrays of every output row and residual norm, from
-which the final observer states are read.
+over its views of those arrays: finiteness, residual norms, and one
+``estimator.eliminate_step`` call, the one elimination rule, over the
+block's norms and thresholds.  An eliminated mode's rows are masked,
+not sliced off.  It returns one ``BankRun``: the last step, the final
+surviving set and, per stack, the arrays of every output row and
+residual norm, from which the final observer states are read.
 ``run`` formats ``steps.csv`` from those arrays, a column block per row
 of a group.  ``check-detectability`` and ``thresholds`` split the
 groups per mode themselves.  Everything downstream of the master seed
 is deterministic, so a config plus a seed reproduces its CSV outputs
 byte for byte.
 
-Output files (see README for the column-by-column schema), each written
-by ``write_output``:
+Output files (see README for the column-by-column schema), each
+composed before any is written, then written by ``write_outputs``:
 
 * ``steps.csv``         one row per step: truth, surviving count, and
                         per-mode residual/threshold/estimate columns;
@@ -42,8 +42,10 @@ vertex bounds, columns of dead modes) are empty fields.
 """
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -353,12 +355,13 @@ def run_bank(
     stepped whole: a mode dies at its first residual > threshold, and its
     rows after that step are masked with NaN, never sliced off.  One pass
     per stack decides a block in place, on views of the run's arrays:
-    finiteness, ``residual_norms`` of the finite rows, and each row's
-    first exceedance, which lowers its entry of ``ends`` (its elimination
-    step, horizon + 1 while it survives).  ``eliminate_step`` replays the
-    block's eliminations in step order.  A non-finite row of a live mode
+    finiteness, ``residual_norms`` of the finite rows, and one
+    ``eliminate_step`` call over the block's norms and thresholds, whose
+    ``ModeSet`` then gives each row's end.  After the block the run
+    faults when the surviving set is empty and its last elimination came
+    before the first non-finite row of a live mode; otherwise that row
     raises NumericalFailure naming the first such mode at the first such
-    step, after the eliminations of the steps before it.
+    step.
     """
     horizon = config.horizon
     stacks = tuple(stacks)
@@ -370,9 +373,6 @@ def run_bank(
         out[0, :, : stack.n + stack.p1] = init_observer(
             stack.group.dec, stack.group.gains, config.system.x_hat0, truth.y[0], truth.u[0]
         )
-    ends = [np.full(len(stack.modes), horizon + 1) for stack in stacks]
-    rows = {q: (i, j) for i, stack in enumerate(stacks) for j, q in enumerate(stack.modes)}
-    limits = [stack.thresholds.delta_hat for stack in stacks]
     live = list(range(len(stacks)))  # the stacks with a surviving mode
     signals = np.concatenate((truth.u[:-1], truth.u[1:], truth.y[1:]), axis=1)
     mode_set = all_modes(config.system.mode_count)
@@ -389,29 +389,24 @@ def run_bank(
             stack, block, norms = stacks[i], outputs[i][k0:k1], all_norms[i][k0 - 1 : k1 - 1]
             finite = np.isfinite(block).all(axis=2)
             norms[finite] = stack.residual_norms(block[finite])
-            over = norms > limits[i][:, k0 - 1 : k1 - 1].T
-            first = np.where(over.any(axis=0), k0 + over.argmax(axis=0), horizon + 1)
-            ends[i] = np.minimum(ends[i], first)
-            alive = np.arange(k0, k1)[:, None] <= ends[i]
+            limits = stack.thresholds.delta_hat[:, k0 - 1 : k1 - 1]
+            checks = {q: (norms[:, j], limits[j]) for j, q in enumerate(stack.modes)}
+            mode_set = eliminate_step(mode_set, k0, checks)
+            alive = np.arange(k0, k1)[:, None] <= [
+                mode_set.eliminated_at.get(q, k1) for q in stack.modes
+            ]
             bad = np.argwhere(~finite & alive)
             if len(bad):
                 b, j = bad[0].tolist()
                 failures.append((k0 + b, stack.modes[j], stack.failure(j, block[b, j], k0 + b)))
             block[~alive] = norms[~alive] = np.nan
         failure = min(failures, key=lambda bad: bad[:2], default=None)
-        stop = k1 if failure is None else failure[0]
-        for k in sorted({end for i in live for end in ends[i].tolist() if k0 <= end < stop}):
-            checks = {
-                q: (all_norms[i][k - 1, j].item(), limits[i][j, k - 1].item())
-                for q in mode_set.surviving
-                for i, j in [rows[q]]
-            }
-            mode_set = eliminate_step(mode_set, k, checks)
-            if mode_set.faulted:
-                return BankRun(k, mode_set, stacks, outputs, all_norms)
+        last = max(mode_set.eliminated_at.values(), default=0)
+        if mode_set.faulted and last < (k1 if failure is None else failure[0]):
+            return BankRun(last, mode_set, stacks, outputs, all_norms)
         if failure is not None:
             raise failure[2]
-        live = [i for i in live if ends[i].max() > horizon]
+        live = [i for i in live if set(stacks[i].modes) & set(mode_set.surviving)]
     return BankRun(horizon, mode_set, stacks, outputs, all_norms)
 
 
@@ -459,10 +454,10 @@ def _mode_lines(
     return lines
 
 
-def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
-    """Write a header and comma-joined rows.  No cell holds a comma, a
-    quote or a line break, so these are the bytes ``csv.writer`` writes."""
-    write_output(path, "\n".join([",".join(header), *lines, ""]))
+def _csv_text(header: list[str], lines: list[str]) -> str:
+    """A header and comma-joined rows.  No cell holds a comma, a quote
+    or a line break, so these are the bytes ``csv.writer`` writes."""
+    return "\n".join([",".join(header), *lines, ""])
 
 
 def run(
@@ -476,7 +471,9 @@ def run(
     fault in the outputs (the caller decides the exit code); numerical
     blow-ups raise NumericalFailure with the offending mode and step.
     ``steps.csv`` is formatted column block by column block from the
-    truth and the bank's arrays.
+    truth and the bank's arrays.  Every file's text is composed before
+    any is written, so a target that is not a regular file is refused
+    (ConfigurationError) before the directory changes.
     """
     seed = config.seed if seed is None else master_seed(seed)
     resolved_out = resolve_out_dir(config, out_dir)
@@ -486,7 +483,6 @@ def run(
 
     bank = run_bank(config, stacks, truth)
     mode_set = bank.mode_set
-    fault_step = bank.k if mode_set.faulted else None
 
     count = config.system.mode_count
     tables, blocks = {}, {}
@@ -503,28 +499,27 @@ def run(
     columns += [blocks[q] for q in range(count)]
 
     steps_path = resolved_out / "steps.csv"
-    _write_csv(steps_path, _steps_header(config), [",".join(row) for row in zip(*columns)])
-
+    files = {steps_path: _csv_text(_steps_header(config), [",".join(row) for row in zip(*columns)])}
     for q in range(count):
-        write_threshold_csv(resolved_out / f"thresholds_q{q + 1}.csv", tables[q])
-
-    report = _build_report(config, seed, bank.stacks, mode_set, bank.states, fault_step)
-    write_json(resolved_out / "report.json", report)
-    write_output(resolved_out / "report.txt", _render_report_text(report))
+        files[resolved_out / f"thresholds_q{q + 1}.csv"] = threshold_csv(tables[q])
+    report = _build_report(config, seed, bank)
+    files[resolved_out / "report.json"] = json_text(report)
+    files[resolved_out / "report.txt"] = _render_report_text(report)
+    write_outputs(files)
 
     return RunResult(
         out_dir=resolved_out,
         mode_set=mode_set,
         faulted=mode_set.faulted,
-        fault_step=fault_step,
+        fault_step=report["fault_step"],
         steps_path=steps_path,
     )
 
 
-def write_threshold_csv(path: Path, rows: list[list[str]]) -> None:
-    """Write a threshold table from its ``threshold_rows``."""
+def threshold_csv(rows: list[list[str]]) -> str:
+    """The CSV text of a threshold table from its ``threshold_rows``."""
     header = ["k", "delta_tri", "delta_inf", "delta_hat", "capped"]
-    _write_csv(path, header, [",".join(row) for row in rows])
+    return _csv_text(header, [",".join(row) for row in rows])
 
 
 def resolve_out_dir(config: ScenarioConfig, out_dir: str | Path | None) -> Path:
@@ -547,18 +542,25 @@ def resolve_out_dir(config: ScenarioConfig, out_dir: str | Path | None) -> Path:
     return path
 
 
-def write_output(path: Path, text: str) -> None:
-    """Write one output file, its lines ended by "\\n" alone; a file that
-    cannot be written (a directory at its path, say) is a ConfigurationError."""
-    try:
-        path.write_text(text, newline="")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+def write_outputs(files: dict[Path, str]) -> None:
+    """Write each path's text, its lines ended by "\\n" alone.  A path
+    held by anything but a regular file (a directory, say) is refused
+    before any file is written, and a file that cannot be written is a
+    ConfigurationError too."""
+    for path in files:
+        if path.exists() and not path.is_file():
+            reason = os.strerror(errno.EISDIR) if path.is_dir() else "not a regular file"
+            raise ConfigurationError(f"cannot write {str(path)!r}: {reason}")
+    for path, text in files.items():
+        try:
+            path.write_text(text, newline="")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
-def write_json(path: Path, obj) -> None:
+def json_text(obj) -> str:
     """Strict, sorted, indented JSON with a trailing newline."""
-    write_output(path, json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n")
+    return json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n"
 
 
 def json_safe(obj):
@@ -588,16 +590,10 @@ def _final_ball_payload(stack: ObserverStack, j: int, state: ObserverState) -> d
     return payload
 
 
-def _build_report(
-    config: ScenarioConfig,
-    seed: int,
-    stacks: tuple[ObserverStack, ...],
-    mode_set: ModeSet,
-    states: tuple[ObserverState, ...],
-    fault_step: int | None,
-) -> dict:
+def _build_report(config: ScenarioConfig, seed: int, bank: BankRun) -> dict:
+    mode_set, states = bank.mode_set, bank.states
     modes, final = {}, {}
-    for stack in stacks:
+    for stack in bank.stacks:
         gains = stack.group.gains
         for j, q in enumerate(stack.modes):
             modes[q] = {
@@ -625,7 +621,7 @@ def _build_report(
         "horizon": config.horizon,
         "allow_uncertified": config.allow_uncertified,
         "faulted": mode_set.faulted,
-        "fault_step": fault_step,
+        "fault_step": bank.k if mode_set.faulted else None,
         "surviving": [q + 1 for q in mode_set.surviving],
         "eliminated_at": {
             str(q + 1): step for q, step in sorted(mode_set.eliminated_at.items())

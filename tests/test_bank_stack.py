@@ -30,7 +30,7 @@ from conftest import (
     tampered_truth,
 )
 
-from artifact import runner
+from artifact import cli, runner
 from artifact.config import load_config, parse_config
 from artifact.errors import NumericalFailure
 from artifact.observer import ObserverStack, step_matrix_stack, step_observer
@@ -375,6 +375,50 @@ def test_a_faulted_run_writes_the_oracle_steps_csv(tmp_path, monkeypatch) -> Non
     assert len(expected.splitlines()) == 1 + 4
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["faulted"] is True and report["fault_step"] == 3
+
+
+def _biased_with_nan(nan_step: int):
+    """``tampered_truth(3, 5.0)``, which eliminates every mode of
+    test_system_a at step 3, with a NaN first measurement at nan_step."""
+    biased = tampered_truth(3, 5.0)
+
+    def tampered(config, seed):
+        truth = biased(config, seed)
+        y = truth.y.copy()
+        y[nan_step, 0] = np.nan
+        return dataclasses.replace(truth, y=y)
+
+    return tampered
+
+
+def test_a_fault_before_a_non_finite_step_of_its_block_is_a_fault(tmp_path, monkeypatch) -> None:
+    """Every mode dies at step 3, so the NaN at step 10 of the same block
+    is never read: the run faults at step 3, as oracle_bank does."""
+    config = load_config(scenario_path("test_system_a"))
+    prepared = runner.prepare_modes(config)
+    truth = _biased_with_nan(10)(config, config.seed)
+    *_, want = oracle_bank(config, prepared, truth)
+    bank = runner.run_bank(config, prepared, truth)
+    assert bank.k == want.k == 3 and bank.mode_set == want.mode_set and bank.mode_set.faulted
+    monkeypatch.setattr(runner, "simulate_truth", _biased_with_nan(10))
+    assert cli.main(["run", "--config", "test_system_a", "--out", str(tmp_path)]) == 3
+
+
+def test_a_non_finite_step_that_would_have_faulted_is_a_numerical_failure(
+    tmp_path, monkeypatch
+) -> None:
+    """A NaN measurement at step 3 itself gives NaN norms, which eliminate
+    nothing, so the step raises NumericalFailure, as oracle_bank does."""
+    config = load_config(scenario_path("test_system_a"))
+    prepared = runner.prepare_modes(config)
+    truth = _biased_with_nan(3)(config, config.seed)
+    with pytest.raises(NumericalFailure) as expected:
+        list(oracle_bank(config, prepared, truth))
+    with pytest.raises(NumericalFailure) as got:
+        runner.run_bank(config, prepared, truth)
+    assert str(got.value) == str(expected.value) and "at step 3" in str(got.value)
+    monkeypatch.setattr(runner, "simulate_truth", _biased_with_nan(3))
+    assert cli.main(["run", "--config", "test_system_a", "--out", str(tmp_path)]) == 4
 
 
 def _eliminating_seed(config) -> int:

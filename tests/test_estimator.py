@@ -58,6 +58,37 @@ def test_empty_surviving_set_is_a_fault_not_a_crash() -> None:
     assert ms.faulted and ms.surviving == ()
 
 
+def test_array_checks_eliminate_each_mode_at_its_first_exceedance_from_k() -> None:
+    ms = eliminate_step(all_modes(5), 3, {4: (1.0, 0.5)})
+    # a mode without a check is untouched
+    assert ms.surviving == (0, 1, 2, 3) and ms.eliminated_at == {4: 3}
+    limits = np.full(4, 0.5)
+    checks = {
+        0: (np.array([0.1, 0.6, 0.9, 0.2]), limits),
+        1: (np.array([np.nan, np.nan, 0.5, 0.4]), limits),
+        2: (np.array([0.1, 0.2, 0.3, 0.7]), limits),
+        4: (np.full(4, 9.0), limits),
+    }
+    ms = eliminate_step(ms, 5, checks)
+    # steps 5..8: mode 0 dies at 6 and mode 2 at 8; a NaN norm or one on
+    # the threshold keeps mode 1, and mode 4 keeps its earlier step
+    assert ms.surviving == (1, 3)
+    assert ms.eliminated_at == {4: 3, 0: 6, 2: 8}
+    assert all(type(step) is int for step in ms.eliminated_at.values())
+
+
+def test_a_block_of_checks_eliminates_as_its_steps_one_at_a_time() -> None:
+    rng = np.random.default_rng(5)
+    norms, limits = rng.uniform(0, 1, (6, 8)), np.full((6, 8), 0.9)
+    norms[rng.random((6, 8)) < 0.2] = np.nan
+    block = eliminate_step(all_modes(6), 1, {q: (norms[q], limits[q]) for q in range(6)})
+    steps = all_modes(6)
+    for s in range(8):
+        checks = {q: (float(norms[q, s]), float(limits[q, s])) for q in steps.surviving}
+        steps = eliminate_step(steps, s + 1, checks)
+    assert block == steps and block.eliminated_at
+
+
 def test_bounding_ball_contains_every_member_ball() -> None:
     rng = np.random.default_rng(3)
     for _ in range(30):

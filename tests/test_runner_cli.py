@@ -613,8 +613,16 @@ def test_cli_out_naming_an_existing_file_is_exit_2(tmp_path, capsys, command) ->
             ["thresholds", "--config", "test_system_a", "--mode", "1", "--kmax", "3"],
             "thresholds_q1.csv",
         ),
+        (["run", "--config", "test_system_a"], "report.json"),
+        (["check-detectability", "--config", "test_system_a"], "detectability.txt"),
     ],
-    ids=["run", "check-detectability", "thresholds"],
+    ids=[
+        "run",
+        "check-detectability",
+        "thresholds",
+        "run-last-file",
+        "check-detectability-last-file",
+    ],
 )
 def test_cli_an_output_file_that_cannot_be_written_is_exit_2(
     tmp_path, capsys, command, name
@@ -626,6 +634,8 @@ def test_cli_an_output_file_that_cannot_be_written_is_exit_2(
     assert cli.main([*command, "--out", str(tmp_path)]) == 2
     assert f"error: cannot write {str(blocked)!r}: Is a directory" in capsys.readouterr().err
     assert blocked.is_dir() and not any(blocked.iterdir())
+    # every file is refused before any is written, the last one too
+    assert list(tmp_path.iterdir()) == [blocked]
 
 
 def test_cli_thresholds_writes_requested_horizon(tmp_path) -> None:

@@ -14,8 +14,9 @@ and writes under OUT, one directory per bundled scenario:
 * ``thresholds``: ``artifact thresholds --mode q --kmax 40`` for every
   mode q;
 * ``detectability-k60``, ``detectability-k120``: ``detectability.json``
-  of ``report_detectability`` at a cap of 60 and 120 steps, written with
-  ``runner.write_json`` (no command sets the cap, and at the default cap
+  of ``report_detectability`` at a cap of 60 and 120 steps, formatted
+  as ``runner.json_text`` formats it, from ``runner.json_safe``, which
+  every checkout has (no command sets the cap, and at the default cap
   no bundled scenario reaches the scan's cap round).
 
 ``commands.txt`` lists every command with its exit code and what it
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -62,7 +64,7 @@ def snapshot(out: Path, names: list[str] | None = None) -> None:
     from artifact import cli
     from artifact.config import load_config
     from artifact.detectability import report_detectability
-    from artifact.runner import gain_bank, write_json
+    from artifact.runner import gain_bank, json_safe
     from artifact.scenarios import list_scenarios, scenario_path
 
     out.mkdir(parents=True, exist_ok=True)
@@ -82,7 +84,8 @@ def snapshot(out: Path, names: list[str] | None = None) -> None:
                 folder = out / name / f"detectability-k{k_cap}"
                 folder.mkdir(exist_ok=True)
                 report = report_detectability(loaded.system, gain_bank(loaded), k_cap)
-                write_json(folder / "detectability.json", report)
+                text = json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"
+                (folder / "detectability.json").write_text(text, newline="")
     (out / "commands.txt").write_text("\n".join(log) + "\n")
 
 
