@@ -357,11 +357,12 @@ def run_bank(
     per stack decides a block in place, on views of the run's arrays:
     finiteness, ``residual_norms`` of the finite rows, and one
     ``eliminate_step`` call over the block's norms and thresholds, whose
-    ``ModeSet`` then gives each row's end.  After the block the run
-    faults when the surviving set is empty and its last elimination came
-    before the first non-finite row of a live mode; otherwise that row
-    raises NumericalFailure naming the first such mode at the first such
-    step.
+    ``ModeSet`` then gives each row's end.  A non-finite row of a live
+    mode (at or before its end) raises NumericalFailure naming the first
+    such mode at the first such step.  Its norm is NaN, which eliminates
+    nothing, so that mode outlives the step and the eliminations before
+    it cannot have emptied the surviving set: a block with such a row
+    never faults.
     """
     horizon = config.horizon
     stacks = tuple(stacks)
@@ -400,12 +401,10 @@ def run_bank(
                 b, j = bad[0].tolist()
                 failures.append((k0 + b, stack.modes[j], stack.failure(j, block[b, j], k0 + b)))
             block[~alive] = norms[~alive] = np.nan
-        failure = min(failures, key=lambda bad: bad[:2], default=None)
-        last = max(mode_set.eliminated_at.values(), default=0)
-        if mode_set.faulted and last < (k1 if failure is None else failure[0]):
-            return BankRun(last, mode_set, stacks, outputs, all_norms)
-        if failure is not None:
-            raise failure[2]
+        if failures:
+            raise min(failures, key=lambda bad: bad[:2])[2]
+        if mode_set.faulted:
+            return BankRun(max(mode_set.eliminated_at.values()), mode_set, stacks, outputs, all_norms)
         live = [i for i in live if set(stacks[i].modes) & set(mode_set.surviving)]
     return BankRun(horizon, mode_set, stacks, outputs, all_norms)
 
