@@ -18,34 +18,27 @@ scanning the triangle-bound sequence (the same one the threshold tables
 use) for relative stagnation, or for blow-up past 1e100, up to a cap of
 STEADY_K_CAP steps; that scanned value is the one steady threshold every
 verdict reads.  The scan reads a prefix of the sequence, and entries
-1..K come out bitwise equal whatever length the sequence is built to, so
-each mode is scanned on at most two prefix lengths ("rungs"), stopping
-at the first where the scan reaches a verdict: its own first rung, then
-the cap.  A mode's first rung is k_stop when k_stop falls before the
-cap, otherwise STEADY_FIRST_RUNG.  k_stop is where the scan must have
-stopped by blow-up: the drift convolution's i = 0 term alone gives
-tri_k >= L_f ||c2 phi|| delta_{k-1}, read off the radius table.  The
-last rung is always the cap, so the verdict never rests on that bound.
+1..K come out bitwise equal whatever length the sequence is built to,
+so each mode is scanned on at most two prefix lengths ("rungs"), stopping
+at the first where the scan reaches a verdict: its first rung, then the
+cap.  ``_first_rung`` predicts where a mode must stop by blow-up from
+the radius model in closed form; the cap stays the last rung, so the
+prediction sets only how much is built, never a verdict.
 
 ``report_detectability`` takes the ``runner.gain_bank`` groups, and
-``steady_reports`` scans a group's stack.  Its radius tables are one
-``gains.radius_sequences`` call to the cap, each row stopped after its
-first radius above 2 STEADY_BLOWUP / (L_f ||c2 phi||), which shows its
-k_stop; past that the row holds that radius, which only entries after
-the scan's blow-up read, since entry k of the triangle bound reads only
-delta_0 .. delta_{k-1}.  A row left for the cap round has its stopped
-table rebuilt without a ceiling.  Each round is one stacked recursion
-(``residuals.build_coefficients``, then
-``residuals.triangle_sequences``) over the rows it builds, on a slice of
-their tables, the first over every row to the longest of their first
-rungs, the second over the rows still without a verdict to the cap.
-Each slice of a stacked product is the call a lone mode makes, so a
-row's scanned prefix holds a lone mode's bits.  ``steady_tri`` scans
-one row's prefix into its report, once per row per round: a prefix
-short of the cap without a verdict raises ValueError, which sends the
-row to the cap round.  It stays a one-mode entry point because the
-benchmark's tracer wraps it by name and reads each call's
-``iterations``.
+``steady_reports`` scans a group's stack.  Each round is one stacked
+recursion (``gains.radius_sequences``, ``residuals.build_coefficients``,
+then ``residuals.triangle_sequences``) over the rows it builds, the
+first over every row to the longest of their first rungs, the second
+over the rows still without a verdict to the cap.  Each row's radii
+past its rung are zeroed first: entry k of the triangle bound reads
+only delta_0 .. delta_{k-1}, so no scanned entry reads them.  Each
+slice of a stacked product is the call a lone mode makes, so a row's
+scanned prefix holds a lone mode's bits.  ``steady_tri`` scans one
+row's prefix into its report, once per row per round: a prefix short of
+the cap without a verdict raises ValueError, which sends the row to the
+cap round.  It stays a one-mode entry point because the benchmark's
+tracer wraps it by name and reads each call's ``iterations``.
 """
 from __future__ import annotations
 
@@ -95,36 +88,58 @@ def steady_reports(
     row i is mode ``modes[i]``: every round one stacked recursion over
     the rows it builds."""
     slopes = (gains.lipschitz * linalg.spectral_norms(dec.c2 @ gains.phi)).tolist()
-    ceilings = [2.0 * STEADY_BLOWUP / slope if slope else math.inf for slope in slopes]
-    tables = radius_sequences(gains, delta0, k_cap, ceiling=ceilings)
-    first = min(STEADY_FIRST_RUNG, k_cap)
-    stops = [_blowup_bound(table, ceiling, k_cap) for table, ceiling in zip(tables, ceilings)]
-    reach = [stop if stop < k_cap else first for stop in stops]
+    rungs = zip(gains.theta.tolist(), gains.eta_bar.tolist(), slopes)
+    reach = np.array([_first_rung(*rung, delta0, k_cap) for rung in rungs])
     reports: dict[int, SteadyTriReport] = {}
     rows = list(range(len(slopes)))
     while rows:
-        k_max = max(reach[i] for i in rows)
+        k_max = int(reach[rows].max())
         if len(rows) == len(slopes):
             rows_gains, rows_dec = gains, dec
         else:
             rows_gains, rows_dec = gains.take(rows), dec.take(rows)
         coeffs = build_coefficients(rows_gains, rows_dec, k_max)
-        tri = triangle_sequences(coeffs, rows_gains.lipschitz, tables[rows, : k_max + 1])
+        radii = radius_sequences(rows_gains, delta0, k_max)
+        # past its rung a radius may overflow; zeroed, it stays off the convolution's
+        # inf path, and entry k reads only delta_0 .. delta_{k-1}, so no scan reads it
+        radii[np.arange(k_max + 1) >= reach[rows, None]] = 0.0
+        tri = triangle_sequences(coeffs, rows_gains.lipschitz, radii)
         for i, row in zip(rows, tri):
-            # past its reach a row may read its stopped table's filler; it is never scanned there
             try:
                 reports[i] = steady_tri(modes[i], row[: reach[i]], k_cap)
             except ValueError:  # no verdict short of the cap: the row goes to the cap round
                 if reach[i] == k_cap:
                     raise
         rows = [i for i in rows if i not in reports]
-        # the cap round reads whole tables, so none may rest on a ceiling
-        stopped = [i for i in rows if tables[i, -1] > ceilings[i]]
-        if stopped:
-            tables[stopped] = radius_sequences(gains, delta0, k_cap, rows=stopped)
-        for i in rows:
-            reach[i] = k_cap
+        reach[rows] = k_cap
     return [reports[i] for i in range(len(slopes))]
+
+
+def _first_rung(theta: float, eta_bar: float, slope: float, delta0: float, k_cap: int) -> int:
+    """The prefix length a row is first scanned on: one step past the
+    first j at which slope * delta_j passes 2 STEADY_BLOWUP, when that
+    falls before the cap, else STEADY_FIRST_RUNG (at most the cap).
+
+    With slope = L_f ||c2 phi||, slope * delta_{k-1} is the drift
+    convolution's i = 0 term, a lower bound on the triangle bound tri_k,
+    so the scan stops by blow-up at that k at the latest; the factor 2
+    covers rounding.  j comes in closed form from the radius model,
+    delta_j = theta^j (delta_0 + c) - c with c = eta_bar / (theta - 1),
+    not from the radius table, so it may be off by a rounding step: a
+    short rung leaves the row to the cap round, a long one builds a few
+    steps more, and no verdict moves.  theta <= 1, a zero slope or a
+    non-finite intermediate predicts no blow-up.
+    """
+    first = min(STEADY_FIRST_RUNG, k_cap)
+    if not (theta > 1.0 and slope > 0.0):
+        return first
+    c = eta_bar / (theta - 1.0)
+    ratio = (2.0 * STEADY_BLOWUP / slope + c) / (delta0 + c) if delta0 + c > 0.0 else math.nan
+    if not 0.0 < ratio < math.inf:
+        return first
+    # the first j with theta^j > ratio; delta_0 itself is past the target when ratio < 1
+    j = max(math.floor(math.log(ratio) / math.log(theta)) + 1, 0)
+    return j + 1 if j + 1 < k_cap else first
 
 
 def steady_tri(
@@ -161,21 +176,6 @@ def _scan_steady(tri_seq: np.ndarray) -> tuple[bool, float, int] | None:
     if first_stalled < end:
         return True, float(tri_seq[first_stalled]), first_stalled + 1
     return None
-
-
-def _blowup_bound(radii: np.ndarray, ceiling: float, k_cap: int) -> int:
-    """First k <= k_cap with delta_{k-1} above the row's ceiling
-    2 STEADY_BLOWUP / slope, read off the radius table, else k_cap.
-
-    With slope = L_f ||c2 phi|| the product slope * delta_{k-1} is the
-    drift convolution's i = 0 term, a lower bound on the triangle bound
-    tri_k, so the scan stops by blow-up at this k at the latest; the
-    factor 2 covers rounding in the ceiling, the norm and the sums.  A
-    table built with this ceiling stops after that radius, so this reads
-    where it stopped.
-    """
-    past = np.flatnonzero(radii[:k_cap] > ceiling)
-    return int(past[0]) + 1 if past.size else k_cap
 
 
 @dataclass(frozen=True)

@@ -137,41 +137,22 @@ class BankGroup:
     gains: GainStack
 
 
-def radius_sequences(
-    gains: GainStack,
-    delta0: float,
-    k_max: int,
-    rows: Sequence[int] | slice = slice(None),
-    ceiling: float | Sequence[float] = math.inf,
-) -> np.ndarray:
+def radius_sequences(gains: GainStack, delta0: float, k_max: int) -> np.ndarray:
     """A-priori state radii [delta_0, ..., delta_kmax] of every mode of
-    the stack, or of its rows `rows`, one row each, from the recursion
-    delta_k = theta delta_{k-1} + eta_bar.  An uncertified mode saturates
-    to inf where the recursion overflows (a Python float does so
-    silently); that is the honest answer there.  Once a step returns its
-    own input, a float fixed point (inf after an overflow), every later
-    step would too, so the rest of the row is filled with it.
-
-    `ceiling` is every row's ceiling or one per row built: a row stops
-    after its first radius above its ceiling (at once when delta0 is
-    above it) and is filled with that radius, so it holds the recursion's
-    bits only up to there.  The default, inf, stops no row."""
-    theta, eta_bar = gains.theta[rows], gains.eta_bar[rows]
-    ceilings = np.broadcast_to(np.asarray(ceiling, dtype=float), theta.shape)
-    return np.array(
-        [
-            _radii(*row, delta0, k_max)
-            for row in zip(theta.tolist(), eta_bar.tolist(), ceilings.tolist())
-        ]
-    )
+    the stack, one row each, from the recursion delta_k = theta
+    delta_{k-1} + eta_bar.  An uncertified mode saturates to inf where
+    the recursion overflows (a Python float does so silently); that is
+    the honest answer there.  Once a step returns its own input, a float
+    fixed point (inf after an overflow), every later step would too, so
+    the rest of the row is filled with it."""
+    rows = zip(gains.theta.tolist(), gains.eta_bar.tolist())
+    return np.array([_radii(theta, eta_bar, delta0, k_max) for theta, eta_bar in rows])
 
 
-def _radii(theta: float, eta_bar: float, ceiling: float, delta0: float, k_max: int) -> np.ndarray:
+def _radii(theta: float, eta_bar: float, delta0: float, k_max: int) -> np.ndarray:
     delta = float(delta0)
     radii = [delta]
     for _ in range(k_max):
-        if delta > ceiling:
-            break
         step = theta * delta + eta_bar
         if step == delta:
             break

@@ -27,7 +27,8 @@ is deterministic, so a config plus a seed reproduces its CSV outputs
 byte for byte.
 
 Output files (see README for the column-by-column schema), each
-composed before any is written, then written by ``write_outputs``:
+composed before any is written, then written all or nothing by
+``write_outputs``:
 
 * ``steps.csv``         one row per step: truth, surviving count, and
                         per-mode residual/threshold/estimate columns;
@@ -542,19 +543,26 @@ def resolve_out_dir(config: ScenarioConfig, out_dir: str | Path | None) -> Path:
 
 
 def write_outputs(files: dict[Path, str]) -> None:
-    """Write each path's text, its lines ended by "\\n" alone.  A path
-    held by anything but a regular file (a directory, say) is refused
-    before any file is written, and a file that cannot be written is a
-    ConfigurationError too."""
+    """Write each path's text, its lines ended by "\\n" alone, or none of
+    them.  A path held by anything but a regular file (a directory, say)
+    is refused before any file is written.  Each text goes to a temporary
+    sibling, and the siblings replace their paths only once every write
+    has succeeded; a write that fails removes them and is a
+    ConfigurationError too, so the paths keep what they held."""
     for path in files:
         if path.exists() and not path.is_file():
             reason = os.strerror(errno.EISDIR) if path.is_dir() else "not a regular file"
             raise ConfigurationError(f"cannot write {str(path)!r}: {reason}")
-    for path, text in files.items():
-        try:
-            path.write_text(text, newline="")
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    try:
+        for path, text in files.items():
+            temps[path].write_text(text, newline="")
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
 def json_text(obj) -> str:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -24,9 +25,10 @@ from conftest import (
 )
 from test_bank_stack import _mixed_config, _twin
 
-from artifact import detectability, runner
+from artifact import detectability, linalg, runner
 from artifact.config import load_config
 from artifact.detectability import (
+    STEADY_BLOWUP,
     STEADY_FIRST_RUNG,
     STEADY_K_CAP,
     check_condition_i,
@@ -253,21 +255,19 @@ def test_scenario1_builds_one_recursion_over_its_group(monkeypatch) -> None:
     assert [s.iterations for s in report.steady] == [2, 519, 326, 307, 142]
 
 
-def _record_radius_steps(monkeypatch) -> tuple[list[int], list[int]]:
-    """(recursion steps per row, rows per call) of every radius_sequences
-    call the scan makes; rows are counted in the stack the call reads, and
-    a row's steps end where its constant fill begins."""
+def _record_radius_steps(monkeypatch) -> tuple[list[int], list[tuple[int, int]]]:
+    """(recursion steps per row, (k_max, rows) per call) of every
+    radius_sequences call the scan makes; a row's steps end where its
+    constant fill begins."""
     per_row: list[int] = []
-    calls: list[int] = []
+    calls: list[tuple[int, int]] = []
 
-    def recording(gains, delta0, k_max, rows=slice(None), ceiling=math.inf):
-        radii = radius_sequences(gains, delta0, k_max, rows, ceiling)
-        indices = range(len(gains.theta))[rows] if isinstance(rows, slice) else rows
-        per_row.extend([0] * (len(gains.theta) - len(per_row)))
-        for i, table in zip(indices, radii):
+    def recording(gains, delta0, k_max):
+        radii = radius_sequences(gains, delta0, k_max)
+        for table in radii:
             moved = np.flatnonzero(table[1:] != table[:-1])
-            per_row[i] += int(moved[-1]) + 1 if moved.size else 0
-        calls.append(len(indices))
+            per_row.append(int(moved[-1]) + 1 if moved.size else 0)
+        calls.append((k_max, len(radii)))
         return radii
 
     monkeypatch.setattr(detectability, "radius_sequences", recording)
@@ -275,38 +275,37 @@ def _record_radius_steps(monkeypatch) -> tuple[list[int], list[int]]:
 
 
 def test_steady_tri_extends_the_radius_table_only_until_its_blowup_bound(monkeypatch) -> None:
-    # one call builds each table to the cap, stopped after its first
-    # radius above its blow-up ceiling: mode 1 (slope 0, no ceiling) runs
-    # to its float fixed point at 967 steps, the others stop at 520, 326,
-    # 307 and 142, one step short of their stops at 521, 327, 308 and 143,
-    # where a table without a ceiling runs its recursion to overflow
+    # a round builds its rows' radius tables in one call to its own
+    # length: a lone mode's table runs to its first rung, 64 for mode 1
+    # (slope 0) and the predicted stops 521, 327, 308 and 143 for the
+    # others, where tables to the cap run 4,942 steps (to overflow)
     per_row, calls = _record_radius_steps(monkeypatch)
     config = load_config(scenario_path("scenario1"))
-    per_mode = []
+    rungs = [STEADY_FIRST_RUNG, 521, 327, 308, 143]
     for q, (dec, gains) in enumerate(mode_bank(config)):
         per_row.clear()
         calls.clear()
         steady_report(gains, dec, config.system.delta_x0, mode=q)
-        per_mode.append(sum(per_row))
-        assert calls == [1], q
-    assert per_mode == [967, 520, 326, 307, 142]
-    # the group builds every row in one call, to the same steps
+        assert calls == [(rungs[q], 1)], q
+        assert per_row == [rungs[q]], q
+    # the group builds every row in one call to its longest rung, 521;
+    # mode 5's radius overflows at k = 435 and holds inf from there
     config, group = _scenario1_group()
     per_row.clear()
     calls.clear()
     steady_reports(group.gains, group.dec, group.modes, config.system.delta_x0)
-    assert per_row == [967, 520, 326, 307, 142]
-    assert calls == [5]
+    assert calls == [(521, 5)]
+    assert per_row == [521, 521, 521, 521, 435]
 
 
 def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeypatch) -> None:
-    # a k_stop before the real stop leaves the first rung without a
-    # verdict; the cap rung must still give the full-length scan's answer
+    # a first rung before the real stop leaves it without a verdict; the
+    # cap rung must still give the full-length scan's answer
     config = load_config(scenario_path("scenario1"))
     bank = mode_bank(config)
     delta0 = config.system.delta_x0
     honest = [steady_report(gains, dec, delta0, mode=q) for q, (dec, gains) in enumerate(bank)]
-    monkeypatch.setattr(detectability, "_blowup_bound", lambda radii, ceiling, k_cap: 10)
+    monkeypatch.setattr(detectability, "_first_rung", lambda *row: 10)
     built = _record_builds(monkeypatch)
     for q, (dec, gains) in enumerate(bank):
         built.clear()
@@ -326,8 +325,118 @@ def test_steady_tri_falls_back_to_the_cap_when_the_blowup_bound_is_short(monkeyp
     _, calls = _record_radius_steps(monkeypatch)
     assert steady_reports(group.gains, group.dec, group.modes, delta0) == honest
     assert built == [(10, 5), (STEADY_K_CAP, 4)]
-    # and rebuilds their tables, which their ceilings stopped, without one
-    assert calls == [5, 4]
+    # and each round builds the radius tables of its own rows
+    assert calls == [(10, 5), (STEADY_K_CAP, 4)]
+
+
+def _table_rung(radii: np.ndarray, slope: float, k_cap: int) -> int:
+    """A row's first rung read off its full radius table: one step past
+    its first radius above 2 STEADY_BLOWUP / slope when that falls
+    before the cap, else the fallback rung."""
+    first = min(STEADY_FIRST_RUNG, k_cap)
+    if not slope:
+        return first
+    past = np.flatnonzero(radii[:k_cap] > 2.0 * STEADY_BLOWUP / slope)
+    return int(past[0]) + 1 if past.size and past[0] + 1 < k_cap else first
+
+
+def _rung_rows(config):
+    """(label, theta, eta_bar, slope, radii to the cap) of every row of
+    the config's ``gain_bank`` groups, the slope as the scan takes it."""
+    delta0 = config.system.delta_x0
+    for group in runner.gain_bank(config):
+        gains = group.gains
+        slopes = gains.lipschitz * linalg.spectral_norms(group.dec.c2 @ gains.phi)
+        tables = radius_sequences(gains, delta0, STEADY_K_CAP)
+        rows = zip(group.modes, gains.theta.tolist(), gains.eta_bar.tolist(), slopes.tolist())
+        for (q, theta, eta_bar, slope), table in zip(rows, tables):
+            yield q, theta, eta_bar, slope, table
+
+
+def test_the_first_rung_is_the_crossing_its_radius_table_shows() -> None:
+    # the closed form reads the same rung off the radius model that the
+    # recursion's table shows, on every bundled row and the mixed bank's
+    rungs = set()
+    for label, config in _group_cases():
+        delta0 = config.system.delta_x0
+        for q, theta, eta_bar, slope, table in _rung_rows(config):
+            for k_cap in (60, 120, STEADY_K_CAP):
+                rung = detectability._first_rung(theta, eta_bar, slope, delta0, k_cap)
+                assert rung == _table_rung(table, slope, k_cap), (label, q, k_cap)
+                rungs.add(rung)
+    assert {STEADY_FIRST_RUNG, 143, 308, 327, 521, 1211} <= rungs
+
+
+def _extreme_rows():
+    """(theta, eta_bar, slope, delta0, k_cap) rows at the edges of the
+    closed form: theta at and around 1, huge and non-finite, eta_bar = 0,
+    slopes whose target 2 STEADY_BLOWUP / slope overflows or underflows,
+    an initial radius past the target, and caps below the first rung."""
+    thetas = [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.5, 1e6, 1e200, math.inf, math.nan]
+    eta_bars = [0.0, 1e-300, 0.02, 1e300, math.inf]
+    slopes = [0.0, 1e-300, 1e-3, 1.0, 1e300]
+    delta0s = [0.0, 0.3, 1e101, 1e300]
+    for row in itertools.product(thetas, eta_bars, slopes, delta0s, [1, 5, 63, STEADY_K_CAP]):
+        yield row
+    rng = np.random.default_rng(32)
+    for _ in range(20000):
+        yield (
+            1.0 + 10.0 ** rng.uniform(-12, 7),
+            float(rng.choice([0.0, 10.0 ** rng.uniform(-6, 3)])),
+            10.0 ** rng.uniform(-300, 300),
+            10.0 ** rng.uniform(-3, 3),
+            int(rng.integers(1, 3 * STEADY_K_CAP)),
+        )
+
+
+def test_the_first_rung_never_raises_and_only_its_fallback_reaches_the_cap() -> None:
+    for theta, eta_bar, slope, delta0, k_cap in _extreme_rows():
+        rung = detectability._first_rung(theta, eta_bar, slope, delta0, k_cap)
+        assert type(rung) is int and 1 <= rung <= k_cap, (theta, eta_bar, slope, delta0, k_cap)
+        # a predicted blow-up falls before the cap; only the fallback,
+        # STEADY_FIRST_RUNG or a cap below it, may be the cap itself
+        assert rung < k_cap or rung == min(STEADY_FIRST_RUNG, k_cap)
+
+
+def _assert_reports_match_the_full_scan(gains, dec, delta0, k_cap, label) -> None:
+    report = steady_report(gains, dec, delta0, k_cap)
+    reference = _reference_scan(_full_triangle_sequence(gains, dec, delta0, k_cap))
+    verdict = (report.converged, report.value, report.iterations)
+    assert verdict == (reference or (False, math.inf, k_cap)), label
+
+
+def test_steady_reports_match_the_full_scan_on_extreme_rows() -> None:
+    # scenario1's mode 5 with its radius model and slope replaced; the
+    # triangle bound reads the new radii and Lipschitz constant
+    config = load_config(scenario_path("scenario1"))
+    dec, gains = mode_bank(config)[4]
+    norm = linalg.spectral_norm(dec.c2 @ gains.phi)
+    rows = itertools.product(
+        [1.0 + 1e-12, 1.5, 1e6], [0.0, 0.02], [1e-300, 1.0], [0.3, 1e101], [5, 60, 600]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for theta, eta_bar, slope, delta0, k_cap in rows:
+            row = dataclasses.replace(
+                gains, theta=theta, eta_bar=eta_bar, lipschitz=slope / norm
+            )
+            label = (theta, eta_bar, slope, delta0, k_cap)
+            _assert_reports_match_the_full_scan(row, dec, delta0, k_cap, label)
+
+
+def test_steady_reports_match_the_full_scan_whatever_the_first_rung(monkeypatch) -> None:
+    # the first rung sets only how long a prefix the first round builds:
+    # any rung from 1 to the cap leaves every report as the full scan's
+    rng = np.random.default_rng(7)
+    rungs = iter(rng.integers(1, 600, size=1000).tolist())
+    monkeypatch.setattr(detectability, "_first_rung", lambda *row: min(next(rungs), row[-1]))
+    cases = [case for case in _steady_cases() if case[0].startswith(("scenario1", "dup"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for label, gains, dec, delta0 in cases:
+            for k_cap in (120, 600):
+                for _ in range(3):
+                    _assert_reports_match_the_full_scan(gains, dec, delta0, k_cap, label)
 
 
 def _group_cases():

@@ -3,7 +3,6 @@ and the radius table."""
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import conftest
 import numpy as np
@@ -12,8 +11,7 @@ import pytest
 from artifact.config import load_config
 from artifact.errors import ConfigurationError, SynthesisError
 from artifact.decomposition import DecompositionStack
-from artifact import runner
-from artifact.gains import GainStack, heuristic_gain, radius_sequences, synthesis_errors
+from artifact.gains import heuristic_gain, synthesis_errors
 from artifact.scenarios import list_scenarios, scenario_path
 from artifact.system import ModeModel
 from conftest import decompose, radius_table, synthesize_gains, mode_bank
@@ -206,37 +204,3 @@ def test_radius_table_stops_at_its_fixed_point_in_edge_cases() -> None:
     for label, gains, delta0 in (("flat", flat, 0.3), ("scenario1-q5", mode5, 0.3)):
         radii = radius_table(gains, delta0, 0)
         assert _same_bits(radii, np.array([0.3])), label
-
-
-def test_a_ceiling_stops_a_row_after_its_first_radius_above_it() -> None:
-    stopped = set()
-    for label, gains, delta0 in _radius_cases():
-        stack = GainStack.of(gains)
-        (free,) = radius_sequences(stack, delta0, 2000)
-        # an infinite ceiling stops nothing, so the fixed-point fill stays
-        (unbounded,) = radius_sequences(stack, delta0, 2000, ceiling=math.inf)
-        assert _same_bits(unbounded, free), label
-        for ceiling in (delta0, 1.0, 1e50):
-            (row,) = radius_sequences(stack, delta0, 2000, ceiling=ceiling)
-            above = np.flatnonzero(free > ceiling)
-            if not above.size:
-                assert _same_bits(row, free), (label, ceiling)
-                continue
-            j = int(above[0])
-            assert _same_bits(row[: j + 1], free[: j + 1]), (label, ceiling)
-            assert (row[j:] == free[j]).all(), (label, ceiling)
-            stopped.add(label)
-        # an initial radius above the ceiling stops at once
-        (row,) = radius_sequences(stack, delta0, 2000, ceiling=math.nextafter(delta0, -math.inf))
-        assert (row == delta0).all(), label
-    # a mode that settles above delta0 and overflowing ones stop before their fill
-    assert {"scenario1-q1", "scenario1-q2", "scenario1-q5"} <= stopped
-    # a ceiling per row: each row is the one it is alone
-    config = load_config(scenario_path("scenario1"))
-    (group,) = runner.gain_bank(config)
-    delta0 = config.system.delta_x0
-    ceilings = [math.inf, 1e50, 1.0, delta0, 0.0]
-    rows = radius_sequences(group.gains, delta0, 2000, ceiling=ceilings)
-    for i, ceiling in enumerate(ceilings):
-        (alone,) = radius_sequences(group.gains, delta0, 2000, rows=[i], ceiling=ceiling)
-        assert _same_bits(rows[i], alone), i

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -636,6 +637,37 @@ def test_cli_an_output_file_that_cannot_be_written_is_exit_2(
     assert blocked.is_dir() and not any(blocked.iterdir())
     # every file is refused before any is written, the last one too
     assert list(tmp_path.iterdir()) == [blocked]
+
+
+def test_cli_a_write_that_fails_midway_leaves_the_earlier_outputs(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    # a full disk at the third file (thresholds_q2.csv) once left the new
+    # steps.csv and thresholds_q1.csv beside the earlier run's other files
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", "test_system_a", "--seed", "0", "--out", str(out)]) == 0
+    earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+    writes = []
+    write_text = Path.write_text
+
+    def full_disk(self, text, *args, **kwargs):
+        writes.append(self)
+        if len(writes) == 3:
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    assert cli.main(["run", "--config", "test_system_a", "--seed", "7", "--out", str(out)]) == 2
+    monkeypatch.undo()
+    target = out / "thresholds_q2.csv"
+    err = capsys.readouterr().err
+    assert f"error: cannot write {str(target)!r}: No space left on device" in err
+    names = [path.name.split(".")[1] for path in writes]
+    assert names == ["steps", "thresholds_q1", "thresholds_q2"]
+    assert all(path.parent == out for path in writes)
+    # every earlier file holds its bytes, and no temporary file is left
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
 
 
 def test_cli_thresholds_writes_requested_horizon(tmp_path) -> None:
