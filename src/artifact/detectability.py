@@ -89,20 +89,21 @@ def steady_reports(
     the rows it builds."""
     slopes = (gains.lipschitz * linalg.spectral_norms(dec.c2 @ gains.phi)).tolist()
     rungs = zip(gains.theta.tolist(), gains.eta_bar.tolist(), slopes)
-    reach = np.array([_first_rung(*rung, delta0, k_cap) for rung in rungs])
+    reach = [_first_rung(*rung, delta0, k_cap) for rung in rungs]
     reports: dict[int, SteadyTriReport] = {}
     rows = list(range(len(slopes)))
     while rows:
-        k_max = int(reach[rows].max())
+        k_max = max(reach[i] for i in rows)
         if len(rows) == len(slopes):
             rows_gains, rows_dec = gains, dec
         else:
             rows_gains, rows_dec = gains.take(rows), dec.take(rows)
         coeffs = build_coefficients(rows_gains, rows_dec, k_max)
         radii = radius_sequences(rows_gains, delta0, k_max)
-        # past its rung a radius may overflow; zeroed, it stays off the convolution's
-        # inf path, and entry k reads only delta_0 .. delta_{k-1}, so no scan reads it
-        radii[np.arange(k_max + 1) >= reach[rows, None]] = 0.0
+        for i, radius_row in zip(rows, radii):
+            # past its rung a radius may overflow; zeroed, it stays off the convolution's
+            # inf path, and entry k reads only delta_0 .. delta_{k-1}, so no scan reads it
+            radius_row[reach[i] :] = 0.0
         tri = triangle_sequences(coeffs, rows_gains.lipschitz, radii)
         for i, row in zip(rows, tri):
             try:
@@ -111,7 +112,8 @@ def steady_reports(
                 if reach[i] == k_cap:
                     raise
         rows = [i for i in rows if i not in reports]
-        reach[rows] = k_cap
+        for i in rows:
+            reach[i] = k_cap
     return [reports[i] for i in range(len(slopes))]
 
 

@@ -341,7 +341,7 @@ def _table_rung(radii: np.ndarray, slope: float, k_cap: int) -> int:
 
 
 def _rung_rows(config):
-    """(label, theta, eta_bar, slope, radii to the cap) of every row of
+    """(mode, theta, eta_bar, slope, radii to the cap) of every row of
     the config's ``gain_bank`` groups, the slope as the scan takes it."""
     delta0 = config.system.delta_x0
     for group in runner.gain_bank(config):
@@ -376,8 +376,7 @@ def _extreme_rows():
     eta_bars = [0.0, 1e-300, 0.02, 1e300, math.inf]
     slopes = [0.0, 1e-300, 1e-3, 1.0, 1e300]
     delta0s = [0.0, 0.3, 1e101, 1e300]
-    for row in itertools.product(thetas, eta_bars, slopes, delta0s, [1, 5, 63, STEADY_K_CAP]):
-        yield row
+    yield from itertools.product(thetas, eta_bars, slopes, delta0s, [1, 5, 63, STEADY_K_CAP])
     rng = np.random.default_rng(32)
     for _ in range(20000):
         yield (
