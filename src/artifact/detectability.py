@@ -27,7 +27,7 @@ prediction sets only how much is built, never a verdict.
 
 ``report_detectability`` takes the ``runner.gain_bank`` groups, and
 ``steady_reports`` scans a group's stack.  Each round is one stacked
-recursion (``gains.radius_sequences``, ``residuals.build_coefficients``,
+build (``gains.radius_sequences``, ``residuals.build_coefficients``,
 then ``residuals.triangle_sequences``) over the rows it builds, the
 first over every row to the longest of their first rungs, the second
 over the rows still without a verdict to the cap.  Each row's radii
@@ -85,8 +85,8 @@ def steady_reports(
     k_cap: int = STEADY_K_CAP,
 ) -> list[SteadyTriReport]:
     """Each row's ``steady_tri`` report, in row order, for a stack whose
-    row i is mode ``modes[i]``: every round one stacked recursion over
-    the rows it builds."""
+    row i is mode ``modes[i]``: every round one stacked build over the
+    rows it builds."""
     slopes = (gains.lipschitz * linalg.spectral_norms(dec.c2 @ gains.phi)).tolist()
     rungs = zip(gains.theta.tolist(), gains.eta_bar.tolist(), slopes)
     reach = [_first_rung(*rung, delta0, k_cap) for rung in rungs]

@@ -9,9 +9,10 @@ collecting everything unknown up to k:
     t_k = [x_err_0 | v_0 .. v_k | w_0 .. w_{k-1} | df_0 .. df_{k-1}]
 
 where df_j = f(x_j) - f(x-hat_{j|j}) is the realized drift mismatch.
-The coefficient matrix is built from a first-step block and a one-step
-downdate applied repeatedly, so all blocks for a whole horizon come out
-of a single recursion.  Two computable residual-norm bounds follow:
+The coefficient matrix is built from a first-step block and powers of a
+one-step downdate, taken by repeated squaring, so all blocks for a whole
+horizon come out of about log2(horizon) products.  Two computable
+residual-norm bounds follow:
 
 * a triangle bound (block norms times per-block radii).  The block norms
   come from `spectral_norms`, a closed form for one-row blocks and one
@@ -25,10 +26,10 @@ of a single recursion.  Two computable residual-norm bounds follow:
   steps within it.
 
 Their minimum is the elimination threshold.  A group of modes that
-shares every array shape is tabulated together: ``build_coefficients``
-runs one recursion whose steps are stacked products, and
-``triangle_sequences`` one pass, over a leading mode axis; each slice is
-the call a lone mode makes, so its bits do not depend on the group.
+shares every array shape is tabulated together: every round of
+``build_coefficients`` is one stacked product, and ``triangle_sequences``
+one pass, over a leading mode axis; each slice is the call a lone mode
+makes, so its bits do not depend on the group.
 A group's thresholds are held as (Q, k_max) arrays in a
 ``ThresholdStack``, and ``runner.run_bank`` reads a block of every row's
 ``delta_hat`` at once; row i is mode i's ``ThresholdTable``, and
@@ -96,50 +97,77 @@ class ResidualCoefficients:
 class CoefficientStack:
     """ResidualCoefficients of modes that share every array shape,
     stacked along a leading mode axis: blocks (Q, k_max, rows, cols),
-    norms and noise terms (Q, k_max).  ``mode(i)`` is row i's
-    ResidualCoefficients, its arrays views of the stack."""
+    each mode's blocks of one family contiguous, norms and noise terms
+    (Q, k_max).  ``mode(i)`` is row i's ResidualCoefficients, its arrays
+    views of the stack."""
 
 
 def build_coefficients(
     gains: GainStack, dec: DecompositionStack, k_max: int
 ) -> CoefficientStack:
-    """The coefficient blocks up to k_max of every mode of a stack, one
-    recursion for all of them: each step is one stacked product whose
-    slices are the products of a lone mode."""
+    """The coefficient blocks up to k_max of every mode of a stack, built
+    by doubling: each round one stacked product whose slices are the
+    products of a lone mode.
+
+    Block i is a_0 D^i with D the one-step downdate.  A round that holds
+    blocks 0..done-1 computes blocks done..done+m-1 as blocks 0..m-1 times
+    D^done, one (m * rows, n) @ (n, n) product per mode, then squares the
+    power, so about log2(k_max) rounds build every block.  Block i is
+    always computed in the round done = 2^floor(log2 i), from block
+    i - done, so a prefix of the blocks does not depend on k_max.  The f
+    and j blocks are one product per mode each of the a blocks.
+
+    A power past the float range reads inf, and every block built from
+    it inf or nan, so that block's norm reads +inf.  This errs on the
+    safe side: a threshold can only rise to inf, and a steady scan can
+    only stop earlier, by blow-up.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     n = dec.c2.shape[2]
     l = dec.t2.shape[2]
     c2phi = dec.c2 @ gains.phi
-    downdate = -(gains.e @ gains.phi @ gains.psi)
-
-    # only the downdate prefixes need a Python loop; a[i] is the (i+1)-th
-    # prefix of every mode, and the f and j blocks are two batched products
-    # of them.  The arrays run step-major, so each step of the loop writes
-    # one contiguous block; the stack's fields are mode-major views.
-    a = np.empty((k_max,) + c2phi.shape)
-    f = np.empty((k_max,) + c2phi.shape)
-    j = np.empty((k_max,) + gains.y_cal.shape)
-    f[0], j[0] = c2phi, gains.y_cal
-    # past an overflow (uncertified modes) blocks hold inf/nan; their norms read +inf
+    ephi = gains.e @ gains.phi
+    power = -(ephi @ gains.psi)
+    modes, rows = c2phi.shape[:2]
+    # Each mode's blocks are one band of rows, so a round's blocks are one
+    # row range of it.  numpy sends a one-row product down BLAS's
+    # matrix-vector path, whose bits may differ from the matrix-matrix
+    # path's, so no kept block may come out of a one-row product that a
+    # longer build computes with more rows: every round after the first
+    # computes at least two blocks and f and j take all k_max a blocks,
+    # into one spare block at the end of each band.
+    a = np.empty((modes, (k_max + 1) * rows, n))
+    f = np.empty(a.shape)
+    j = np.empty((modes, (k_max + 1) * rows, gains.y_cal.shape[2]))
+    f[:, :rows], j[:, :rows] = c2phi, gains.y_cal
     with np.errstate(over="ignore", invalid="ignore"):
-        a[0] = -c2phi @ gains.psi
-        for prev, block in zip(a, a[1:]):
-            np.matmul(prev, downdate, out=block)
-        f[1:] = a[:-1] @ gains.e @ gains.phi
-        j[1:] = a[:-1] @ gains.w_cal
-        noise_terms = noise_offset(j, l, gains.eta_v, gains.eta_w)
+        a[:, :rows] = -c2phi @ gains.psi
+        done = 1
+        while done < k_max:
+            m = min(done, max(k_max - done, 2))
+            np.matmul(a[:, : m * rows], power, out=a[:, done * rows : (done + m) * rows])
+            done += m
+            if done < k_max:
+                power = power @ power
+        np.matmul(a[:, : k_max * rows], ephi, out=f[:, rows:])
+        np.matmul(a[:, : k_max * rows], gains.w_cal, out=j[:, rows:])
+        a, f, j = (
+            band[:, : k_max * rows].reshape(modes, k_max, rows, band.shape[2])
+            for band in (a, f, j)
+        )
+        noise_terms = noise_offset(j, l, gains.eta_v[:, None], gains.eta_w[:, None])
 
     return CoefficientStack(
         k_max=k_max,
         n=n,
         l=l,
-        a_mats=np.swapaxes(a, 0, 1),
-        f_mats=np.swapaxes(f, 0, 1),
-        j_mats=np.swapaxes(j, 0, 1),
-        a_norms=spectral_norms(a).T,
-        f_norms=spectral_norms(f).T,
-        noise_terms=noise_terms.T,
+        a_mats=a,
+        f_mats=f,
+        j_mats=j,
+        a_norms=spectral_norms(a),
+        f_norms=spectral_norms(f),
+        noise_terms=noise_terms,
     )
 
 
@@ -320,7 +348,7 @@ def build_threshold_tables(
     max_vertices: int,
 ) -> ThresholdStack:
     """Thresholds for k = 1..k_max of every mode of a stack, sharing one
-    coefficient recursion and one triangle pass.
+    coefficient build and one triangle pass.
 
     radii holds each mode's radius table [delta_0, ..., delta_kmax] from
     ``radius_sequences``, one row each; its length sets k_max.  The word

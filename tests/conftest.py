@@ -888,20 +888,31 @@ def oracle_radius_sequence(gains: ObserverGains, delta0: float, k_max: int) -> n
 def oracle_coefficients(
     gains: ObserverGains, dec: ModeDecomposition, k_max: int
 ) -> ResidualCoefficients:
+    """One mode's blocks by doubling: each round multiplies blocks 0..m-1
+    by D^done, at least two blocks after the first round, and f and j are
+    one product each of all k_max a blocks (each band has a spare block)."""
     n = dec.c2.shape[1]
     l = dec.t2.shape[1]
     c2phi = dec.c2 @ gains.phi
-    downdate = -(gains.e @ gains.phi @ gains.psi)
-    a = np.empty((k_max,) + c2phi.shape)
-    f = np.empty((k_max,) + c2phi.shape)
-    j = np.empty((k_max,) + gains.y_cal.shape)
-    f[0], j[0] = c2phi, gains.y_cal
+    ephi = gains.e @ gains.phi
+    power = -(ephi @ gains.psi)
+    rows = c2phi.shape[0]
+    a = np.empty(((k_max + 1) * rows, n))
+    f = np.empty(a.shape)
+    j = np.empty(((k_max + 1) * rows, gains.y_cal.shape[1]))
+    f[:rows], j[:rows] = c2phi, gains.y_cal
     with np.errstate(over="ignore", invalid="ignore"):
-        a[0] = -c2phi @ gains.psi
-        for prev, block in zip(a, a[1:]):
-            np.matmul(prev, downdate, out=block)
-        f[1:] = a[:-1] @ gains.e @ gains.phi
-        j[1:] = a[:-1] @ gains.w_cal
+        a[:rows] = -c2phi @ gains.psi
+        done = 1
+        while done < k_max:
+            m = min(done, max(k_max - done, 2))
+            a[done * rows : (done + m) * rows] = a[: m * rows] @ power
+            done += m
+            if done < k_max:
+                power = power @ power
+        f[rows:] = a[: k_max * rows] @ ephi
+        j[rows:] = a[: k_max * rows] @ gains.w_cal
+        a, f, j = (band[: k_max * rows].reshape(k_max, rows, band.shape[1]) for band in (a, f, j))
         noise_terms = noise_offset(j, l, gains.eta_v, gains.eta_w)
     return ResidualCoefficients(
         k_max=k_max,

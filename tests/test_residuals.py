@@ -31,15 +31,20 @@ from conftest import (
     word_box,
 )
 
+from artifact import runner
 from artifact.config import load_config
+from artifact.decomposition import DecompositionStack
+from artifact.detectability import STEADY_K_CAP
+from artifact.gains import GainStack
 from artifact.residuals import (
     assemble_matrix,
+    build_coefficients,
     build_threshold_table,
     compute_residual,
     delta_inf,
     word_dim,
 )
-from artifact.scenarios import scenario_path
+from artifact.scenarios import list_scenarios, scenario_path
 
 
 def assert_exact_decomposition(mode, *, seed: int, steps: int, gain_scale=None, atol=1e-10) -> None:
@@ -82,31 +87,49 @@ def test_residual_is_rotated_noise_when_free_channel_is_blind() -> None:
 def _coefficients_by_recursion(gains, dec, k_max: int):
     """The per-step downdate recursion, one block at a time."""
     c2phi = dec.c2 @ gains.phi
-    ephipsi = gains.e @ gains.phi @ gains.psi
+    ephi = gains.e @ gains.phi
+    ephipsi = ephi @ gains.psi
     a_mats, f_mats, j_mats = [], [c2phi], [gains.y_cal]
     prefix = -c2phi @ gains.psi
     for i in range(1, k_max + 1):
         a_mats.append(prefix)
         if i < k_max:
-            f_mats.append(prefix @ gains.e @ gains.phi)
+            f_mats.append(prefix @ ephi)
             j_mats.append(prefix @ gains.w_cal)
         prefix = -prefix @ ephipsi
     return a_mats, f_mats, j_mats
 
 
-def test_batched_coefficients_match_the_per_step_recursion() -> None:
-    sn = lambda m: float(np.linalg.norm(m, 2)) if m.size else 0.0
+# largest ||got - want|| / ||want|| of one block against the per-step
+# recursion at k_max <= 40; build_coefficients multiplies by powers of the
+# downdate, so its blocks round differently (by at most 6.7e-15 here)
+BLOCK_REL = 1e-13
+# largest relative block-norm difference at the scan cap; the rounding
+# grows with k (at most 3.6e-13 on the bundled modes).  Norms below
+# NORM_FLOOR, deep in the underflow range, are not compared
+CAP_NORM_REL = 1e-12
+NORM_FLOOR = 1e-250
+
+
+def _recursion_bank() -> list:
+    """(dec, gains) of scenario1's modes and three conftest modes."""
     bank = mode_bank(load_config(scenario_path("scenario1")))
     for mode in (invertible_channel_mode(), scalar_channel_mode(), full_pipeline_mode()):
         dec = decompose(mode)
         bank.append((dec, synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)))
-    for dec, gains in bank:
+    return bank
+
+
+def test_batched_coefficients_match_the_per_step_recursion() -> None:
+    sn = lambda m: float(np.linalg.norm(m, 2)) if m.size else 0.0
+    for dec, gains in _recursion_bank():
         for k_max in (1, 2, 40):
             coeffs = coefficients(gains, dec, k_max)
             oracle = _coefficients_by_recursion(gains, dec, k_max)
             for got, want in zip((coeffs.a_mats, coeffs.f_mats, coeffs.j_mats), oracle):
                 assert got.shape == (k_max,) + want[0].shape
-                np.testing.assert_array_equal(got, np.stack(want))
+                for got_block, want_block in zip(got, want):
+                    assert sn(got_block - want_block) <= BLOCK_REL * sn(want_block)
             a_mats, f_mats, j_mats = oracle
             l, n = coeffs.l, coeffs.n
             # each j block's noise term: its [v/sqrt2 | w | v+/sqrt2] sub-blocks'
@@ -121,7 +144,64 @@ def test_batched_coefficients_match_the_per_step_recursion() -> None:
                 (coeffs.f_norms, [sn(m) for m in f_mats]),
                 (coeffs.noise_terms, noise),
             ):
-                np.testing.assert_allclose(norms, want, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(norms, want, rtol=BLOCK_REL, atol=0)
+
+
+def _bundled_rows_and_conftest_modes():
+    """(label, gain stack, decomposition stack) of every bundled gain
+    group and of each of the three conftest modes, a stack of one."""
+    rows = []
+    for name in list_scenarios():
+        for g, group in enumerate(runner.gain_bank(load_config(scenario_path(name)))):
+            rows.append((f"{name} group {g}", group.gains, group.dec))
+    for dec, gains in _recursion_bank()[-3:]:
+        rows.append(("conftest mode", GainStack.of(gains), DecompositionStack.of(dec)))
+    return rows
+
+
+def test_coefficients_at_the_scan_cap_match_the_per_step_recursion() -> None:
+    # every bundled group and the conftest modes at the steady scan's cap:
+    # the same blocks are non-finite in both builds, and every finite block
+    # norm agrees within CAP_NORM_REL
+    k_max = STEADY_K_CAP
+    for label, gains, dec in _bundled_rows_and_conftest_modes():
+        stack = build_coefficients(gains, dec, k_max)
+        for i in range(len(gains.theta)):
+            coeffs = stack.mode(i)
+            with np.errstate(over="ignore", invalid="ignore"):
+                oracle = _coefficients_by_recursion(gains.mode(i), dec.mode(i), k_max)
+            blocks = (coeffs.a_mats, coeffs.f_mats, coeffs.j_mats)
+            for family, got, want in zip("afj", blocks, oracle):
+                want = np.stack(want)
+                where = f"{label} row {i} {family}"
+                finite = np.isfinite(want).all(axis=(1, 2))
+                np.testing.assert_array_equal(np.isfinite(got).all(axis=(1, 2)), finite, where)
+                if got.size == 0:
+                    continue
+                got_norms = np.linalg.norm(got[finite], 2, axis=(1, 2))
+                want_norms = np.linalg.norm(want[finite], 2, axis=(1, 2))
+                compared = want_norms >= NORM_FLOOR
+                np.testing.assert_allclose(
+                    got_norms[compared],
+                    want_norms[compared],
+                    rtol=CAP_NORM_REL,
+                    atol=0,
+                    err_msg=where,
+                )
+
+
+def test_coefficient_prefixes_do_not_depend_on_k_max() -> None:
+    # blocks 1..k and their norms keep their bits whatever k_max they are
+    # built to, round boundaries (powers of two, give or take one) included
+    fields = ("a_mats", "f_mats", "j_mats", "a_norms", "f_norms", "noise_terms")
+    lengths = set(range(1, 41)) | {2**t + s for t in range(6, 11) for s in (-1, 0, 1)}
+    for label, gains, dec in _bundled_rows_and_conftest_modes():
+        full = build_coefficients(gains, dec, STEADY_K_CAP)
+        for k in sorted(lengths) + [STEADY_K_CAP - 1]:
+            prefix = build_coefficients(gains, dec, k)
+            for name in fields:
+                got, want = getattr(prefix, name), getattr(full, name)[:, :k]
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (label, k, name)
 
 
 def test_first_step_coefficients_match_hand_derivation() -> None:
