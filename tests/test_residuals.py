@@ -45,6 +45,7 @@ from artifact.residuals import (
     word_dim,
 )
 from artifact.scenarios import list_scenarios, scenario_path
+from artifact.system import ModeModel
 
 
 def assert_exact_decomposition(mode, *, seed: int, steps: int, gain_scale=None, atol=1e-10) -> None:
@@ -147,6 +148,23 @@ def test_batched_coefficients_match_the_per_step_recursion() -> None:
                 np.testing.assert_allclose(norms, want, rtol=BLOCK_REL, atol=0)
 
 
+def _five_state_one_row_mode() -> ModeModel:
+    """A random nonlinear mode with five states and one feedthrough-free
+    output row: at n >= 4, numpy's one-row product (BLAS matrix-vector)
+    rounds differently from a product of more rows (matrix-matrix)."""
+    rng = np.random.default_rng(0)
+    n = 5
+    return ModeModel(
+        a=0.4 * rng.normal(size=(n, n)) / math.sqrt(n),
+        a_tilde=0.3 * rng.normal(size=(n, n)) / math.sqrt(n),
+        b=rng.normal(size=(n, 1)),
+        g=rng.normal(size=(n, 1)),
+        c=rng.normal(size=(2, n)),
+        d=rng.normal(size=(2, 1)),
+        h=rng.normal(size=(2, 1)),
+    )
+
+
 def _bundled_rows_and_conftest_modes():
     """(label, gain stack, decomposition stack) of every bundled gain
     group and of each of the three conftest modes, a stack of one."""
@@ -195,7 +213,11 @@ def test_coefficient_prefixes_do_not_depend_on_k_max() -> None:
     # built to, round boundaries (powers of two, give or take one) included
     fields = ("a_mats", "f_mats", "j_mats", "a_norms", "f_norms", "noise_terms")
     lengths = set(range(1, 41)) | {2**t + s for t in range(6, 11) for s in (-1, 0, 1)}
-    for label, gains, dec in _bundled_rows_and_conftest_modes():
+    mode = _five_state_one_row_mode()
+    dec = decompose(mode)
+    gains = synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)
+    wide = ("five-state mode", GainStack.of(gains), DecompositionStack.of(dec))
+    for label, gains, dec in _bundled_rows_and_conftest_modes() + [wide]:
         full = build_coefficients(gains, dec, STEADY_K_CAP)
         for k in sorted(lengths) + [STEADY_K_CAP - 1]:
             prefix = build_coefficients(gains, dec, k)
