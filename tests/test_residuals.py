@@ -112,13 +112,20 @@ CAP_NORM_REL = 1e-12
 NORM_FLOOR = 1e-250
 
 
+def _with_gains(mode):
+    """(dec, gains) of a lone mode under the default gain."""
+    dec = decompose(mode)
+    return dec, synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)
+
+
+def _conftest_modes() -> list:
+    modes = (invertible_channel_mode(), scalar_channel_mode(), full_pipeline_mode())
+    return [_with_gains(mode) for mode in modes]
+
+
 def _recursion_bank() -> list:
     """(dec, gains) of scenario1's modes and three conftest modes."""
-    bank = mode_bank(load_config(scenario_path("scenario1")))
-    for mode in (invertible_channel_mode(), scalar_channel_mode(), full_pipeline_mode()):
-        dec = decompose(mode)
-        bank.append((dec, synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)))
-    return bank
+    return mode_bank(load_config(scenario_path("scenario1"))) + _conftest_modes()
 
 
 def test_batched_coefficients_match_the_per_step_recursion() -> None:
@@ -172,7 +179,7 @@ def _bundled_rows_and_conftest_modes():
     for name in list_scenarios():
         for g, group in enumerate(runner.gain_bank(load_config(scenario_path(name)))):
             rows.append((f"{name} group {g}", group.gains, group.dec))
-    for dec, gains in _recursion_bank()[-3:]:
+    for dec, gains in _conftest_modes():
         rows.append(("conftest mode", GainStack.of(gains), DecompositionStack.of(dec)))
     return rows
 
@@ -213,9 +220,7 @@ def test_coefficient_prefixes_do_not_depend_on_k_max() -> None:
     # built to, round boundaries (powers of two, give or take one) included
     fields = ("a_mats", "f_mats", "j_mats", "a_norms", "f_norms", "noise_terms")
     lengths = set(range(1, 41)) | {2**t + s for t in range(6, 11) for s in (-1, 0, 1)}
-    mode = _five_state_one_row_mode()
-    dec = decompose(mode)
-    gains = synthesize_gains(mode, dec, eta_w=0.03, eta_v=0.03)
+    dec, gains = _with_gains(_five_state_one_row_mode())
     wide = ("five-state mode", GainStack.of(gains), DecompositionStack.of(dec))
     for label, gains, dec in _bundled_rows_and_conftest_modes() + [wide]:
         full = build_coefficients(gains, dec, STEADY_K_CAP)
